@@ -167,34 +167,21 @@ def gda_forward(X: Matrix, p: GdaParams, positions: Matrix | None,
     return AttentionOutput(features=features, weights=At)
 
 
-def _window_indices(T: int, h: int, R: int, boundary: str) -> np.ndarray:
-    """Indices of the 2R+1 window rows around anchor h. Clamp policy
-    replicates the edge frames; zero policy maps out-of-range slots to the
-    sentinel index T (an appended all-zero row)."""
-    raw = np.arange(h - R, h + R + 1)
-    if boundary == "clamp":
-        return np.clip(raw, 0, T - 1)
-    padded = raw.copy()
-    padded[(raw < 0) | (raw >= T)] = T
-    return padded
-
-
-def local_window(X: Matrix, h: int, R: int) -> Matrix:
-    """The 2R+1 frames centered on h, edge frames replicated past the ends."""
-    if not 0 <= h < X.rows:
-        raise ContractError(f"anchor {h} out of range for {X.rows} frames")
-    return Matrix(X.data[_window_indices(X.rows, h, R, "clamp")])
-
-
 def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionOutput:
-    """Windowed attention around every anchor frame.
+    """Windowed attention around every anchor frame, all anchors at once.
 
-    Per anchor h the window scores are B_ij = q_i . (k_j + a_|i-j|) / sqrt(d)
-    over window-local indices, column-normalized. The contextual variant
-    mixes the window's value rows with column R of the normalized scores;
-    the literal variant multiplies the anchor's value projection by that
-    column's sum, which normalization pins to 1 (kept for fidelity, see
-    the collapse test).
+    Window slot o of anchor h holds frame h+o-R. Its score against the
+    anchor is q_(h+o-R) . (k_h + a_|o-R|) / sqrt(d), and each anchor's
+    2R+1 scores are softmax-normalized. This is column R, the anchor's
+    column, of the per-anchor block B_ij = q_i . (k_j + a_|i-j|) / sqrt(d)
+    with column normalization; no other column of that block reaches the
+    output, so only this one is computed (the suite pins it to the
+    full-block loop oracle). Past the ends, the clamp policy repeats the
+    edge frames and the zero policy uses zero query and value rows. The
+    contextual variant mixes the window's value rows with the weights;
+    the literal variant multiplies the anchor's value row by their sum,
+    which normalization pins to 1 (kept for fidelity, see the collapse
+    test).
     """
     T, d = X.shape
     R = p.neighbor_R
@@ -204,39 +191,33 @@ def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionO
     Q = ag.matmul(X, p.Wq2, tape)
     K = ag.matmul(X, p.Wk2, tape)
     V = ag.matmul(X, p.Wv2, tape)
-    if p.boundary == "zero":
-        pad = Matrix.zeros(1, d)
-        Qx = ag.concat_rows([Q, pad], tape)
-        Kx = ag.concat_rows([K, pad], tape)
-        Vx = ag.concat_rows([V, pad], tape)
-    else:
-        Qx, Kx, Vx = Q, K, V
-    offsets = np.arange(span)
-    rel_index = np.abs(offsets[:, None] - offsets[None, :])  # |i-j| per window cell
-    inv_sqrt_d = 1.0 / np.sqrt(d)
-    rel_T = ag.transpose(p.rel_pos, tape)
-    feature_rows = []
-    window_weights = np.zeros((T, span))
-    for h in range(T):
-        idx = _window_indices(T, h, R, p.boundary)
-        Qh = ag.gather_rows(Qx, idx, tape)
-        Kh = ag.gather_rows(Kx, idx, tape)
-        content = ag.matmul(Qh, ag.transpose(Kh, tape), tape)
-        rel_scores = ag.take_per_row(ag.matmul(Qh, rel_T, tape), rel_index, tape)
-        B = ag.scale(ag.add(content, rel_scores, tape), inv_sqrt_d, tape)
-        Bt = ag.column_softmax(B, tape)
-        anchor_col = ag.submatrix(Bt, 0, span, R, R + 1, tape)  # weights onto the anchor
-        window_weights[h] = Bt.data[:, R]
-        if p.variant == "contextual":
-            Vh = ag.gather_rows(Vx, idx, tape)
-            row = ag.matmul(ag.transpose(anchor_col, tape), Vh, tape)
-        else:  # literal: summed weights times the anchor's own value row
-            weight_sum = ag.sum_all(anchor_col, tape)
-            anchor_value = ag.gather_rows(V, np.array([h]), tape)
-            row = ag.multiply(anchor_value, weight_sum, tape)
-        feature_rows.append(row)
-    features = ag.concat_rows(feature_rows, tape)
-    return AttentionOutput(features=features, weights=Matrix(window_weights))
+    anchors = np.arange(T)
+
+    def shifted(M: Matrix, o: int) -> Matrix:
+        """Row h holds window slot o of anchor h, taken from M."""
+        src = anchors + o - R
+        rows = ag.gather_rows(M, np.clip(src, 0, T - 1), tape)
+        if p.boundary == "zero":
+            rows = ag.multiply(rows, Matrix.column((src >= 0) & (src < T)), tape)
+        return rows
+
+    ones_d = Matrix.ones(d, 1)
+    score_rows = []
+    for o in range(span):
+        key = ag.add(K, ag.gather_rows(p.rel_pos, [abs(o - R)], tape), tape)
+        score = ag.matmul(ag.multiply(shifted(Q, o), key, tape), ones_d, tape)
+        score_rows.append(ag.transpose(score, tape))
+    B = ag.scale(ag.concat_rows(score_rows, tape), 1.0 / np.sqrt(d), tape)
+    weights = ag.transpose(ag.column_softmax(B, tape), tape)  # T x (2R+1)
+    if p.variant == "contextual":
+        features = None
+        for o in range(span):
+            slot = ag.matmul(weights, Matrix.column(np.arange(span) == o), tape)
+            term = ag.multiply(shifted(V, o), slot, tape)
+            features = term if features is None else ag.add(features, term, tape)
+    else:  # literal: summed weights times the anchor's own value row
+        features = ag.multiply(V, ag.matmul(weights, Matrix.ones(span, 1), tape), tape)
+    return AttentionOutput(features=features, weights=weights)
 
 
 def dca_fuse(X: Matrix, Xg: Matrix, Xl: Matrix, tape: Tape | None = None) -> Matrix:

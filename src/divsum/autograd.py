@@ -438,51 +438,6 @@ def gather_rows(a: Matrix, indices, tape: Tape | None = None) -> Matrix:
     return out
 
 
-def take_per_row(a: Matrix, col_indices, tape: Tape | None = None) -> Matrix:
-    """out[i, j] = a[i, col_indices[i, j]] for a fixed integer index map."""
-    idx = np.asarray(col_indices, dtype=np.intp)
-    if idx.ndim != 2 or idx.shape[0] != a.rows:
-        raise ShapeError("take_per_row: index map must have one row per input row")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.cols):
-        raise ContractError(f"take_per_row: column index out of range for {a.cols} cols")
-    rows = np.arange(a.rows)[:, None]
-    out = Matrix(a.data[rows, idx])
-    if tape is not None:
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            scatter = np.zeros_like(a.data)
-            np.add.at(scatter, (rows, idx), g)
-            _accum(a, scatter)
-
-        tape.record(bwd)
-    return out
-
-
-def submatrix(a: Matrix, r0: int, r1: int, c0: int, c1: int,
-              tape: Tape | None = None) -> Matrix:
-    """Contiguous block a[r0:r1, c0:c1] as its own matrix."""
-    if not (0 <= r0 < r1 <= a.rows and 0 <= c0 < c1 <= a.cols):
-        raise ShapeError(
-            f"submatrix: block [{r0}:{r1}, {c0}:{c1}] outside {a.rows}x{a.cols}"
-        )
-    out = Matrix(a.data[r0:r1, c0:c1].copy())
-    if tape is not None:
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            scatter = np.zeros_like(a.data)
-            scatter[r0:r1, c0:c1] = g
-            _accum(a, scatter)
-
-        tape.record(bwd)
-    return out
-
-
 def concat_rows(mats: list[Matrix], tape: Tape | None = None) -> Matrix:
     """Stack matrices vertically; all must share a column count."""
     if not mats:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autograd import ContractError
 from .segmentation import ShotPartition, binarize_ground_truth
 
 MAGIC = b"DSUM"
@@ -180,7 +181,11 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
     def string(self, what: str) -> str:
-        return self.take(self.u32(what + " length"), what).decode("utf-8")
+        raw = self.take(self.u32(what + " length"), what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataFormatError(f"{self.path}: {what} is not valid UTF-8") from None
 
 
 def load_video(path) -> VideoRecord:
@@ -240,7 +245,10 @@ def load_video(path) -> VideoRecord:
                 f"{path}: change_points section holds {len(raw) - 4} bytes for {count} points"
             )
         starts = np.frombuffer(raw, dtype="<u4", count=count, offset=4).astype(int)
-        cps = ShotPartition.from_change_points(starts, T)
+        try:
+            cps = ShotPartition.from_change_points(starts, T)
+        except ContractError as e:
+            raise DataFormatError(f"{path}: change_points section: {e}") from None
     if flags & _FLAG_PICKS:
         raw = section("picks")
         if len(raw) != 4 * T:

@@ -271,10 +271,11 @@ def _finish_report(protocol, budget_ratio, per_f, per_tau, per_rho, label) -> Ev
     )
 
 
-def _score_test_videos(by_id, test_ids, params, budget_ratio, agg, per_f, per_tau, per_rho):
+def _score_test_videos(by_id, test_ids, params, budget_ratio, agg, per_f, per_tau, per_rho,
+                       use_gda=True, use_lca=True):
     for vid in test_ids:
         v = by_id[vid]
-        detail = summarize_video(v, params, budget_ratio)
+        detail = summarize_video(v, params, budget_ratio, use_gda=use_gda, use_lca=use_lca)
         per_f[vid] = video_fscore(detail.mask, v, agg)
         if v.gt_scores is not None:
             per_tau[vid] = kendall_tau(detail.frame_scores, v.gt_scores)
@@ -302,7 +303,8 @@ def evaluate(videos, cfg: TrainConfig, protocol: EvalProtocol,
             raise ContractError(f"split references unknown video ids: {unknown}")
         result = train([by_id[i] for i in split.train_ids], cfg)
         _score_test_videos(by_id, split.test_ids, result.params, budget_ratio,
-                           protocol.agg, per_f, per_tau, per_rho)
+                           protocol.agg, per_f, per_tau, per_rho,
+                           use_gda=cfg.use_gda, use_lca=cfg.use_lca)
     return _finish_report(protocol, budget_ratio, per_f, per_tau, per_rho, "trained")
 
 

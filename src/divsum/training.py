@@ -247,7 +247,7 @@ def load_checkpoint(path):
         data = np.frombuffer(take(8 * rows * cols, f"{name} data"), dtype="<f8")
         tensors[name] = data.reshape(rows, cols).copy()
         order.append(name)
-    params = _assemble_params(tensors, cfg)
+    params = _assemble_params(tensors, cfg, path)
     expected = [n for n, _ in params.named_parameters()]
     if order != expected:
         raise ContractError(f"{path}: checkpoint parameter order does not match this build")
@@ -262,18 +262,19 @@ def load_checkpoint(path):
     return params, AdamState(m=m, v=v, step=step), cfg, epoch
 
 
-def _assemble_params(tensors: dict[str, np.ndarray], cfg: TrainConfig) -> ModelParams:
+def _assemble_params(tensors: dict[str, np.ndarray], cfg: TrainConfig, path) -> ModelParams:
     def mat(name):
         if name not in tensors:
-            raise ContractError(f"checkpoint is missing parameter {name}")
+            raise ContractError(f"{path}: checkpoint is missing parameter {name}")
         return Matrix(tensors[name])
 
-    R = (tensors["lca.rel_pos"].shape[0] - 1) // 2
+    rel_pos = mat("lca.rel_pos")
+    R = (rel_pos.rows - 1) // 2
     return ModelParams(
         gda=GdaParams(Wq=mat("gda.Wq"), Wk=mat("gda.Wk"), Wv=mat("gda.Wv"),
                       sim_kind=cfg.sim_kind, scale_q=cfg.scale_q),
         lca=LcaParams(Wq2=mat("lca.Wq2"), Wk2=mat("lca.Wk2"), Wv2=mat("lca.Wv2"),
-                      rel_pos=mat("lca.rel_pos"), neighbor_R=R,
+                      rel_pos=rel_pos, neighbor_R=R,
                       variant=cfg.lca_variant, boundary=cfg.window_boundary),
         heads=HeadParams(
             score1=Affine(W=mat("heads.score1.W"), b=mat("heads.score1.b")),

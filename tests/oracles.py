@@ -124,27 +124,40 @@ def naive_global_attention(X, Wq, Wk, Wv, kind, scale_q, positions=None):
     return out, At
 
 
-def naive_local_attention(X, Wq, Wk, Wv, rel, radius, variant):
-    """Per-anchor loop reference for the windowed path with clamped edges."""
+def naive_local_attention(X, Wq, Wk, Wv, rel, radius, variant, boundary="clamp"):
+    """Per-anchor loop reference for the windowed path: the full
+    (2R+1) x (2R+1) score block per anchor, column-normalized, of which
+    column R (the anchor's) weights the output. Past the ends, the clamp
+    boundary repeats the edge frames; the zero boundary uses all-zero
+    query, key and value rows."""
     T, d = X.shape
     W = 2 * radius + 1
     Q = X @ Wq
     K = X @ Wk
     V = X @ Wv
+    zero = np.zeros(d)
+
+    def slot(M, i):
+        if boundary == "clamp":
+            return M[min(max(i, 0), T - 1)]
+        if boundary == "zero":
+            return M[i] if 0 <= i < T else zero
+        raise ValueError(boundary)
+
     out = np.zeros((T, d))
     weights = np.zeros((T, W))
     for h in range(T):
-        idx = [min(max(h - radius + t, 0), T - 1) for t in range(W)]
+        frames = [h - radius + t for t in range(W)]
         B = np.zeros((W, W))
         for i in range(W):
             for j in range(W):
-                k_vec = K[idx[j]] + rel[abs(i - j)]
-                B[i, j] = float(np.dot(Q[idx[i]], k_vec)) / np.sqrt(d)
+                k_vec = slot(K, frames[j]) + rel[abs(i - j)]
+                B[i, j] = float(np.dot(slot(Q, frames[i]), k_vec)) / np.sqrt(d)
         Bt = column_softmax_loops(B)
         weights[h] = Bt[:, radius]
         if variant == "contextual":
             for r in range(W):
-                out[h] += Bt[r, radius] * V[idx[r]]
+                out[h] += Bt[r, radius] * slot(V, frames[r])
         elif variant == "literal":
             out[h] = Bt[:, radius].sum() * V[h]
         else:

@@ -207,32 +207,6 @@ def test_gda_permutation_equivariant_without_positions():
 # local path
 
 
-def test_local_window_interior_is_slice():
-    X = Matrix(np.arange(20.0).reshape(10, 2))
-    W = att.local_window(X, 5, 2)
-    np.testing.assert_array_equal(W.data, X.data[3:8])
-
-
-def test_local_window_clamps_left_edge():
-    X = Matrix(np.arange(12.0).reshape(6, 2))
-    W = att.local_window(X, 0, 2)
-    np.testing.assert_array_equal(W.data[:3], np.tile(X.data[0], (3, 1)))
-
-
-def test_local_window_single_frame():
-    X = Matrix([[4.0, 2.0]])
-    W = att.local_window(X, 0, 3)
-    np.testing.assert_array_equal(W.data, np.tile(X.data[0], (7, 1)))
-
-
-def test_local_window_anchor_out_of_range():
-    X = Matrix(np.zeros((4, 2)))
-    with pytest.raises(ContractError):
-        att.local_window(X, 4, 1)
-    with pytest.raises(ContractError):
-        att.local_window(X, -1, 1)
-
-
 def test_literal_variant_collapses_to_value_projection():
     rng = np.random.default_rng(13)
     T, d, R = 9, 5, 2
@@ -251,14 +225,19 @@ def test_contextual_identical_window_gives_value_projection():
     np.testing.assert_allclose(out.features.data, X.data @ p.Wv2.data, atol=1e-10)
 
 
-def test_contextual_matches_naive_loops():
+@pytest.mark.parametrize("T", [1, 3, 7])
+@pytest.mark.parametrize("boundary", att.BOUNDARY_POLICIES)
+@pytest.mark.parametrize("variant", att.LCA_VARIANTS)
+def test_lca_matches_naive_loops(variant, boundary, T):
+    # T=1 and T=3 are shorter than the 5-frame window, so every anchor
+    # reaches past at least one end
     rng = np.random.default_rng(15)
-    T, d, R = 7, 6, 2
-    p = make_lca(rng, d, R)
+    d, R = 6, 2
+    p = make_lca(rng, d, R, variant=variant, boundary=boundary)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
     out = att.lca_forward(X, p)
     want_feat, want_wts = oracles.naive_local_attention(
-        X.data, p.Wq2.data, p.Wk2.data, p.Wv2.data, p.rel_pos.data, R, "contextual"
+        X.data, p.Wq2.data, p.Wk2.data, p.Wv2.data, p.rel_pos.data, R, variant, boundary
     )
     np.testing.assert_allclose(out.features.data, want_feat, atol=1e-10)
     np.testing.assert_allclose(out.weights.data, want_wts, atol=1e-10)
@@ -278,10 +257,12 @@ def test_lca_window_distributions_sum_to_one(seed, variant):
     np.testing.assert_allclose(out.weights.data.sum(axis=1), np.ones(T), atol=1e-10)
 
 
-def test_lca_grads_match_fd():
+@pytest.mark.parametrize("boundary", att.BOUNDARY_POLICIES)
+@pytest.mark.parametrize("variant", att.LCA_VARIANTS)
+def test_lca_grads_match_fd(variant, boundary):
     rng = np.random.default_rng(16)
     T, d, R = 5, 4, 1
-    p = make_lca(rng, d, R)
+    p = make_lca(rng, d, R, variant=variant, boundary=boundary)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
     W = Matrix(rng.uniform(-1, 1, size=(T, d)))
     params = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos]

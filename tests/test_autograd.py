@@ -134,19 +134,11 @@ def test_log_sqrt_rsqrt_domains():
         ag.rsqrt(Matrix([[0.0]]))
 
 
-def test_gather_and_take_and_submatrix_values():
+def test_gather_rows_values():
     a = Matrix(np.arange(12.0).reshape(3, 4))
     np.testing.assert_array_equal(ag.gather_rows(a, [2, 0, 0]).data, a.data[[2, 0, 0]])
-    idx = np.array([[0, 3], [1, 1], [2, 0]])
-    np.testing.assert_array_equal(
-        ag.take_per_row(a, idx).data,
-        [[0.0, 3.0], [5.0, 5.0], [10.0, 8.0]],
-    )
-    np.testing.assert_array_equal(ag.submatrix(a, 1, 3, 0, 2).data, a.data[1:3, 0:2])
     with pytest.raises(ag.ContractError):
         ag.gather_rows(a, [3])
-    with pytest.raises(ag.ShapeError):
-        ag.submatrix(a, 0, 4, 0, 1)
 
 
 def test_deterministic_forward():
@@ -342,21 +334,6 @@ def test_row_norms_and_structure_ops_match_fd():
         return ag.sum_all(ag.gather_rows(a, idx, tape), tape), tape
 
     check_grads_fd(build_gather, [a])
-
-    colmap = np.array([[0, 1], [3, 3], [2, 0], [1, 2], [0, 0]])
-    w2 = rand_matrix(rng, 5, 2)
-
-    def build_take():
-        tape = Tape()
-        return ag.sum_all(ag.multiply(ag.take_per_row(a, colmap, tape), w2, tape), tape), tape
-
-    check_grads_fd(build_take, [a])
-
-    def build_sub():
-        tape = Tape()
-        return ag.sum_all(ag.submatrix(a, 1, 4, 1, 3, tape), tape), tape
-
-    check_grads_fd(build_sub, [a])
 
     b = rand_matrix(rng, 2, 4)
 

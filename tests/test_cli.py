@@ -1,10 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from divsum.cli import main
-from divsum.training import load_checkpoint
+from divsum.config import TrainConfig, config_to_text
+from divsum.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
 
 
 def run(*argv) -> int:
@@ -167,6 +169,17 @@ def test_errors_exit_nonzero(tmp_path, capsys, monkeypatch):
         run("no-such-subcommand")
     assert run("summarize", "--checkpoint", str(tmp_path / "no.ckpt"),
                "--data", str(tmp_path)) == 1
+
+
+def test_summarize_names_a_missing_checkpoint_parameter(tmp_path, dataset, capsys):
+    cfg_raw = config_to_text(TrainConfig()).encode("utf-8")
+    ckpt = tmp_path / "empty.ckpt"
+    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(cfg_raw))
+                     + cfg_raw + struct.pack("<III", 0, 0, 0))
+    assert run("summarize", "--checkpoint", str(ckpt), "--data", str(dataset),
+               "--out", str(tmp_path / "s.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing parameter lca.rel_pos" in err
 
 
 def test_bad_points_and_bad_config_fail_cleanly(tmp_path, dataset, capsys):

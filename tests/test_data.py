@@ -106,6 +106,34 @@ def test_truncation_names_the_failing_part(tmp_path):
         dat.load_video(q)
 
 
+def test_unordered_change_points_name_the_file_and_section(tmp_path):
+    rec = full_record(np.random.default_rng(3))
+    p = tmp_path / "v.dsv"
+    dat.save_video(p, rec)
+    ordered = np.array([0, 4, 9], dtype="<u4").tobytes()
+    blob = p.read_bytes()
+    assert blob.count(ordered) == 1
+    p.write_bytes(blob.replace(ordered, np.array([0, 9, 4], dtype="<u4").tobytes()))
+    with pytest.raises(dat.DataFormatError, match="change_points") as exc:
+        dat.load_video(p)
+    assert str(p) in str(exc.value)
+
+
+@pytest.mark.parametrize("part", ["video id", "corpus tag"])
+def test_non_utf8_strings_name_the_file_and_part(tmp_path, part):
+    rec = full_record(np.random.default_rng(3), tag="tagX")
+    rec.id = "vidX"
+    p = tmp_path / "v.dsv"
+    dat.save_video(p, rec)
+    text = b"vidX" if part == "video id" else b"tagX"
+    blob = p.read_bytes()
+    assert blob.count(text) == 1
+    p.write_bytes(blob.replace(text, b"\xff\xfe\xfd\xfc"))
+    with pytest.raises(dat.DataFormatError, match=part) as exc:
+        dat.load_video(p)
+    assert str(p) in str(exc.value)
+
+
 def test_validation_catches_length_mismatches():
     feats = np.zeros((5, 2))
     with pytest.raises(dat.DataFormatError, match="gt_scores"):

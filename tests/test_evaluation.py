@@ -10,8 +10,8 @@ from divsum import evaluation as ev
 from divsum.autograd import ContractError, ShapeError
 from divsum.config import TrainConfig
 from divsum.data import SynthSpec, VideoRecord, synth_generate
-from divsum.segmentation import SummaryMask
-from divsum.training import init_params
+from divsum.segmentation import SummaryMask, summarize_video
+from divsum.training import init_params, train
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +310,17 @@ def test_evaluate_is_deterministic():
     a = ev.evaluate(videos, quick_cfg(), proto, budget_ratio=0.3)
     b = ev.evaluate(videos, quick_cfg(), proto, budget_ratio=0.3)
     assert a == b
+
+
+@pytest.mark.parametrize("switch", ["use_gda", "use_lca"])
+def test_evaluate_scores_test_videos_with_the_trained_paths(switch):
+    videos = corpus("a", 2, seed=0)
+    cfg = quick_cfg(**{switch: False})
+    report = ev.evaluate(videos, cfg, ev.EvalProtocol(folds=1), budget_ratio=0.3)
+    params = train(videos, cfg).params
+    for v in videos:
+        detail = summarize_video(v, params, 0.3, **{switch: False})
+        assert report.per_video_tau[v.id] == ev.kendall_tau(detail.frame_scores, v.gt_scores)
 
 
 def test_evaluate_rejects_bad_inputs():

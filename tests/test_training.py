@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -365,6 +367,20 @@ def test_checkpoint_rejects_wrong_magic_and_version(tmp_path):
     bad.write_bytes(bytes(blob))
     with pytest.raises(ContractError, match="version"):
         tr.load_checkpoint(bad)
+
+
+def parameterless_checkpoint(path, cfg):
+    """A well-formed checkpoint file that lists zero parameters."""
+    cfg_raw = config_to_text(cfg).encode("utf-8")
+    path.write_bytes(tr.CHECKPOINT_MAGIC + struct.pack("<II", tr.CHECKPOINT_VERSION, len(cfg_raw))
+                     + cfg_raw + struct.pack("<III", 0, 0, 0))
+    return path
+
+
+def test_checkpoint_missing_parameter_is_named(tmp_path):
+    path = parameterless_checkpoint(tmp_path / "empty.ckpt", tiny_cfg())
+    with pytest.raises(ContractError, match="missing parameter lca.rel_pos"):
+        tr.load_checkpoint(path)
 
 
 def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
