@@ -16,14 +16,14 @@ from .data import (DataFormatError, DatasetManifest, SynthSpec, VideoRecord,
                    load_dataset, load_manifest, save_dataset, save_video,
                    load_video, synth_generate)
 from .evaluation import (EvalProtocol, EvalReport, FoldSplit, build_folds,
-                         evaluate, evaluate_with_params, fscore, human_baseline,
-                         kendall_tau, random_baseline, spearman_rho)
+                         evaluate, fscore, human_baseline, kendall_tau,
+                         random_baseline, spearman_rho)
 from .heads import HeadParams, LossWeights, bce_loss, reconstruction_loss, \
     repelling_loss, score_frames, total_loss
 from .model import ModelParams, forward_loss, forward_scores
 from .segmentation import (ShotPartition, SummaryMask, binarize_ground_truth,
-                           generate_summary, knapsack_select, kts_segment,
-                           shot_scores, summarize_video)
+                           knapsack_select, kts_segment, shot_scores,
+                           summarize_video)
 from .training import (AdamState, TrainResult, adam_step, init_params,
                        load_checkpoint, save_checkpoint, train)
 

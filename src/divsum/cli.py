@@ -19,8 +19,8 @@ from .attention import GridSpec, SIMILARITY_KINDS, LCA_VARIANTS, partition_map_c
 from .autograd import ContractError, NumericError, ShapeError
 from .checks import run_self_checks
 from .config import ConfigError, TrainConfig, load_config
-from .data import (AGGREGATION_MODES, DataFormatError, SynthSpec, load_dataset,
-                   load_manifest, save_dataset, synth_generate)
+from .data import (AGGREGATION_MODES, SynthSpec, load_dataset, load_manifest,
+                   save_dataset, synth_generate)
 from .evaluation import (EvalProtocol, PROTOCOL_MODES, build_folds, evaluate,
                          human_baseline, load_splits, random_baseline, report_csv,
                          report_text, save_splits)
@@ -110,7 +110,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    params, _, cfg, _ = load_checkpoint(args.checkpoint)
+    params, _, _, _ = load_checkpoint(args.checkpoint)
     videos = load_dataset(_data_path(args))
     if args.video is not None:
         videos = [v for v in videos if v.id == args.video]
@@ -118,8 +118,7 @@ def cmd_summarize(args) -> int:
             raise ContractError(f"video id {args.video!r} not in the dataset")
     rows = ["video_id,frame,score,selected"]
     for v in videos:
-        detail = summarize_video(v, params, args.budget_ratio,
-                                 use_gda=cfg.use_gda, use_lca=cfg.use_lca)
+        detail = summarize_video(v, params, args.budget_ratio)
         for t in range(v.frame_count):
             rows.append(f"{v.id},{t},{detail.frame_scores[t]:.8f},"
                         f"{detail.mask.frame_mask[t]}")
@@ -324,8 +323,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ContractError, DataFormatError, NumericError,
-            ShapeError, OSError) as e:
+    except (ConfigError, ContractError, NumericError, ShapeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -35,8 +35,8 @@ _FLAG_PICKS = 1 << 4
 AGGREGATION_MODES = ("max_over_users", "mean_over_users")
 
 
-class DataFormatError(ValueError):
-    """Raised when a dataset file is malformed, with the failing part named."""
+class DataFormatError(ContractError):
+    """Raised when an input file is malformed, with the failing part named."""
 
 
 @dataclass
@@ -162,15 +162,15 @@ def save_video(path, rec: VideoRecord):
     Path(path).write_bytes(b"".join(parts))
 
 
-class _Reader:
-    """Cursor over a file's bytes; every read names what it was after."""
+class Reader:
+    """Cursor over a binary file's bytes; every read names what it was after."""
 
     def __init__(self, blob: bytes, path):
-        self.blob = blob
+        self.blob = memoryview(blob)  # slices share the file's buffer: no copies
         self.pos = 0
         self.path = path
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.pos + n > len(self.blob):
             raise DataFormatError(f"{self.path}: truncated while reading {what}")
         out = self.blob[self.pos:self.pos + n]
@@ -180,16 +180,21 @@ class _Reader:
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
+    def f64(self, rows: int, cols: int, what: str) -> np.ndarray:
+        """A rows x cols little-endian float64 block, copied out."""
+        raw = self.take(8 * rows * cols, what)
+        return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+
     def string(self, what: str) -> str:
         raw = self.take(self.u32(what + " length"), what)
         try:
-            return raw.decode("utf-8")
+            return str(raw, "utf-8")
         except UnicodeDecodeError:
             raise DataFormatError(f"{self.path}: {what} is not valid UTF-8") from None
 
 
 def load_video(path) -> VideoRecord:
-    r = _Reader(Path(path).read_bytes(), path)
+    r = Reader(Path(path).read_bytes(), path)
     if r.take(4, "magic") != MAGIC:
         raise DataFormatError(f"{path}: not a video container (bad magic)")
     version = r.u32("version")
@@ -202,7 +207,7 @@ def load_video(path) -> VideoRecord:
     flags = r.u32("flags")
     vid = r.string("video id")
     corpus = r.string("corpus tag")
-    feats = np.frombuffer(r.take(8 * T * d, "features"), dtype="<f8").reshape(T, d).copy()
+    feats = r.f64(T, d, "features")
 
     def section(what: str) -> bytes:
         n = r.u32(what + " section length")
@@ -297,24 +302,59 @@ def save_dataset(directory, records: list[VideoRecord], name: str,
     return path
 
 
+def read_json_object(path, what: str) -> dict:
+    """A UTF-8 JSON file whose top level is an object; any other content
+    is a DataFormatError naming the file."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise DataFormatError(f"{path}: {what} not found") from None
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: {what} is not valid UTF-8") from None
+    except json.JSONDecodeError as e:
+        raise DataFormatError(f"{path}: {what} is not valid JSON ({e})") from None
+    if not isinstance(raw, dict):
+        raise DataFormatError(f"{path}: {what} must be a JSON object, "
+                              f"got {type(raw).__name__}")
+    return raw
+
+
+_REQUIRED = object()
+_JSON_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+    "a list of objects": lambda v: isinstance(v, list) and all(isinstance(s, dict) for s in v),
+}
+
+
+def json_field(raw: dict, key: str, kind: str, where: str, default=_REQUIRED):
+    """raw[key] (or default when absent), checked to be of the named kind;
+    `where` prefixes the DataFormatError for a missing or mistyped field."""
+    if key not in raw:
+        if default is _REQUIRED:
+            raise DataFormatError(f"{where} missing field '{key}'")
+        return default
+    value = raw[key]
+    if not _JSON_KINDS[kind](value):
+        raise DataFormatError(f"{where} field '{key}' must be {kind}, got {value!r:.40}")
+    return value
+
+
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise DataFormatError(f"{path}: manifest not found")
-    except json.JSONDecodeError as e:
-        raise DataFormatError(f"{path}: manifest is not valid JSON ({e})")
-    try:
-        return DatasetManifest(
-            name=raw["name"], dim=int(raw["dim"]), video_files=list(raw["videos"]),
-            aggregation=raw.get("aggregation", "mean_over_users"),
-            format_version=int(raw.get("format_version", FORMAT_VERSION)),
-        )
-    except KeyError as e:
-        raise DataFormatError(f"{path}: manifest missing field {e}")
+    raw = read_json_object(path, "manifest")
+    where = f"{path}: manifest"
+    return DatasetManifest(
+        name=json_field(raw, "name", "a string", where),
+        dim=json_field(raw, "dim", "an integer", where),
+        video_files=json_field(raw, "videos", "a list of strings", where),
+        aggregation=json_field(raw, "aggregation", "a string", where, "mean_over_users"),
+        format_version=json_field(raw, "format_version", "an integer", where,
+                                  FORMAT_VERSION),
+    )
 
 
 def load_dataset(path) -> list[VideoRecord]:

@@ -22,8 +22,8 @@ import numpy as np
 
 from .autograd import ContractError, ShapeError
 from .config import TrainConfig
-from .data import AGGREGATION_MODES
-from .segmentation import SummaryMask, summarize_video
+from .data import AGGREGATION_MODES, json_field, read_json_object
+from .segmentation import SummaryMask, summarize_scores, summarize_video
 from .training import train
 
 PROTOCOL_MODES = ("canonical", "augmented", "transfer")
@@ -235,17 +235,12 @@ def save_splits(path, splits: list[FoldSplit], protocol: EvalProtocol) -> Path:
 
 
 def load_splits(path) -> tuple[list[FoldSplit], dict]:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ContractError(f"{path}: split file not found")
-    except json.JSONDecodeError as e:
-        raise ContractError(f"{path}: split file is not valid JSON ({e})")
-    try:
-        splits = [FoldSplit(train_ids=list(s["train"]), test_ids=list(s["test"]))
-                  for s in raw["splits"]]
-    except KeyError as e:
-        raise ContractError(f"{path}: split file missing field {e}")
+    raw = read_json_object(path, "split file")
+    splits = []
+    for i, s in enumerate(json_field(raw, "splits", "a list of objects", f"{path}: split file")):
+        where = f"{path}: split {i}"
+        splits.append(FoldSplit(train_ids=json_field(s, "train", "a list of strings", where),
+                                test_ids=json_field(s, "test", "a list of strings", where)))
     meta = {k: raw.get(k) for k in ("mode", "folds", "agg", "seed", "target_corpus")}
     return splits, meta
 
@@ -271,15 +266,18 @@ def _finish_report(protocol, budget_ratio, per_f, per_tau, per_rho, label) -> Ev
     )
 
 
-def _score_test_videos(by_id, test_ids, params, budget_ratio, agg, per_f, per_tau, per_rho,
-                       use_gda=True, use_lca=True):
-    for vid in test_ids:
-        v = by_id[vid]
-        detail = summarize_video(v, params, budget_ratio, use_gda=use_gda, use_lca=use_lca)
-        per_f[vid] = video_fscore(detail.mask, v, agg)
+def _per_video_metrics(scored, agg: str):
+    """F per video id, plus tau and rho for the videos with frame-level
+    scores, from (video, SummaryDetail) pairs."""
+    per_f: dict[str, float] = {}
+    per_tau: dict[str, float] = {}
+    per_rho: dict[str, float] = {}
+    for v, detail in scored:
+        per_f[v.id] = video_fscore(detail.mask, v, agg)
         if v.gt_scores is not None:
-            per_tau[vid] = kendall_tau(detail.frame_scores, v.gt_scores)
-            per_rho[vid] = spearman_rho(detail.frame_scores, v.gt_scores)
+            per_tau[v.id] = kendall_tau(detail.frame_scores, v.gt_scores)
+            per_rho[v.id] = spearman_rho(detail.frame_scores, v.gt_scores)
+    return per_f, per_tau, per_rho
 
 
 def evaluate(videos, cfg: TrainConfig, protocol: EvalProtocol,
@@ -294,58 +292,31 @@ def evaluate(videos, cfg: TrainConfig, protocol: EvalProtocol,
         raise ContractError("video ids are not unique")
     if splits is None:
         splits = build_folds(videos, protocol)
-    per_f: dict[str, float] = {}
-    per_tau: dict[str, float] = {}
-    per_rho: dict[str, float] = {}
-    for split in splits:
-        unknown = [i for i in split.train_ids + split.test_ids if i not in by_id]
-        if unknown:
-            raise ContractError(f"split references unknown video ids: {unknown}")
-        result = train([by_id[i] for i in split.train_ids], cfg)
-        _score_test_videos(by_id, split.test_ids, result.params, budget_ratio,
-                           protocol.agg, per_f, per_tau, per_rho,
-                           use_gda=cfg.use_gda, use_lca=cfg.use_lca)
-    return _finish_report(protocol, budget_ratio, per_f, per_tau, per_rho, "trained")
 
+    def held_out():
+        for split in splits:
+            unknown = [i for i in split.train_ids + split.test_ids if i not in by_id]
+            if unknown:
+                raise ContractError(f"split references unknown video ids: {unknown}")
+            params = train([by_id[i] for i in split.train_ids], cfg).params
+            for vid in split.test_ids:
+                yield by_id[vid], summarize_video(by_id[vid], params, budget_ratio)
 
-def evaluate_with_params(videos, params, protocol: EvalProtocol,
-                         budget_ratio: float = 0.15, label: str = "trained") -> EvalReport:
-    """Metric pass with fixed, already-trained parameters: every video is a
-    test video. Never mutates params."""
-    if not videos:
-        raise ContractError("cannot evaluate an empty video set")
-    by_id = {v.id: v for v in videos}
-    per_f: dict[str, float] = {}
-    per_tau: dict[str, float] = {}
-    per_rho: dict[str, float] = {}
-    _score_test_videos(by_id, [v.id for v in videos], params, budget_ratio,
-                       protocol.agg, per_f, per_tau, per_rho)
-    return _finish_report(protocol, budget_ratio, per_f, per_tau, per_rho, label)
+    return _finish_report(protocol, budget_ratio,
+                          *_per_video_metrics(held_out(), protocol.agg), "trained")
 
 
 def random_baseline(videos, protocol: EvalProtocol,
                     budget_ratio: float = 0.15) -> EvalReport:
     """Uniform-random importance scores pushed through the same shot
     selection; the reference point for Table-style comparisons."""
-    from .segmentation import default_max_shots, kts_segment, select_frames
-
     if not videos:
         raise ContractError("cannot evaluate an empty video set")
     rng = np.random.default_rng(protocol.seed)
-    per_f: dict[str, float] = {}
-    per_tau: dict[str, float] = {}
-    per_rho: dict[str, float] = {}
-    for v in videos:
-        scores = rng.uniform(size=v.frame_count)
-        part = v.change_points
-        if part is None:
-            part = kts_segment(v.features, default_max_shots(v.frame_count))
-        mask = select_frames(scores, part, budget_ratio)
-        per_f[v.id] = video_fscore(mask, v, protocol.agg)
-        if v.gt_scores is not None:
-            per_tau[v.id] = kendall_tau(scores, v.gt_scores)
-            per_rho[v.id] = spearman_rho(scores, v.gt_scores)
-    return _finish_report(protocol, budget_ratio, per_f, per_tau, per_rho, "random")
+    scored = ((v, summarize_scores(v, rng.uniform(size=v.frame_count), budget_ratio))
+              for v in videos)
+    return _finish_report(protocol, budget_ratio,
+                          *_per_video_metrics(scored, protocol.agg), "random")
 
 
 def human_baseline(videos, protocol: EvalProtocol,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention as att
-from . import autograd as ag
 from . import heads as hd
 from .autograd import ContractError, Matrix, Tape
 
@@ -23,6 +22,9 @@ class ModelParams:
     lca: att.LcaParams
     heads: hd.HeadParams
     use_positions: bool = True
+    # ablation switches: a path that is off contributes zero features
+    use_gda: bool = True
+    use_lca: bool = True
 
     @property
     def dim(self) -> int:
@@ -66,14 +68,13 @@ class ForwardOutput:
     local_attention: att.AttentionOutput | None
 
 
-def forward_scores(X: Matrix, params: ModelParams, tape: Tape | None = None,
-                   use_gda: bool = True, use_lca: bool = True) -> ForwardOutput:
-    """Attention paths, fusion, score head. Either attention path can be
-    switched off (its contribution becomes zero) for ablations."""
+def forward_scores(X: Matrix, params: ModelParams, tape: Tape | None = None) -> ForwardOutput:
+    """Attention paths, fusion, score head. A path the params switch off
+    (use_gda / use_lca) contributes zero features."""
     T, d = X.shape
     positions = att.sinusoidal_positions(T, d) if params.use_positions else None
-    gout = att.gda_forward(X, params.gda, positions, tape) if use_gda else None
-    lout = att.lca_forward(X, params.lca, tape) if use_lca else None
+    gout = att.gda_forward(X, params.gda, positions, tape) if params.use_gda else None
+    lout = att.lca_forward(X, params.lca, tape) if params.use_lca else None
     zero = Matrix.zeros(T, d)
     fused = att.dca_fuse(
         X,
@@ -94,8 +95,7 @@ class LossBreakdown:
 
 
 def forward_loss(X: Matrix, params: ModelParams, weights: hd.LossWeights,
-                 gt_binary=None, tape: Tape | None = None,
-                 use_gda: bool = True, use_lca: bool = True) -> LossBreakdown:
+                 gt_binary=None, tape: Tape | None = None) -> LossBreakdown:
     """Full training-step forward: features, heads, weighted objective.
 
     gt_binary (0/1 per frame) is required exactly when weights.supervised;
@@ -104,7 +104,7 @@ def forward_loss(X: Matrix, params: ModelParams, weights: hd.LossWeights,
     """
     if weights.supervised and gt_binary is None:
         raise ContractError("supervised loss requires per-frame binary labels")
-    out = forward_scores(X, params, tape, use_gda=use_gda, use_lca=use_lca)
+    out = forward_scores(X, params, tape)
     embeddings = hd.embed_frames(out.fused, params.heads, tape)
     recon = hd.reconstruct_frames(out.fused, params.heads, tape)
     cls = hd.bce_loss(out.scores, np.asarray(gt_binary, dtype=np.float64), tape) \

@@ -10,7 +10,7 @@ into per-frame 0/1 training labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,12 +226,10 @@ def select_frames(frame_scores, part: ShotPartition, budget_ratio: float) -> Sum
     return mask_from_selection(part, selected)
 
 
-def score_video(video, params: ModelParams, use_gda: bool = True,
-                use_lca: bool = True) -> np.ndarray:
+def score_video(video, params: ModelParams) -> np.ndarray:
     """Frame importance curve for one video under the given parameters."""
     feats = video.features if isinstance(video.features, Matrix) else Matrix(video.features)
-    out = forward_scores(feats, params, use_gda=use_gda, use_lca=use_lca)
-    return out.scores.data[:, 0].copy()
+    return forward_scores(feats, params).scores.data[:, 0].copy()
 
 
 @dataclass
@@ -240,7 +238,6 @@ class SummaryDetail:
 
     mask: SummaryMask
     partition: ShotPartition
-    shot_means: np.ndarray
     frame_scores: np.ndarray
 
 
@@ -248,31 +245,19 @@ def default_max_shots(T: int) -> int:
     return max(2, T // 4)
 
 
-def summarize_video(video, params: ModelParams, budget_ratio: float,
-                    max_shots: int | None = None, use_gda: bool = True,
-                    use_lca: bool = True) -> SummaryDetail:
-    """Score, segment (reusing the video's own change points when it has
-    them), and select shots under the budget."""
-    if not 0.0 < budget_ratio <= 1.0:
-        raise ContractError(f"budget_ratio must be in (0, 1], got {budget_ratio}")
-    scores = score_video(video, params, use_gda=use_gda, use_lca=use_lca)
-    T = scores.size
+def summarize_scores(video, frame_scores, budget_ratio: float) -> SummaryDetail:
+    """Frame scores -> shots -> budgeted selection. The shots are the
+    video's own change points when it has them, else KTS segments."""
     part = video.change_points
     if part is None:
-        part = kts_segment(video.features, max_shots if max_shots else default_max_shots(T))
-    budget = int(np.floor(budget_ratio * T))
-    means = shot_scores(scores, part)
-    selected = knapsack_select(part.shot_lengths, means, budget)
-    return SummaryDetail(
-        mask=mask_from_selection(part, selected),
-        partition=part,
-        shot_means=means,
-        frame_scores=scores,
-    )
+        part = kts_segment(video.features, default_max_shots(video.frame_count))
+    return SummaryDetail(mask=select_frames(frame_scores, part, budget_ratio),
+                         partition=part, frame_scores=frame_scores)
 
 
-def generate_summary(video, params: ModelParams, budget_ratio: float) -> SummaryMask:
-    return summarize_video(video, params, budget_ratio).mask
+def summarize_video(video, params: ModelParams, budget_ratio: float) -> SummaryDetail:
+    """Score one video with the model, then summarize those scores."""
+    return summarize_scores(video, score_video(video, params), budget_ratio)
 
 
 def binarize_ground_truth(frame_scores, part: ShotPartition,

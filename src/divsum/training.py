@@ -17,8 +17,9 @@ import numpy as np
 
 from . import autograd as ag
 from .attention import GdaParams, LcaParams
-from .autograd import ContractError, Matrix, Tape
+from .autograd import ContractError, Matrix, NumericError, Tape
 from .config import TrainConfig, config_from_text, config_to_text
+from .data import Reader
 from .heads import Affine, HeadParams, LossWeights
 from .model import ModelParams, forward_loss
 
@@ -70,7 +71,7 @@ def init_params(d: int, R: int, seed: int, cfg: TrainConfig | None = None) -> Mo
             recon2=Affine(W=recon2_W, b=zero_bias(d)),
             recon_final_sigmoid=cfg.recon_final_sigmoid,
         ),
-        use_positions=cfg.use_positions,
+        use_positions=cfg.use_positions, use_gda=cfg.use_gda, use_lca=cfg.use_lca,
     )
 
 
@@ -129,7 +130,8 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
     Vists videos in one seeded shuffle reused every epoch (fixed order),
     one optimizer step per video. In unsupervised mode a video's labels
     are never read. Optional early stop ends training once the mean loss
-    stops improving by min_delta for patience epochs.
+    stops improving by min_delta for patience epochs. A non-finite loss
+    raises NumericError (epochs count from 0, as in the history CSV).
     """
     if not videos:
         raise ContractError("cannot train on an empty video set")
@@ -157,16 +159,19 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
     best = np.inf
     stale = 0
     epochs_run = 0
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         totals, clses, repels, recons = [], [], [], []
         for i in order:
             params.zero_grads()
             tape = Tape()
-            out = forward_loss(feats[i], params, weights, labels[i], tape,
-                               use_gda=cfg.use_gda, use_lca=cfg.use_lca)
+            out = forward_loss(feats[i], params, weights, labels[i], tape)
+            loss = out.total.item()
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite loss {loss} on video {videos[i].id} "
+                                   f"in epoch {epoch}; training stopped before the update")
             ag.backward(out.total, tape)
             adam_step(params, state, cfg)
-            totals.append(out.total.item())
+            totals.append(loss)
             repels.append(out.parts.repel.item())
             recons.append(out.parts.recon.item())
             if out.parts.cls is not None:
@@ -195,7 +200,13 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
 
 def save_checkpoint(path, params: ModelParams, state: AdamState, cfg: TrainConfig,
                     epoch: int):
+    """Refuses (NumericError) to write a non-finite parameter or moment."""
     named = params.named_parameters()
+    for kind, arrays in (("parameter", [p.data for _, p in named]),
+                         ("first moment of", state.m), ("second moment of", state.v)):
+        for (name, _), a in zip(named, arrays):
+            if not np.all(np.isfinite(a)):
+                raise NumericError(f"{path}: refusing to save a non-finite {kind} {name}")
     cfg_raw = config_to_text(cfg).encode("utf-8")
     parts = [
         CHECKPOINT_MAGIC,
@@ -218,47 +229,30 @@ def save_checkpoint(path, params: ModelParams, state: AdamState, cfg: TrainConfi
 def load_checkpoint(path):
     """Returns (params, adam_state, config, epoch). Byte layout must match
     what save_checkpoint wrote; any shortfall names the failing piece."""
-    blob = Path(path).read_bytes()
-    pos = 0
-
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise ContractError(f"{path}: checkpoint truncated while reading {what}")
-        out = blob[pos:pos + n]
-        pos += n
-        return out
-
-    if take(4, "magic") != CHECKPOINT_MAGIC:
+    r = Reader(Path(path).read_bytes(), path)
+    if r.take(4, "magic") != CHECKPOINT_MAGIC:
         raise ContractError(f"{path}: not a checkpoint file (bad magic)")
-    version = struct.unpack("<I", take(4, "version"))[0]
+    version = r.u32("version")
     if version != CHECKPOINT_VERSION:
         raise ContractError(f"{path}: checkpoint version {version}, "
                             f"this build reads {CHECKPOINT_VERSION}")
-    cfg_len = struct.unpack("<I", take(4, "config length"))[0]
-    cfg = config_from_text(take(cfg_len, "config").decode("utf-8"))
-    epoch, count = struct.unpack("<II", take(8, "epoch/parameter count"))
+    cfg = config_from_text(r.string("config"))
+    epoch, count = r.u32("epoch"), r.u32("parameter count")
     tensors: dict[str, np.ndarray] = {}
-    order: list[str] = []
     for _ in range(count):
-        name_len = struct.unpack("<I", take(4, "parameter name length"))[0]
-        name = take(name_len, "parameter name").decode("utf-8")
-        rows, cols = struct.unpack("<II", take(8, f"{name} shape"))
-        data = np.frombuffer(take(8 * rows * cols, f"{name} data"), dtype="<f8")
-        tensors[name] = data.reshape(rows, cols).copy()
-        order.append(name)
+        name = r.string("parameter name")
+        rows, cols = r.u32(f"{name} rows"), r.u32(f"{name} cols")
+        tensors[name] = r.f64(rows, cols, f"{name} data")
     params = _assemble_params(tensors, cfg, path)
     expected = [n for n, _ in params.named_parameters()]
-    if order != expected:
+    if count != len(tensors) or list(tensors) != expected:
         raise ContractError(f"{path}: checkpoint parameter order does not match this build")
-    step = struct.unpack("<I", take(4, "optimizer step"))[0]
+    step = r.u32("optimizer step")
     shapes = [tensors[n].shape for n in expected]
-    m = [np.frombuffer(take(8 * r * c, "first moments"), dtype="<f8").reshape(r, c).copy()
-         for r, c in shapes]
-    v = [np.frombuffer(take(8 * r * c, "second moments"), dtype="<f8").reshape(r, c).copy()
-         for r, c in shapes]
-    if pos != len(blob):
-        raise ContractError(f"{path}: {len(blob) - pos} unexpected trailing bytes")
+    m = [r.f64(rows, cols, "first moments") for rows, cols in shapes]
+    v = [r.f64(rows, cols, "second moments") for rows, cols in shapes]
+    if r.pos != len(r.blob):
+        raise ContractError(f"{path}: {len(r.blob) - r.pos} unexpected trailing bytes")
     return params, AdamState(m=m, v=v, step=step), cfg, epoch
 
 
@@ -284,5 +278,5 @@ def _assemble_params(tensors: dict[str, np.ndarray], cfg: TrainConfig, path) -> 
             recon2=Affine(W=mat("heads.recon2.W"), b=mat("heads.recon2.b")),
             recon_final_sigmoid=cfg.recon_final_sigmoid,
         ),
-        use_positions=cfg.use_positions,
+        use_positions=cfg.use_positions, use_gda=cfg.use_gda, use_lca=cfg.use_lca,
     )

@@ -182,6 +182,50 @@ def test_summarize_names_a_missing_checkpoint_parameter(tmp_path, dataset, capsy
     assert err.startswith("error:") and "missing parameter lca.rel_pos" in err
 
 
+@pytest.mark.parametrize("part", ["config", "parameter name"])
+def test_summarize_names_a_non_utf8_checkpoint_string(tmp_path, dataset, capsys, part):
+    cfg_raw = config_to_text(TrainConfig()).encode("utf-8")
+    if part == "config":
+        body = struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<II", 0, 0)
+    else:
+        body = (struct.pack("<I", len(cfg_raw)) + cfg_raw + struct.pack("<III", 0, 1, 2)
+                + b"\xff\xfe")
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + body)
+    assert run("summarize", "--checkpoint", str(ckpt), "--data", str(dataset),
+               "--out", str(tmp_path / "s.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{ckpt}: {part} is not valid UTF-8" in err
+
+
+MANIFEST = {"name": "synth", "dim": 6, "videos": [], "aggregation": "mean_over_users"}
+
+
+@pytest.mark.parametrize("which, content, field", [
+    ("manifest", [], "must be a JSON object"),
+    ("manifest", {**MANIFEST, "dim": "four"}, "'dim'"),
+    ("manifest", {**MANIFEST, "videos": None}, "'videos'"),
+    ("manifest", b'{"name": "\xff"}', "not valid UTF-8"),
+    ("splits", [], "must be a JSON object"),
+    ("splits", {"splits": ["ab"]}, "'splits'"),
+    ("splits", {"splits": [{"train": 5, "test": []}]}, "split 0 field 'train'"),
+], ids=["manifest-list", "manifest-dim", "manifest-videos", "manifest-bytes",
+        "splits-list", "splits-entry", "splits-train"])
+def test_wrongly_shaped_json_names_file_and_field(tmp_path, dataset, capsys,
+                                                   which, content, field):
+    raw = content if isinstance(content, bytes) else json.dumps(content).encode("utf-8")
+    if which == "manifest":
+        target = dataset / "manifest.json"
+        argv = ["train", "--data", str(dataset), "--out", str(tmp_path / "x.ckpt")]
+    else:
+        target = tmp_path / "splits.json"
+        argv = ["evaluate", "--data", str(dataset), "--splits", str(target)]
+    target.write_bytes(raw)
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {target}: ") and field in err
+
+
 def test_bad_points_and_bad_config_fail_cleanly(tmp_path, dataset, capsys):
     assert run("partition-map", "--points", "1,2;zap", "--out",
                str(tmp_path / "x.csv")) == 1

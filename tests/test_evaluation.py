@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from divsum.autograd import ContractError, ShapeError
 from divsum.config import TrainConfig
 from divsum.data import SynthSpec, VideoRecord, synth_generate
 from divsum.segmentation import SummaryMask, summarize_video
-from divsum.training import init_params, train
+from divsum.training import train
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +319,13 @@ def test_evaluate_scores_test_videos_with_the_trained_paths(switch):
     cfg = quick_cfg(**{switch: False})
     report = ev.evaluate(videos, cfg, ev.EvalProtocol(folds=1), budget_ratio=0.3)
     params = train(videos, cfg).params
+    assert getattr(params, switch) is False
+    both_on = replace(params, **{switch: True})
     for v in videos:
-        detail = summarize_video(v, params, 0.3, **{switch: False})
+        detail = summarize_video(v, params, 0.3)
         assert report.per_video_tau[v.id] == ev.kendall_tau(detail.frame_scores, v.gt_scores)
+        on = summarize_video(v, both_on, 0.3)
+        assert not np.array_equal(on.frame_scores, detail.frame_scores)
 
 
 def test_evaluate_rejects_bad_inputs():
@@ -333,16 +338,6 @@ def test_evaluate_rejects_bad_inputs():
     splits = [ev.FoldSplit(train_ids=["ghost"], test_ids=[videos[0].id])]
     with pytest.raises(ContractError, match="unknown video ids"):
         ev.evaluate(videos, quick_cfg(), ev.EvalProtocol(folds=1), splits=splits)
-
-
-def test_evaluate_with_params_is_pure_read():
-    videos = corpus("a", 3, seed=0)
-    params = init_params(videos[0].dim, 1, seed=0)
-    before = [p.data.copy() for _, p in params.named_parameters()]
-    ev.evaluate_with_params(videos, params, ev.EvalProtocol(folds=1), budget_ratio=0.3)
-    for want, (_, p) in zip(before, params.named_parameters()):
-        np.testing.assert_array_equal(p.data, want)
-    assert all(p.grad is None for _, p in params.named_parameters())
 
 
 def test_random_baseline_rank_metrics_near_zero():

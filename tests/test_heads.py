@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -322,9 +324,9 @@ def test_forward_scores_ablation_toggles():
     params = make_model(rng, 4, 1)
     X = Matrix(rng.uniform(-1, 1, (5, 4)))
     both = mdl.forward_scores(X, params)
-    no_gda = mdl.forward_scores(X, params, use_gda=False)
-    no_lca = mdl.forward_scores(X, params, use_lca=False)
-    neither = mdl.forward_scores(X, params, use_gda=False, use_lca=False)
+    no_gda = mdl.forward_scores(X, replace(params, use_gda=False))
+    no_lca = mdl.forward_scores(X, replace(params, use_lca=False))
+    neither = mdl.forward_scores(X, replace(params, use_gda=False, use_lca=False))
     assert no_gda.global_attention is None and no_gda.local_attention is not None
     np.testing.assert_allclose(
         no_gda.fused.data, X.data + no_gda.local_attention.features.data, atol=1e-12

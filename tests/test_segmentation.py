@@ -194,44 +194,55 @@ def make_video(rng, T, d, with_cps=True):
     return VideoRecord(id="v", features=feats, change_points=cps, corpus_tag="t")
 
 
-def test_generate_summary_full_budget_selects_all():
+def test_summarize_video_full_budget_selects_all():
     rng = np.random.default_rng(7)
     video = make_video(rng, 18, 6)
     params = make_trained_like_params(6, 2)
-    mask = seg.generate_summary(video, params, budget_ratio=1.0)
+    mask = seg.summarize_video(video, params, budget_ratio=1.0).mask
     np.testing.assert_array_equal(mask.frame_mask, np.ones(18, dtype=int))
 
 
-def test_generate_summary_single_shot_all_or_nothing():
+def test_summarize_video_single_shot_all_or_nothing():
     rng = np.random.default_rng(8)
     feats = rng.uniform(0, 1, size=(12, 4))
     single = seg.ShotPartition.from_change_points([0], 12)
     video = VideoRecord(id="v", features=feats, change_points=single)
     params = make_trained_like_params(4, 2)
-    small = seg.generate_summary(video, params, budget_ratio=0.5)  # 6 < 12, cannot fit
+    small = seg.summarize_video(video, params, budget_ratio=0.5).mask  # 6 < 12, cannot fit
     np.testing.assert_array_equal(small.frame_mask, np.zeros(12, dtype=int))
-    full = seg.generate_summary(video, params, budget_ratio=1.0)
+    full = seg.summarize_video(video, params, budget_ratio=1.0).mask
     np.testing.assert_array_equal(full.frame_mask, np.ones(12, dtype=int))
 
 
-def test_generate_summary_respects_budget_and_is_deterministic():
+def test_summarize_video_respects_budget_and_is_deterministic():
     rng = np.random.default_rng(9)
     video = make_video(rng, 30, 6, with_cps=False)
     params = make_trained_like_params(6, 2)
-    a = seg.generate_summary(video, params, budget_ratio=0.4)
-    b = seg.generate_summary(video, params, budget_ratio=0.4)
+    a = seg.summarize_video(video, params, budget_ratio=0.4).mask
+    b = seg.summarize_video(video, params, budget_ratio=0.4).mask
     np.testing.assert_array_equal(a.frame_mask, b.frame_mask)
     assert a.frame_mask.sum() <= int(0.4 * 30)
 
 
-def test_generate_summary_rejects_bad_ratio():
+def test_summarize_video_rejects_bad_ratio():
     rng = np.random.default_rng(10)
     video = make_video(rng, 10, 4)
     params = make_trained_like_params(4, 2)
     with pytest.raises(ContractError):
-        seg.generate_summary(video, params, budget_ratio=0.0)
+        seg.summarize_video(video, params, budget_ratio=0.0)
     with pytest.raises(ContractError):
-        seg.generate_summary(video, params, budget_ratio=1.5)
+        seg.summarize_video(video, params, budget_ratio=1.5)
+
+
+def test_summarize_video_is_pure_read():
+    rng = np.random.default_rng(12)
+    video = make_video(rng, 15, 4, with_cps=False)
+    params = make_trained_like_params(4, 1)
+    before = [p.data.copy() for _, p in params.named_parameters()]
+    seg.summarize_video(video, params, budget_ratio=0.3)
+    for want, (_, p) in zip(before, params.named_parameters()):
+        np.testing.assert_array_equal(p.data, want)
+    assert all(p.grad is None for _, p in params.named_parameters())
 
 
 def test_constructed_high_scoring_shot_is_selected():

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import pytest
 from divsum import autograd as ag
 from divsum import heads as hd
 from divsum import training as tr
-from divsum.autograd import ContractError, Matrix, Tape
+from divsum.autograd import ContractError, Matrix, NumericError, Tape
 from divsum.config import ConfigError, TrainConfig, config_from_text, config_to_text, \
     load_config, parse_config_text
 from divsum.data import VideoRecord, synth_generate, SynthSpec
 from divsum.model import forward_scores
+from divsum.segmentation import summarize_video
 
 
 def tiny_cfg(**kw):
@@ -292,6 +294,14 @@ def test_zero_weights_match_pure_classification_run():
         np.testing.assert_array_equal(pa.data, pb.data)
 
 
+def test_train_stops_on_a_non_finite_loss():
+    videos = tiny_videos()
+    cfg = tiny_cfg(epochs=3, learning_rate=1e200, use_gda=False, use_lca=False)
+    with np.errstate(all="ignore"), \
+            pytest.raises(NumericError, match=r"non-finite loss .* video synth_\d+ in epoch 0"):
+        tr.train(videos, cfg)
+
+
 def test_early_stop_halts_on_flat_loss():
     videos = tiny_videos(n=2)
     cfg = tiny_cfg(learning_rate=1e-12, epochs=50, early_stop=True, patience=3,
@@ -381,6 +391,35 @@ def test_checkpoint_missing_parameter_is_named(tmp_path):
     path = parameterless_checkpoint(tmp_path / "empty.ckpt", tiny_cfg())
     with pytest.raises(ContractError, match="missing parameter lca.rel_pos"):
         tr.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("tensor", ["parameter", "first moment", "second moment"])
+def test_checkpoint_refuses_non_finite_tensors(tmp_path, tensor):
+    path, params, state, cfg = trained_state(tmp_path)
+    target = {"parameter": params.heads.score2.b.data, "first moment": state.m[3],
+              "second moment": state.v[3]}[tensor]
+    target.flat[0] = np.nan
+    bad = tmp_path / "bad.ckpt"
+    with pytest.raises(NumericError, match=f"non-finite {tensor}"):
+        tr.save_checkpoint(bad, params, state, cfg, epoch=1)
+    assert not bad.exists()
+
+
+def test_ablated_model_summarizes_the_same_after_a_checkpoint(tmp_path):
+    videos = tiny_videos(n=2, T=12, d=4)
+    cfg = tiny_cfg(use_gda=False)
+    result = tr.train(videos, cfg)
+    path = tmp_path / "nogda.ckpt"
+    tr.save_checkpoint(path, result.params, result.state, cfg, epoch=result.epochs_run)
+    loaded, *_ = tr.load_checkpoint(path)
+    assert loaded.use_gda is False and loaded.use_lca is True
+    for v in videos:
+        here = summarize_video(v, result.params, 0.3)
+        there = summarize_video(v, loaded, 0.3)
+        np.testing.assert_array_equal(there.frame_scores, here.frame_scores)
+        np.testing.assert_array_equal(there.mask.frame_mask, here.mask.frame_mask)
+        gda_on = summarize_video(v, replace(loaded, use_gda=True), 0.3)
+        assert not np.array_equal(gda_on.frame_scores, here.frame_scores)
 
 
 def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
