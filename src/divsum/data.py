@@ -185,6 +185,12 @@ class Reader:
         raw = self.take(8 * rows * cols, what)
         return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
 
+    def expect_end(self):
+        """Every byte of the file has been read."""
+        if self.pos != len(self.blob):
+            raise DataFormatError(
+                f"{self.path}: {len(self.blob) - self.pos} unexpected trailing bytes")
+
     def string(self, what: str) -> str:
         raw = self.take(self.u32(what + " length"), what)
         try:
@@ -260,6 +266,7 @@ def load_video(path) -> VideoRecord:
             raise DataFormatError(f"{path}: picks section holds {len(raw)} bytes, "
                                   f"expected {4 * T}")
         picks = np.frombuffer(raw, dtype="<u4").astype(int)
+    r.expect_end()
     rec = VideoRecord(
         id=vid, features=feats, gt_scores=gt_scores, gt_binary=gt_binary,
         user_summaries=users, change_points=cps, picks=picks, corpus_tag=corpus,

@@ -137,12 +137,13 @@ def kendall_tau(pred_scores, gt_scores) -> float:
 def _mean_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks; equal values share the mean of their rank block."""
     order = np.argsort(x, kind="stable")
+    xs = x[order]
+    # Runs of equal sorted values cover sorted positions [start, end); the
+    # mean of ranks start+1..end is exact, since their sum is an integer.
+    starts = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1]]))
+    ends = np.append(starts[1:], x.size)
     ranks = np.empty(x.size, dtype=np.float64)
-    ranks[order] = np.arange(1, x.size + 1, dtype=np.float64)
-    for value in np.unique(x):
-        hit = x == value
-        if hit.sum() > 1:
-            ranks[hit] = ranks[hit].mean()
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
     return ranks
 
 

@@ -22,6 +22,10 @@ from .model import ModelParams, forward_scores
 # piecewise constant and the residual scatter is only float fuzz.
 _PENALTY_FLOOR = 1e-9
 
+# End frames the KTS DP takes per step: each candidate block is at most
+# 64 x T float64, 410 kB at T=800.
+_DP_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class ShotPartition:
@@ -82,18 +86,30 @@ class SummaryMask:
 
 
 def _scatter_table(K: np.ndarray) -> np.ndarray:
-    """scatter[i, j] = within-segment scatter of frames [i, j), from the
-    Gram matrix via prefix sums: sum of diag minus block mean."""
+    """table[t, s] = within-segment scatter of frames [s, t), from the
+    Gram matrix via prefix sums: sum of diag minus block mean; inf where
+    s >= t. End-major, so each DP row reads one contiguous row here."""
     T = K.shape[0]
     diag_cum = np.concatenate([[0.0], np.cumsum(np.diag(K))])
     P = np.zeros((T + 1, T + 1))
     P[1:, 1:] = np.cumsum(np.cumsum(K, axis=0), axis=1)
-    scatter = np.full((T, T + 1), np.inf)
-    for i in range(T):
-        j = np.arange(i + 1, T + 1)
-        block = P[j, j] - P[i, j] - P[j, i] + P[i, i]
-        scatter[i, i + 1:] = (diag_cum[j] - diag_cum[i]) - block / (j - i)
-    return scatter
+    ends = np.arange(T + 1)[:, None]
+    starts = np.arange(T)[None, :]
+    diag = np.diag(P).copy()
+    # block[t, s] = ((P[t, t] - P[s, t]) - P[t, s]) + P[s, s], the same
+    # operation order as a per-element evaluation, so the bytes agree.
+    block = diag[:, None] - P[:T, :].T
+    block -= P[:, :T]
+    # Drop P before the divisor and the table are allocated, so the build
+    # holds no more T x T arrays at once than the start-major loop did.
+    del P
+    block += diag[None, :T]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        block /= ends - starts
+    table = diag_cum[:, None] - diag_cum[None, :T]
+    table -= block
+    table[ends <= starts] = np.inf
+    return table
 
 
 def _singleton_partition(T: int) -> ShotPartition:
@@ -127,20 +143,22 @@ def kts_segment(X, max_shots: int) -> ShotPartition:
 
     M = int(min(max_shots, T))
     K = feats @ feats.T
-    scatter = _scatter_table(K)
+    table = _scatter_table(K)
 
     # L[m, t]: least total scatter splitting the first t frames into m
-    # segments; B[m, t]: start of the last segment in that optimum.
+    # segments; B[m, t]: start of the last segment in that optimum. Each
+    # count m fills every end t at once, _DP_BLOCK ends at a time; starts
+    # s >= t read inf from the table, and argmin keeps the first index.
     L = np.full((M + 1, T + 1), np.inf)
     B = np.zeros((M + 1, T + 1), dtype=int)
-    L[1, 1:] = scatter[0, 1:]
+    L[1, 1:] = table[1:, 0]
     for m in range(2, M + 1):
-        for t in range(m, T + 1):
-            starts = np.arange(m - 1, t)
-            cand = L[m - 1, starts] + scatter[starts, t]
-            k = int(np.argmin(cand))
-            L[m, t] = cand[k]
-            B[m, t] = starts[k]
+        for t0 in range(m, T + 1, _DP_BLOCK):
+            t1 = min(t0 + _DP_BLOCK, T + 1)
+            cand = table[t0:t1, m - 1:t1 - 1] + L[m - 1, m - 1:t1 - 1]
+            k = np.argmin(cand, axis=1)
+            L[m, t0:t1] = cand[np.arange(t1 - t0), k]
+            B[m, t0:t1] = k + (m - 1)
 
     best = L[1:M + 1, T]
     counts = np.arange(1, M + 1, dtype=np.float64)
@@ -215,10 +233,14 @@ def mask_from_selection(part: ShotPartition, selected: list[int]) -> SummaryMask
     return SummaryMask(frame_mask=mask, selected_shots=list(selected))
 
 
-def select_frames(frame_scores, part: ShotPartition, budget_ratio: float) -> SummaryMask:
-    """Shot means -> knapsack under floor(budget_ratio * T) -> frame mask."""
+def _check_budget_ratio(budget_ratio: float):
     if not 0.0 < budget_ratio <= 1.0:
         raise ContractError(f"budget_ratio must be in (0, 1], got {budget_ratio}")
+
+
+def select_frames(frame_scores, part: ShotPartition, budget_ratio: float) -> SummaryMask:
+    """Shot means -> knapsack under floor(budget_ratio * T) -> frame mask."""
+    _check_budget_ratio(budget_ratio)
     T = part.total_frames
     budget = int(np.floor(budget_ratio * T))
     means = shot_scores(frame_scores, part)
@@ -248,6 +270,7 @@ def default_max_shots(T: int) -> int:
 def summarize_scores(video, frame_scores, budget_ratio: float) -> SummaryDetail:
     """Frame scores -> shots -> budgeted selection. The shots are the
     video's own change points when it has them, else KTS segments."""
+    _check_budget_ratio(budget_ratio)
     part = video.change_points
     if part is None:
         part = kts_segment(video.features, default_max_shots(video.frame_count))

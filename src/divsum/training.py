@@ -251,8 +251,7 @@ def load_checkpoint(path):
     shapes = [tensors[n].shape for n in expected]
     m = [r.f64(rows, cols, "first moments") for rows, cols in shapes]
     v = [r.f64(rows, cols, "second moments") for rows, cols in shapes]
-    if r.pos != len(r.blob):
-        raise ContractError(f"{path}: {len(r.blob) - r.pos} unexpected trailing bytes")
+    r.expect_end()
     return params, AdamState(m=m, v=v, step=step), cfg, epoch
 
 

@@ -219,6 +219,24 @@ def loop_shot_means(y, starts, lengths):
 
 
 # ---------------------------------------------------------------------------
+# rank references
+
+
+def loop_mean_ranks(x):
+    """1-based ranks; equal values share the mean of their rank block,
+    found by one pass over the unique values."""
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.arange(1, x.size + 1, dtype=np.float64)
+    for value in np.unique(x):
+        hit = x == value
+        if hit.sum() > 1:
+            ranks[hit] = ranks[hit].mean()
+    return ranks
+
+
+# ---------------------------------------------------------------------------
 # selection references
 
 
@@ -238,6 +256,60 @@ def brute_force_knapsack(lengths, scores, budget):
             best_val = v
             best_sel = sel
     return best_val, list(best_sel)
+
+
+def naive_scatter_table(K):
+    """Start-major scatter table, one row per start: scatter[i, j] is the
+    within-segment scatter of frames [i, j) (sum of the Gram diagonal
+    minus the block mean), inf where j <= i."""
+    T = K.shape[0]
+    diag_cum = np.concatenate([[0.0], np.cumsum(np.diag(K))])
+    P = np.zeros((T + 1, T + 1))
+    P[1:, 1:] = np.cumsum(np.cumsum(K, axis=0), axis=1)
+    scatter = np.full((T, T + 1), np.inf)
+    for i in range(T):
+        j = np.arange(i + 1, T + 1)
+        block = P[j, j] - P[i, j] - P[j, i] + P[i, i]
+        scatter[i, i + 1:] = (diag_cum[j] - diag_cum[i]) - block / (j - i)
+    return scatter
+
+
+def naive_kts_segment(X, max_shots):
+    """Double-loop KTS reference: least-scatter m-segmentations by DP over
+    (m, t), first index winning ties, then the penalized count with the
+    package's 1e-9 relative penalty floor. Returns the change points
+    (segment starts, first is 0)."""
+    X = np.asarray(X, dtype=np.float64)
+    T = X.shape[0]
+    if T < max_shots:
+        return np.arange(T)
+    if T == 1:
+        return np.array([0])
+    M = min(max_shots, T)
+    K = X @ X.T
+    scatter = naive_scatter_table(K)
+    L = np.full((M + 1, T + 1), np.inf)
+    B = np.zeros((M + 1, T + 1), dtype=int)
+    L[1, 1:] = scatter[0, 1:]
+    for m in range(2, M + 1):
+        for t in range(m, T + 1):
+            starts = np.arange(m - 1, t)
+            cand = L[m - 1, starts] + scatter[starts, t]
+            k = int(np.argmin(cand))
+            L[m, t] = cand[k]
+            B[m, t] = starts[k]
+    best = L[1:M + 1, T]
+    counts = np.arange(1, M + 1, dtype=np.float64)
+    penalty_shape = counts * (np.log(T / counts) + 1.0)
+    scale = float(np.trace(K)) / T
+    g = max(best[M - 1] / T, 1e-9 * (scale if scale > 0.0 else 1.0))
+    m_star = int(np.argmin(best / T + g * penalty_shape)) + 1
+    cuts = []
+    t = T
+    for m in range(m_star, 1, -1):
+        t = int(B[m, t])
+        cuts.append(t)
+    return np.array([0] + sorted(cuts), dtype=int)
 
 
 def planted_blocks(T, n_blocks, d, rng, noise=0.0, min_len=4, min_gap=0.5):

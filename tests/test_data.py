@@ -106,6 +106,19 @@ def test_truncation_names_the_failing_part(tmp_path):
         dat.load_video(q)
 
 
+@pytest.mark.parametrize("annotated", [True, False])
+def test_trailing_bytes_name_the_file_and_count(tmp_path, annotated):
+    rng = np.random.default_rng(3)
+    rec = full_record(rng) if annotated else dat.VideoRecord(
+        id="bare", features=rng.uniform(size=(6, 3)))
+    p = tmp_path / "v.dsv"
+    dat.save_video(p, rec)
+    p.write_bytes(p.read_bytes() + b"garbage!")
+    with pytest.raises(dat.DataFormatError, match="8 unexpected trailing bytes") as exc:
+        dat.load_video(p)
+    assert str(p) in str(exc.value)
+
+
 def test_unordered_change_points_name_the_file_and_section(tmp_path):
     rec = full_record(np.random.default_rng(3))
     p = tmp_path / "v.dsv"

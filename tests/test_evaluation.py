@@ -14,6 +14,8 @@ from divsum.data import SynthSpec, VideoRecord, synth_generate
 from divsum.segmentation import SummaryMask, summarize_video
 from divsum.training import train
 
+from . import oracles
+
 
 # ---------------------------------------------------------------------------
 # F-score
@@ -136,6 +138,36 @@ def test_rho_matches_scipy_with_and_without_ties():
             continue
         want = stats.spearmanr(x, y).statistic
         assert ev.spearman_rho(x, y) == pytest.approx(want, abs=1e-12)
+
+
+def _rank_inputs(kind, n, rng):
+    if kind == "distinct":
+        return rng.normal(size=n)
+    if kind == "few_levels":
+        return rng.integers(0, 4, size=n).astype(float)
+    if kind == "constant":
+        return np.full(n, 2.5)
+    if kind == "signed_zeros":  # -0.0 == 0.0 must share one rank block
+        return rng.choice([-0.0, 0.0, 1.0], size=n)
+    return np.repeat(rng.normal(size=(n + 9) // 10), 10)[:n]  # "runs"
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 5000])
+@pytest.mark.parametrize("kind", ["distinct", "few_levels", "constant", "signed_zeros",
+                                  "runs"])
+def test_mean_ranks_match_loop_oracle_and_scipy(kind, n):
+    x = _rank_inputs(kind, n, np.random.default_rng(n))
+    got = ev._mean_ranks(x)
+    assert got.tobytes() == oracles.loop_mean_ranks(x).tobytes()
+    np.testing.assert_allclose(got, stats.rankdata(x, method="average"), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["few_levels", "runs"])
+def test_rho_matches_scipy_on_long_tie_heavy_vectors(kind):
+    rng = np.random.default_rng(4)
+    x, y = _rank_inputs(kind, 5000, rng), _rank_inputs("few_levels", 5000, rng)
+    want = stats.spearmanr(x, y).statistic
+    assert ev.spearman_rho(x, y) == pytest.approx(want, abs=1e-12)
 
 
 def test_rho_tie_free_equals_classical_formula():

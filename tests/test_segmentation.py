@@ -99,6 +99,62 @@ def test_kts_output_always_tiles(seed, T, max_shots):
     assert part.num_shots <= max(max_shots, T if T < max_shots else max_shots)
 
 
+def _kts_input(kind, T, d=4, seed=0):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.normal(size=(T, d))
+    if kind == "zeros":
+        return np.zeros((T, d))
+    if kind == "constant":
+        return np.full((T, d), 0.3)
+    if kind == "duplicated":  # one random block repeated: many exact ties
+        return np.tile(rng.normal(size=(max(1, T // 3), d)), (4, 1))[:T]
+    if kind == "planted":
+        return oracles.planted_blocks(T, 3, d, rng, noise=0.05)[0]
+    raise ValueError(kind)
+
+
+KTS_CASES = [
+    ("random", 23, 5), ("random", 64, 16), ("random", 65, 16), ("random", 130, 32),
+    ("zeros", 30, 7), ("constant", 30, 7), ("duplicated", 40, 10), ("duplicated", 70, 17),
+    ("planted", 48, 12), ("planted", 90, 22),
+    ("random", 6, 9),   # T < max_shots
+    ("random", 9, 9),   # T == max_shots
+    ("zeros", 9, 9),
+    ("random", 1, 1),   # T == 1
+    ("random", 1, 3),
+    ("random", 20, 1),  # max_shots == 1
+    ("duplicated", 20, 1),
+]
+
+
+@pytest.mark.parametrize("kind,T,max_shots", KTS_CASES)
+def test_kts_matches_double_loop_oracle(kind, T, max_shots):
+    X = _kts_input(kind, T)
+    got = seg.kts_segment(X, max_shots).change_points
+    np.testing.assert_array_equal(got, oracles.naive_kts_segment(X, max_shots))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 40), max_shots=st.integers(1, 42),
+       kind=st.sampled_from(["random", "zeros", "duplicated"]))
+def test_kts_matches_double_loop_oracle_on_drawn_sizes(seed, T, max_shots, kind):
+    X = _kts_input(kind, T, seed=seed)
+    got = seg.kts_segment(X, max_shots).change_points
+    np.testing.assert_array_equal(got, oracles.naive_kts_segment(X, max_shots))
+
+
+@pytest.mark.parametrize("kind,T", [("random", 1), ("random", 2), ("random", 70),
+                                    ("zeros", 12), ("duplicated", 40), ("planted", 48)])
+def test_scatter_table_is_the_oracle_transposed_byte_for_byte(kind, T):
+    X = _kts_input(kind, T)
+    K = X @ X.T
+    want = oracles.naive_scatter_table(K).T
+    got = seg._scatter_table(K)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # shot scores
 
@@ -232,6 +288,17 @@ def test_summarize_video_rejects_bad_ratio():
         seg.summarize_video(video, params, budget_ratio=0.0)
     with pytest.raises(ContractError):
         seg.summarize_video(video, params, budget_ratio=1.5)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1.5])
+def test_summarize_scores_rejects_bad_ratio_before_segmenting(monkeypatch, ratio):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("kts_segment ran before the budget check")
+
+    monkeypatch.setattr(seg, "kts_segment", must_not_run)
+    video = make_video(np.random.default_rng(13), 40, 4, with_cps=False)
+    with pytest.raises(ContractError, match="budget_ratio"):
+        seg.summarize_scores(video, np.linspace(0.0, 1.0, 40), ratio)
 
 
 def test_summarize_video_is_pure_read():
