@@ -384,10 +384,12 @@ def column_softmax(a: Matrix, tape: Tape | None = None) -> Matrix:
     """Softmax over each column (the first index), max-stabilized."""
     if not np.all(np.isfinite(a.data)):
         raise NumericError("column_softmax: input contains NaN or Inf")
-    z = a.data - a.data.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=0, keepdims=True)
-    out = Matrix(s)
+    # One T x T buffer, the output's own copy of the input, worked in place.
+    out = Matrix(a.data)
+    s = out.data
+    s -= s.max(axis=0, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=0, keepdims=True)
     if tape is not None:
 
         def bwd():

@@ -77,6 +77,9 @@ class VideoRecord:
                 raise DataFormatError(
                     f"video {self.id}: {name} has {len(vec)} entries for {T} frames"
                 )
+        if self.gt_scores is not None and not np.all(
+                np.isfinite(np.asarray(self.gt_scores, dtype=np.float64))):
+            raise DataFormatError(f"video {self.id}: gt_scores contain NaN or Inf")
         if self.gt_binary is not None and not np.all(np.isin(self.gt_binary, (0, 1))):
             raise DataFormatError(f"video {self.id}: gt_binary entries must be 0 or 1")
         if self.user_summaries is not None:

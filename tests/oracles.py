@@ -6,6 +6,8 @@ vectorization. When a package op and its oracle agree, the agreement is
 evidence, not circularity.
 """
 
+import warnings
+
 import numpy as np
 
 
@@ -234,6 +236,30 @@ def loop_mean_ranks(x):
         if hit.sum() > 1:
             ranks[hit] = ranks[hit].mean()
     return ranks
+
+
+def pairwise_kendall_tau(x, y):
+    """Tau-b from the sign of every pair's difference in x and in y, with
+    the pairs taken from the upper triangle: O(n^2) time and memory. A
+    constant vector makes tau-b undefined; that warns and gives 0.0."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    n = x.size
+    sx = np.sign(x[:, None] - x[None, :])
+    sy = np.sign(y[:, None] - y[None, :])
+    iu = np.triu_indices(n, k=1)
+    prod = sx[iu] * sy[iu]
+    concordant = int(np.count_nonzero(prod > 0))
+    discordant = int(np.count_nonzero(prod < 0))
+    n0 = n * (n - 1) // 2
+    ties_x = int(np.count_nonzero(sx[iu] == 0))
+    ties_y = int(np.count_nonzero(sy[iu] == 0))
+    denom_x = n0 - ties_x
+    denom_y = n0 - ties_y
+    if denom_x == 0 or denom_y == 0:
+        warnings.warn("tau-b undefined for constant scores", RuntimeWarning, stacklevel=2)
+        return 0.0
+    return (concordant - discordant) / np.sqrt(float(denom_x) * float(denom_y))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +86,27 @@ def test_column_softmax_rejects_nonfinite():
     bad[0, 0] = np.inf
     with pytest.raises(ag.NumericError):
         ag.column_softmax(Matrix(bad))
+
+
+@pytest.mark.parametrize("T", [1, 2, 7, 300])
+def test_column_softmax_bytes_equal_the_three_temporary_formula(T):
+    a = np.random.default_rng(T).normal(scale=20.0, size=(T, T))
+    z = a - a.max(axis=0, keepdims=True)
+    e = np.exp(z)
+    want = e / e.sum(axis=0, keepdims=True)
+    assert ag.column_softmax(Matrix(a)).data.tobytes() == want.tobytes()
+
+
+def test_column_softmax_allocates_one_output_buffer():
+    T = 1000
+    a = Matrix(np.random.default_rng(0).normal(size=(T, T)))
+    tracemalloc.start()
+    try:
+        ag.column_softmax(a, Tape())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * T * T * 8
 
 
 @settings(max_examples=60, deadline=None)

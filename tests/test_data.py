@@ -163,6 +163,27 @@ def test_validation_catches_length_mismatches():
         dat.VideoRecord(id="v", features=np.full((2, 2), np.nan)).validate()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gt_scores_are_refused_on_save(tmp_path, bad):
+    rec = full_record(np.random.default_rng(11))
+    rec.gt_scores[3] = bad
+    with pytest.raises(dat.DataFormatError, match="video vid_full: gt_scores contain NaN or Inf"):
+        dat.save_video(tmp_path / "v.dsv", rec)
+    assert not (tmp_path / "v.dsv").exists()
+
+
+def test_non_finite_gt_scores_are_refused_on_load(tmp_path):
+    rec = full_record(np.random.default_rng(12))
+    p = tmp_path / "v.dsv"
+    dat.save_video(p, rec)
+    blob = p.read_bytes()
+    value = np.float64(rec.gt_scores[3]).astype("<f8").tobytes()
+    assert blob.count(value) == 1
+    p.write_bytes(blob.replace(value, np.float64(np.nan).astype("<f8").tobytes()))
+    with pytest.raises(dat.DataFormatError, match="video vid_full: gt_scores contain NaN or Inf"):
+        dat.load_video(p)
+
+
 # ---------------------------------------------------------------------------
 # manifests and datasets
 

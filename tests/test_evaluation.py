@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from divsum import evaluation as ev
-from divsum.autograd import ContractError, ShapeError
+from divsum.autograd import ContractError, NumericError, ShapeError
 from divsum.config import TrainConfig
 from divsum.data import SynthSpec, VideoRecord, synth_generate
 from divsum.segmentation import SummaryMask, summarize_video
@@ -123,6 +123,83 @@ def test_tau_matches_scipy_tau_b():
             continue
         want = stats.kendalltau(x, y, variant="b").statistic
         assert ev.kendall_tau(x, y) == pytest.approx(want, abs=1e-12)
+
+
+def _tau_pair(kind, n, rng):
+    def levels():
+        return rng.integers(0, 3, size=n).astype(float)
+
+    if kind == "distinct":
+        return rng.normal(size=n), rng.normal(size=n)
+    if kind == "ties_in_x":
+        return levels(), rng.normal(size=n)
+    if kind == "ties_in_y":
+        return rng.normal(size=n), levels()
+    if kind == "ties_in_both":
+        x = levels()
+        y = np.where(rng.random(n) < 0.5, x, levels())  # many pairs tied in both
+        return x, y
+    if kind == "near_collinear":
+        x = rng.normal(size=n)
+        return x, x + 1e-13 * rng.normal(size=n)
+    # "signed_zeros": -0.0 and 0.0 are one value in both columns
+    return rng.choice([-0.0, 0.0, 1.0], size=n), rng.choice([-0.0, 0.0, -1.0], size=n)
+
+
+def _same_float(a, b):
+    return type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 257])
+@pytest.mark.parametrize("kind", ["distinct", "ties_in_x", "ties_in_y", "ties_in_both",
+                                  "near_collinear", "signed_zeros"])
+def test_tau_matches_pairwise_oracle_byte_for_byte(kind, n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        x, y = _tau_pair(kind, n, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # n=2 can draw a constant
+            got, want = ev.kendall_tau(x, y), oracles.pairwise_kendall_tau(x, y)
+        assert _same_float(got, want), (got, want)
+
+
+@pytest.mark.parametrize("kind", ["distinct", "ties_in_both"])
+def test_tau_matches_pairwise_oracle_on_long_vectors(kind):
+    x, y = _tau_pair(kind, 5000, np.random.default_rng(5))
+    assert _same_float(ev.kendall_tau(x, y), oracles.pairwise_kendall_tau(x, y))
+
+
+@pytest.mark.parametrize("which", ["x", "y", "both"])
+def test_tau_and_oracle_warn_and_return_zero_on_constant_scores(which):
+    rng = np.random.default_rng(6)
+    x, y = rng.normal(size=9), rng.normal(size=9)
+    if which in ("x", "both"):
+        x = np.full(9, -0.0)
+    if which in ("y", "both"):
+        y = np.full(9, 3.5)
+    for fn in (ev.kendall_tau, oracles.pairwise_kendall_tau):
+        with pytest.warns(RuntimeWarning):
+            assert _same_float(fn(x, y), 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=30))
+def test_tau_matches_pairwise_oracle_on_small_integer_vectors(pairs):
+    x, y = np.array(pairs, dtype=float).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _same_float(ev.kendall_tau(x, y), oracles.pairwise_kendall_tau(x, y))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["predicted", "ground-truth"])
+@pytest.mark.parametrize("metric", ["kendall_tau", "spearman_rho"])
+def test_rank_metrics_refuse_non_finite_scores(metric, which, bad):
+    good = [1.0, 2.0, 3.0, 4.0]
+    scores = [bad, 1.0, 2.0, 3.0]
+    args = (scores, good) if which == "predicted" else (good, scores)
+    with pytest.raises(NumericError, match=f"{which} scores contain NaN or Inf"):
+        getattr(ev, metric)(*args)
 
 
 def test_rho_matches_scipy_with_and_without_ties():
