@@ -1,18 +1,22 @@
 """Overfit smoke run: 5 synthetic videos, supervised, l2 similarity.
 
-Counts the epochs until the mean classification loss crosses 0.1 and
-writes the per-epoch loss parts to overfit_history.csv. A healthy build
-crosses within ~15 epochs at lr 3e-3.
+Generates the corpus with `divsum synth`, trains with `divsum train
+--history`, and counts the epochs until the mean classification loss in
+that history crosses 0.1. The history CSV (overfit_history.csv by
+default) has the columns of every `divsum train` history:
+epoch,total,cls,recon,repel. A healthy build crosses within ~15 epochs
+at lr 3e-3.
 
 Usage: python3 scripts/overfit_smoke.py [--epochs N] [--lr LR] [--out CSV]
 """
 
 import argparse
+import csv
+import tempfile
 import time
+from pathlib import Path
 
-from divsum.config import TrainConfig
-from divsum.data import SynthSpec, synth_generate
-from divsum.training import train
+from divsum.cli import main as cli_main
 
 
 def main():
@@ -23,25 +27,28 @@ def main():
     ap.add_argument("--out", default="overfit_history.csv")
     args = ap.parse_args()
 
-    videos = synth_generate(SynthSpec(videos=5, frames=40, dim=16,
-                                      shots_per_video=8, noise=0.05,
-                                      seed=args.seed, budget_ratio=0.15))
-    cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, sim_kind="l2",
-                      neighbor_R=2, seed=args.seed)
-    t0 = time.time()
-    result = train(videos, cfg)
-    elapsed = time.time() - t0
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        rc = cli_main(["synth", "--out", str(corpus), "--videos", "5", "--frames", "40",
+                       "--dim", "16", "--shots", "8", "--noise", "0.05",
+                       "--seed", str(args.seed), "--budget-ratio", "0.15"])
+        if rc != 0:
+            raise SystemExit(rc)
+        t0 = time.time()
+        rc = cli_main(["train", "--data", str(corpus), "--out", str(Path(tmp) / "run.ckpt"),
+                       "--history", args.out, "--lr", str(args.lr),
+                       "--epochs", str(args.epochs), "--sim", "l2", "--radius", "2",
+                       "--seed", str(args.seed)])
+        elapsed = time.time() - t0
+        if rc != 0:
+            raise SystemExit(rc)
 
-    cls = result.part_history["cls"]
+    with open(args.out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cls = [float(row["cls"]) for row in rows]
     crossed = next((i for i, v in enumerate(cls) if v < 0.1), None)
-    with open(args.out, "w") as fh:
-        fh.write("epoch,total,cls,repel,recon\n")
-        for e in range(result.epochs_run):
-            fh.write(f"{e},{result.history[e]:.8f},{cls[e]:.8f},"
-                     f"{result.part_history['repel'][e]:.8f},"
-                     f"{result.part_history['recon'][e]:.8f}\n")
-    print(f"{result.epochs_run} epochs in {elapsed:.1f}s; "
-          f"final cls {cls[-1]:.5f}, total {result.history[-1]:.5f}")
+    print(f"{len(rows)} epochs in {elapsed:.1f}s; "
+          f"final cls {cls[-1]:.5f}, total {float(rows[-1]['total']):.5f}")
     if crossed is None:
         print("classification loss never crossed 0.1 -- investigate")
         raise SystemExit(1)

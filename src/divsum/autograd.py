@@ -12,7 +12,14 @@ Conventions:
     between optimizer steps
   * while a tape is alive, the ``.data`` of recorded matrices must not be
     mutated in place (the recorded closures keep references, not copies)
-  * passing ``tape=None`` runs any operation forward-only
+
+Recording contract: every operation builds its result and returns it
+through ``_record``, the one place a tape record is made. Called with a
+tape, an operation adds exactly one record; with ``tape=None`` it adds
+none and computes the same forward values. A record adds to an
+operand's gradient only once a gradient has reached the operation's
+output, so an operand whose results never reach the loss keeps
+``.grad`` as it was (None, if never zeroed).
 """
 
 from __future__ import annotations
@@ -59,10 +66,6 @@ class Matrix:
     @classmethod
     def column(cls, values) -> "Matrix":
         return cls(np.asarray(values, dtype=np.float64).reshape(-1, 1))
-
-    @classmethod
-    def row(cls, values) -> "Matrix":
-        return cls(np.asarray(values, dtype=np.float64).reshape(1, -1))
 
     @property
     def rows(self) -> int:
@@ -148,6 +151,27 @@ def backward(loss: Matrix, tape: Tape):
         fn()
 
 
+def _record(tape: Tape | None, out: Matrix, *contributions) -> Matrix:
+    """Return `out`, recording its backward on `tape` when there is one.
+
+    Each contribution is an (operand, fn) pair: fn maps the output's
+    gradient to the operand's share of it. The record adds those shares
+    one operand at a time, in the order given, and does nothing while no
+    gradient has reached `out`.
+    """
+    if tape is not None:
+
+        def bwd():
+            g = out.grad
+            if g is None:
+                return
+            for m, fn in contributions:
+                _accum(m, fn(g))
+
+        tape.record(bwd)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -158,115 +182,51 @@ def matmul(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
         raise ShapeError(
             f"matmul: inner dimensions disagree, {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
         )
-    out = Matrix(a.data @ b.data)
-    if tape is not None:
-        a_data, b_data = a.data, b.data
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, g @ b_data.T)
-            _accum(b, a_data.T @ g)
-
-        tape.record(bwd)
-    return out
+    a_data, b_data = a.data, b.data
+    return _record(tape, Matrix(a_data @ b_data),
+                   (a, lambda g: g @ b_data.T), (b, lambda g: a_data.T @ g))
 
 
 def transpose(a: Matrix, tape: Tape | None = None) -> Matrix:
-    out = Matrix(a.data.T.copy())
-    if tape is not None:
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, g.T)
-
-        tape.record(bwd)
-    return out
+    return _record(tape, Matrix(a.data.T.copy()), (a, lambda g: g.T))
 
 
 def add(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
     """Elementwise sum; an operand with a length-1 axis broadcasts."""
     _broadcast_shape(a, b, "add")
-    out = Matrix(a.data + b.data)
-    if tape is not None:
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(g, b.data.shape))
-
-        tape.record(bwd)
-    return out
+    return _record(tape, Matrix(a.data + b.data),
+                   (a, lambda g: _unbroadcast(g, a.shape)),
+                   (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def subtract(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
     _broadcast_shape(a, b, "subtract")
-    out = Matrix(a.data - b.data)
-    if tape is not None:
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, -_unbroadcast(g, b.data.shape))
-
-        tape.record(bwd)
-    return out
+    return _record(tape, Matrix(a.data - b.data),
+                   (a, lambda g: _unbroadcast(g, a.shape)),
+                   (b, lambda g: -_unbroadcast(g, b.shape)))
 
 
 def multiply(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
     """Elementwise (Hadamard) product with the same broadcasting as add."""
     _broadcast_shape(a, b, "multiply")
-    out = Matrix(a.data * b.data)
-    if tape is not None:
-        a_data, b_data = a.data, b.data
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, _unbroadcast(g * b_data, a_data.shape))
-            _accum(b, _unbroadcast(g * a_data, b_data.shape))
-
-        tape.record(bwd)
-    return out
+    a_data, b_data = a.data, b.data
+    return _record(tape, Matrix(a_data * b_data),
+                   (a, lambda g: _unbroadcast(g * b_data, a_data.shape)),
+                   (b, lambda g: _unbroadcast(g * a_data, b_data.shape)))
 
 
 def scale(a: Matrix, c: float, tape: Tape | None = None) -> Matrix:
     """Multiply every entry by the constant c."""
     c = float(c)
-    out = Matrix(a.data * c)
-    if tape is not None:
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, g * c)
-
-        tape.record(bwd)
-    return out
+    return _record(tape, Matrix(a.data * c), (a, lambda g: g * c))
 
 
 def relu(a: Matrix, tape: Tape | None = None) -> Matrix:
     out = Matrix(np.maximum(a.data, 0.0))
-    if tape is not None:
-        mask = (a.data > 0.0).astype(np.float64)
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, g * mask)
-
-        tape.record(bwd)
-    return out
+    if tape is None:
+        return out
+    mask = (a.data > 0.0).astype(np.float64)
+    return _record(tape, out, (a, lambda g: g * mask))
 
 
 def sigmoid(a: Matrix, tape: Tape | None = None) -> Matrix:
@@ -277,35 +237,15 @@ def sigmoid(a: Matrix, tape: Tape | None = None) -> Matrix:
     s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     e = np.exp(x[~pos])
     s[~pos] = e / (1.0 + e)
-    out = Matrix(s)
-    if tape is not None:
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, g * s * (1.0 - s))
-
-        tape.record(bwd)
-    return out
+    return _record(tape, Matrix(s), (a, lambda g: g * s * (1.0 - s)))
 
 
 def log(a: Matrix, tape: Tape | None = None) -> Matrix:
     """Natural log; entries must be strictly positive."""
     if np.any(a.data <= 0.0):
         raise NumericError("log: input has non-positive entries")
-    out = Matrix(np.log(a.data))
-    if tape is not None:
-        a_data = a.data
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, g / a_data)
-
-        tape.record(bwd)
-    return out
+    a_data = a.data
+    return _record(tape, Matrix(np.log(a_data)), (a, lambda g: g / a_data))
 
 
 def sqrt(a: Matrix, tape: Tape | None = None) -> Matrix:
@@ -313,71 +253,40 @@ def sqrt(a: Matrix, tape: Tape | None = None) -> Matrix:
     if np.any(a.data < 0.0):
         raise NumericError("sqrt: input has negative entries")
     root = np.sqrt(a.data)
-    out = Matrix(root)
-    if tape is not None:
 
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            d = np.zeros_like(root)
-            nz = root > 0.0
-            d[nz] = 0.5 / root[nz]
-            _accum(a, g * d)
+    def grad(g):
+        d = np.zeros_like(root)
+        nz = root > 0.0
+        d[nz] = 0.5 / root[nz]
+        return g * d
 
-        tape.record(bwd)
-    return out
+    return _record(tape, Matrix(root), (a, grad))
 
 
 def rsqrt(a: Matrix, tape: Tape | None = None) -> Matrix:
     """Elementwise 1/sqrt(x); entries must be strictly positive."""
     if np.any(a.data <= 0.0):
         raise NumericError("rsqrt: input has non-positive entries")
-    out = Matrix(1.0 / np.sqrt(a.data))
-    if tape is not None:
-        a_data = a.data
-        val = out.data
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, g * (-0.5) * val / a_data)
-
-        tape.record(bwd)
-    return out
+    a_data = a.data
+    out = Matrix(1.0 / np.sqrt(a_data))
+    val = out.data
+    return _record(tape, out, (a, lambda g: g * (-0.5) * val / a_data))
 
 
 def clip(a: Matrix, lo: float, hi: float, tape: Tape | None = None) -> Matrix:
     """Clamp to [lo, hi]; gradient passes through unclipped entries only."""
     out = Matrix(np.clip(a.data, lo, hi))
-    if tape is not None:
-        mask = ((a.data >= lo) & (a.data <= hi)).astype(np.float64)
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, g * mask)
-
-        tape.record(bwd)
-    return out
+    if tape is None:
+        return out
+    mask = ((a.data >= lo) & (a.data <= hi)).astype(np.float64)
+    return _record(tape, out, (a, lambda g: g * mask))
 
 
 def sum_all(a: Matrix, tape: Tape | None = None) -> Matrix:
     """Sum of all entries, as a 1x1 matrix."""
-    out = Matrix.scalar(float(a.data.sum()))
-    if tape is not None:
-        shape = a.data.shape
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, np.full(shape, g[0, 0]))
-
-        tape.record(bwd)
-    return out
+    shape = a.shape
+    return _record(tape, Matrix.scalar(float(a.data.sum())),
+                   (a, lambda g: np.full(shape, g[0, 0])))
 
 
 def column_softmax(a: Matrix, tape: Tape | None = None) -> Matrix:
@@ -390,32 +299,14 @@ def column_softmax(a: Matrix, tape: Tape | None = None) -> Matrix:
     s -= s.max(axis=0, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=0, keepdims=True)
-    if tape is not None:
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, s * (g - (g * s).sum(axis=0, keepdims=True)))
-
-        tape.record(bwd)
-    return out
+    return _record(tape, out, (a, lambda g: s * (g - (g * s).sum(axis=0, keepdims=True))))
 
 
 def row_norms_squared(a: Matrix, tape: Tape | None = None) -> Matrix:
     """Column vector of squared Euclidean row norms."""
-    out = Matrix(np.sum(a.data * a.data, axis=1, keepdims=True))
-    if tape is not None:
-        a_data = a.data
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, 2.0 * a_data * g)
-
-        tape.record(bwd)
-    return out
+    a_data = a.data
+    return _record(tape, Matrix(np.sum(a_data * a_data, axis=1, keepdims=True)),
+                   (a, lambda g: 2.0 * a_data * g))
 
 
 def gather_rows(a: Matrix, indices, tape: Tape | None = None) -> Matrix:
@@ -425,19 +316,13 @@ def gather_rows(a: Matrix, indices, tape: Tape | None = None) -> Matrix:
         raise ShapeError("gather_rows: indices must be 1-D")
     if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
         raise ContractError(f"gather_rows: index out of range for {a.rows} rows")
-    out = Matrix(a.data[idx])
-    if tape is not None:
 
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            scatter = np.zeros_like(a.data)
-            np.add.at(scatter, idx, g)
-            _accum(a, scatter)
+    def scatter(g):
+        rows = np.zeros_like(a.data)
+        np.add.at(rows, idx, g)
+        return rows
 
-        tape.record(bwd)
-    return out
+    return _record(tape, Matrix(a.data[idx]), (a, scatter))
 
 
 def concat_rows(mats: list[Matrix], tape: Tape | None = None) -> Matrix:
@@ -448,16 +333,7 @@ def concat_rows(mats: list[Matrix], tape: Tape | None = None) -> Matrix:
     for m in mats:
         if m.cols != cols:
             raise ShapeError(f"concat_rows: column counts differ ({m.cols} vs {cols})")
-    out = Matrix(np.vstack([m.data for m in mats]))
-    if tape is not None:
-        offsets = np.cumsum([0] + [m.rows for m in mats])
-
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            for m, lo, hi in zip(mats, offsets[:-1], offsets[1:]):
-                _accum(m, g[lo:hi])
-
-        tape.record(bwd)
-    return out
+    offsets = np.cumsum([0] + [m.rows for m in mats])
+    return _record(tape, Matrix(np.vstack([m.data for m in mats])),
+                   *((m, lambda g, lo=lo, hi=hi: g[lo:hi])
+                     for m, lo, hi in zip(mats, offsets[:-1], offsets[1:])))

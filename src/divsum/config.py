@@ -6,6 +6,7 @@ files are plain text, one key=value per line, # for comments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -40,6 +41,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.weight_decay < 0.0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.learning_rate <= 0.0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 1:
@@ -92,9 +99,11 @@ def load_config(path=None, overrides: dict | None = None) -> TrainConfig:
     values = {}
     if path is not None:
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except OSError as e:
             raise ConfigError(f"cannot read config file {path}: {e}")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config file {path} is not valid UTF-8: {e}") from None
         values.update(parse_config_text(text))
     for key, val in (overrides or {}).items():
         if key not in _FIELD_TYPES:

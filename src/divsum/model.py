@@ -8,12 +8,39 @@ so the optimizer can replay it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from . import attention as att
 from . import heads as hd
 from .autograd import ContractError, Matrix, Tape
+from .config import TrainConfig
+
+
+# Every trainable matrix as (attribute path on ModelParams, rows, cols),
+# where "d" is the feature dim and "span" the local window 2R+1. The order
+# is load-bearing: initialization draws, Adam state, and checkpoint layout
+# all follow it.
+PARAMETERS = (
+    ("gda.Wq", "d", "d"),
+    ("gda.Wk", "d", "d"),
+    ("gda.Wv", "d", "d"),
+    ("lca.Wq2", "d", "d"),
+    ("lca.Wk2", "d", "d"),
+    ("lca.Wv2", "d", "d"),
+    ("lca.rel_pos", "span", "d"),
+    ("heads.score1.W", "d", "d"),
+    ("heads.score1.b", 1, "d"),
+    ("heads.score2.W", "d", 1),
+    ("heads.score2.b", 1, 1),
+    ("heads.embed.W", "d", "d"),
+    ("heads.embed.b", 1, "d"),
+    ("heads.recon1.W", "d", "d"),
+    ("heads.recon1.b", 1, "d"),
+    ("heads.recon2.W", "d", "d"),
+    ("heads.recon2.b", 1, "d"),
+)
 
 
 @dataclass
@@ -26,34 +53,35 @@ class ModelParams:
     use_gda: bool = True
     use_lca: bool = True
 
+    @classmethod
+    def from_named(cls, mats: dict[str, Matrix], cfg: TrainConfig) -> "ModelParams":
+        """The model made of `mats` (keyed by PARAMETERS names) with the
+        architecture settings of `cfg`. The window radius R is read off
+        lca.rel_pos, which has 2R+1 rows. A missing name raises KeyError."""
+        R = (mats["lca.rel_pos"].rows - 1) // 2
+        tree: dict = {}
+        for name, _, _ in PARAMETERS:
+            *path, leaf = name.split(".")
+            node = tree
+            for key in path:
+                node = node.setdefault(key, {})
+            node[leaf] = mats[name]
+        return cls(
+            gda=att.GdaParams(**tree["gda"], sim_kind=cfg.sim_kind, scale_q=cfg.scale_q),
+            lca=att.LcaParams(**tree["lca"], neighbor_R=R, variant=cfg.lca_variant,
+                              boundary=cfg.window_boundary),
+            heads=hd.HeadParams(**{k: hd.Affine(**v) for k, v in tree["heads"].items()},
+                                recon_final_sigmoid=cfg.recon_final_sigmoid),
+            use_positions=cfg.use_positions, use_gda=cfg.use_gda, use_lca=cfg.use_lca,
+        )
+
     @property
     def dim(self) -> int:
         return self.gda.Wq.rows
 
     def named_parameters(self) -> list[tuple[str, Matrix]]:
-        """Every trainable matrix in a fixed, documented order. The order
-        is load-bearing: initialization draws, Adam state, and checkpoint
-        layout all follow it."""
-        h = self.heads
-        return [
-            ("gda.Wq", self.gda.Wq),
-            ("gda.Wk", self.gda.Wk),
-            ("gda.Wv", self.gda.Wv),
-            ("lca.Wq2", self.lca.Wq2),
-            ("lca.Wk2", self.lca.Wk2),
-            ("lca.Wv2", self.lca.Wv2),
-            ("lca.rel_pos", self.lca.rel_pos),
-            ("heads.score1.W", h.score1.W),
-            ("heads.score1.b", h.score1.b),
-            ("heads.score2.W", h.score2.W),
-            ("heads.score2.b", h.score2.b),
-            ("heads.embed.W", h.embed.W),
-            ("heads.embed.b", h.embed.b),
-            ("heads.recon1.W", h.recon1.W),
-            ("heads.recon1.b", h.recon1.b),
-            ("heads.recon2.W", h.recon2.W),
-            ("heads.recon2.b", h.recon2.b),
-        ]
+        """Every trainable matrix, in PARAMETERS order."""
+        return [(name, attrgetter(name)(self)) for name, _, _ in PARAMETERS]
 
     def zero_grads(self):
         for _, p in self.named_parameters():

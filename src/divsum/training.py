@@ -16,12 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from .attention import GdaParams, LcaParams
 from .autograd import ContractError, Matrix, NumericError, Tape
 from .config import TrainConfig, config_from_text, config_to_text
 from .data import Reader
-from .heads import Affine, HeadParams, LossWeights
-from .model import ModelParams, forward_loss
+from .heads import LossWeights
+from .model import PARAMETERS, ModelParams, forward_loss
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -45,34 +44,13 @@ def init_params(d: int, R: int, seed: int, cfg: TrainConfig | None = None) -> Mo
     """
     if d < 1:
         raise ContractError(f"feature dim must be >= 1, got {d}")
-    cfg = cfg or TrainConfig()
     rng = np.random.default_rng(seed)
-    span = 2 * R + 1
-    Wq, Wk, Wv = (_xavier(rng, d, d) for _ in range(3))
-    Wq2, Wk2, Wv2 = (_xavier(rng, d, d) for _ in range(3))
-    rel_pos = _xavier(rng, span, d)
-    score1_W = _xavier(rng, d, d)
-    score2_W = _xavier(rng, d, 1)
-    embed_W = _xavier(rng, d, d)
-    recon1_W = _xavier(rng, d, d)
-    recon2_W = _xavier(rng, d, d)
-    zero_bias = lambda cols: Matrix.zeros(1, cols)
-    return ModelParams(
-        gda=GdaParams(Wq=Wq, Wk=Wk, Wv=Wv, sim_kind=cfg.sim_kind, scale_q=cfg.scale_q),
-        lca=LcaParams(
-            Wq2=Wq2, Wk2=Wk2, Wv2=Wv2, rel_pos=rel_pos, neighbor_R=R,
-            variant=cfg.lca_variant, boundary=cfg.window_boundary,
-        ),
-        heads=HeadParams(
-            score1=Affine(W=score1_W, b=zero_bias(d)),
-            score2=Affine(W=score2_W, b=zero_bias(1)),
-            embed=Affine(W=embed_W, b=zero_bias(d)),
-            recon1=Affine(W=recon1_W, b=zero_bias(d)),
-            recon2=Affine(W=recon2_W, b=zero_bias(d)),
-            recon_final_sigmoid=cfg.recon_final_sigmoid,
-        ),
-        use_positions=cfg.use_positions, use_gda=cfg.use_gda, use_lca=cfg.use_lca,
-    )
+    size = {"d": d, "span": 2 * R + 1, 1: 1}
+    mats = {}
+    for name, rows, cols in PARAMETERS:
+        shape = size[rows], size[cols]
+        mats[name] = Matrix.zeros(*shape) if name.endswith(".b") else _xavier(rng, *shape)
+    return ModelParams.from_named(mats, cfg or TrainConfig())
 
 
 @dataclass
@@ -243,7 +221,10 @@ def load_checkpoint(path):
         name = r.string("parameter name")
         rows, cols = r.u32(f"{name} rows"), r.u32(f"{name} cols")
         tensors[name] = r.f64(rows, cols, f"{name} data")
-    params = _assemble_params(tensors, cfg, path)
+    try:
+        params = ModelParams.from_named({n: Matrix(a) for n, a in tensors.items()}, cfg)
+    except KeyError as e:
+        raise ContractError(f"{path}: checkpoint is missing parameter {e.args[0]}") from None
     expected = [n for n, _ in params.named_parameters()]
     if count != len(tensors) or list(tensors) != expected:
         raise ContractError(f"{path}: checkpoint parameter order does not match this build")
@@ -253,29 +234,3 @@ def load_checkpoint(path):
     v = [r.f64(rows, cols, "second moments") for rows, cols in shapes]
     r.expect_end()
     return params, AdamState(m=m, v=v, step=step), cfg, epoch
-
-
-def _assemble_params(tensors: dict[str, np.ndarray], cfg: TrainConfig, path) -> ModelParams:
-    def mat(name):
-        if name not in tensors:
-            raise ContractError(f"{path}: checkpoint is missing parameter {name}")
-        return Matrix(tensors[name])
-
-    rel_pos = mat("lca.rel_pos")
-    R = (rel_pos.rows - 1) // 2
-    return ModelParams(
-        gda=GdaParams(Wq=mat("gda.Wq"), Wk=mat("gda.Wk"), Wv=mat("gda.Wv"),
-                      sim_kind=cfg.sim_kind, scale_q=cfg.scale_q),
-        lca=LcaParams(Wq2=mat("lca.Wq2"), Wk2=mat("lca.Wk2"), Wv2=mat("lca.Wv2"),
-                      rel_pos=rel_pos, neighbor_R=R,
-                      variant=cfg.lca_variant, boundary=cfg.window_boundary),
-        heads=HeadParams(
-            score1=Affine(W=mat("heads.score1.W"), b=mat("heads.score1.b")),
-            score2=Affine(W=mat("heads.score2.W"), b=mat("heads.score2.b")),
-            embed=Affine(W=mat("heads.embed.W"), b=mat("heads.embed.b")),
-            recon1=Affine(W=mat("heads.recon1.W"), b=mat("heads.recon1.b")),
-            recon2=Affine(W=mat("heads.recon2.W"), b=mat("heads.recon2.b")),
-            recon_final_sigmoid=cfg.recon_final_sigmoid,
-        ),
-        use_positions=cfg.use_positions, use_gda=cfg.use_gda, use_lca=cfg.use_lca,
-    )

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -384,3 +385,78 @@ def test_zero_grad_resets_between_steps():
         loss = ag.sum_all(ag.scale(a, 2.0, tape), tape)
         ag.backward(loss, tape)
         np.testing.assert_array_equal(a.grad, [[2.0]])
+
+
+# ---------------------------------------------------------------------------
+# recording contract, every op
+
+
+def op_case(name, shapes, call, lo=-1.0):
+    """One op called on fresh operands of `shapes`, drawn from [lo, 1)."""
+    return pytest.param(shapes, call, lo, id=name)
+
+
+OP_CASES = [
+    op_case("matmul", [(3, 4), (4, 2)], lambda ms, tape: ag.matmul(*ms, tape)),
+    op_case("transpose", [(3, 4)], lambda ms, tape: ag.transpose(*ms, tape)),
+    op_case("add", [(3, 4), (1, 4)], lambda ms, tape: ag.add(*ms, tape)),
+    op_case("subtract", [(3, 4), (3, 1)], lambda ms, tape: ag.subtract(*ms, tape)),
+    op_case("multiply", [(3, 4), (3, 4)], lambda ms, tape: ag.multiply(*ms, tape)),
+    op_case("scale", [(3, 4)], lambda ms, tape: ag.scale(*ms, -2.5, tape)),
+    op_case("relu", [(3, 4)], lambda ms, tape: ag.relu(*ms, tape)),
+    op_case("sigmoid", [(3, 4)], lambda ms, tape: ag.sigmoid(*ms, tape)),
+    op_case("log", [(3, 4)], lambda ms, tape: ag.log(*ms, tape), lo=0.1),
+    op_case("sqrt", [(3, 4)], lambda ms, tape: ag.sqrt(*ms, tape), lo=0.1),
+    op_case("rsqrt", [(3, 4)], lambda ms, tape: ag.rsqrt(*ms, tape), lo=0.1),
+    op_case("clip", [(3, 4)], lambda ms, tape: ag.clip(*ms, -0.5, 0.5, tape)),
+    op_case("sum_all", [(3, 4)], lambda ms, tape: ag.sum_all(*ms, tape)),
+    op_case("column_softmax", [(3, 4)], lambda ms, tape: ag.column_softmax(*ms, tape)),
+    op_case("row_norms_squared", [(3, 4)],
+            lambda ms, tape: ag.row_norms_squared(*ms, tape)),
+    op_case("gather_rows", [(3, 4)], lambda ms, tape: ag.gather_rows(*ms, [2, 0, 2], tape)),
+    op_case("concat_rows", [(2, 4), (3, 4)], lambda ms, tape: ag.concat_rows(ms, tape)),
+]
+
+
+def operands(shapes, lo):
+    rng = np.random.default_rng(23)
+    return [rand_matrix(rng, rows, cols, lo=lo) for rows, cols in shapes]
+
+
+def test_contract_cases_cover_every_op():
+    ops = {name for name, fn in vars(ag).items()
+           if inspect.isfunction(fn) and not name.startswith("_")
+           and "tape" in inspect.signature(fn).parameters
+           and inspect.signature(fn).parameters["tape"].default is None}
+    assert ops == {case.id for case in OP_CASES}
+    assert len(ops) == 17
+
+
+@pytest.mark.parametrize("shapes, call, lo", OP_CASES)
+def test_op_records_once_with_a_tape_and_never_without(monkeypatch, shapes, call, lo):
+    made = []
+    record = Tape.record
+    monkeypatch.setattr(Tape, "record", lambda tape, fn: (made.append(tape), record(tape, fn)))
+    ms = operands(shapes, lo)
+    bare = call(ms, None)
+    assert made == []
+    tape = Tape()
+    taped = call(ms, tape)
+    assert made == [tape] and len(tape) == 1
+    assert bare.shape == taped.shape
+    assert bare.data.tobytes() == taped.data.tobytes()
+
+
+@pytest.mark.parametrize("shapes, call, lo", OP_CASES)
+def test_op_whose_output_misses_the_loss_leaves_operand_grads_unset(shapes, call, lo):
+    ms = operands(shapes, lo)
+    x = Matrix([[1.0, -2.0]])
+    tape = Tape()
+    call(ms, tape)  # recorded, but never reaches the loss
+    ag.backward(ag.sum_all(ag.scale(x, 2.0, tape), tape), tape)
+    assert len(tape) == 3
+    assert all(m.grad is None for m in ms)
+    np.testing.assert_array_equal(x.grad, [[2.0, 2.0]])
+    tape = Tape()
+    ag.backward(ag.sum_all(call(ms, tape), tape), tape)
+    assert all(m.grad is not None and m.grad.shape == m.shape for m in ms)

@@ -235,3 +235,13 @@ def test_bad_points_and_bad_config_fail_cleanly(tmp_path, dataset, capsys):
     assert run("train", "--data", str(dataset), "--out", str(tmp_path / "x.ckpt"),
                "--config", str(cfg)) == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_non_utf8_config_file_fails_cleanly(tmp_path, dataset, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# caf\xe9\nepochs=1\n")
+    assert run("train", "--data", str(dataset), "--out", str(tmp_path / "x.ckpt"),
+               "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"config file {cfg} is not valid UTF-8" in err
+    assert not (tmp_path / "x.ckpt").exists()

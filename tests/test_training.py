@@ -73,6 +73,15 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(neighbor_R=0)
+    bad_floats = [("learning_rate", np.nan), ("scale_q", np.inf), ("min_delta", np.nan),
+                  ("alpha", -np.inf), ("weight_decay", -5.0)]
+    for key, value in bad_floats:
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**{key: value})
+        with pytest.raises(ConfigError, match=key):
+            config_from_text(f"{key}={value}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, {key: value})
 
 
 # ---------------------------------------------------------------------------
