@@ -244,6 +244,10 @@ class GridSpec:
     nx: int = 200
     ny: int = 200
 
+    def __post_init__(self):
+        if min(self.nx, self.ny) < 1:
+            raise ContractError(f"grid sizes must be >= 1, got {self.nx} x {self.ny}")
+
 
 def partition_map(points, kind: str, grid: GridSpec = GridSpec()):
     """Winner index of the similarity argmax at each grid cell.

@@ -1,7 +1,8 @@
 """Run configuration: dataclass defaults, key=value files, CLI overrides.
 
 Precedence is defaults < config file < command-line overrides. Config
-files are plain text, one key=value per line, # for comments.
+files are plain text, one key=value per line; a line starting with #
+is a comment.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+from .attention import BOUNDARY_POLICIES, LCA_VARIANTS, SIMILARITY_KINDS
 
 
 class ConfigError(ValueError):
@@ -45,8 +48,14 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.weight_decay < 0.0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        for key in ("weight_decay", "alpha", "beta", "scale_q", "seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        for key, allowed in (("sim_kind", SIMILARITY_KINDS), ("lca_variant", LCA_VARIANTS),
+                             ("window_boundary", BOUNDARY_POLICIES)):
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"{key} must be one of {', '.join(allowed)}, "
+                                  f"got {getattr(self, key)!r}")
         if self.learning_rate <= 0.0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 1:

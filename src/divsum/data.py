@@ -7,6 +7,10 @@ order, each prefixed with its byte length so a truncated file names the
 section it died in. A JSON manifest ties the files of a dataset together
 and carries the F-score aggregation mode.
 
+Writer and Reader are the one codec of both binary formats, this video
+container and the training checkpoint: a Writer assembles and writes a
+file, and a Reader decodes it in the same order.
+
 Converters from common benchmark dumps are deliberately out of scope;
 the format is documented in the README so users can write their own.
 """
@@ -14,23 +18,19 @@ the format is documented in the README so users can write their own.
 from __future__ import annotations
 
 import json
+import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .autograd import ContractError
-from .segmentation import ShotPartition, binarize_ground_truth
+from .segmentation import ShotPartition, _check_budget_ratio, binarize_ground_truth
 
 MAGIC = b"DSUM"
 FORMAT_VERSION = 1
-
-_FLAG_GT_SCORES = 1 << 0
-_FLAG_GT_BINARY = 1 << 1
-_FLAG_USERS = 1 << 2
-_FLAG_CHANGE_POINTS = 1 << 3
-_FLAG_PICKS = 1 << 4
 
 AGGREGATION_MODES = ("max_over_users", "mean_over_users")
 
@@ -113,69 +113,56 @@ class DatasetManifest:
 
 
 # ---------------------------------------------------------------------------
-# binary video files
+# the binary codec and the video files
 
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
+class Writer:
+    """Assembles a binary file in memory, mirroring Reader: little-endian
+    u32 values, length-prefixed UTF-8 strings, typed arrays and
+    length-prefixed sections. Every binary file is written by write()."""
 
+    def __init__(self):
+        self.parts: list[bytes] = []
 
-def _section(payload: bytes) -> bytes:
-    return struct.pack("<I", len(payload)) + payload
+    def put(self, raw: bytes) -> "Writer":
+        self.parts.append(raw)
+        return self
 
+    def u32(self, *values: int) -> "Writer":
+        return self.put(struct.pack(f"<{len(values)}I", *values))
 
-def save_video(path, rec: VideoRecord):
-    rec.validate()
-    feats = np.ascontiguousarray(rec.features, dtype="<f8")
-    T, d = feats.shape
-    flags = 0
-    if rec.gt_scores is not None:
-        flags |= _FLAG_GT_SCORES
-    if rec.gt_binary is not None:
-        flags |= _FLAG_GT_BINARY
-    if rec.user_summaries is not None:
-        flags |= _FLAG_USERS
-    if rec.change_points is not None:
-        flags |= _FLAG_CHANGE_POINTS
-    if rec.picks is not None:
-        flags |= _FLAG_PICKS
-    parts = [
-        MAGIC,
-        struct.pack("<III", FORMAT_VERSION, T, d),
-        struct.pack("<I", flags),
-        _pack_str(rec.id),
-        _pack_str(rec.corpus_tag),
-        feats.tobytes(),
-    ]
-    if rec.gt_scores is not None:
-        parts.append(_section(np.asarray(rec.gt_scores, dtype="<f8").tobytes()))
-    if rec.gt_binary is not None:
-        parts.append(_section(np.asarray(rec.gt_binary, dtype=np.uint8).tobytes()))
-    if rec.user_summaries is not None:
-        payload = struct.pack("<I", len(rec.user_summaries))
-        payload += b"".join(np.asarray(u, dtype=np.uint8).tobytes()
-                            for u in rec.user_summaries)
-        parts.append(_section(payload))
-    if rec.change_points is not None:
-        starts = np.asarray(rec.change_points.change_points, dtype="<u4")
-        parts.append(_section(struct.pack("<I", starts.size) + starts.tobytes()))
-    if rec.picks is not None:
-        parts.append(_section(np.asarray(rec.picks, dtype="<u4").tobytes()))
-    Path(path).write_bytes(b"".join(parts))
+    def string(self, s: str) -> "Writer":
+        raw = s.encode("utf-8")
+        return self.u32(len(raw)).put(raw)
+
+    def array(self, a, dtype: str) -> "Writer":
+        """The entries of `a` in row-major order, stored as `dtype`."""
+        return self.put(np.asarray(a, dtype=dtype).tobytes())
+
+    @contextmanager
+    def section(self):
+        """A Writer whose bytes land here behind their u32 length."""
+        sub = Writer()
+        yield sub
+        payload = b"".join(sub.parts)
+        self.u32(len(payload)).put(payload)
+
+    def write(self, path):
+        Path(path).write_bytes(b"".join(self.parts))
 
 
 class Reader:
-    """Cursor over a binary file's bytes; every read names what it was after."""
+    """Cursor over a binary file's bytes; every read names what it was after,
+    and every error names `where` (the file, or the file and a section)."""
 
-    def __init__(self, blob: bytes, path):
+    def __init__(self, blob: bytes, where):
         self.blob = memoryview(blob)  # slices share the file's buffer: no copies
         self.pos = 0
-        self.path = path
+        self.where = where
 
     def take(self, n: int, what: str) -> memoryview:
         if self.pos + n > len(self.blob):
-            raise DataFormatError(f"{self.path}: truncated while reading {what}")
+            raise DataFormatError(f"{self.where}: truncated while reading {what}")
         out = self.blob[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -183,23 +170,73 @@ class Reader:
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
-    def f64(self, rows: int, cols: int, what: str) -> np.ndarray:
-        """A rows x cols little-endian float64 block, copied out."""
-        raw = self.take(8 * rows * cols, what)
-        return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
-
     def expect_end(self):
-        """Every byte of the file has been read."""
+        """Every byte has been read."""
         if self.pos != len(self.blob):
             raise DataFormatError(
-                f"{self.path}: {len(self.blob) - self.pos} unexpected trailing bytes")
+                f"{self.where}: {len(self.blob) - self.pos} unexpected trailing bytes")
 
     def string(self, what: str) -> str:
         raw = self.take(self.u32(what + " length"), what)
         try:
             return str(raw, "utf-8")
         except UnicodeDecodeError:
-            raise DataFormatError(f"{self.path}: {what} is not valid UTF-8") from None
+            raise DataFormatError(f"{self.where}: {what} is not valid UTF-8") from None
+
+    def array(self, dtype: str, shape, what: str) -> np.ndarray:
+        """A little-endian block of `dtype` entries in `shape` (an int or a
+        tuple), copied out."""
+        count = math.prod(shape) if isinstance(shape, tuple) else shape
+        raw = self.take(np.dtype(dtype).itemsize * count, what)
+        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+    @contextmanager
+    def section(self, name: str):
+        """A Reader over the next u32-length-prefixed section; the with-block
+        must read the section to its last byte."""
+        raw = self.take(self.u32(f"{name} section length"), f"{name} section")
+        sub = Reader(raw, f"{self.where}: {name} section")
+        yield sub
+        sub.expect_end()
+
+
+def _read_partition(r: Reader, T: int) -> ShotPartition:
+    starts = r.array("<u4", r.u32("shot count"), "shot starts").astype(int)
+    try:
+        return ShotPartition.from_change_points(starts, T)
+    except ContractError as e:
+        raise DataFormatError(f"{r.where}: {e}") from None
+
+
+# The optional sections in flag-bit order, keyed by the VideoRecord field
+# each holds: (write the value, read it back for a video of T frames).
+_SECTIONS = {
+    "gt_scores": (lambda w, scores: w.array(scores, "<f8"),
+                  lambda r, T: r.array("<f8", T, "scores")),
+    "gt_binary": (lambda w, labels: w.array(labels, "u1"),
+                  lambda r, T: r.array("u1", T, "labels").astype(int)),
+    "user_summaries": (lambda w, users: w.u32(len(users)).array(users, "u1"),
+                       lambda r, T: list(r.array("u1", (r.u32("user count"), T),
+                                                 "summaries").astype(int))),
+    "change_points": (lambda w, part: w.u32(part.num_shots).array(part.change_points, "<u4"),
+                      _read_partition),
+    "picks": (lambda w, picks: w.array(picks, "<u4"),
+              lambda r, T: r.array("<u4", T, "picks").astype(int)),
+}
+
+
+def save_video(path, rec: VideoRecord):
+    rec.validate()
+    T, d = np.shape(rec.features)
+    values = [getattr(rec, name) for name in _SECTIONS]
+    flags = sum(1 << bit for bit, value in enumerate(values) if value is not None)
+    w = Writer().put(MAGIC).u32(FORMAT_VERSION, T, d, flags)
+    w.string(rec.id).string(rec.corpus_tag).array(rec.features, "<f8")
+    for (write, _), value in zip(_SECTIONS.values(), values):
+        if value is not None:
+            with w.section() as s:
+                write(s, value)
+    w.write(path)
 
 
 def load_video(path) -> VideoRecord:
@@ -211,69 +248,15 @@ def load_video(path) -> VideoRecord:
         raise DataFormatError(
             f"{path}: format version {version}, this build reads {FORMAT_VERSION}"
         )
-    T = r.u32("frame count")
-    d = r.u32("feature dim")
-    flags = r.u32("flags")
-    vid = r.string("video id")
-    corpus = r.string("corpus tag")
-    feats = r.f64(T, d, "features")
-
-    def section(what: str) -> bytes:
-        n = r.u32(what + " section length")
-        return r.take(n, what + " section")
-
-    gt_scores = gt_binary = picks = None
-    users = None
-    cps = None
-    if flags & _FLAG_GT_SCORES:
-        raw = section("gt_scores")
-        if len(raw) != 8 * T:
-            raise DataFormatError(f"{path}: gt_scores section holds {len(raw)} bytes, "
-                                  f"expected {8 * T}")
-        gt_scores = np.frombuffer(raw, dtype="<f8").copy()
-    if flags & _FLAG_GT_BINARY:
-        raw = section("gt_binary")
-        if len(raw) != T:
-            raise DataFormatError(f"{path}: gt_binary section holds {len(raw)} bytes, "
-                                  f"expected {T}")
-        gt_binary = np.frombuffer(raw, dtype=np.uint8).astype(int)
-    if flags & _FLAG_USERS:
-        raw = section("user_summaries")
-        if len(raw) < 4:
-            raise DataFormatError(f"{path}: user_summaries section too short for its count")
-        count = struct.unpack("<I", raw[:4])[0]
-        if len(raw) != 4 + count * T:
-            raise DataFormatError(
-                f"{path}: user_summaries section holds {len(raw) - 4} bytes "
-                f"for {count} users of {T} frames"
-            )
-        users = [np.frombuffer(raw, dtype=np.uint8, count=T, offset=4 + u * T).astype(int)
-                 for u in range(count)]
-    if flags & _FLAG_CHANGE_POINTS:
-        raw = section("change_points")
-        if len(raw) < 4:
-            raise DataFormatError(f"{path}: change_points section too short for its count")
-        count = struct.unpack("<I", raw[:4])[0]
-        if len(raw) != 4 + 4 * count:
-            raise DataFormatError(
-                f"{path}: change_points section holds {len(raw) - 4} bytes for {count} points"
-            )
-        starts = np.frombuffer(raw, dtype="<u4", count=count, offset=4).astype(int)
-        try:
-            cps = ShotPartition.from_change_points(starts, T)
-        except ContractError as e:
-            raise DataFormatError(f"{path}: change_points section: {e}") from None
-    if flags & _FLAG_PICKS:
-        raw = section("picks")
-        if len(raw) != 4 * T:
-            raise DataFormatError(f"{path}: picks section holds {len(raw)} bytes, "
-                                  f"expected {4 * T}")
-        picks = np.frombuffer(raw, dtype="<u4").astype(int)
+    T, d, flags = r.u32("frame count"), r.u32("feature dim"), r.u32("flags")
+    # keyword arguments are evaluated left to right, in file order
+    rec = VideoRecord(id=r.string("video id"), corpus_tag=r.string("corpus tag"),
+                      features=r.array("<f8", (T, d), "features"))
+    for bit, (name, (_, read)) in enumerate(_SECTIONS.items()):
+        if flags >> bit & 1:
+            with r.section(name) as s:
+                setattr(rec, name, read(s, T))
     r.expect_end()
-    rec = VideoRecord(
-        id=vid, features=feats, gt_scores=gt_scores, gt_binary=gt_binary,
-        user_summaries=users, change_points=cps, picks=picks, corpus_tag=corpus,
-    )
     rec.validate()
     return rec
 
@@ -405,6 +388,18 @@ class SynthSpec:
     name: str = "synth"
     aggregation: str = "mean_over_users"
 
+    def __post_init__(self):
+        if min(self.videos, self.frames, self.dim, self.shots_per_video) < 1:
+            raise DataFormatError("synthetic sizes must all be positive")
+        if self.shots_per_video * 2 > self.frames:
+            raise DataFormatError(
+                f"cannot fit {self.shots_per_video} shots of >= 2 frames into {self.frames}"
+            )
+        for key in ("seed", "users", "noise"):
+            if not getattr(self, key) >= 0:  # a NaN noise is refused too
+                raise DataFormatError(f"synthetic {key} must be >= 0, got {getattr(self, key)}")
+        _check_budget_ratio(self.budget_ratio)
+
 
 def _random_partition(rng, T: int, shots: int, min_len: int) -> ShotPartition:
     while True:
@@ -424,12 +419,6 @@ def synth_generate(spec: SynthSpec) -> list[VideoRecord]:
     the key set is chosen to fit the summary budget, so the binarized
     labels mostly coincide with it. Fully deterministic per seed.
     """
-    if min(spec.videos, spec.frames, spec.dim, spec.shots_per_video) < 1:
-        raise DataFormatError("synthetic sizes must all be positive")
-    if spec.shots_per_video * 2 > spec.frames:
-        raise DataFormatError(
-            f"cannot fit {spec.shots_per_video} shots of >= 2 frames into {spec.frames}"
-        )
     rng = np.random.default_rng(spec.seed)
     records = []
     for v in range(spec.videos):

@@ -47,6 +47,8 @@ class EvalProtocol:
             raise ContractError(f"folds must be >= 1, got {self.folds}")
         if self.agg not in AGGREGATION_MODES:
             raise ContractError(f"unknown aggregation mode: {self.agg!r}")
+        if self.seed < 0:
+            raise ContractError(f"protocol seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -119,7 +119,6 @@ def forward_scores(X: Matrix, params: ModelParams, tape: Tape | None = None) -> 
 class LossBreakdown:
     total: Matrix
     parts: hd.LossParts
-    scores: Matrix
 
 
 def forward_loss(X: Matrix, params: ModelParams, weights: hd.LossWeights,
@@ -142,5 +141,4 @@ def forward_loss(X: Matrix, params: ModelParams, weights: hd.LossWeights,
         repel=hd.repelling_loss(embeddings, tape),
         recon=hd.reconstruction_loss(X, recon, tape),
     )
-    return LossBreakdown(total=hd.total_loss(parts, weights, tape), parts=parts,
-                         scores=out.scores)
+    return LossBreakdown(total=hd.total_loss(parts, weights, tape), parts=parts)

@@ -9,7 +9,6 @@ name, the optimizer moments, and the epoch counter.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import ContractError, Matrix, NumericError, Tape
 from .config import TrainConfig, config_from_text, config_to_text
-from .data import Reader
+from .data import Reader, Writer
 from .heads import LossWeights
 from .model import PARAMETERS, ModelParams, forward_loss
 
@@ -185,23 +184,14 @@ def save_checkpoint(path, params: ModelParams, state: AdamState, cfg: TrainConfi
         for (name, _), a in zip(named, arrays):
             if not np.all(np.isfinite(a)):
                 raise NumericError(f"{path}: refusing to save a non-finite {kind} {name}")
-    cfg_raw = config_to_text(cfg).encode("utf-8")
-    parts = [
-        CHECKPOINT_MAGIC,
-        struct.pack("<I", CHECKPOINT_VERSION),
-        struct.pack("<I", len(cfg_raw)), cfg_raw,
-        struct.pack("<II", epoch, len(named)),
-    ]
+    w = Writer().put(CHECKPOINT_MAGIC).u32(CHECKPOINT_VERSION).string(config_to_text(cfg))
+    w.u32(epoch, len(named))
     for name, p in named:
-        raw = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(raw)) + raw)
-        parts.append(struct.pack("<II", p.rows, p.cols))
-        parts.append(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-    parts.append(struct.pack("<I", state.step))
-    for arrs in (state.m, state.v):
-        for a in arrs:
-            parts.append(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+        w.string(name).u32(p.rows, p.cols).array(p.data, "<f8")
+    w.u32(state.step)
+    for a in state.m + state.v:
+        w.array(a, "<f8")
+    w.write(path)
 
 
 def load_checkpoint(path):
@@ -220,7 +210,7 @@ def load_checkpoint(path):
     for _ in range(count):
         name = r.string("parameter name")
         rows, cols = r.u32(f"{name} rows"), r.u32(f"{name} cols")
-        tensors[name] = r.f64(rows, cols, f"{name} data")
+        tensors[name] = r.array("<f8", (rows, cols), f"{name} data")
     try:
         params = ModelParams.from_named({n: Matrix(a) for n, a in tensors.items()}, cfg)
     except KeyError as e:
@@ -229,8 +219,7 @@ def load_checkpoint(path):
     if count != len(tensors) or list(tensors) != expected:
         raise ContractError(f"{path}: checkpoint parameter order does not match this build")
     step = r.u32("optimizer step")
-    shapes = [tensors[n].shape for n in expected]
-    m = [r.f64(rows, cols, "first moments") for rows, cols in shapes]
-    v = [r.f64(rows, cols, "second moments") for rows, cols in shapes]
+    m = [r.array("<f8", a.shape, "first moments") for a in tensors.values()]
+    v = [r.array("<f8", a.shape, "second moments") for a in tensors.values()]
     r.expect_end()
     return params, AdamState(m=m, v=v, step=step), cfg, epoch

@@ -245,3 +245,22 @@ def test_non_utf8_config_file_fails_cleanly(tmp_path, dataset, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"config file {cfg} is not valid UTF-8" in err
     assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["synth", "--seed", "-1"], "seed"),
+    (["synth", "--users", "-1"], "users"),
+    (["synth", "--noise", "-1"], "noise"),
+    (["synth", "--budget-ratio", "nan"], "budget_ratio"),
+    (["evaluate", "--data", "{data}", "--split-seed", "-1"], "seed"),
+    (["partition-map", "--seed", "-3"], "--seed"),
+    (["partition-map", "--num-points", "-2"], "--num-points"),
+    (["partition-map", "--grid-size", "-1"], "grid sizes"),
+], ids=["synth-seed", "synth-users", "synth-noise", "synth-budget-ratio", "evaluate-split-seed",
+        "partition-map-seed", "partition-map-num-points", "partition-map-grid-size"])
+def test_out_of_range_numbers_fail_with_one_line(tmp_path, dataset, capsys, argv, setting):
+    out = ["--out", str(tmp_path / "out")] if argv[0] != "evaluate" else []
+    assert run(*[a.format(data=dataset) for a in argv], *out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and setting in err
+    assert not (tmp_path / "out").exists()

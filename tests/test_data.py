@@ -1,9 +1,14 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from divsum import data as dat
+from divsum import training as tr
+from divsum.autograd import Matrix
+from divsum.config import TrainConfig
+from divsum.model import PARAMETERS, ModelParams
 from divsum.segmentation import ShotPartition, kts_segment, shot_scores
 
 
@@ -182,6 +187,75 @@ def test_non_finite_gt_scores_are_refused_on_load(tmp_path):
     p.write_bytes(blob.replace(value, np.float64(np.nan).astype("<f8").tobytes()))
     with pytest.raises(dat.DataFormatError, match="video vid_full: gt_scores contain NaN or Inf"):
         dat.load_video(p)
+
+
+# The optional sections of a .dsv file, in flag-bit order (README).
+SECTIONS = ("gt_scores", "gt_binary", "user_summaries", "change_points", "picks")
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize("section", SECTIONS)
+def test_section_length_off_by_one_names_the_file_and_section(tmp_path, section, delta):
+    rec = full_record(np.random.default_rng(13))
+    p = tmp_path / "v.dsv"
+    dat.save_video(p, rec)
+    blob = bytearray(p.read_bytes())
+    T, d = rec.features.shape
+    pos = 4 + 4 * 4 + 4 + len(rec.id) + 4 + len(rec.corpus_tag) + 8 * T * d
+    for name in SECTIONS:
+        n = int.from_bytes(blob[pos:pos + 4], "little")
+        if name == section:
+            blob[pos:pos + 4] = (n + delta).to_bytes(4, "little")
+            break
+        pos += 4 + n
+    p.write_bytes(bytes(blob))
+    with pytest.raises(dat.DataFormatError, match=section) as exc:
+        dat.load_video(p)
+    assert str(p) in str(exc.value)
+
+
+def arithmetic_record(annotated: bool) -> dat.VideoRecord:
+    """A small record whose every value is exact arithmetic (no RNG)."""
+    T, d = 6, 3
+    rec = dat.VideoRecord(id="golden", corpus_tag="tag",
+                          features=(np.arange(T * d).reshape(T, d) - 7.5) / 4.0)
+    if annotated:
+        rec.gt_scores = np.arange(T) / 8.0
+        rec.gt_binary = np.arange(T) % 2
+        rec.user_summaries = [(np.arange(T) + u) % 2 for u in range(2)]
+        rec.change_points = ShotPartition.from_change_points([0, 2, 5], T)
+        rec.picks = np.arange(T) * 15
+    return rec
+
+
+def write_golden_checkpoint(path):
+    """A d=4, R=1 model of arithmetic weights with zero Adam moments."""
+    cfg = TrainConfig(neighbor_R=1)
+    size = {"d": 4, "span": 3, 1: 1}
+    mats = {}
+    for k, (name, rows, cols) in enumerate(PARAMETERS):
+        shape = size[rows], size[cols]
+        mats[name] = Matrix((np.arange(shape[0] * shape[1]).reshape(shape) - k) / 16.0)
+    params = ModelParams.from_named(mats, cfg)
+    tr.save_checkpoint(path, params, tr.AdamState.for_params(params), cfg, epoch=3)
+
+
+# sha256 of each file; these pin the byte layout README documents.
+GOLDEN = {
+    "video_annotated": "d10282acb6c7f4fdb75212a09f7917458b5900c0cc622f31469bc5c282220679",
+    "video_bare": "fe7e672afd5fc0dcd02640b499eea0cda10d03188f914beaa4a30e6cfbceacef",
+    "checkpoint": "6a92ec3c27795d20c6c077c499f6a0b6a0f62214f8c5fd26b879280f7f16b7d4",
+}
+
+
+@pytest.mark.parametrize("which", sorted(GOLDEN))
+def test_written_bytes_match_the_documented_layout(tmp_path, which):
+    p = tmp_path / which
+    if which == "checkpoint":
+        write_golden_checkpoint(p)
+    else:
+        dat.save_video(p, arithmetic_record(annotated=which == "video_annotated"))
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == GOLDEN[which]
 
 
 # ---------------------------------------------------------------------------

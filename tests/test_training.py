@@ -1,5 +1,6 @@
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,15 +74,29 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
         TrainConfig(neighbor_R=0)
-    bad_floats = [("learning_rate", np.nan), ("scale_q", np.inf), ("min_delta", np.nan),
-                  ("alpha", -np.inf), ("weight_decay", -5.0)]
-    for key, value in bad_floats:
+    bad_values = [("learning_rate", np.nan), ("scale_q", np.inf), ("min_delta", np.nan),
+                  ("alpha", -np.inf), ("weight_decay", -5.0), ("seed", -1),
+                  ("sim_kind", "l2        # dot | cosine | l2"), ("lca_variant", "both"),
+                  ("window_boundary", "wrap"), ("scale_q", -1.0), ("alpha", -0.1),
+                  ("beta", -0.5)]
+    for key, value in bad_values:
         with pytest.raises(ConfigError, match=key):
             TrainConfig(**{key: value})
         with pytest.raises(ConfigError, match=key):
             config_from_text(f"{key}={value}\n")
         with pytest.raises(ConfigError, match=key):
             load_config(None, {key: value})
+
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Configuration", 1)[1].split("```\n")[1]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block, encoding="utf-8")
+    cfg = load_config(path)
+    assert (cfg.learning_rate, cfg.epochs, cfg.sim_kind, cfg.neighbor_R) == (0.003, 60, "l2", 2)
+    assert (cfg.alpha, cfg.beta, cfg.supervised) == (0.1, 1.0, True)
 
 
 # ---------------------------------------------------------------------------
