@@ -195,16 +195,16 @@ def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionO
 
     def shifted(M: Matrix, o: int) -> Matrix:
         """Row h holds window slot o of anchor h, taken from M."""
-        src = anchors + o - R
-        rows = ag.gather_rows(M, np.clip(src, 0, T - 1), tape)
+        rows = ag.row_window(M, o - R, T, tape)
         if p.boundary == "zero":
+            src = anchors + o - R
             rows = ag.multiply(rows, Matrix.column((src >= 0) & (src < T)), tape)
         return rows
 
     ones_d = Matrix.ones(d, 1)
     score_rows = []
     for o in range(span):
-        key = ag.add(K, ag.gather_rows(p.rel_pos, [abs(o - R)], tape), tape)
+        key = ag.add(K, ag.row_window(p.rel_pos, abs(o - R), 1, tape), tape)
         score = ag.matmul(ag.multiply(shifted(Q, o), key, tape), ones_d, tape)
         score_rows.append(ag.transpose(score, tape))
     B = ag.scale(ag.concat_rows(score_rows, tape), 1.0 / np.sqrt(d), tape)

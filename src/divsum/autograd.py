@@ -309,20 +309,36 @@ def row_norms_squared(a: Matrix, tape: Tape | None = None) -> Matrix:
                    (a, lambda g: 2.0 * a_data * g))
 
 
-def gather_rows(a: Matrix, indices, tape: Tape | None = None) -> Matrix:
-    """New matrix whose row t is row indices[t] of a (repeats allowed)."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("gather_rows: indices must be 1-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
-        raise ContractError(f"gather_rows: index out of range for {a.rows} rows")
+def row_window(a: Matrix, start: int, count: int, tape: Tape | None = None) -> Matrix:
+    """`count` rows whose row t is row clip(start + t, 0, rows - 1) of a.
+
+    The rows before row 0 repeat row 0 and the rows past the end repeat the
+    last row. The backward sums the gradient rows into each source row in
+    output-row order, so its bytes equal a scatter-add over the clamped
+    indices: row 0 takes its repeats before its own row, the last row after.
+    """
+    n = a.rows
+    if n < 1 or count < 0:
+        raise ContractError(f"row_window: needs rows >= 1 and count >= 0, "
+                            f"got {n} rows and count {count}")
+    lead = min(max(-start, 0), count)  # output rows clamped to row 0
+    end = min(max(n - start, 0), count)  # rows [lead, end) are in range, the rest clamp high
+    a_data = a.data
+    out = np.empty((count, a.cols))
+    out[:lead] = a_data[0]
+    out[lead:end] = a_data[start + lead:start + end]
+    out[end:] = a_data[n - 1]
 
     def scatter(g):
-        rows = np.zeros_like(a.data)
-        np.add.at(rows, idx, g)
+        rows = np.zeros_like(a_data)
+        for t in range(lead):
+            rows[0] += g[t]
+        rows[start + lead:start + end] += g[lead:end]
+        for t in range(end, count):
+            rows[n - 1] += g[t]
         return rows
 
-    return _record(tape, Matrix(a.data[idx]), (a, scatter))
+    return _record(tape, Matrix(out), (a, scatter))
 
 
 def concat_rows(mats: list[Matrix], tape: Tape | None = None) -> Matrix:

@@ -249,6 +249,9 @@ def load_video(path) -> VideoRecord:
             f"{path}: format version {version}, this build reads {FORMAT_VERSION}"
         )
     T, d, flags = r.u32("frame count"), r.u32("feature dim"), r.u32("flags")
+    unknown = [bit for bit in range(len(_SECTIONS), 32) if flags >> bit & 1]
+    if unknown:
+        raise DataFormatError(f"{path}: unknown section flag bits {unknown}")
     # keyword arguments are evaluated left to right, in file order
     rec = VideoRecord(id=r.string("video id"), corpus_tag=r.string("corpus tag"),
                       features=r.array("<f8", (T, d), "features"))

@@ -24,6 +24,9 @@ from .model import PARAMETERS, ModelParams, forward_loss
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Entries per in-place Adam block: the block's slices of the parameter,
+# gradient, both moments and two scratch buffers (6 x 256 KiB) fit in L2.
+_ADAM_BLOCK = 32768
 
 CHECKPOINT_MAGIC = b"DSCK"
 CHECKPOINT_VERSION = 1
@@ -70,26 +73,58 @@ def adam_step(params: ModelParams, state: AdamState, cfg: TrainConfig):
     """One Adam update with bias correction, then decoupled weight decay
     (theta <- theta - lr * wd * theta, applied after the gradient step).
     Gradients are read off the parameter matrices and must be populated.
+
+    Updates the moments and parameters in place, _ADAM_BLOCK entries at a
+    time, so each block's dozen elementwise passes run in cache. The
+    per-entry operations and their order are those of the textbook
+    expressions, so the bytes do not depend on the blocking.
     """
     named = params.named_parameters()
-    if len(named) != len(state.m):
+    if len(named) != len(state.m) or len(named) != len(state.v):
         raise ContractError("optimizer state does not match the parameter set")
-    for _, p in named:
+    for (name, p), m, v in zip(named, state.m, state.v):
         if p.grad is None:
             raise ContractError("adam_step called with unpopulated gradients")
+        for what, a in (("gradient", p.grad), ("first moment", m), ("second moment", v)):
+            if a.shape != p.shape:
+                raise ContractError(f"adam_step: {what} of {name} has shape {a.shape}, "
+                                    f"the parameter {p.shape}")
+        for what, a in (("parameter", p.data), ("first moment", m), ("second moment", v)):
+            if a.dtype != np.float64 or not (a.flags.c_contiguous and a.flags.writeable):
+                raise ContractError(f"adam_step: {what} of {name} must be a writable "
+                                    f"C-contiguous float64 array")
     state.step += 1
     t = state.step
     corr1 = 1.0 - ADAM_BETA1 ** t
     corr2 = 1.0 - ADAM_BETA2 ** t
-    for i, (_, p) in enumerate(named):
-        g = p.grad
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = state.m[i] / corr1
-        v_hat = state.v[i] / corr2
-        p.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if cfg.weight_decay != 0.0:
-            p.data -= cfg.learning_rate * cfg.weight_decay * p.data
+    lr = cfg.learning_rate
+    decay = cfg.learning_rate * cfg.weight_decay
+    buf1, buf2 = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
+    for (_, p), m, v in zip(named, state.m, state.v):
+        flat = [x.reshape(-1) for x in (p.data, p.grad, m, v)]
+        for lo in range(0, flat[0].size, _ADAM_BLOCK):
+            w, g, mb, vb = (x[lo:lo + _ADAM_BLOCK] for x in flat)
+            a, b = buf1[:w.size], buf2[:w.size]
+            # m = B1 * m + (1 - B1) * g
+            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            mb *= ADAM_BETA1
+            mb += a
+            # v = B2 * v + (1 - B2) * (g * g)
+            np.multiply(g, g, out=a)
+            a *= 1.0 - ADAM_BETA2
+            vb *= ADAM_BETA2
+            vb += a
+            # w -= lr * (m / corr1) / (sqrt(v / corr2) + eps)
+            np.divide(mb, corr1, out=a)
+            a *= lr
+            np.divide(vb, corr2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b
+            w -= a
+            if cfg.weight_decay != 0.0:  # w -= (lr * wd) * w
+                np.multiply(w, decay, out=a)
+                w -= a
 
 
 @dataclass
@@ -104,7 +139,7 @@ class TrainResult:
 def train(videos: list, cfg: TrainConfig) -> TrainResult:
     """Run the optimization over the given videos.
 
-    Vists videos in one seeded shuffle reused every epoch (fixed order),
+    Visits videos in one seeded shuffle reused every epoch (fixed order),
     one optimizer step per video. In unsupervised mode a video's labels
     are never read. Optional early stop ends training once the mean loss
     stops improving by min_delta for patience epochs. A non-finite loss

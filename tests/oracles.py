@@ -167,6 +167,18 @@ def naive_local_attention(X, Wq, Wk, Wv, rel, radius, variant, boundary="clamp")
     return out, weights
 
 
+def gather_rows(a, indices, g):
+    """Row gather and its backward by fancy indexing and np.add.at.
+
+    Returns (a[indices], the gradient w.r.t. a of output gradient g): every
+    gradient row is added into its source row in index order.
+    """
+    idx = np.asarray(indices, dtype=np.intp)
+    grad = np.zeros_like(a)
+    np.add.at(grad, idx, g)
+    return a[idx], grad
+
+
 def nearest_point_index(x, y, points):
     """Index of the Euclidean-closest 2-D point; first wins ties."""
     best = None
@@ -177,6 +189,27 @@ def nearest_point_index(x, y, points):
             best = d2
             best_i = i
     return best_i
+
+
+# ---------------------------------------------------------------------------
+# optimizer reference
+
+
+def allocating_adam_step(params, grads, m, v, step, lr, weight_decay,
+                         beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam update with bias correction, then decoupled weight decay,
+    written as whole-array expressions that allocate a result each. The
+    arguments are lists of arrays; params, m and v are replaced in their
+    lists, not written through. `step` is the step number after this one."""
+    corr1 = 1.0 - beta1 ** step
+    corr2 = 1.0 - beta2 ** step
+    for i, g in enumerate(grads):
+        m[i] = beta1 * m[i] + (1.0 - beta1) * g
+        v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g)
+        p = params[i] - lr * (m[i] / corr1) / (np.sqrt(v[i] / corr2) + eps)
+        if weight_decay != 0.0:
+            p = p - lr * weight_decay * p
+        params[i] = p
 
 
 # ---------------------------------------------------------------------------

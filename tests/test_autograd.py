@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from divsum import autograd as ag
 from divsum.autograd import Matrix, Tape
 
-from .oracles import finite_difference_grads
+from .oracles import finite_difference_grads, gather_rows
 
 
 def rand_matrix(rng, rows, cols, lo=-1.0, hi=1.0):
@@ -158,11 +158,35 @@ def test_log_sqrt_rsqrt_domains():
         ag.rsqrt(Matrix([[0.0]]))
 
 
-def test_gather_rows_values():
+def test_row_window_values():
     a = Matrix(np.arange(12.0).reshape(3, 4))
-    np.testing.assert_array_equal(ag.gather_rows(a, [2, 0, 0]).data, a.data[[2, 0, 0]])
-    with pytest.raises(ag.ContractError):
-        ag.gather_rows(a, [3])
+    np.testing.assert_array_equal(ag.row_window(a, -2, 6).data, a.data[[0, 0, 0, 1, 2, 2]])
+    np.testing.assert_array_equal(ag.row_window(a, 2, 1).data, a.data[[2]])
+    np.testing.assert_array_equal(ag.row_window(a, 5, 2).data, a.data[[2, 2]])
+    np.testing.assert_array_equal(ag.row_window(a, -9, 2).data, a.data[[0, 0]])
+    assert ag.row_window(a, 1, 0).shape == (0, 4)
+    with pytest.raises(ag.ContractError, match="count -1"):
+        ag.row_window(a, 0, -1)
+    with pytest.raises(ag.ContractError, match="0 rows"):
+        ag.row_window(Matrix(np.zeros((0, 4))), 0, 2)
+
+
+@pytest.mark.parametrize("rows, count", [(5, 5), (5, 2), (3, 8), (1, 4), (1, 1)])
+def test_row_window_bytes_equal_the_gather_scatter_oracle(rows, count):
+    # every start of a radius-3 window, plus starts wholly past either end
+    rng = np.random.default_rng(rows * 10 + count)
+    a = rng.normal(size=(rows, 6))
+    g = rng.normal(size=(count, 6))
+    g[::2, 1] = -0.0  # a scatter into fresh zeros turns -0.0 into +0.0
+    for start in [*range(-3, 4), -count - 2, rows + 1]:
+        want_out, want_grad = gather_rows(a, np.clip(np.arange(count) + start, 0, rows - 1), g)
+        m = Matrix(a)
+        tape = Tape()
+        out = ag.row_window(m, start, count, tape)
+        assert out.data.tobytes() == want_out.tobytes(), start
+        out.grad = g
+        tape.records[-1]()
+        assert m.grad.tobytes() == want_grad.tobytes(), start
 
 
 def test_deterministic_forward():
@@ -351,13 +375,15 @@ def test_row_norms_and_structure_ops_match_fd():
 
     check_grads_fd(build_norms, [a])
 
-    idx = np.array([0, 2, 2, 4, 1])
+    weights = rng.uniform(-1.0, 1.0, size=(8, 4))
+    for start, count in ((-2, 8), (3, 4), (-1, 3)):
 
-    def build_gather():
-        tape = Tape()
-        return ag.sum_all(ag.gather_rows(a, idx, tape), tape), tape
+        def build_window(start=start, count=count):
+            tape = Tape()
+            window = ag.row_window(a, start, count, tape)
+            return ag.sum_all(ag.multiply(window, Matrix(weights[:count]), tape), tape), tape
 
-    check_grads_fd(build_gather, [a])
+        check_grads_fd(build_window, [a])
 
     b = rand_matrix(rng, 2, 4)
 
@@ -413,7 +439,7 @@ OP_CASES = [
     op_case("column_softmax", [(3, 4)], lambda ms, tape: ag.column_softmax(*ms, tape)),
     op_case("row_norms_squared", [(3, 4)],
             lambda ms, tape: ag.row_norms_squared(*ms, tape)),
-    op_case("gather_rows", [(3, 4)], lambda ms, tape: ag.gather_rows(*ms, [2, 0, 2], tape)),
+    op_case("row_window", [(3, 4)], lambda ms, tape: ag.row_window(*ms, -1, 5, tape)),
     op_case("concat_rows", [(2, 4), (3, 4)], lambda ms, tape: ag.concat_rows(ms, tape)),
 ]
 

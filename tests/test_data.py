@@ -214,6 +214,22 @@ def test_section_length_off_by_one_names_the_file_and_section(tmp_path, section,
     assert str(p) in str(exc.value)
 
 
+@pytest.mark.parametrize("bit", [5, 31])
+def test_unknown_flag_bit_names_the_file_and_bit(tmp_path, bit):
+    rec = dat.VideoRecord(id="bare", corpus_tag="t",
+                          features=np.random.default_rng(14).normal(size=(6, 3)))
+    p = tmp_path / "v.dsv"
+    dat.save_video(p, rec)
+    blob = bytearray(p.read_bytes())
+    flags = int.from_bytes(blob[16:20], "little")  # after magic, version, T, d
+    assert flags == 0
+    blob[16:20] = (1 << bit).to_bytes(4, "little")
+    p.write_bytes(bytes(blob))
+    with pytest.raises(dat.DataFormatError, match=rf"unknown section flag bits \[{bit}\]") as exc:
+        dat.load_video(p)
+    assert str(p) in str(exc.value)
+
+
 def arithmetic_record(annotated: bool) -> dat.VideoRecord:
     """A small record whose every value is exact arithmetic (no RNG)."""
     T, d = 6, 3

@@ -15,6 +15,8 @@ from divsum.data import VideoRecord, synth_generate, SynthSpec
 from divsum.model import forward_scores
 from divsum.segmentation import summarize_video
 
+from . import oracles
+
 
 def tiny_cfg(**kw):
     base = dict(learning_rate=1e-3, weight_decay=0.0, epochs=2, neighbor_R=1, seed=0)
@@ -198,6 +200,64 @@ def test_adam_state_shape_mismatch():
     grads_of_ones_scaled(params, lambda p: np.ones_like(p.data))
     with pytest.raises(ContractError, match="state"):
         tr.adam_step(params, state, tiny_cfg())
+
+
+@pytest.mark.parametrize("which, index, bad, match", [
+    ("m", 0, lambda a: np.zeros((1, a.shape[1])), r"first moment of gda.Wq has shape \(1, 3\)"),
+    ("v", 3, lambda a: np.zeros((a.shape[0], 1)), r"second moment of lca.Wq2 has shape \(3, 1\)"),
+    ("m", 8, lambda a: np.zeros(a.shape[::-1]), r"first moment of heads.score1.b has shape \(3, 1\)"),
+    ("v", 0, lambda a: np.zeros(a.shape[::-1]).T, r"second moment of gda.Wq .* C-contiguous"),
+    ("m", 1, lambda a: np.zeros(a.shape, dtype=np.float32), r"first moment of gda.Wk .* float64"),
+    ("grad", 2, lambda a: np.ones((1, a.shape[1])), r"gradient of gda.Wv has shape \(1, 3\)"),
+], ids=["m-row", "v-column", "m-transposed", "v-strided", "m-float32", "grad-row"])
+def test_adam_refuses_state_of_the_wrong_shape_or_layout(which, index, bad, match):
+    params = tr.init_params(3, 1, seed=0)
+    state = tr.AdamState.for_params(params)
+    grads_of_ones_scaled(params, lambda p: np.ones_like(p.data))
+    named = params.named_parameters()
+    if which == "grad":
+        named[index][1].grad = bad(named[index][1].data)
+    else:
+        getattr(state, which)[index] = bad(getattr(state, which)[index])
+    before = [p.data.copy() for _, p in named]
+    with pytest.raises(ContractError, match=match):
+        tr.adam_step(params, state, tiny_cfg())
+    assert state.step == 0
+    for want, (_, p) in zip(before, named):
+        np.testing.assert_array_equal(p.data, want)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-5])
+@pytest.mark.parametrize("d, block", [(4, 12), (200, None)],
+                         ids=["d4-block12", "d200-module-block"])
+def test_adam_in_place_matches_the_allocating_oracle_bytes(monkeypatch, d, block,
+                                                          weight_decay):
+    # d=4 with 12-entry blocks: parameters of 1 and 4 entries sit below one
+    # block, rel_pos (3x4) fills exactly one, the 4x4 weights cross into a
+    # second. d=200 puts 40000-entry weights across the module's block.
+    if block is not None:
+        monkeypatch.setattr(tr, "_ADAM_BLOCK", block)
+    assert d * d > tr._ADAM_BLOCK
+    params = tr.init_params(d, 1, seed=3)
+    state = tr.AdamState.for_params(params)
+    cfg = tiny_cfg(learning_rate=1e-2, weight_decay=weight_decay)
+    named = params.named_parameters()
+    ref_p = [p.data.copy() for _, p in named]
+    ref_m = [np.zeros_like(a) for a in ref_p]
+    ref_v = [np.zeros_like(a) for a in ref_p]
+    rng = np.random.default_rng(4)
+    for step in range(1, 7):
+        grads = [rng.normal(size=a.shape) for a in ref_p]
+        for (_, p), g in zip(named, grads):
+            p.grad = g.copy()
+        tr.adam_step(params, state, cfg)
+        oracles.allocating_adam_step(ref_p, grads, ref_m, ref_v, step, cfg.learning_rate,
+                                     weight_decay)
+    for (name, p), m, v, want_p, want_m, want_v in zip(named, state.m, state.v,
+                                                         ref_p, ref_m, ref_v):
+        assert p.data.tobytes() == want_p.tobytes(), name
+        assert m.tobytes() == want_m.tobytes(), name
+        assert v.tobytes() == want_v.tobytes(), name
 
 
 def test_adam_drives_quadratic_to_zero():
