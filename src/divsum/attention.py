@@ -113,30 +113,62 @@ def pairwise_similarity(Q: Matrix, K: Matrix, kind: str, scale_q: float,
     The l2 kind (-|u-v|^2) is computed in the decomposed form
     2 u.v - |u|^2 - |v|^2, which is two rank-T products instead of a
     T^2 x d expansion and shares its heavy lifting with the dot kind.
+    Without a tape the chain after Q K^T runs in place in that product's
+    buffer, with the taped chain's operations in its order, so both give
+    the same bytes from one T x T array.
     """
     if Q.shape != K.shape:
         raise ShapeError(f"similarity operands differ: {Q.rows}x{Q.cols} vs {K.rows}x{K.cols}")
     if scale_q <= 0.0:
         raise ContractError(f"scale_q must be positive, got {scale_q}")
+    if kind not in SIMILARITY_KINDS:
+        raise ContractError(f"unknown similarity kind: {kind!r}")
+    if kind == "cosine" and (np.any(np.sum(Q.data * Q.data, axis=1) == 0.0)
+                             or np.any(np.sum(K.data * K.data, axis=1) == 0.0)):
+        raise NumericError("cosine similarity undefined for zero-norm rows")
+    c = 1.0 / np.sqrt(scale_q)
+    dots = ag.matmul(Q, ag.transpose(K, tape), tape)
+    if tape is None:
+        s = dots.data
+        if kind == "cosine":
+            s *= ag.rsqrt(ag.row_norms_squared(Q)).data
+            s *= ag.rsqrt(ag.row_norms_squared(K)).data.T
+        elif kind == "l2":
+            s *= 2.0
+            s -= ag.row_norms_squared(Q).data
+            s -= ag.row_norms_squared(K).data.T
+        s *= c
+        return dots
     if kind == "dot":
-        sim = ag.matmul(Q, ag.transpose(K, tape), tape)
+        sim = dots
     elif kind == "cosine":
-        if np.any(np.sum(Q.data * Q.data, axis=1) == 0.0) or np.any(
-            np.sum(K.data * K.data, axis=1) == 0.0
-        ):
-            raise NumericError("cosine similarity undefined for zero-norm rows")
-        dots = ag.matmul(Q, ag.transpose(K, tape), tape)
         inv_q = ag.rsqrt(ag.row_norms_squared(Q, tape), tape)
         inv_k = ag.rsqrt(ag.row_norms_squared(K, tape), tape)
         sim = ag.multiply(ag.multiply(dots, inv_q, tape), ag.transpose(inv_k, tape), tape)
-    elif kind == "l2":
-        twice_dots = ag.scale(ag.matmul(Q, ag.transpose(K, tape), tape), 2.0, tape)
+    else:
+        twice_dots = ag.scale(dots, 2.0, tape)
         sq_q = ag.row_norms_squared(Q, tape)
         sq_k = ag.row_norms_squared(K, tape)
         sim = ag.subtract(ag.subtract(twice_dots, sq_q, tape), ag.transpose(sq_k, tape), tape)
-    else:
-        raise ContractError(f"unknown similarity kind: {kind!r}")
-    return ag.scale(sim, 1.0 / np.sqrt(scale_q), tape)
+    return ag.scale(sim, c, tape)
+
+
+_TRANSPOSE_BLOCK = 256  # a 512 KiB tile of float64
+
+
+def _transpose_in_place(s: np.ndarray) -> np.ndarray:
+    """Transpose the square C-ordered array `s` in its own buffer, one
+    pair of mirrored tiles at a time."""
+    n, b = s.shape[0], _TRANSPOSE_BLOCK
+    for i in range(0, n, b):
+        rows = slice(i, i + b)
+        s[rows, rows] = s[rows, rows].T.copy()
+        for j in range(i + b, n, b):
+            cols = slice(j, j + b)
+            upper = s[rows, cols].copy()
+            s[rows, cols] = s[cols, rows].T
+            s[cols, rows] = upper.T
+    return s
 
 
 def gda_forward(X: Matrix, p: GdaParams, positions: Matrix | None,
@@ -146,6 +178,12 @@ def gda_forward(X: Matrix, p: GdaParams, positions: Matrix | None,
     Positions, when given, are added on the query/key path only; values
     always project the raw features. Output row j mixes the value rows
     with the j-th column of the normalized weights.
+
+    Without a tape the T x T similarity buffer is the only one: it is
+    softmaxed in place, then transposed in place so that its product with
+    V is the taped chain's BLAS call on the copied transpose (a product
+    from a transposed view can differ in the last bit), then transposed
+    back to hold the weights.
     """
     if X.cols != p.Wq.rows:
         raise ShapeError(f"feature dim {X.cols} does not match projection dim {p.Wq.rows}")
@@ -162,9 +200,13 @@ def gda_forward(X: Matrix, p: GdaParams, positions: Matrix | None,
     K = ag.matmul(Xp, p.Wk, tape)
     V = ag.matmul(X, p.Wv, tape)
     A = pairwise_similarity(Q, K, p.sim_kind, p.scale_q, tape)
-    At = ag.column_softmax(A, tape)
-    features = ag.matmul(ag.transpose(At, tape), V, tape)
-    return AttentionOutput(features=features, weights=At)
+    if tape is not None:
+        At = ag.column_softmax(A, tape)
+        return AttentionOutput(features=ag.matmul(ag.transpose(At, tape), V, tape), weights=At)
+    _transpose_in_place(ag._column_softmax_in_place(A.data))  # A holds transpose(At)
+    features = ag.matmul(A, V)
+    _transpose_in_place(A.data)  # A holds At
+    return AttentionOutput(features=features, weights=A)
 
 
 def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionOutput:

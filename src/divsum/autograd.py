@@ -13,8 +13,11 @@ Conventions:
   * while a tape is alive, the ``.data`` of recorded matrices must not be
     mutated in place (the recorded closures keep references, not copies)
 
-Recording contract: every operation builds its result and returns it
-through ``_record``, the one place a tape record is made. Called with a
+Recording contract: every operation computes its result array and
+returns it through ``_record``, the one place a tape record is made.
+``_record`` wraps that array without a copy, so every result owns a
+fresh 2-D, C-contiguous float64 buffer that shares no memory with its
+operands; the public ``Matrix(data)`` constructor copies. Called with a
 tape, an operation adds exactly one record; with ``tape=None`` it adds
 none and computes the same forward values. A record adds to an
 operand's gradient only once a gradient has reached the operation's
@@ -45,6 +48,7 @@ class Matrix:
     __slots__ = ("data", "grad")
 
     def __init__(self, data):
+        """A C-ordered float64 copy of `data`, so the caller may reuse its array."""
         arr = np.array(data, dtype=np.float64, order="C")
         if arr.ndim != 2:
             raise ShapeError(f"Matrix requires 2-D data, got ndim={arr.ndim}")
@@ -52,20 +56,32 @@ class Matrix:
         self.grad: np.ndarray | None = None
 
     @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "Matrix":
+        """`arr` itself as a Matrix, without a copy.
+
+        Only for arrays nobody else holds: a 2-D, C-contiguous float64
+        result the caller has just computed.
+        """
+        m = cls.__new__(cls)
+        m.data = arr
+        m.grad = None
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(np.zeros((rows, cols)))
+        return cls._wrap(np.zeros((rows, cols)))
 
     @classmethod
     def ones(cls, rows: int, cols: int) -> "Matrix":
-        return cls(np.ones((rows, cols)))
+        return cls._wrap(np.ones((rows, cols)))
 
     @classmethod
     def scalar(cls, value: float) -> "Matrix":
-        return cls(np.full((1, 1), float(value)))
+        return cls._wrap(np.full((1, 1), float(value)))
 
     @classmethod
     def column(cls, values) -> "Matrix":
-        return cls(np.asarray(values, dtype=np.float64).reshape(-1, 1))
+        return cls._wrap(np.array(values, dtype=np.float64).reshape(-1, 1))
 
     @property
     def rows(self) -> int:
@@ -151,14 +167,16 @@ def backward(loss: Matrix, tape: Tape):
         fn()
 
 
-def _record(tape: Tape | None, out: Matrix, *contributions) -> Matrix:
-    """Return `out`, recording its backward on `tape` when there is one.
+def _record(tape: Tape | None, data: np.ndarray, *contributions) -> Matrix:
+    """Wrap an op's freshly computed `data` without a copy, and record its
+    backward on `tape` when there is one.
 
     Each contribution is an (operand, fn) pair: fn maps the output's
     gradient to the operand's share of it. The record adds those shares
     one operand at a time, in the order given, and does nothing while no
-    gradient has reached `out`.
+    gradient has reached the result.
     """
+    out = Matrix._wrap(data)
     if tape is not None:
 
         def bwd():
@@ -183,25 +201,25 @@ def matmul(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
             f"matmul: inner dimensions disagree, {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
         )
     a_data, b_data = a.data, b.data
-    return _record(tape, Matrix(a_data @ b_data),
+    return _record(tape, a_data @ b_data,
                    (a, lambda g: g @ b_data.T), (b, lambda g: a_data.T @ g))
 
 
 def transpose(a: Matrix, tape: Tape | None = None) -> Matrix:
-    return _record(tape, Matrix(a.data.T.copy()), (a, lambda g: g.T))
+    return _record(tape, a.data.T.copy(), (a, lambda g: g.T))
 
 
 def add(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
     """Elementwise sum; an operand with a length-1 axis broadcasts."""
     _broadcast_shape(a, b, "add")
-    return _record(tape, Matrix(a.data + b.data),
+    return _record(tape, a.data + b.data,
                    (a, lambda g: _unbroadcast(g, a.shape)),
                    (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def subtract(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
     _broadcast_shape(a, b, "subtract")
-    return _record(tape, Matrix(a.data - b.data),
+    return _record(tape, a.data - b.data,
                    (a, lambda g: _unbroadcast(g, a.shape)),
                    (b, lambda g: -_unbroadcast(g, b.shape)))
 
@@ -210,7 +228,7 @@ def multiply(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
     """Elementwise (Hadamard) product with the same broadcasting as add."""
     _broadcast_shape(a, b, "multiply")
     a_data, b_data = a.data, b.data
-    return _record(tape, Matrix(a_data * b_data),
+    return _record(tape, a_data * b_data,
                    (a, lambda g: _unbroadcast(g * b_data, a_data.shape)),
                    (b, lambda g: _unbroadcast(g * a_data, b_data.shape)))
 
@@ -218,15 +236,12 @@ def multiply(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
 def scale(a: Matrix, c: float, tape: Tape | None = None) -> Matrix:
     """Multiply every entry by the constant c."""
     c = float(c)
-    return _record(tape, Matrix(a.data * c), (a, lambda g: g * c))
+    return _record(tape, a.data * c, (a, lambda g: g * c))
 
 
 def relu(a: Matrix, tape: Tape | None = None) -> Matrix:
-    out = Matrix(np.maximum(a.data, 0.0))
-    if tape is None:
-        return out
-    mask = (a.data > 0.0).astype(np.float64)
-    return _record(tape, out, (a, lambda g: g * mask))
+    mask = (a.data > 0.0).astype(np.float64) if tape is not None else None
+    return _record(tape, np.maximum(a.data, 0.0), (a, lambda g: g * mask))
 
 
 def sigmoid(a: Matrix, tape: Tape | None = None) -> Matrix:
@@ -237,7 +252,7 @@ def sigmoid(a: Matrix, tape: Tape | None = None) -> Matrix:
     s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     e = np.exp(x[~pos])
     s[~pos] = e / (1.0 + e)
-    return _record(tape, Matrix(s), (a, lambda g: g * s * (1.0 - s)))
+    return _record(tape, s, (a, lambda g: g * s * (1.0 - s)))
 
 
 def log(a: Matrix, tape: Tape | None = None) -> Matrix:
@@ -245,7 +260,7 @@ def log(a: Matrix, tape: Tape | None = None) -> Matrix:
     if np.any(a.data <= 0.0):
         raise NumericError("log: input has non-positive entries")
     a_data = a.data
-    return _record(tape, Matrix(np.log(a_data)), (a, lambda g: g / a_data))
+    return _record(tape, np.log(a_data), (a, lambda g: g / a_data))
 
 
 def sqrt(a: Matrix, tape: Tape | None = None) -> Matrix:
@@ -260,7 +275,7 @@ def sqrt(a: Matrix, tape: Tape | None = None) -> Matrix:
         d[nz] = 0.5 / root[nz]
         return g * d
 
-    return _record(tape, Matrix(root), (a, grad))
+    return _record(tape, root, (a, grad))
 
 
 def rsqrt(a: Matrix, tape: Tape | None = None) -> Matrix:
@@ -268,44 +283,47 @@ def rsqrt(a: Matrix, tape: Tape | None = None) -> Matrix:
     if np.any(a.data <= 0.0):
         raise NumericError("rsqrt: input has non-positive entries")
     a_data = a.data
-    out = Matrix(1.0 / np.sqrt(a_data))
-    val = out.data
-    return _record(tape, out, (a, lambda g: g * (-0.5) * val / a_data))
+    val = 1.0 / np.sqrt(a_data)
+    return _record(tape, val, (a, lambda g: g * (-0.5) * val / a_data))
 
 
 def clip(a: Matrix, lo: float, hi: float, tape: Tape | None = None) -> Matrix:
     """Clamp to [lo, hi]; gradient passes through unclipped entries only."""
-    out = Matrix(np.clip(a.data, lo, hi))
-    if tape is None:
-        return out
-    mask = ((a.data >= lo) & (a.data <= hi)).astype(np.float64)
-    return _record(tape, out, (a, lambda g: g * mask))
+    mask = ((a.data >= lo) & (a.data <= hi)).astype(np.float64) if tape is not None else None
+    return _record(tape, np.clip(a.data, lo, hi), (a, lambda g: g * mask))
 
 
 def sum_all(a: Matrix, tape: Tape | None = None) -> Matrix:
     """Sum of all entries, as a 1x1 matrix."""
     shape = a.shape
-    return _record(tape, Matrix.scalar(float(a.data.sum())),
+    return _record(tape, np.full((1, 1), float(a.data.sum())),
                    (a, lambda g: np.full(shape, g[0, 0])))
 
 
 def column_softmax(a: Matrix, tape: Tape | None = None) -> Matrix:
     """Softmax over each column (the first index), max-stabilized."""
-    if not np.all(np.isfinite(a.data)):
+    s = _column_softmax_in_place(a.data.copy())
+    return _record(tape, s, (a, lambda g: s * (g - (g * s).sum(axis=0, keepdims=True))))
+
+
+def _column_softmax_in_place(s: np.ndarray) -> np.ndarray:
+    """Softmax each column of `s` in its own buffer and return `s`.
+
+    The shift, exp and divide run in place, in the order of the
+    three-temporary formula, so the bytes equal it.
+    """
+    if not np.all(np.isfinite(s)):
         raise NumericError("column_softmax: input contains NaN or Inf")
-    # One T x T buffer, the output's own copy of the input, worked in place.
-    out = Matrix(a.data)
-    s = out.data
     s -= s.max(axis=0, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=0, keepdims=True)
-    return _record(tape, out, (a, lambda g: s * (g - (g * s).sum(axis=0, keepdims=True))))
+    return s
 
 
 def row_norms_squared(a: Matrix, tape: Tape | None = None) -> Matrix:
     """Column vector of squared Euclidean row norms."""
     a_data = a.data
-    return _record(tape, Matrix(np.sum(a_data * a_data, axis=1, keepdims=True)),
+    return _record(tape, np.sum(a_data * a_data, axis=1, keepdims=True),
                    (a, lambda g: 2.0 * a_data * g))
 
 
@@ -338,7 +356,7 @@ def row_window(a: Matrix, start: int, count: int, tape: Tape | None = None) -> M
             rows[n - 1] += g[t]
         return rows
 
-    return _record(tape, Matrix(out), (a, scatter))
+    return _record(tape, out, (a, scatter))
 
 
 def concat_rows(mats: list[Matrix], tape: Tape | None = None) -> Matrix:
@@ -350,6 +368,6 @@ def concat_rows(mats: list[Matrix], tape: Tape | None = None) -> Matrix:
         if m.cols != cols:
             raise ShapeError(f"concat_rows: column counts differ ({m.cols} vs {cols})")
     offsets = np.cumsum([0] + [m.rows for m in mats])
-    return _record(tape, Matrix(np.vstack([m.data for m in mats])),
+    return _record(tape, np.vstack([m.data for m in mats]),
                    *((m, lambda g, lo=lo, hi=hi: g[lo:hi])
                      for m, lo, hi in zip(mats, offsets[:-1], offsets[1:])))

@@ -76,10 +76,11 @@ def check_l2_decomposition() -> tuple[bool, str]:
         T, d = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         Q = rng.normal(size=(T, d))
         K = rng.normal(size=(T, d))
-        got = pairwise_similarity(Matrix(Q), Matrix(K), "l2", 1.0).data
         want = np.array([[-np.sum((Q[i] - K[j]) ** 2) for j in range(T)]
                          for i in range(T)])
-        worst = max(worst, np.abs(got - want).max())
+        for tape in (None, Tape()):  # the forward-only buffer and the taped ops
+            got = pairwise_similarity(Matrix(Q), Matrix(K), "l2", 1.0, tape).data
+            worst = max(worst, np.abs(got - want).max())
     return worst < 1e-9, f"max deviation from loop {worst:.2e} (limit 1e-9)"
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,6 +203,51 @@ def test_gda_permutation_equivariant_without_positions():
     unshuffled = np.empty_like(shuffled)
     unshuffled[perm] = shuffled
     np.testing.assert_allclose(unshuffled, base, atol=1e-12)
+
+
+@pytest.mark.parametrize("positions", [False, True], ids=["bare", "positions"])
+@pytest.mark.parametrize("T", [1, 2, 7, 300])
+@pytest.mark.parametrize("kind", att.SIMILARITY_KINDS)
+def test_forward_only_gda_equals_taped_gda_byte_for_byte(kind, T, positions):
+    # d=4 keeps these products in the BLAS's small-matrix range, where a
+    # product taken from a transposed view differs in the last bit
+    rng = np.random.default_rng(T)
+    d = 4
+    p = make_gda(rng, d, kind=kind)
+    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    P = att.sinusoidal_positions(T, d) if positions else None
+    x_bytes = X.data.tobytes()
+    bare = att.gda_forward(X, p, P)
+    taped = att.gda_forward(X, p, P, Tape())
+    assert X.data.tobytes() == x_bytes
+    assert bare.features.data.tobytes() == taped.features.data.tobytes()
+    assert bare.weights.data.tobytes() == taped.weights.data.tobytes()
+    assert bare.weights.data.flags.c_contiguous
+    Q, K = Matrix(rng.normal(size=(T, d))), Matrix(rng.normal(size=(T, d)))
+    q_bytes, k_bytes = Q.data.tobytes(), K.data.tobytes()
+    sim = att.pairwise_similarity(Q, K, kind, 3.0)
+    assert sim.data.tobytes() == att.pairwise_similarity(Q, K, kind, 3.0, Tape()).data.tobytes()
+    assert Q.data.tobytes() == q_bytes and K.data.tobytes() == k_bytes
+
+
+def test_forward_only_gda_holds_one_t_by_t_buffer():
+    T, d = 1000, 64
+    rng = np.random.default_rng(0)
+    p = make_gda(rng, d)
+    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    tracemalloc.start()
+    try:
+        att.gda_forward(X, p, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * T * T * 8
+
+
+@pytest.mark.parametrize("n", [1, 7, 256, 300, 513])
+def test_transpose_in_place_equals_the_copied_transpose(n):
+    a = np.random.default_rng(n).normal(size=(n, n))
+    assert att._transpose_in_place(a.copy()).tobytes() == a.T.copy().tobytes()
 
 
 # ---------------------------------------------------------------------------

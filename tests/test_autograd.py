@@ -59,6 +59,15 @@ def test_add_shape_mismatch():
         ag.add(Matrix(np.zeros((2, 3))), Matrix(np.zeros((3, 2))))
 
 
+def test_matrix_keeps_its_own_copy_of_the_callers_array():
+    arr = np.arange(6.0).reshape(2, 3)
+    m = Matrix(arr)
+    col = Matrix.column(arr[0])
+    arr[:] = -1.0
+    np.testing.assert_array_equal(m.data, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    np.testing.assert_array_equal(col.data, [[0.0], [1.0], [2.0]])
+
+
 def test_item_requires_scalar():
     with pytest.raises(ag.ShapeError):
         Matrix(np.zeros((2, 1))).item()
@@ -486,3 +495,37 @@ def test_op_whose_output_misses_the_loss_leaves_operand_grads_unset(shapes, call
     tape = Tape()
     ag.backward(ag.sum_all(call(ms, tape), tape), tape)
     assert all(m.grad is not None and m.grad.shape == m.shape for m in ms)
+
+
+@pytest.mark.parametrize("shapes, call, lo", OP_CASES)
+def test_op_result_owns_a_fresh_c_contiguous_float64_buffer(shapes, call, lo):
+    # in-place softmax and Adam rely on results that alias nothing
+    ms = operands(shapes, lo)
+    for tape in (None, Tape()):
+        out = call(ms, tape).data
+        assert out.ndim == 2 and out.dtype == np.float64 and out.flags.c_contiguous
+        assert not any(np.shares_memory(out, m.data) for m in ms)
+
+
+@pytest.mark.parametrize("m", [Matrix.zeros(2, 3), Matrix.ones(3, 1), Matrix.scalar(2.5),
+                               Matrix.column([1, 2, 3])],
+                         ids=["zeros", "ones", "scalar", "column"])
+def test_constructors_build_c_contiguous_float64_matrices(m):
+    assert m.data.ndim == 2 and m.data.dtype == np.float64
+    assert m.data.flags.c_contiguous and m.grad is None
+
+
+@pytest.mark.parametrize("op", [
+    lambda a, tape: ag.matmul(a, a, tape),
+    lambda a, tape: ag.add(a, a, tape),
+    lambda a, tape: ag.transpose(a, tape),
+], ids=["matmul", "add", "transpose"])
+def test_op_result_is_not_copied_on_the_way_out(op):
+    a = Matrix(np.random.default_rng(0).normal(size=(500, 500)))
+    tracemalloc.start()
+    try:
+        op(a, Tape())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * a.data.nbytes
