@@ -108,14 +108,15 @@ def sinusoidal_positions(frame_count: int, dim: int) -> Matrix:
 
 def pairwise_similarity(Q: Matrix, K: Matrix, kind: str, scale_q: float,
                         tape: Tape | None = None) -> Matrix:
-    """T x T matrix of s(q_i, k_j) / sqrt(scale_q).
+    """T x T matrix of s(q_i, k_j) / sqrt(scale_q), as one recorded op.
 
     The l2 kind (-|u-v|^2) is computed in the decomposed form
     2 u.v - |u|^2 - |v|^2, which is two rank-T products instead of a
     T^2 x d expansion and shares its heavy lifting with the dot kind.
-    Without a tape the chain after Q K^T runs in place in that product's
-    buffer, with the taped chain's operations in its order, so both give
-    the same bytes from one T x T array.
+    The kind's tail runs in place in the buffer of Q K^T, and the
+    backward replays the generic-op chain's steps with its numpy and BLAS
+    calls, so both have its bytes. The record never reads the result, so
+    the caller may work in its buffer (autograd's one such exception).
     """
     if Q.shape != K.shape:
         raise ShapeError(f"similarity operands differ: {Q.rows}x{Q.cols} vs {K.rows}x{K.cols}")
@@ -123,34 +124,42 @@ def pairwise_similarity(Q: Matrix, K: Matrix, kind: str, scale_q: float,
         raise ContractError(f"scale_q must be positive, got {scale_q}")
     if kind not in SIMILARITY_KINDS:
         raise ContractError(f"unknown similarity kind: {kind!r}")
-    if kind == "cosine" and (np.any(np.sum(Q.data * Q.data, axis=1) == 0.0)
-                             or np.any(np.sum(K.data * K.data, axis=1) == 0.0)):
+    q, k, kt = Q.data, K.data, K.data.T.copy()
+    sq_q, sq_k = np.sum(q * q, axis=1, keepdims=True), np.sum(k * k, axis=1, keepdims=True)
+    if kind == "cosine" and (np.any(sq_q == 0.0) or np.any(sq_k == 0.0)):
         raise NumericError("cosine similarity undefined for zero-norm rows")
     c = 1.0 / np.sqrt(scale_q)
-    dots = ag.matmul(Q, ag.transpose(K, tape), tape)
-    if tape is None:
-        s = dots.data
+    s = q @ kt
+    if kind == "cosine":
+        inv_q, inv_k = 1.0 / np.sqrt(sq_q), 1.0 / np.sqrt(sq_k)
+        s *= inv_q
+        s *= inv_k.T
+    elif kind == "l2":
+        s *= 2.0
+        s -= sq_q
+        s -= sq_k.T
+    s *= c
+
+    def shares(g):
+        g = g * c
         if kind == "cosine":
-            s *= ag.rsqrt(ag.row_norms_squared(Q)).data
-            s *= ag.rsqrt(ag.row_norms_squared(K)).data.T
+            dots = q @ kt  # the forward's call again, rather than a stored T x T copy
+            d_inv_k = (g * (dots * inv_q)).sum(axis=0, keepdims=True).T
+            g *= inv_k.T
+            d_inv_q = (g * dots).sum(axis=1, keepdims=True)
+            g *= inv_q
+            d_sq_k = d_inv_k * (-0.5) * inv_k / sq_k
+            d_sq_q = d_inv_q * (-0.5) * inv_q / sq_q
         elif kind == "l2":
-            s *= 2.0
-            s -= ag.row_norms_squared(Q).data
-            s -= ag.row_norms_squared(K).data.T
-        s *= c
-        return dots
-    if kind == "dot":
-        sim = dots
-    elif kind == "cosine":
-        inv_q = ag.rsqrt(ag.row_norms_squared(Q, tape), tape)
-        inv_k = ag.rsqrt(ag.row_norms_squared(K, tape), tape)
-        sim = ag.multiply(ag.multiply(dots, inv_q, tape), ag.transpose(inv_k, tape), tape)
-    else:
-        twice_dots = ag.scale(dots, 2.0, tape)
-        sq_q = ag.row_norms_squared(Q, tape)
-        sq_k = ag.row_norms_squared(K, tape)
-        sim = ag.subtract(ag.subtract(twice_dots, sq_q, tape), ag.transpose(sq_k, tape), tape)
-    return ag.scale(sim, c, tape)
+            d_sq_k = -g.sum(axis=0, keepdims=True).T
+            d_sq_q = -g.sum(axis=1, keepdims=True)
+            g *= 2.0
+        products = (g @ kt.T, (q.T @ g).T)
+        return products if kind == "dot" else (2.0 * k * d_sq_k, 2.0 * q * d_sq_q, *products)
+
+    # the chain adds the norms' shares (K's, then Q's) before the product's
+    operands = (Q, K) if kind == "dot" else (K, Q, Q, K)
+    return ag._record(tape, s, (operands, shares))
 
 
 _TRANSPOSE_BLOCK = 256  # a 512 KiB tile of float64
@@ -179,14 +188,15 @@ def gda_forward(X: Matrix, p: GdaParams, positions: Matrix | None,
     always project the raw features. Output row j mixes the value rows
     with the j-th column of the normalized weights.
 
-    Without a tape the T x T similarity buffer is the only one: it is
-    softmaxed in place, then transposed in place so that its product with
-    V is the taped chain's BLAS call on the copied transpose (a product
-    from a transposed view can differ in the last bit), then transposed
-    back to hold the weights.
+    The similarity's T x T buffer, which its record never reads, is the
+    only one with or without a tape: it is softmaxed in place, then
+    transposed in place so that its product with V is the chain's BLAS
+    call on the copied transpose (a product from a transposed view can
+    differ in the last bit), then transposed back to hold the weights.
     """
     if X.cols != p.Wq.rows:
         raise ShapeError(f"feature dim {X.cols} does not match projection dim {p.Wq.rows}")
+    Xp = X
     if positions is not None:
         if positions.shape != X.shape:
             raise ShapeError(
@@ -194,19 +204,16 @@ def gda_forward(X: Matrix, p: GdaParams, positions: Matrix | None,
                 f"features {X.rows}x{X.cols}"
             )
         Xp = ag.add(X, positions, tape)
-    else:
-        Xp = X
     Q = ag.matmul(Xp, p.Wq, tape)
     K = ag.matmul(Xp, p.Wk, tape)
     V = ag.matmul(X, p.Wv, tape)
     A = pairwise_similarity(Q, K, p.sim_kind, p.scale_q, tape)
-    if tape is not None:
-        At = ag.column_softmax(A, tape)
-        return AttentionOutput(features=ag.matmul(ag.transpose(At, tape), V, tape), weights=At)
-    _transpose_in_place(ag._column_softmax_in_place(A.data))  # A holds transpose(At)
-    features = ag.matmul(A, V)
-    _transpose_in_place(A.data)  # A holds At
-    return AttentionOutput(features=features, weights=A)
+    weights = ag._column_softmax_in(A.data, A, tape)
+    w, v = weights.data, V.data
+    mixed = _transpose_in_place(w) @ v
+    _transpose_in_place(w)
+    features = ag._record(tape, mixed, ((weights, V), lambda g: ((g @ v.T).T, w.T.copy().T @ g)))
+    return AttentionOutput(features=features, weights=weights)
 
 
 def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionOutput:

@@ -14,15 +14,17 @@ Conventions:
     mutated in place (the recorded closures keep references, not copies)
 
 Recording contract: every operation computes its result array and
-returns it through ``_record``, the one place a tape record is made.
+returns it through ``_record``, the one place that looks at the tape.
 ``_record`` wraps that array without a copy, so every result owns a
 fresh 2-D, C-contiguous float64 buffer that shares no memory with its
 operands; the public ``Matrix(data)`` constructor copies. Called with a
 tape, an operation adds exactly one record; with ``tape=None`` it adds
-none and computes the same forward values. A record adds to an
-operand's gradient only once a gradient has reached the operation's
-output, so an operand whose results never reach the loss keeps
-``.grad`` as it was (None, if never zeroed).
+none and runs the same code to the same forward values. A record adds
+to an operand's gradient only once a gradient has reached the
+operation's output, so an operand whose results never reach the loss
+keeps ``.grad`` as it was (None, if never zeroed). One result may be
+mutated while a tape is alive: ``attention.pairwise_similarity``'s,
+whose record never reads its values; ``gda_forward`` softmaxes it in place.
 """
 
 from __future__ import annotations
@@ -134,8 +136,6 @@ def _accum(m: Matrix, g: np.ndarray):
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Sum gradient g down to `shape` across any broadcast axes."""
-    if g.shape == shape:
-        return g
     out = g
     if shape[0] == 1 and g.shape[0] != 1:
         out = out.sum(axis=0, keepdims=True)
@@ -172,8 +172,9 @@ def _record(tape: Tape | None, data: np.ndarray, *contributions) -> Matrix:
     backward on `tape` when there is one.
 
     Each contribution is an (operand, fn) pair: fn maps the output's
-    gradient to the operand's share of it. The record adds those shares
-    one operand at a time, in the order given, and does nothing while no
+    gradient to the operand's share of it; for a tuple of operands, fn
+    returns one share per operand. The record adds the shares one
+    operand at a time, in the order given, and does nothing while no
     gradient has reached the result.
     """
     out = Matrix._wrap(data)
@@ -184,7 +185,11 @@ def _record(tape: Tape | None, data: np.ndarray, *contributions) -> Matrix:
             if g is None:
                 return
             for m, fn in contributions:
-                _accum(m, fn(g))
+                if isinstance(m, Matrix):
+                    _accum(m, fn(g))
+                else:
+                    for operand, share in zip(m, fn(g)):
+                        _accum(operand, share)
 
         tape.record(bwd)
     return out
@@ -240,8 +245,8 @@ def scale(a: Matrix, c: float, tape: Tape | None = None) -> Matrix:
 
 
 def relu(a: Matrix, tape: Tape | None = None) -> Matrix:
-    mask = (a.data > 0.0).astype(np.float64) if tape is not None else None
-    return _record(tape, np.maximum(a.data, 0.0), (a, lambda g: g * mask))
+    a_data = a.data
+    return _record(tape, np.maximum(a_data, 0.0), (a, lambda g: g * (a_data > 0.0)))
 
 
 def sigmoid(a: Matrix, tape: Tape | None = None) -> Matrix:
@@ -289,8 +294,9 @@ def rsqrt(a: Matrix, tape: Tape | None = None) -> Matrix:
 
 def clip(a: Matrix, lo: float, hi: float, tape: Tape | None = None) -> Matrix:
     """Clamp to [lo, hi]; gradient passes through unclipped entries only."""
-    mask = ((a.data >= lo) & (a.data <= hi)).astype(np.float64) if tape is not None else None
-    return _record(tape, np.clip(a.data, lo, hi), (a, lambda g: g * mask))
+    a_data = a.data
+    return _record(tape, np.clip(a_data, lo, hi),
+                   (a, lambda g: g * ((a_data >= lo) & (a_data <= hi))))
 
 
 def sum_all(a: Matrix, tape: Tape | None = None) -> Matrix:
@@ -302,12 +308,11 @@ def sum_all(a: Matrix, tape: Tape | None = None) -> Matrix:
 
 def column_softmax(a: Matrix, tape: Tape | None = None) -> Matrix:
     """Softmax over each column (the first index), max-stabilized."""
-    s = _column_softmax_in_place(a.data.copy())
-    return _record(tape, s, (a, lambda g: s * (g - (g * s).sum(axis=0, keepdims=True))))
+    return _column_softmax_in(a.data.copy(), a, tape)
 
 
-def _column_softmax_in_place(s: np.ndarray) -> np.ndarray:
-    """Softmax each column of `s` in its own buffer and return `s`.
+def _column_softmax_in(s: np.ndarray, a: Matrix, tape: Tape | None) -> Matrix:
+    """Column softmax of `a` computed in `s`, a copy of a.data or a.data itself.
 
     The shift, exp and divide run in place, in the order of the
     three-temporary formula, so the bytes equal it.
@@ -317,7 +322,7 @@ def _column_softmax_in_place(s: np.ndarray) -> np.ndarray:
     s -= s.max(axis=0, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=0, keepdims=True)
-    return s
+    return _record(tape, s, (a, lambda g: s * (g - (g * s).sum(axis=0, keepdims=True))))
 
 
 def row_norms_squared(a: Matrix, tape: Tape | None = None) -> Matrix:

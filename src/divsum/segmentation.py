@@ -127,8 +127,7 @@ def kts_segment(X, max_shots: int) -> ShotPartition:
     wins all argmin ties, so exactly piecewise-constant input recovers
     the fewest segments that fit it.
 
-    Degenerate sizes: T < max_shots returns T singleton shots; a single
-    frame is its own shot.
+    Degenerate sizes: T < max_shots returns T singleton shots.
     """
     feats = X.data if isinstance(X, Matrix) else np.asarray(X, dtype=np.float64)
     T = feats.shape[0]
@@ -138,10 +137,8 @@ def kts_segment(X, max_shots: int) -> ShotPartition:
         raise ContractError(f"max_shots must be >= 1, got {max_shots}")
     if T < max_shots:
         return _singleton_partition(T)
-    if T == 1:
-        return ShotPartition(change_points=np.array([0]), shot_lengths=np.array([1]))
 
-    M = int(min(max_shots, T))
+    M = int(max_shots)
     K = feats @ feats.T
     table = _scatter_table(K)
 

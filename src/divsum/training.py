@@ -133,7 +133,10 @@ class TrainResult:
     state: AdamState  # final optimizer state, checkpoint-ready
     history: list[float]  # per-epoch mean total loss
     part_history: dict[str, list[float]]  # "cls" (supervised), "repel", "recon"
-    epochs_run: int
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.history)
 
 
 def train(videos: list, cfg: TrainConfig) -> TrainResult:
@@ -164,15 +167,13 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
     labels = [np.asarray(v.gt_binary, dtype=np.float64) if cfg.supervised else None
               for v in videos]
 
-    history: list[float] = []
-    part_history: dict[str, list[float]] = {"repel": [], "recon": []}
+    curves: dict[str, list[float]] = {"total": [], "repel": [], "recon": []}  # epoch means
     if cfg.supervised:
-        part_history["cls"] = []
+        curves["cls"] = []
     best = np.inf
     stale = 0
-    epochs_run = 0
     for epoch in range(cfg.epochs):
-        totals, clses, repels, recons = [], [], [], []
+        losses = {name: [] for name in curves}  # this epoch's, one per video
         for i in order:
             params.zero_grads()
             tape = Tape()
@@ -183,27 +184,20 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
                                    f"in epoch {epoch}; training stopped before the update")
             ag.backward(out.total, tape)
             adam_step(params, state, cfg)
-            totals.append(loss)
-            repels.append(out.parts.repel.item())
-            recons.append(out.parts.recon.item())
-            if out.parts.cls is not None:
-                clses.append(out.parts.cls.item())
-        history.append(float(np.mean(totals)))
-        part_history["repel"].append(float(np.mean(repels)))
-        part_history["recon"].append(float(np.mean(recons)))
-        if cfg.supervised:
-            part_history["cls"].append(float(np.mean(clses)))
-        epochs_run += 1
+            for name, values in losses.items():
+                values.append(loss if name == "total" else getattr(out.parts, name).item())
+        for name, values in losses.items():
+            curves[name].append(float(np.mean(values)))
         if cfg.early_stop:
-            if history[-1] < best - cfg.min_delta:
-                best = history[-1]
+            if curves["total"][-1] < best - cfg.min_delta:
+                best = curves["total"][-1]
                 stale = 0
             else:
                 stale += 1
                 if stale >= cfg.patience:
                     break
-    return TrainResult(params=params, state=state, history=history,
-                       part_history=part_history, epochs_run=epochs_run)
+    history = curves.pop("total")
+    return TrainResult(params=params, state=state, history=history, part_history=curves)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,16 @@
 Everything here is deliberately written the slow, obvious way: explicit
 Python loops, no shared code with the package under test, no clever
 vectorization. When a package op and its oracle agree, the agreement is
-evidence, not circularity.
+evidence, not circularity. The one exception is the chain of generic
+autograd ops for global attention: it pins the fused ops' bytes, and
+its ops are checked against finite differences on their own.
 """
 
 import warnings
 
 import numpy as np
+
+from divsum import autograd as ag
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +128,35 @@ def naive_global_attention(X, Wq, Wk, Wv, kind, scale_q, positions=None):
         for i in range(T):
             out[j] += At[i, j] * V[i]
     return out, At
+
+
+def similarity_chain(Q, K, kind, scale_q, tape=None):
+    """pairwise_similarity as a chain of generic autograd ops, one record
+    each: 10 records for cosine, 9 for l2, 3 for dot."""
+    c = 1.0 / np.sqrt(scale_q)
+    dots = ag.matmul(Q, ag.transpose(K, tape), tape)
+    if kind == "dot":
+        sim = dots
+    elif kind == "cosine":
+        inv_q = ag.rsqrt(ag.row_norms_squared(Q, tape), tape)
+        inv_k = ag.rsqrt(ag.row_norms_squared(K, tape), tape)
+        sim = ag.multiply(ag.multiply(dots, inv_q, tape), ag.transpose(inv_k, tape), tape)
+    else:
+        twice_dots = ag.scale(dots, 2.0, tape)
+        sq_q = ag.row_norms_squared(Q, tape)
+        sq_k = ag.row_norms_squared(K, tape)
+        sim = ag.subtract(ag.subtract(twice_dots, sq_q, tape), ag.transpose(sq_k, tape), tape)
+    return ag.scale(sim, c, tape)
+
+
+def gda_chain(X, p, positions, tape=None):
+    """gda_forward as a chain of generic autograd ops: (features, weights)."""
+    Xp = ag.add(X, positions, tape) if positions is not None else X
+    Q = ag.matmul(Xp, p.Wq, tape)
+    K = ag.matmul(Xp, p.Wk, tape)
+    V = ag.matmul(X, p.Wv, tape)
+    At = ag.column_softmax(similarity_chain(Q, K, p.sim_kind, p.scale_q, tape), tape)
+    return ag.matmul(ag.transpose(At, tape), V, tape), At
 
 
 def naive_local_attention(X, Wq, Wk, Wv, rel, radius, variant, boundary="clamp"):

@@ -230,18 +230,94 @@ def test_forward_only_gda_equals_taped_gda_byte_for_byte(kind, T, positions):
     assert Q.data.tobytes() == q_bytes and K.data.tobytes() == k_bytes
 
 
-def test_forward_only_gda_holds_one_t_by_t_buffer():
+@pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
+def test_forward_only_gda_holds_one_t_by_t_buffer(taped):
     T, d = 1000, 64
     rng = np.random.default_rng(0)
     p = make_gda(rng, d)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
     tracemalloc.start()
     try:
-        att.gda_forward(X, p, None)
+        att.gda_forward(X, p, None, Tape() if taped else None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * T * T * 8
+
+
+def gda_grads(run, p, X, loss, rng):
+    """Output bytes and the Wq, Wk, Wv and X gradients of a loss on the
+    features, the weights or both, for run(tape) -> (features, weights)."""
+    T, d = X.shape
+    mix_f = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    mix_w = Matrix(rng.uniform(-1, 1, size=(T, T)))
+    mats = [p.Wq, p.Wk, p.Wv, X]
+    for m in mats:
+        m.zero_grad()
+    tape = Tape()
+    features, weights = run(tape)
+    terms = []
+    if loss in ("features", "both"):
+        terms.append(ag.sum_all(ag.multiply(features, mix_f, tape), tape))
+    if loss in ("weights", "both"):
+        terms.append(ag.sum_all(ag.multiply(weights, mix_w, tape), tape))
+    ag.backward(terms[0] if len(terms) == 1 else ag.add(*terms, tape), tape)
+    return [a.tobytes() for a in [features.data, weights.data] + [m.grad for m in mats]]
+
+
+@pytest.mark.parametrize("loss", ["features", "weights", "both"])
+@pytest.mark.parametrize("positions", [False, True], ids=["bare", "positions"])
+@pytest.mark.parametrize("T", [1, 2, 7, 300])
+@pytest.mark.parametrize("kind", att.SIMILARITY_KINDS)
+def test_gda_bytes_and_grads_equal_the_generic_op_chain(kind, T, positions, loss):
+    # d=4 keeps the products in the BLAS's small-matrix range
+    rng = np.random.default_rng(T)
+    d = 4
+    p = make_gda(rng, d, kind=kind)
+    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    P = att.sinusoidal_positions(T, d) if positions else None
+
+    def fused(tape):
+        out = att.gda_forward(X, p, P, tape)
+        return out.features, out.weights
+
+    want = gda_grads(lambda tape: oracles.gda_chain(X, p, P, tape), p, X, loss,
+                     np.random.default_rng(1))
+    assert gda_grads(fused, p, X, loss, np.random.default_rng(1)) == want
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["q-k", "q-is-k"])
+@pytest.mark.parametrize("T", [1, 2, 7, 300])
+@pytest.mark.parametrize("kind", att.SIMILARITY_KINDS)
+def test_similarity_bytes_and_grads_equal_the_generic_op_chain(kind, T, shared):
+    rng = np.random.default_rng(T)
+    Q, K = Matrix(rng.normal(size=(T, 4))), Matrix(rng.normal(size=(T, 4)))
+    if shared:
+        K = Q
+    mix = Matrix(rng.normal(size=(T, T)))
+    held = rng.normal(size=(2, T, 4))  # gradients already accumulated
+
+    def run(similarity):
+        Q.grad, K.grad = held[0].copy(), held[1].copy()
+        tape = Tape()
+        sim = similarity(Q, K, kind, 3.0, tape)
+        ag.backward(ag.sum_all(ag.multiply(sim, mix, tape), tape), tape)
+        return [a.tobytes() for a in (sim.data, Q.grad, K.grad)]
+
+    assert run(att.pairwise_similarity) == run(oracles.similarity_chain)
+
+
+@pytest.mark.parametrize("kind", att.SIMILARITY_KINDS)
+def test_gda_forward_makes_seven_records_with_positions(kind):
+    rng = np.random.default_rng(0)
+    T, d = 5, 4
+    p = make_gda(rng, d, kind=kind)
+    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    tape = Tape()
+    att.gda_forward(X, p, att.sinusoidal_positions(T, d), tape)
+    assert len(tape) == 7  # add, three projections, similarity, softmax, product
+    att.gda_forward(X, p, None, tape)
+    assert len(tape) == 13
 
 
 @pytest.mark.parametrize("n", [1, 7, 256, 300, 513])

@@ -1,5 +1,7 @@
+import ast
 import inspect
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,6 +414,17 @@ def test_clip_blocks_gradient_outside_bounds():
     np.testing.assert_array_equal(a.grad, [[0.0, 0.0, 1.0]])
 
 
+def test_relu_and_clip_gradients_at_the_boundaries():
+    # relu passes no gradient at 0; clip passes it at both bounds
+    a = Matrix([[0.0, -1.0, 1.0, 0.5]])
+    for op, want in ((lambda m, tape: ag.relu(m, tape), [[0.0, 0.0, 1.0, 1.0]]),
+                     (lambda m, tape: ag.clip(m, -1.0, 1.0, tape), [[1.0, 1.0, 1.0, 1.0]])):
+        a.zero_grad()
+        tape = Tape()
+        ag.backward(ag.sum_all(op(a, tape), tape), tape)
+        np.testing.assert_array_equal(a.grad, want)
+
+
 def test_zero_grad_resets_between_steps():
     a = Matrix([[1.0]])
     for _ in range(2):
@@ -529,3 +542,28 @@ def test_op_result_is_not_copied_on_the_way_out(op):
     finally:
         tracemalloc.stop()
     assert peak < 1.2 * a.data.nbytes
+
+
+def test_only_record_asks_whether_there_is_a_tape():
+    # one path per op: every op runs the same code with and without a
+    # tape, and only _record decides whether a record is made
+    src = Path(ag.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            allowed = path.name == "autograd.py" and fn.name == "_record"
+            for node in ast.walk(fn):
+                asks = (isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+                        and node.left.id == "tape"
+                        and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                        and any(isinstance(c, ast.Constant) and c.value is None
+                                for c in node.comparators))
+                records = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                           and node.func.attr == "record" and isinstance(node.func.value, ast.Name)
+                           and node.func.value.id == "tape")
+                if (asks or records) and not allowed:
+                    found.append(f"{path.name}:{node.lineno} in {fn.name}")
+    assert found == []

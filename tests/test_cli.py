@@ -171,6 +171,14 @@ def test_errors_exit_nonzero(tmp_path, capsys, monkeypatch):
                "--data", str(tmp_path)) == 1
 
 
+def test_synth_refuses_a_name_that_leaves_the_dataset(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("synth", "--out", "ds", "--name", "../escaped") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "../escaped_000" in err[0]
+    assert list(tmp_path.rglob("*")) == []
+
+
 def test_summarize_names_a_missing_checkpoint_parameter(tmp_path, dataset, capsys):
     cfg_raw = config_to_text(TrainConfig()).encode("utf-8")
     ckpt = tmp_path / "empty.ckpt"

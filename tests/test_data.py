@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import time
 
 import numpy as np
 import pytest
@@ -307,6 +309,15 @@ def test_dataset_refuses_empty(tmp_path):
         dat.save_dataset(tmp_path / "ds", [], name="none")
 
 
+@pytest.mark.parametrize("bad", ["", ".", "..", "../escaped_000", "a/b", "a\\b"])
+def test_dataset_refuses_ids_that_are_not_file_names(tmp_path, bad):
+    recs = [dat.VideoRecord(id="fine", features=np.zeros((2, 3))),
+            dat.VideoRecord(id=bad, features=np.zeros((2, 3)))]
+    with pytest.raises(dat.DataFormatError, match=re.escape(f"video id {bad!r}")):
+        dat.save_dataset(tmp_path / "ds", recs, name="bad")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_manifest_dim_mismatch_detected(tmp_path):
     rng = np.random.default_rng(6)
     recs = [dat.VideoRecord(id="a", features=rng.uniform(size=(4, 3)))]
@@ -392,6 +403,28 @@ def test_synth_size_validation():
         dat.synth_generate(dat.SynthSpec(videos=0))
     with pytest.raises(dat.DataFormatError):
         dat.synth_generate(dat.SynthSpec(frames=10, shots_per_video=8))
+
+
+@pytest.mark.parametrize("shots", [16, 20])
+def test_synth_packs_tight_shots_quickly(shots):
+    start = time.perf_counter()
+    recs = dat.synth_generate(dat.SynthSpec(frames=40, shots_per_video=shots))
+    assert time.perf_counter() - start < 1.0
+    for rec in recs:
+        lengths = rec.change_points.shot_lengths
+        assert lengths.sum() == 40 and lengths.size == shots and lengths.min() >= 2
+        if shots == 20:
+            assert lengths.tolist() == [2] * 20
+
+
+def test_default_synth_corpus_bytes_are_pinned(tmp_path):
+    # the packed-shot fallback must leave every accepted rejection draw as it was
+    dat.save_dataset(tmp_path, dat.synth_generate(dat.SynthSpec()), name="synth")
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == (
+        "587578e98d09b9de55c5ea623f2cfbeb0189e6fbb20de9e68ee2ce24b5dc58c2")
 
 
 def test_synth_gt_respects_shot_structure():
