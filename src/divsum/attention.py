@@ -216,6 +216,30 @@ def gda_forward(X: Matrix, p: GdaParams, positions: Matrix | None,
     return AttentionOutput(features=features, weights=weights)
 
 
+def _row_window(a: np.ndarray, start: int, count: int):
+    """Rows clip(start + t, 0, len(a) - 1) of `a` for t < count, and the map of
+    their gradient back onto `a`: it adds the gradient rows into each source
+    row in output-row order, so its bytes equal a scatter-add."""
+    n = len(a)
+    lead = min(max(-start, 0), count)  # output rows clamped to row 0
+    end = min(max(n - start, 0), count)  # rows [lead, end) are in range, the rest clamp high
+    out = np.empty((count, a.shape[1]))
+    out[:lead] = a[0]
+    out[lead:end] = a[start + lead:start + end]
+    out[end:] = a[n - 1]
+
+    def scatter(g):
+        rows = np.zeros_like(a)
+        for t in range(lead):
+            rows[0] += g[t]
+        rows[start + lead:start + end] += g[lead:end]
+        for t in range(end, count):
+            rows[n - 1] += g[t]
+        return rows
+
+    return out, scatter
+
+
 def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionOutput:
     """Windowed attention around every anchor frame, all anchors at once.
 
@@ -231,41 +255,63 @@ def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionO
     the literal variant multiplies the anchor's value row by their sum,
     which normalization pins to 1 (kept for fidelity, see the collapse
     test).
+
+    Seven records for any variant, policy and R: three projections, the
+    (2R+1) x T score block, its softmax in place (the score record never
+    reads its result), the transpose to the weights and the mix. Each
+    backward repeats the op chain's numpy and BLAS calls in its order.
     """
-    T, d = X.shape
-    R = p.neighbor_R
     if X.cols != p.Wq2.rows:
         raise ShapeError(f"feature dim {X.cols} does not match projection dim {p.Wq2.rows}")
-    span = 2 * R + 1
-    Q = ag.matmul(X, p.Wq2, tape)
-    K = ag.matmul(X, p.Wk2, tape)
-    V = ag.matmul(X, p.Wv2, tape)
-    anchors = np.arange(T)
+    T, d = X.shape
+    R, span = p.neighbor_R, 2 * p.neighbor_R + 1
+    Q, K, V = (ag.matmul(X, proj, tape) for proj in (p.Wq2, p.Wk2, p.Wv2))
+    q, k, v, rel = Q.data, K.data, V.data, p.rel_pos.data
 
-    def shifted(M: Matrix, o: int) -> Matrix:
-        """Row h holds window slot o of anchor h, taken from M."""
-        rows = ag.row_window(M, o - R, T, tape)
-        if p.boundary == "zero":
-            src = anchors + o - R
-            rows = ag.multiply(rows, Matrix.column((src >= 0) & (src < T)), tape)
-        return rows
+    def shifted(m: np.ndarray, o: int):
+        """Slot o of every anchor's window, from m, and its gradient map."""
+        rows, scatter = _row_window(m, o - R, T)
+        if p.boundary == "clamp":
+            return rows, scatter
+        src = np.arange(T) + o - R
+        mask = ((src >= 0) & (src < T)).astype(np.float64)[:, None]
+        return rows * mask, lambda g: scatter(g * mask)
 
-    ones_d = Matrix.ones(d, 1)
-    score_rows = []
+    ones_d, c = np.ones((d, 1)), 1.0 / np.sqrt(d)
+    s = np.empty((span, T))
     for o in range(span):
-        key = ag.add(K, ag.row_window(p.rel_pos, abs(o - R), 1, tape), tape)
-        score = ag.matmul(ag.multiply(shifted(Q, o), key, tape), ones_d, tape)
-        score_rows.append(ag.transpose(score, tape))
-    B = ag.scale(ag.concat_rows(score_rows, tape), 1.0 / np.sqrt(d), tape)
-    weights = ag.transpose(ag.column_softmax(B, tape), tape)  # T x (2R+1)
-    if p.variant == "contextual":
-        features = None
-        for o in range(span):
-            slot = ag.matmul(weights, Matrix.column(np.arange(span) == o), tape)
-            term = ag.multiply(shifted(V, o), slot, tape)
-            features = term if features is None else ag.add(features, term, tape)
-    else:  # literal: summed weights times the anchor's own value row
-        features = ag.multiply(V, ag.matmul(weights, Matrix.ones(span, 1), tape), tape)
+        s[o] = ((shifted(q, o)[0] * (k + rel[abs(o - R)])) @ ones_d)[:, 0] * c
+
+    def score_shares(g):
+        g = g * c
+        for o in reversed(range(span)):
+            rows, scatter = shifted(q, o)
+            g_key = g[o][:, None] * rows
+            share = np.zeros_like(rel)
+            share[abs(o - R)] = g_key.sum(axis=0)
+            yield from (scatter(g[o][:, None] * (k + rel[abs(o - R)])), g_key, share)
+
+    scores = ag._record(tape, s, ((Q, K, p.rel_pos) * span, score_shares))
+    weights = ag.transpose(ag._column_softmax_in(s, scores, tape), tape)  # T x (2R+1)
+    w = weights.data
+    if p.variant == "literal":  # summed weights times the anchor's own value row
+        total = w @ np.ones((span, 1))
+        return AttentionOutput(weights=weights, features=ag._record(
+            tape, v * total, (V, lambda g: g * total),
+            (weights, lambda g: (g * v).sum(axis=1, keepdims=True) @ np.ones((1, span)))))
+    mixed = shifted(v, 0)[0] * w[:, :1]
+    for o in range(1, span):
+        mixed += shifted(v, o)[0] * w[:, o:o + 1]
+
+    def mix_shares(g):
+        g_w = np.empty((T, span))
+        for o in reversed(range(span)):
+            rows, scatter = shifted(v, o)
+            g_w[:, o] = (g * rows).sum(axis=1)
+            yield scatter(g * w[:, o:o + 1])
+        yield g_w
+
+    features = ag._record(tape, mixed, ((V,) * span + (weights,), mix_shares))
     return AttentionOutput(features=features, weights=weights)
 
 

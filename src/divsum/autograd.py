@@ -22,9 +22,9 @@ tape, an operation adds exactly one record; with ``tape=None`` it adds
 none and runs the same code to the same forward values. A record adds
 to an operand's gradient only once a gradient has reached the
 operation's output, so an operand whose results never reach the loss
-keeps ``.grad`` as it was (None, if never zeroed). One result may be
-mutated while a tape is alive: ``attention.pairwise_similarity``'s,
-whose record never reads its values; ``gda_forward`` softmaxes it in place.
+keeps ``.grad`` as it was (None, if never zeroed). Two results, whose
+records never read them, are softmaxed in place while a tape is alive:
+``attention.pairwise_similarity``'s and ``lca_forward``'s score block.
 """
 
 from __future__ import annotations
@@ -330,49 +330,3 @@ def row_norms_squared(a: Matrix, tape: Tape | None = None) -> Matrix:
     a_data = a.data
     return _record(tape, np.sum(a_data * a_data, axis=1, keepdims=True),
                    (a, lambda g: 2.0 * a_data * g))
-
-
-def row_window(a: Matrix, start: int, count: int, tape: Tape | None = None) -> Matrix:
-    """`count` rows whose row t is row clip(start + t, 0, rows - 1) of a.
-
-    The rows before row 0 repeat row 0 and the rows past the end repeat the
-    last row. The backward sums the gradient rows into each source row in
-    output-row order, so its bytes equal a scatter-add over the clamped
-    indices: row 0 takes its repeats before its own row, the last row after.
-    """
-    n = a.rows
-    if n < 1 or count < 0:
-        raise ContractError(f"row_window: needs rows >= 1 and count >= 0, "
-                            f"got {n} rows and count {count}")
-    lead = min(max(-start, 0), count)  # output rows clamped to row 0
-    end = min(max(n - start, 0), count)  # rows [lead, end) are in range, the rest clamp high
-    a_data = a.data
-    out = np.empty((count, a.cols))
-    out[:lead] = a_data[0]
-    out[lead:end] = a_data[start + lead:start + end]
-    out[end:] = a_data[n - 1]
-
-    def scatter(g):
-        rows = np.zeros_like(a_data)
-        for t in range(lead):
-            rows[0] += g[t]
-        rows[start + lead:start + end] += g[lead:end]
-        for t in range(end, count):
-            rows[n - 1] += g[t]
-        return rows
-
-    return _record(tape, out, (a, scatter))
-
-
-def concat_rows(mats: list[Matrix], tape: Tape | None = None) -> Matrix:
-    """Stack matrices vertically; all must share a column count."""
-    if not mats:
-        raise ShapeError("concat_rows: empty input")
-    cols = mats[0].cols
-    for m in mats:
-        if m.cols != cols:
-            raise ShapeError(f"concat_rows: column counts differ ({m.cols} vs {cols})")
-    offsets = np.cumsum([0] + [m.rows for m in mats])
-    return _record(tape, np.vstack([m.data for m in mats]),
-                   *((m, lambda g, lo=lo, hi=hi: g[lo:hi])
-                     for m, lo, hi in zip(mats, offsets[:-1], offsets[1:])))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +69,9 @@ class VideoRecord:
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2:
             raise DataFormatError(f"video {self.id}: features must be 2-D")
+        if 0 in feats.shape:
+            raise DataFormatError(f"video {self.id}: features are {feats.shape[0]}x"
+                                  f"{feats.shape[1]}, need at least one frame and one dim")
         if not np.all(np.isfinite(feats)):
             raise DataFormatError(f"video {self.id}: features contain NaN or Inf")
         T = feats.shape[0]
@@ -273,10 +277,14 @@ def save_dataset(directory, records: list[VideoRecord], name: str,
     """Write every record plus a manifest; returns the manifest path.
 
     Refuses, before writing anything, an empty record list, mixed feature
-    dims, and any video id that is not a plain file name stem.
+    dims, duplicate video ids, and any video id that is not a plain file
+    name stem.
     """
     if not records:
         raise DataFormatError("refusing to write an empty dataset")
+    repeated = sorted(i for i, n in Counter(rec.id for rec in records).items() if n > 1)
+    if repeated:
+        raise DataFormatError(f"duplicate video ids: {', '.join(map(repr, repeated))}")
     dim = records[0].dim
     for rec in records:
         if rec.dim != dim:

@@ -3,9 +3,10 @@
 Everything here is deliberately written the slow, obvious way: explicit
 Python loops, no shared code with the package under test, no clever
 vectorization. When a package op and its oracle agree, the agreement is
-evidence, not circularity. The one exception is the chain of generic
-autograd ops for global attention: it pins the fused ops' bytes, and
-its ops are checked against finite differences on their own.
+evidence, not circularity. The exceptions are the chains of generic
+autograd ops for global and local attention: they pin the fused ops'
+bytes, and their ops are checked against finite differences on their
+own.
 """
 
 import warnings
@@ -13,6 +14,7 @@ import warnings
 import numpy as np
 
 from divsum import autograd as ag
+from divsum.autograd import Matrix
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +202,70 @@ def naive_local_attention(X, Wq, Wk, Wv, rel, radius, variant, boundary="clamp")
     return out, weights
 
 
-def gather_rows(a, indices, g):
-    """Row gather and its backward by fancy indexing and np.add.at.
-
-    Returns (a[indices], the gradient w.r.t. a of output gradient g): every
-    gradient row is added into its source row in index order.
-    """
+def gather_rows(a, indices, tape=None):
+    """Rows `indices` of the matrix a, as one recorded op. Its backward
+    adds every gradient row into its source row in index order, by
+    np.add.at into fresh zeros."""
     idx = np.asarray(indices, dtype=np.intp)
-    grad = np.zeros_like(a)
-    np.add.at(grad, idx, g)
-    return a[idx], grad
+
+    def scatter(g):
+        grad = np.zeros_like(a.data)
+        np.add.at(grad, idx, g)
+        return grad
+
+    return ag._record(tape, a.data[idx], (a, scatter))
+
+
+def stack_rows(mats, tape=None):
+    """np.vstack of the matrices, as one recorded op that hands each
+    matrix its rows of the gradient."""
+    offsets = np.cumsum([0] + [m.rows for m in mats])
+    return ag._record(tape, np.vstack([m.data for m in mats]),
+                      *((m, lambda g, lo=lo, hi=hi: g[lo:hi])
+                        for m, lo, hi in zip(mats, offsets[:-1], offsets[1:])))
+
+
+def lca_chain(X, p, tape=None):
+    """lca_forward as a chain of generic autograd ops: (features, weights).
+
+    Per window slot o it gathers the slot's query rows (zeroed past the
+    ends under the zero policy), adds the slot's relative embedding to
+    the keys, and sums their product through a product with a ones
+    column; the slots' score rows are stacked, scaled, column-softmaxed
+    and transposed. The contextual variant adds the slots' value rows,
+    each times its weight column (picked by a one-hot product); the
+    literal one scales the value rows by the summed weights."""
+    T, d = X.shape
+    R = p.neighbor_R
+    span = 2 * R + 1
+    Q = ag.matmul(X, p.Wq2, tape)
+    K = ag.matmul(X, p.Wk2, tape)
+    V = ag.matmul(X, p.Wv2, tape)
+
+    def shifted(M, o):
+        src = np.arange(T) + o - R
+        rows = gather_rows(M, np.clip(src, 0, T - 1), tape)
+        if p.boundary == "zero":
+            rows = ag.multiply(rows, Matrix.column((src >= 0) & (src < T)), tape)
+        return rows
+
+    ones_d = Matrix.ones(d, 1)
+    score_rows = []
+    for o in range(span):
+        key = ag.add(K, gather_rows(p.rel_pos, [abs(o - R)], tape), tape)
+        score = ag.matmul(ag.multiply(shifted(Q, o), key, tape), ones_d, tape)
+        score_rows.append(ag.transpose(score, tape))
+    B = ag.scale(stack_rows(score_rows, tape), 1.0 / np.sqrt(d), tape)
+    weights = ag.transpose(ag.column_softmax(B, tape), tape)
+    if p.variant == "contextual":
+        features = None
+        for o in range(span):
+            slot = ag.matmul(weights, Matrix.column(np.arange(span) == o), tape)
+            term = ag.multiply(shifted(V, o), slot, tape)
+            features = term if features is None else ag.add(features, term, tape)
+    else:
+        features = ag.multiply(V, ag.matmul(weights, Matrix.ones(span, 1), tape), tape)
+    return features, weights
 
 
 def nearest_point_index(x, y, points):

@@ -245,17 +245,16 @@ def test_forward_only_gda_holds_one_t_by_t_buffer(taped):
     assert peak < 1.5 * T * T * 8
 
 
-def gda_grads(run, p, X, loss, rng):
-    """Output bytes and the Wq, Wk, Wv and X gradients of a loss on the
-    features, the weights or both, for run(tape) -> (features, weights)."""
-    T, d = X.shape
-    mix_f = Matrix(rng.uniform(-1, 1, size=(T, d)))
-    mix_w = Matrix(rng.uniform(-1, 1, size=(T, T)))
-    mats = [p.Wq, p.Wk, p.Wv, X]
-    for m in mats:
-        m.zero_grad()
+def loss_grads(run, mats, loss, rng, held=None):
+    """Output bytes and the gradients of `mats` under a loss on the
+    features, the weights or both, for run(tape) -> (features, weights).
+    The gradients start from zero, or from copies of `held`."""
+    for i, m in enumerate(mats):
+        m.grad = np.zeros_like(m.data) if held is None else held[i].copy()
     tape = Tape()
     features, weights = run(tape)
+    mix_f = Matrix(rng.uniform(-1, 1, size=features.shape))
+    mix_w = Matrix(rng.uniform(-1, 1, size=weights.shape))
     terms = []
     if loss in ("features", "both"):
         terms.append(ag.sum_all(ag.multiply(features, mix_f, tape), tape))
@@ -281,9 +280,10 @@ def test_gda_bytes_and_grads_equal_the_generic_op_chain(kind, T, positions, loss
         out = att.gda_forward(X, p, P, tape)
         return out.features, out.weights
 
-    want = gda_grads(lambda tape: oracles.gda_chain(X, p, P, tape), p, X, loss,
-                     np.random.default_rng(1))
-    assert gda_grads(fused, p, X, loss, np.random.default_rng(1)) == want
+    mats = [p.Wq, p.Wk, p.Wv, X]
+    want = loss_grads(lambda tape: oracles.gda_chain(X, p, P, tape), mats, loss,
+                      np.random.default_rng(1))
+    assert loss_grads(fused, mats, loss, np.random.default_rng(1)) == want
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["q-k", "q-is-k"])
@@ -402,6 +402,76 @@ def test_lca_grads_match_fd(variant, boundary):
     numeric = finite_difference_grads(lambda: run()[0].item(), params)
     for m, num in zip(params, numeric):
         np.testing.assert_allclose(m.grad, num, rtol=1e-4, atol=1e-6)
+
+
+def fused_lca(X, p, tape):
+    out = att.lca_forward(X, p, tape)
+    return out.features, out.weights
+
+
+@pytest.mark.parametrize("loss", ["features", "weights", "both"])
+@pytest.mark.parametrize("d", [4, 64])
+@pytest.mark.parametrize("R", [1, 2, 4])
+@pytest.mark.parametrize("T", [1, 2, 7, 300])
+@pytest.mark.parametrize("boundary", att.BOUNDARY_POLICIES)
+@pytest.mark.parametrize("variant", att.LCA_VARIANTS)
+def test_lca_bytes_and_grads_equal_the_generic_op_chain(variant, boundary, T, R, d, loss):
+    rng = np.random.default_rng(T)
+    p = make_lca(rng, d, R, variant=variant, boundary=boundary)
+    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    x_bytes = X.data.tobytes()
+    bare = att.lca_forward(X, p)
+    assert X.data.tobytes() == x_bytes
+    mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos, X]
+    want = loss_grads(lambda tape: oracles.lca_chain(X, p, tape), mats, loss,
+                      np.random.default_rng(1))
+    assert loss_grads(lambda tape: fused_lca(X, p, tape), mats, loss,
+                      np.random.default_rng(1)) == want
+    assert [bare.features.data.tobytes(), bare.weights.data.tobytes()] == want[:2]
+
+
+@pytest.mark.parametrize("boundary", att.BOUNDARY_POLICIES)
+@pytest.mark.parametrize("variant", att.LCA_VARIANTS)
+def test_lca_grads_add_onto_held_grads_as_the_op_chain_does(variant, boundary):
+    rng = np.random.default_rng(3)
+    T, d, R = 7, 4, 2
+    p = make_lca(rng, d, R, variant=variant, boundary=boundary)
+    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos, X]
+    held = [rng.normal(size=m.shape) for m in mats]
+    want = loss_grads(lambda tape: oracles.lca_chain(X, p, tape), mats, "both",
+                      np.random.default_rng(1), held)
+    assert loss_grads(lambda tape: fused_lca(X, p, tape), mats, "both",
+                      np.random.default_rng(1), held) == want
+
+
+@pytest.mark.parametrize("boundary", att.BOUNDARY_POLICIES)
+@pytest.mark.parametrize("variant", att.LCA_VARIANTS)
+def test_lca_forward_makes_seven_records(variant, boundary):
+    rng = np.random.default_rng(0)
+    X = Matrix(rng.uniform(-1, 1, size=(5, 4)))
+    tape = Tape()
+    for calls, R in enumerate((1, 2, 4), start=1):
+        att.lca_forward(X, make_lca(rng, 4, R, variant=variant, boundary=boundary), tape)
+        assert len(tape) == 7 * calls  # three projections, scores, softmax, transpose, mix
+
+
+@pytest.mark.parametrize("boundary", att.BOUNDARY_POLICIES)
+@pytest.mark.parametrize("variant", att.LCA_VARIANTS)
+def test_lca_output_that_misses_the_loss_leaves_operand_grads_unset(variant, boundary):
+    rng = np.random.default_rng(4)
+    p = make_lca(rng, 4, 2, variant=variant, boundary=boundary)
+    X = Matrix(rng.uniform(-1, 1, size=(6, 4)))
+    mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos, X]
+    tape = Tape()
+    att.lca_forward(X, p, tape)
+    x = Matrix([[1.0, -2.0]])
+    ag.backward(ag.sum_all(ag.scale(x, 2.0, tape), tape), tape)
+    assert all(m.grad is None for m in mats)
+    tape = Tape()
+    out = att.lca_forward(X, p, tape)  # only the weights reach the loss: no gradient for Wv2
+    ag.backward(ag.sum_all(out.weights, tape), tape)
+    assert [m.grad is None for m in mats] == [False, False, True, False, False]
 
 
 def test_zero_boundary_policy_differs_from_clamp_at_edges():

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divsum import autograd as ag
+from divsum.attention import _row_window
 from divsum.autograd import Matrix, Tape
 
-from .oracles import finite_difference_grads, gather_rows
+from .oracles import finite_difference_grads, gather_rows, stack_rows
 
 
 def rand_matrix(rng, rows, cols, lo=-1.0, hi=1.0):
@@ -170,16 +171,13 @@ def test_log_sqrt_rsqrt_domains():
 
 
 def test_row_window_values():
-    a = Matrix(np.arange(12.0).reshape(3, 4))
-    np.testing.assert_array_equal(ag.row_window(a, -2, 6).data, a.data[[0, 0, 0, 1, 2, 2]])
-    np.testing.assert_array_equal(ag.row_window(a, 2, 1).data, a.data[[2]])
-    np.testing.assert_array_equal(ag.row_window(a, 5, 2).data, a.data[[2, 2]])
-    np.testing.assert_array_equal(ag.row_window(a, -9, 2).data, a.data[[0, 0]])
-    assert ag.row_window(a, 1, 0).shape == (0, 4)
-    with pytest.raises(ag.ContractError, match="count -1"):
-        ag.row_window(a, 0, -1)
-    with pytest.raises(ag.ContractError, match="0 rows"):
-        ag.row_window(Matrix(np.zeros((0, 4))), 0, 2)
+    # the clamped row shift behind local attention's window slots
+    a = np.arange(12.0).reshape(3, 4)
+    np.testing.assert_array_equal(_row_window(a, -2, 6)[0], a[[0, 0, 0, 1, 2, 2]])
+    np.testing.assert_array_equal(_row_window(a, 2, 1)[0], a[[2]])
+    np.testing.assert_array_equal(_row_window(a, 5, 2)[0], a[[2, 2]])
+    np.testing.assert_array_equal(_row_window(a, -9, 2)[0], a[[0, 0]])
+    assert _row_window(a, 1, 0)[0].shape == (0, 4)
 
 
 @pytest.mark.parametrize("rows, count", [(5, 5), (5, 2), (3, 8), (1, 4), (1, 1)])
@@ -190,14 +188,13 @@ def test_row_window_bytes_equal_the_gather_scatter_oracle(rows, count):
     g = rng.normal(size=(count, 6))
     g[::2, 1] = -0.0  # a scatter into fresh zeros turns -0.0 into +0.0
     for start in [*range(-3, 4), -count - 2, rows + 1]:
-        want_out, want_grad = gather_rows(a, np.clip(np.arange(count) + start, 0, rows - 1), g)
-        m = Matrix(a)
-        tape = Tape()
-        out = ag.row_window(m, start, count, tape)
-        assert out.data.tobytes() == want_out.tobytes(), start
-        out.grad = g
+        m, tape = Matrix(a), Tape()
+        want = gather_rows(m, np.clip(np.arange(count) + start, 0, rows - 1), tape)
+        want.grad = g
         tape.records[-1]()
-        assert m.grad.tobytes() == want_grad.tobytes(), start
+        out, scatter = _row_window(a, start, count)
+        assert out.tobytes() == want.data.tobytes(), start
+        assert scatter(g).tobytes() == m.grad.tobytes(), start
 
 
 def test_deterministic_forward():
@@ -386,23 +383,25 @@ def test_row_norms_and_structure_ops_match_fd():
 
     check_grads_fd(build_norms, [a])
 
+    # the gather and stack that local attention's reference chain is built from
     weights = rng.uniform(-1.0, 1.0, size=(8, 4))
-    for start, count in ((-2, 8), (3, 4), (-1, 3)):
+    for rows in ([0, 0, 1, 4, 4, 4, 2, 0], [3, 4, 4, 4], [0, 0, 1]):
 
-        def build_window(start=start, count=count):
+        def build_gather(rows=rows):
             tape = Tape()
-            window = ag.row_window(a, start, count, tape)
-            return ag.sum_all(ag.multiply(window, Matrix(weights[:count]), tape), tape), tape
+            window = gather_rows(a, rows, tape)
+            return ag.sum_all(ag.multiply(window, Matrix(weights[:len(rows)]), tape), tape), tape
 
-        check_grads_fd(build_window, [a])
+        check_grads_fd(build_gather, [a])
 
     b = rand_matrix(rng, 2, 4)
 
-    def build_concat():
+    def build_stack():
         tape = Tape()
-        return ag.sum_all(ag.concat_rows([a, b], tape), tape), tape
+        stacked = stack_rows([a, b], tape)
+        return ag.sum_all(ag.multiply(stacked, Matrix(weights[:7]), tape), tape), tape
 
-    check_grads_fd(build_concat, [a, b])
+    check_grads_fd(build_stack, [a, b])
 
 
 def test_clip_blocks_gradient_outside_bounds():
@@ -461,8 +460,6 @@ OP_CASES = [
     op_case("column_softmax", [(3, 4)], lambda ms, tape: ag.column_softmax(*ms, tape)),
     op_case("row_norms_squared", [(3, 4)],
             lambda ms, tape: ag.row_norms_squared(*ms, tape)),
-    op_case("row_window", [(3, 4)], lambda ms, tape: ag.row_window(*ms, -1, 5, tape)),
-    op_case("concat_rows", [(2, 4), (3, 4)], lambda ms, tape: ag.concat_rows(ms, tape)),
 ]
 
 
@@ -477,7 +474,7 @@ def test_contract_cases_cover_every_op():
            and "tape" in inspect.signature(fn).parameters
            and inspect.signature(fn).parameters["tape"].default is None}
     assert ops == {case.id for case in OP_CASES}
-    assert len(ops) == 17
+    assert len(ops) == 15
 
 
 @pytest.mark.parametrize("shapes, call, lo", OP_CASES)

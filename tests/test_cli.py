@@ -8,6 +8,8 @@ from divsum.cli import main
 from divsum.config import TrainConfig, config_to_text
 from divsum.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
 
+from .test_data import write_features_of_shape
+
 
 def run(*argv) -> int:
     return main(list(argv))
@@ -232,6 +234,20 @@ def test_wrongly_shaped_json_names_file_and_field(tmp_path, dataset, capsys,
     assert run(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {target}: ") and field in err
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0)], ids=["no-frames", "no-dims"])
+def test_train_on_a_video_without_frames_or_dims_fails_with_one_line(tmp_path, capsys, shape):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    write_features_of_shape(ds / "empty.dsv", shape)
+    (ds / "manifest.json").write_text(
+        json.dumps({"name": "x", "dim": shape[1], "videos": ["empty.dsv"]}))
+    assert run("train", "--data", str(ds), "--out", str(tmp_path / "x.ckpt"),
+               "--unsupervised") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "video empty: features" in err[0]
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_bad_points_and_bad_config_fail_cleanly(tmp_path, dataset, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import struct
 import time
 
 import numpy as np
@@ -191,6 +192,27 @@ def test_non_finite_gt_scores_are_refused_on_load(tmp_path):
         dat.load_video(p)
 
 
+def write_features_of_shape(path, shape):
+    """A features-only video "empty" whose header claims `shape`, one of
+    whose sizes is 0: a one-frame file with its header patched and its
+    feature values cut."""
+    one_frame = np.ones((1, max(shape[1], 1)))
+    dat.save_video(path, dat.VideoRecord(id="empty", features=one_frame))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:8] + struct.pack("<II", *shape) + blob[16:-one_frame.nbytes])
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0)], ids=["no-frames", "no-dims"])
+def test_features_without_frames_or_dims_are_refused(tmp_path, shape):
+    message = re.escape(f"video empty: features are {shape[0]}x{shape[1]}")
+    with pytest.raises(dat.DataFormatError, match=message):
+        dat.save_video(tmp_path / "v.dsv", dat.VideoRecord(id="empty", features=np.zeros(shape)))
+    assert not (tmp_path / "v.dsv").exists()
+    write_features_of_shape(tmp_path / "w.dsv", shape)
+    with pytest.raises(dat.DataFormatError, match=message):
+        dat.load_video(tmp_path / "w.dsv")
+
+
 # The optional sections of a .dsv file, in flag-bit order (README).
 SECTIONS = ("gt_scores", "gt_binary", "user_summaries", "change_points", "picks")
 
@@ -315,6 +337,14 @@ def test_dataset_refuses_ids_that_are_not_file_names(tmp_path, bad):
             dat.VideoRecord(id=bad, features=np.zeros((2, 3)))]
     with pytest.raises(dat.DataFormatError, match=re.escape(f"video id {bad!r}")):
         dat.save_dataset(tmp_path / "ds", recs, name="bad")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dataset_refuses_duplicate_ids_naming_them(tmp_path):
+    recs = [dat.VideoRecord(id=i, features=np.full((2, 3), float(n)))
+            for n, i in enumerate(["a", "b", "a", "c", "b"])]
+    with pytest.raises(dat.DataFormatError, match=re.escape("duplicate video ids: 'a', 'b'")):
+        dat.save_dataset(tmp_path / "ds", recs, name="dup")
     assert list(tmp_path.iterdir()) == []
 
 
