@@ -194,8 +194,9 @@ def gda_forward(X: Matrix, p: GdaParams, positions: Matrix | None,
     call on the copied transpose (a product from a transposed view can
     differ in the last bit), then transposed back to hold the weights.
     """
-    if X.cols != p.Wq.rows:
-        raise ShapeError(f"feature dim {X.cols} does not match projection dim {p.Wq.rows}")
+    if X.rows == 0 or X.cols != p.Wq.rows:
+        raise ShapeError(f"global attention needs T x {p.Wq.rows} features with T >= 1, "
+                         f"got {X.rows}x{X.cols}")
     Xp = X
     if positions is not None:
         if positions.shape != X.shape:
@@ -261,8 +262,9 @@ def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionO
     reads its result), the transpose to the weights and the mix. Each
     backward repeats the op chain's numpy and BLAS calls in its order.
     """
-    if X.cols != p.Wq2.rows:
-        raise ShapeError(f"feature dim {X.cols} does not match projection dim {p.Wq2.rows}")
+    if X.rows == 0 or X.cols != p.Wq2.rows:
+        raise ShapeError(f"local attention needs T x {p.Wq2.rows} features with T >= 1, "
+                         f"got {X.rows}x{X.cols}")
     T, d = X.shape
     R, span = p.neighbor_R, 2 * p.neighbor_R + 1
     Q, K, V = (ag.matmul(X, proj, tape) for proj in (p.Wq2, p.Wk2, p.Wv2))

@@ -6,6 +6,10 @@ differentiable operation in execution order; :func:`backward` replays the
 tape in reverse and accumulates gradients additively into every operand
 that can reach the loss.
 
+The generic ops are ``matmul``, ``transpose``, ``add``, ``relu`` and
+``sigmoid``; the attention paths, the heads' affine layers and the
+losses record their own fused ops through ``_record``.
+
 Conventions:
   * all values are float64, all shapes strictly 2-D
   * gradients accumulate across uses of a matrix; callers zero them
@@ -72,14 +76,6 @@ class Matrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls._wrap(np.zeros((rows, cols)))
-
-    @classmethod
-    def ones(cls, rows: int, cols: int) -> "Matrix":
-        return cls._wrap(np.ones((rows, cols)))
-
-    @classmethod
-    def scalar(cls, value: float) -> "Matrix":
-        return cls._wrap(np.full((1, 1), float(value)))
 
     @classmethod
     def column(cls, values) -> "Matrix":
@@ -222,28 +218,6 @@ def add(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
                    (b, lambda g: _unbroadcast(g, b.shape)))
 
 
-def subtract(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
-    _broadcast_shape(a, b, "subtract")
-    return _record(tape, a.data - b.data,
-                   (a, lambda g: _unbroadcast(g, a.shape)),
-                   (b, lambda g: -_unbroadcast(g, b.shape)))
-
-
-def multiply(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
-    """Elementwise (Hadamard) product with the same broadcasting as add."""
-    _broadcast_shape(a, b, "multiply")
-    a_data, b_data = a.data, b.data
-    return _record(tape, a_data * b_data,
-                   (a, lambda g: _unbroadcast(g * b_data, a_data.shape)),
-                   (b, lambda g: _unbroadcast(g * a_data, b_data.shape)))
-
-
-def scale(a: Matrix, c: float, tape: Tape | None = None) -> Matrix:
-    """Multiply every entry by the constant c."""
-    c = float(c)
-    return _record(tape, a.data * c, (a, lambda g: g * c))
-
-
 def relu(a: Matrix, tape: Tape | None = None) -> Matrix:
     a_data = a.data
     return _record(tape, np.maximum(a_data, 0.0), (a, lambda g: g * (a_data > 0.0)))
@@ -260,57 +234,6 @@ def sigmoid(a: Matrix, tape: Tape | None = None) -> Matrix:
     return _record(tape, s, (a, lambda g: g * s * (1.0 - s)))
 
 
-def log(a: Matrix, tape: Tape | None = None) -> Matrix:
-    """Natural log; entries must be strictly positive."""
-    if np.any(a.data <= 0.0):
-        raise NumericError("log: input has non-positive entries")
-    a_data = a.data
-    return _record(tape, np.log(a_data), (a, lambda g: g / a_data))
-
-
-def sqrt(a: Matrix, tape: Tape | None = None) -> Matrix:
-    """Elementwise square root; zero entries get subgradient 0."""
-    if np.any(a.data < 0.0):
-        raise NumericError("sqrt: input has negative entries")
-    root = np.sqrt(a.data)
-
-    def grad(g):
-        d = np.zeros_like(root)
-        nz = root > 0.0
-        d[nz] = 0.5 / root[nz]
-        return g * d
-
-    return _record(tape, root, (a, grad))
-
-
-def rsqrt(a: Matrix, tape: Tape | None = None) -> Matrix:
-    """Elementwise 1/sqrt(x); entries must be strictly positive."""
-    if np.any(a.data <= 0.0):
-        raise NumericError("rsqrt: input has non-positive entries")
-    a_data = a.data
-    val = 1.0 / np.sqrt(a_data)
-    return _record(tape, val, (a, lambda g: g * (-0.5) * val / a_data))
-
-
-def clip(a: Matrix, lo: float, hi: float, tape: Tape | None = None) -> Matrix:
-    """Clamp to [lo, hi]; gradient passes through unclipped entries only."""
-    a_data = a.data
-    return _record(tape, np.clip(a_data, lo, hi),
-                   (a, lambda g: g * ((a_data >= lo) & (a_data <= hi))))
-
-
-def sum_all(a: Matrix, tape: Tape | None = None) -> Matrix:
-    """Sum of all entries, as a 1x1 matrix."""
-    shape = a.shape
-    return _record(tape, np.full((1, 1), float(a.data.sum())),
-                   (a, lambda g: np.full(shape, g[0, 0])))
-
-
-def column_softmax(a: Matrix, tape: Tape | None = None) -> Matrix:
-    """Softmax over each column (the first index), max-stabilized."""
-    return _column_softmax_in(a.data.copy(), a, tape)
-
-
 def _column_softmax_in(s: np.ndarray, a: Matrix, tape: Tape | None) -> Matrix:
     """Column softmax of `a` computed in `s`, a copy of a.data or a.data itself.
 
@@ -323,10 +246,3 @@ def _column_softmax_in(s: np.ndarray, a: Matrix, tape: Tape | None) -> Matrix:
     np.exp(s, out=s)
     s /= s.sum(axis=0, keepdims=True)
     return _record(tape, s, (a, lambda g: s * (g - (g * s).sum(axis=0, keepdims=True))))
-
-
-def row_norms_squared(a: Matrix, tape: Tape | None = None) -> Matrix:
-    """Column vector of squared Euclidean row norms."""
-    a_data = a.data
-    return _record(tape, np.sum(a_data * a_data, axis=1, keepdims=True),
-                   (a, lambda g: 2.0 * a_data * g))

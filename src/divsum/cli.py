@@ -185,6 +185,8 @@ def _axis_variants(axis: str, cfg: TrainConfig):
 
 
 def cmd_ablate(args) -> int:
+    if args.repeats < 1:
+        raise ContractError(f"--repeats must be >= 1, got {args.repeats}")
     cfg = _config_from_args(args)
     data = _data_path(args)
     videos = load_dataset(data)

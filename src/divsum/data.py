@@ -272,6 +272,16 @@ def load_video(path) -> VideoRecord:
 # manifests and whole datasets
 
 
+def _repeated(names) -> str:
+    """The names that occur more than once, sorted and quoted; '' if none."""
+    return ", ".join(repr(n) for n, count in sorted(Counter(names).items()) if count > 1)
+
+
+def _is_file_name(name: str) -> bool:
+    """Whether `name` names a file inside a dataset directory."""
+    return name not in ("", ".", "..") and "/" not in name and "\\" not in name
+
+
 def save_dataset(directory, records: list[VideoRecord], name: str,
                  aggregation: str = "mean_over_users") -> Path:
     """Write every record plus a manifest; returns the manifest path.
@@ -282,16 +292,16 @@ def save_dataset(directory, records: list[VideoRecord], name: str,
     """
     if not records:
         raise DataFormatError("refusing to write an empty dataset")
-    repeated = sorted(i for i, n in Counter(rec.id for rec in records).items() if n > 1)
+    repeated = _repeated(rec.id for rec in records)
     if repeated:
-        raise DataFormatError(f"duplicate video ids: {', '.join(map(repr, repeated))}")
+        raise DataFormatError(f"duplicate video ids: {repeated}")
     dim = records[0].dim
     for rec in records:
         if rec.dim != dim:
             raise DataFormatError(
                 f"video {rec.id} has dim {rec.dim}, dataset started with {dim}"
             )
-        if rec.id in ("", ".", "..") or "/" in rec.id or "\\" in rec.id:
+        if not _is_file_name(rec.id):
             raise DataFormatError(f"video id {rec.id!r} is not a file name in the dataset")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -369,23 +379,40 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def load_dataset(path) -> list[VideoRecord]:
-    """Read a manifest (file or directory) and every video it references."""
+    """Read a manifest (file or directory) and every video it references.
+
+    Refuses, before reading any video, a manifest that lists a file twice
+    or an entry that is not a file name in the manifest's directory, and,
+    once the videos are read, two files holding the same video id.
+    """
     path = Path(path)
-    base = path if path.is_dir() else path.parent
+    if path.is_dir():
+        path = path / "manifest.json"
     manifest = load_manifest(path)
+    where = f"{path}: manifest"
     if manifest.format_version != FORMAT_VERSION:
         raise DataFormatError(
-            f"{path}: manifest format version {manifest.format_version}, "
+            f"{where} format version {manifest.format_version}, "
             f"this build reads {FORMAT_VERSION}"
         )
+    repeated = _repeated(manifest.video_files)
+    if repeated:
+        raise DataFormatError(f"{where} lists video files more than once: {repeated}")
+    outside = [f for f in manifest.video_files if not _is_file_name(f)]
+    if outside:
+        raise DataFormatError(f"{where} entries are not file names in its directory: "
+                              f"{', '.join(map(repr, outside))}")
     records = []
     for fname in manifest.video_files:
-        rec = load_video(base / fname)
+        rec = load_video(path.parent / fname)
         if rec.dim != manifest.dim:
             raise DataFormatError(
                 f"{fname}: feature dim {rec.dim} disagrees with manifest dim {manifest.dim}"
             )
         records.append(rec)
+    repeated = _repeated(rec.id for rec in records)
+    if repeated:
+        raise DataFormatError(f"{where} lists files that hold the same video ids: {repeated}")
     return records
 
 

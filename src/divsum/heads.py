@@ -6,6 +6,10 @@ repelling loss, and a two-layer reconstruction head. The combined
 objective is classification + alpha * repelling + beta * reconstruction,
 with the classification term dropped in unsupervised mode.
 
+Each affine layer, loss and the weighted total is one tape record that
+repeats its generic-op chain's numpy and BLAS steps, so it keeps the
+chain's bytes.
+
 Note on the reconstruction head: its final sigmoid is off by default
 because ingested features are generally unbounded; a sigmoid output could
 then never match them. Enable recon_final_sigmoid only for datasets whose
@@ -38,7 +42,14 @@ class Affine:
             )
 
     def apply(self, x: Matrix, tape: Tape | None = None) -> Matrix:
-        return ag.add(ag.matmul(x, self.W, tape), self.b, tape)
+        """x @ W + b; the shares go to b (column sums), then x and W."""
+        if x.cols != self.W.rows:
+            raise ShapeError(f"affine input {x.rows}x{x.cols}, weight {self.W.rows}x{self.W.cols}")
+        x_data, W_data = x.data, self.W.data
+        out = x_data @ W_data
+        out += self.b.data
+        return ag._record(tape, out, (self.b, lambda g: g.sum(axis=0, keepdims=True)),
+                          (x, lambda g: g @ W_data.T), (self.W, lambda g: x_data.T @ g))
 
 
 @dataclass
@@ -110,20 +121,28 @@ def reconstruct_frames(Xt: Matrix, h: HeadParams, tape: Tape | None = None) -> M
 
 def bce_loss(y: Matrix, gt, tape: Tape | None = None) -> Matrix:
     """Mean binary cross-entropy of predicted probabilities y (T x 1)
-    against 0/1 targets, with predictions clipped to [eps, 1-eps]."""
+    against 0/1 targets, with predictions clipped to [eps, 1-eps].
+
+    The targets, a sequence or a T x 1 Matrix, are constants: only y gets
+    a share, and a Matrix target's .grad is left as it was."""
     target = gt if isinstance(gt, Matrix) else Matrix.column(gt)
     if y.cols != 1 or target.cols != 1:
         raise ShapeError("bce_loss expects column vectors")
     if y.rows != target.rows:
         raise ShapeError(f"prediction/target lengths differ: {y.rows} vs {target.rows}")
-    T = y.rows
-    yc = ag.clip(y, BCE_EPS, 1.0 - BCE_EPS, tape)
-    ones = Matrix.ones(T, 1)
-    pos = ag.multiply(target, ag.log(yc, tape), tape)
-    neg = ag.multiply(
-        ag.subtract(ones, target, tape), ag.log(ag.subtract(ones, yc, tape), tape), tape
-    )
-    return ag.scale(ag.sum_all(ag.add(pos, neg, tape), tape), -1.0 / T, tape)
+    T, y_data, t = y.rows, y.data, target.data
+    yc = np.clip(y_data, BCE_EPS, 1.0 - BCE_EPS)
+    ones = np.ones((T, 1))
+    not_t, not_yc = ones - t, ones - yc
+    c = -1.0 / T
+    total = np.full((1, 1), float((t * np.log(yc) + not_t * np.log(not_yc)).sum())) * c
+
+    def share(g):
+        g = np.full((T, 1), (g * c)[0, 0])
+        g_yc = -(g * not_t / not_yc) + g * t / yc
+        return g_yc * ((y_data >= BCE_EPS) & (y_data <= 1.0 - BCE_EPS))
+
+    return ag._record(tape, total, (y, share))
 
 
 def repelling_loss(E: Matrix, tape: Tape | None = None) -> Matrix:
@@ -131,35 +150,58 @@ def repelling_loss(E: Matrix, tape: Tape | None = None) -> Matrix:
 
     The diagonal of the cosine Gram matrix is identically 1 with zero
     gradient, so it is removed as the constant T after the full sum.
-    """
+    The record keeps the unit rows, not the T x T Gram matrix: its
+    backward rebuilds the Gram matrix's constant gradient."""
     T = E.rows
     if T < 2:
         raise ContractError(f"repelling loss needs at least 2 rows, got {T}")
-    norms = np.sum(E.data * E.data, axis=1)
+    e = E.data
+    norms = np.sum(e * e, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise NumericError("repelling loss undefined for zero-norm embedding rows")
-    unit = ag.multiply(E, ag.rsqrt(ag.row_norms_squared(E, tape), tape), tape)
-    gram = ag.matmul(unit, ag.transpose(unit, tape), tape)
-    off_diag = ag.subtract(ag.sum_all(gram, tape), Matrix.scalar(float(T)), tape)
-    return ag.scale(off_diag, 1.0 / (T * (T - 1)), tape)
+    inv = 1.0 / np.sqrt(norms)
+    unit = e * inv
+    unit_t = unit.T.copy()
+    c = 1.0 / (T * (T - 1))
+    total = (np.full((1, 1), float((unit @ unit_t).sum())) - float(T)) * c
+
+    def shares(g):
+        g_gram = np.full((T, T), (g * c)[0, 0])
+        g_unit = g_gram @ unit_t.T + (unit.T @ g_gram).T
+        yield g_unit * inv
+        yield 2.0 * e * ((g_unit * e).sum(axis=1, keepdims=True) * (-0.5) * inv / norms)
+
+    return ag._record(tape, total, ((E, E), shares))
 
 
 def reconstruction_loss(X: Matrix, Xrec: Matrix, tape: Tape | None = None) -> Matrix:
     """Mean Euclidean distance (not squared) between original and
-    reconstructed frame rows."""
+    reconstructed frame rows; a zero distance gets subgradient 0."""
     if X.shape != Xrec.shape:
         raise ShapeError(f"shape mismatch: {X.shape} vs {Xrec.shape}")
-    dist = ag.sqrt(ag.row_norms_squared(ag.subtract(X, Xrec, tape), tape), tape)
-    return ag.scale(ag.sum_all(dist, tape), 1.0 / X.rows, tape)
+    diff = X.data - Xrec.data
+    dist = np.sqrt(np.sum(diff * diff, axis=1, keepdims=True))
+    c = 1.0 / X.rows
+    total = np.full((1, 1), float(dist.sum())) * c
+
+    def shares(g):
+        d_dist = np.zeros_like(dist)
+        nz = dist > 0.0
+        d_dist[nz] = 0.5 / dist[nz]
+        g_diff = 2.0 * diff * (np.full(dist.shape, (g * c)[0, 0]) * d_dist)
+        return g_diff, -g_diff
+
+    return ag._record(tape, total, ((X, Xrec), shares))
 
 
 def total_loss(parts: LossParts, w: LossWeights, tape: Tape | None = None) -> Matrix:
     """cls + alpha*repel + beta*recon, or without cls in unsupervised mode."""
-    weighted = ag.add(
-        ag.scale(parts.repel, w.alpha, tape), ag.scale(parts.recon, w.beta, tape), tape
-    )
-    if not w.supervised:
-        return weighted
-    if parts.cls is None:
+    if w.supervised and parts.cls is None:
         raise ContractError("supervised objective requires a classification term")
-    return ag.add(parts.cls, weighted, tape)
+    alpha, beta = float(w.alpha), float(w.beta)
+    total = parts.repel.data * alpha + parts.recon.data * beta
+    shares = [(parts.recon, lambda g: g * beta), (parts.repel, lambda g: g * alpha)]
+    if w.supervised:
+        total = parts.cls.data + total
+        shares.insert(0, (parts.cls, lambda g: g))
+    return ag._record(tape, total, *shares)

@@ -3,10 +3,10 @@
 Everything here is deliberately written the slow, obvious way: explicit
 Python loops, no shared code with the package under test, no clever
 vectorization. When a package op and its oracle agree, the agreement is
-evidence, not circularity. The exceptions are the chains of generic
-autograd ops for global and local attention: they pin the fused ops'
-bytes, and their ops are checked against finite differences on their
-own.
+evidence, not circularity. The exceptions are the generic autograd ops
+below and the chains built from them for global and local attention,
+the heads and the losses: the chains pin the fused ops' bytes, and
+their ops are checked against finite differences on their own.
 """
 
 import warnings
@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from divsum import autograd as ag
-from divsum.autograd import Matrix
+from divsum.autograd import Matrix, Tape
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +68,91 @@ def finite_difference_sampled(f, mats, rng, per_mat=4, step=1e-5):
         all_idx.append(idx)
         all_val.append(val)
     return all_idx, all_val
+
+
+# ---------------------------------------------------------------------------
+# generic ops: recorded elementwise and reduction ops the reference chains
+# are built from
+
+
+def subtract(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
+    ag._broadcast_shape(a, b, "subtract")
+    return ag._record(tape, a.data - b.data,
+                      (a, lambda g: ag._unbroadcast(g, a.shape)),
+                      (b, lambda g: -ag._unbroadcast(g, b.shape)))
+
+
+def multiply(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
+    """Elementwise (Hadamard) product with the same broadcasting as add."""
+    ag._broadcast_shape(a, b, "multiply")
+    a_data, b_data = a.data, b.data
+    return ag._record(tape, a_data * b_data,
+                      (a, lambda g: ag._unbroadcast(g * b_data, a_data.shape)),
+                      (b, lambda g: ag._unbroadcast(g * a_data, b_data.shape)))
+
+
+def scale(a: Matrix, c: float, tape: Tape | None = None) -> Matrix:
+    """Multiply every entry by the constant c."""
+    c = float(c)
+    return ag._record(tape, a.data * c, (a, lambda g: g * c))
+
+
+def log(a: Matrix, tape: Tape | None = None) -> Matrix:
+    """Natural log; entries must be strictly positive."""
+    if np.any(a.data <= 0.0):
+        raise ag.NumericError("log: input has non-positive entries")
+    a_data = a.data
+    return ag._record(tape, np.log(a_data), (a, lambda g: g / a_data))
+
+
+def sqrt(a: Matrix, tape: Tape | None = None) -> Matrix:
+    """Elementwise square root; zero entries get subgradient 0."""
+    if np.any(a.data < 0.0):
+        raise ag.NumericError("sqrt: input has negative entries")
+    root = np.sqrt(a.data)
+
+    def grad(g):
+        d = np.zeros_like(root)
+        nz = root > 0.0
+        d[nz] = 0.5 / root[nz]
+        return g * d
+
+    return ag._record(tape, root, (a, grad))
+
+
+def rsqrt(a: Matrix, tape: Tape | None = None) -> Matrix:
+    """Elementwise 1/sqrt(x); entries must be strictly positive."""
+    if np.any(a.data <= 0.0):
+        raise ag.NumericError("rsqrt: input has non-positive entries")
+    a_data = a.data
+    val = 1.0 / np.sqrt(a_data)
+    return ag._record(tape, val, (a, lambda g: g * (-0.5) * val / a_data))
+
+
+def clip(a: Matrix, lo: float, hi: float, tape: Tape | None = None) -> Matrix:
+    """Clamp to [lo, hi]; gradient passes through unclipped entries only."""
+    a_data = a.data
+    return ag._record(tape, np.clip(a_data, lo, hi),
+                      (a, lambda g: g * ((a_data >= lo) & (a_data <= hi))))
+
+
+def sum_all(a: Matrix, tape: Tape | None = None) -> Matrix:
+    """Sum of all entries, as a 1x1 matrix."""
+    shape = a.shape
+    return ag._record(tape, np.full((1, 1), float(a.data.sum())),
+                      (a, lambda g: np.full(shape, g[0, 0])))
+
+
+def column_softmax(a: Matrix, tape: Tape | None = None) -> Matrix:
+    """Softmax over each column (the first index), max-stabilized."""
+    return ag._column_softmax_in(a.data.copy(), a, tape)
+
+
+def row_norms_squared(a: Matrix, tape: Tape | None = None) -> Matrix:
+    """Column vector of squared Euclidean row norms."""
+    a_data = a.data
+    return ag._record(tape, np.sum(a_data * a_data, axis=1, keepdims=True),
+                      (a, lambda g: 2.0 * a_data * g))
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +225,15 @@ def similarity_chain(Q, K, kind, scale_q, tape=None):
     if kind == "dot":
         sim = dots
     elif kind == "cosine":
-        inv_q = ag.rsqrt(ag.row_norms_squared(Q, tape), tape)
-        inv_k = ag.rsqrt(ag.row_norms_squared(K, tape), tape)
-        sim = ag.multiply(ag.multiply(dots, inv_q, tape), ag.transpose(inv_k, tape), tape)
+        inv_q = rsqrt(row_norms_squared(Q, tape), tape)
+        inv_k = rsqrt(row_norms_squared(K, tape), tape)
+        sim = multiply(multiply(dots, inv_q, tape), ag.transpose(inv_k, tape), tape)
     else:
-        twice_dots = ag.scale(dots, 2.0, tape)
-        sq_q = ag.row_norms_squared(Q, tape)
-        sq_k = ag.row_norms_squared(K, tape)
-        sim = ag.subtract(ag.subtract(twice_dots, sq_q, tape), ag.transpose(sq_k, tape), tape)
-    return ag.scale(sim, c, tape)
+        twice_dots = scale(dots, 2.0, tape)
+        sq_q = row_norms_squared(Q, tape)
+        sq_k = row_norms_squared(K, tape)
+        sim = subtract(subtract(twice_dots, sq_q, tape), ag.transpose(sq_k, tape), tape)
+    return scale(sim, c, tape)
 
 
 def gda_chain(X, p, positions, tape=None):
@@ -157,7 +242,7 @@ def gda_chain(X, p, positions, tape=None):
     Q = ag.matmul(Xp, p.Wq, tape)
     K = ag.matmul(Xp, p.Wk, tape)
     V = ag.matmul(X, p.Wv, tape)
-    At = ag.column_softmax(similarity_chain(Q, K, p.sim_kind, p.scale_q, tape), tape)
+    At = column_softmax(similarity_chain(Q, K, p.sim_kind, p.scale_q, tape), tape)
     return ag.matmul(ag.transpose(At, tape), V, tape), At
 
 
@@ -246,26 +331,70 @@ def lca_chain(X, p, tape=None):
         src = np.arange(T) + o - R
         rows = gather_rows(M, np.clip(src, 0, T - 1), tape)
         if p.boundary == "zero":
-            rows = ag.multiply(rows, Matrix.column((src >= 0) & (src < T)), tape)
+            rows = multiply(rows, Matrix.column((src >= 0) & (src < T)), tape)
         return rows
 
-    ones_d = Matrix.ones(d, 1)
+    ones_d = Matrix(np.ones((d, 1)))
     score_rows = []
     for o in range(span):
         key = ag.add(K, gather_rows(p.rel_pos, [abs(o - R)], tape), tape)
-        score = ag.matmul(ag.multiply(shifted(Q, o), key, tape), ones_d, tape)
+        score = ag.matmul(multiply(shifted(Q, o), key, tape), ones_d, tape)
         score_rows.append(ag.transpose(score, tape))
-    B = ag.scale(stack_rows(score_rows, tape), 1.0 / np.sqrt(d), tape)
-    weights = ag.transpose(ag.column_softmax(B, tape), tape)
+    B = scale(stack_rows(score_rows, tape), 1.0 / np.sqrt(d), tape)
+    weights = ag.transpose(column_softmax(B, tape), tape)
     if p.variant == "contextual":
         features = None
         for o in range(span):
             slot = ag.matmul(weights, Matrix.column(np.arange(span) == o), tape)
-            term = ag.multiply(shifted(V, o), slot, tape)
+            term = multiply(shifted(V, o), slot, tape)
             features = term if features is None else ag.add(features, term, tape)
     else:
-        features = ag.multiply(V, ag.matmul(weights, Matrix.ones(span, 1), tape), tape)
+        features = multiply(V, ag.matmul(weights, Matrix(np.ones((span, 1))), tape), tape)
     return features, weights
+
+
+# ---------------------------------------------------------------------------
+# head and loss chains
+
+
+def affine_chain(layer, x, tape=None):
+    """Affine.apply as a chain of generic autograd ops: x @ W, then + b."""
+    return ag.add(ag.matmul(x, layer.W, tape), layer.b, tape)
+
+
+def bce_chain(y, gt, tape=None, eps=1e-7):
+    """bce_loss as a chain of generic autograd ops, 10 records; a Matrix
+    target gets a share here, as any operand does."""
+    target = gt if isinstance(gt, Matrix) else Matrix.column(gt)
+    T = y.rows
+    yc = clip(y, eps, 1.0 - eps, tape)
+    ones = Matrix(np.ones((T, 1)))
+    pos = multiply(target, log(yc, tape), tape)
+    neg = multiply(subtract(ones, target, tape), log(subtract(ones, yc, tape), tape), tape)
+    return scale(sum_all(ag.add(pos, neg, tape), tape), -1.0 / T, tape)
+
+
+def repelling_chain(E, tape=None):
+    """repelling_loss as a chain of generic autograd ops, 8 records: the
+    cosine Gram matrix of the unit rows, summed, less its diagonal T."""
+    T = E.rows
+    unit = multiply(E, rsqrt(row_norms_squared(E, tape), tape), tape)
+    gram = ag.matmul(unit, ag.transpose(unit, tape), tape)
+    off_diag = subtract(sum_all(gram, tape), Matrix([[float(T)]]), tape)
+    return scale(off_diag, 1.0 / (T * (T - 1)), tape)
+
+
+def reconstruction_chain(X, Xrec, tape=None):
+    """reconstruction_loss as a chain of generic autograd ops, 5 records."""
+    dist = sqrt(row_norms_squared(subtract(X, Xrec, tape), tape), tape)
+    return scale(sum_all(dist, tape), 1.0 / X.rows, tape)
+
+
+def total_loss_chain(parts, w, tape=None):
+    """total_loss as a chain of generic autograd ops: 4 records, 3 when
+    unsupervised."""
+    weighted = ag.add(scale(parts.repel, w.alpha, tape), scale(parts.recon, w.beta, tape), tape)
+    return ag.add(parts.cls, weighted, tape) if w.supervised else weighted
 
 
 def nearest_point_index(x, y, points):

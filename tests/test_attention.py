@@ -180,7 +180,7 @@ def test_gda_grads_match_fd(kind):
     def run():
         tape = Tape()
         out = att.gda_forward(X, p, P, tape)
-        loss = ag.sum_all(ag.multiply(out.features, W, tape), tape)
+        loss = oracles.sum_all(oracles.multiply(out.features, W, tape), tape)
         return loss, tape
 
     for m in params:
@@ -257,9 +257,9 @@ def loss_grads(run, mats, loss, rng, held=None):
     mix_w = Matrix(rng.uniform(-1, 1, size=weights.shape))
     terms = []
     if loss in ("features", "both"):
-        terms.append(ag.sum_all(ag.multiply(features, mix_f, tape), tape))
+        terms.append(oracles.sum_all(oracles.multiply(features, mix_f, tape), tape))
     if loss in ("weights", "both"):
-        terms.append(ag.sum_all(ag.multiply(weights, mix_w, tape), tape))
+        terms.append(oracles.sum_all(oracles.multiply(weights, mix_w, tape), tape))
     ag.backward(terms[0] if len(terms) == 1 else ag.add(*terms, tape), tape)
     return [a.tobytes() for a in [features.data, weights.data] + [m.grad for m in mats]]
 
@@ -301,7 +301,7 @@ def test_similarity_bytes_and_grads_equal_the_generic_op_chain(kind, T, shared):
         Q.grad, K.grad = held[0].copy(), held[1].copy()
         tape = Tape()
         sim = similarity(Q, K, kind, 3.0, tape)
-        ag.backward(ag.sum_all(ag.multiply(sim, mix, tape), tape), tape)
+        ag.backward(oracles.sum_all(oracles.multiply(sim, mix, tape), tape), tape)
         return [a.tobytes() for a in (sim.data, Q.grad, K.grad)]
 
     assert run(att.pairwise_similarity) == run(oracles.similarity_chain)
@@ -393,7 +393,7 @@ def test_lca_grads_match_fd(variant, boundary):
     def run():
         tape = Tape()
         out = att.lca_forward(X, p, tape)
-        return ag.sum_all(ag.multiply(out.features, W, tape), tape), tape
+        return oracles.sum_all(oracles.multiply(out.features, W, tape), tape), tape
 
     for m in params:
         m.zero_grad()
@@ -466,11 +466,11 @@ def test_lca_output_that_misses_the_loss_leaves_operand_grads_unset(variant, bou
     tape = Tape()
     att.lca_forward(X, p, tape)
     x = Matrix([[1.0, -2.0]])
-    ag.backward(ag.sum_all(ag.scale(x, 2.0, tape), tape), tape)
+    ag.backward(oracles.sum_all(oracles.scale(x, 2.0, tape), tape), tape)
     assert all(m.grad is None for m in mats)
     tape = Tape()
     out = att.lca_forward(X, p, tape)  # only the weights reach the loss: no gradient for Wv2
-    ag.backward(ag.sum_all(out.weights, tape), tape)
+    ag.backward(oracles.sum_all(out.weights, tape), tape)
     assert [m.grad is None for m in mats] == [False, False, True, False, False]
 
 
@@ -514,6 +514,18 @@ def test_lca_param_validation():
             neighbor_R=1,
             variant="averaging",
         )
+
+
+@pytest.mark.parametrize("path", ["global", "local"])
+@pytest.mark.parametrize("shape", [(0, 4), (3, 5)], ids=["no-frames", "wrong-dim"])
+def test_attention_refuses_features_without_frames_or_of_the_wrong_dim(path, shape):
+    rng = np.random.default_rng(21)
+    X = Matrix(np.zeros(shape))
+    with pytest.raises(ShapeError, match=f"{path} attention .* got {shape[0]}x{shape[1]}"):
+        if path == "global":
+            att.gda_forward(X, make_gda(rng, 4), None)
+        else:
+            att.lca_forward(X, make_lca(rng, 4, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -280,11 +280,14 @@ def test_non_utf8_config_file_fails_cleanly(tmp_path, dataset, capsys):
     (["partition-map", "--seed", "-3"], "--seed"),
     (["partition-map", "--num-points", "-2"], "--num-points"),
     (["partition-map", "--grid-size", "-1"], "grid sizes"),
+    (["ablate", "--data", "{data}", "--axis", "radius", "--repeats", "0"], "--repeats"),
+    (["ablate", "--data", "{data}", "--axis", "radius", "--repeats", "-1"], "--repeats"),
 ], ids=["synth-seed", "synth-users", "synth-noise", "synth-budget-ratio", "evaluate-split-seed",
-        "partition-map-seed", "partition-map-num-points", "partition-map-grid-size"])
+        "partition-map-seed", "partition-map-num-points", "partition-map-grid-size",
+        "ablate-repeats-0", "ablate-repeats-negative"])
 def test_out_of_range_numbers_fail_with_one_line(tmp_path, dataset, capsys, argv, setting):
     out = ["--out", str(tmp_path / "out")] if argv[0] != "evaluate" else []
     assert run(*[a.format(data=dataset) for a in argv], *out) == 1
-    err = capsys.readouterr().err
+    printed, err = capsys.readouterr()
     assert err.startswith("error:") and err.count("\n") == 1 and setting in err
-    assert not (tmp_path / "out").exists()
+    assert printed == "" and not (tmp_path / "out").exists()

@@ -348,6 +348,40 @@ def test_dataset_refuses_duplicate_ids_naming_them(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def patched_manifest(tmp_path, ids, videos):
+    """A saved dataset of zero-feature videos `ids` whose manifest lists `videos`."""
+    mp = dat.save_dataset(tmp_path / "ds", [dat.VideoRecord(id=i, features=np.zeros((2, 3)))
+                                            for i in ids], name="x")
+    raw = json.loads(mp.read_text())
+    raw["videos"] = videos
+    mp.write_text(json.dumps(raw))
+    return mp
+
+
+@pytest.mark.parametrize("videos, named", [
+    (["a.dsv", "b.dsv", "a.dsv"], "lists video files more than once: 'a.dsv'"),
+    (["a.dsv", "../other/z.dsv", "b.dsv"],
+     "are not file names in its directory: '../other/z.dsv'"),
+    (["a.dsv", "sub\\b.dsv"], "are not file names in its directory: 'sub\\\\b.dsv'"),
+], ids=["file-twice", "outside", "backslash"])
+def test_load_dataset_refuses_repeated_or_outside_entries_before_reading_videos(
+        tmp_path, monkeypatch, videos, named):
+    mp = patched_manifest(tmp_path, ["a", "b"], videos)
+    monkeypatch.setattr(dat, "load_video", lambda path: pytest.fail(f"read {path}"))
+    with pytest.raises(dat.DataFormatError, match=re.escape(f"{mp}: manifest")) as err:
+        dat.load_dataset(tmp_path / "ds")
+    assert named in str(err.value)
+
+
+def test_load_dataset_refuses_two_files_holding_one_video_id(tmp_path):
+    mp = patched_manifest(tmp_path, ["a", "b"], ["a.dsv", "b.dsv", "copy.dsv"])
+    (tmp_path / "ds" / "copy.dsv").write_bytes((tmp_path / "ds" / "a.dsv").read_bytes())
+    with pytest.raises(dat.DataFormatError,
+                       match=re.escape(f"{mp}: manifest lists files that hold the same "
+                                       "video ids: 'a'")):
+        dat.load_dataset(mp)
+
+
 def test_manifest_dim_mismatch_detected(tmp_path):
     rng = np.random.default_rng(6)
     recs = [dat.VideoRecord(id="a", features=rng.uniform(size=(4, 3)))]

@@ -85,7 +85,7 @@ def test_score_head_grads_match_fd():
 
     def run():
         tape = Tape()
-        return ag.sum_all(hd.score_frames(X, h, tape), tape), tape
+        return oracles.sum_all(hd.score_frames(X, h, tape), tape), tape
 
     for m in params:
         m.zero_grad()
@@ -260,8 +260,8 @@ def test_reconstruction_grads_match_fd():
 
 
 def test_total_loss_weights():
-    parts = hd.LossParts(cls=Matrix.scalar(7.0), repel=Matrix.scalar(2.0),
-                         recon=Matrix.scalar(3.0))
+    parts = hd.LossParts(cls=Matrix([[7.0]]), repel=Matrix([[2.0]]),
+                         recon=Matrix([[3.0]]))
     only_cls = hd.total_loss(parts, hd.LossWeights(alpha=0.0, beta=0.0, supervised=True))
     assert only_cls.item() == pytest.approx(7.0)
     unsup = hd.total_loss(parts, hd.LossWeights(alpha=0.1, beta=1.0, supervised=False))
@@ -269,7 +269,7 @@ def test_total_loss_weights():
 
 
 def test_total_loss_supervised_requires_cls():
-    parts = hd.LossParts(cls=None, repel=Matrix.scalar(1.0), recon=Matrix.scalar(1.0))
+    parts = hd.LossParts(cls=None, repel=Matrix([[1.0]]), recon=Matrix([[1.0]]))
     with pytest.raises(ContractError):
         hd.total_loss(parts, hd.LossWeights(supervised=True))
 
@@ -338,6 +338,13 @@ def test_forward_scores_ablation_toggles():
     assert not np.allclose(both.fused.data, neither.fused.data)
 
 
+def test_forward_scores_refuses_features_without_frames():
+    params = make_model(np.random.default_rng(22), 4, 1)
+    for switched in (params, replace(params, use_gda=False)):
+        with pytest.raises(ShapeError, match="attention .* got 0x4"):
+            mdl.forward_scores(Matrix(np.zeros((0, 4))), switched)
+
+
 def test_supervised_forward_requires_labels():
     rng = np.random.default_rng(15)
     params = make_model(rng, 4, 1)
@@ -362,3 +369,104 @@ def test_named_parameters_are_stable_and_complete():
     assert names == [n for n, _ in params.named_parameters()]
     assert len(names) == len(set(names)) == 17
     assert "lca.rel_pos" in names and "heads.recon2.b" in names
+
+
+# ---------------------------------------------------------------------------
+# fused heads and losses against the generic-op chains
+
+
+CHAINS = {"bce_loss": oracles.bce_chain, "repelling_loss": oracles.repelling_chain,
+          "reconstruction_loss": oracles.reconstruction_chain,
+          "total_loss": oracles.total_loss_chain}
+
+
+def training_step(monkeypatch, chains, T, d, supervised, final_sigmoid=False, seed=0,
+                  held=False):
+    """forward_loss plus backward on a fresh model, through the fused heads
+    and losses or through the chains. Returns the step's tape and the bytes
+    of the total, the loss parts, every parameter gradient and X.grad."""
+    with monkeypatch.context() as patch:
+        if chains:
+            patch.setattr(hd.Affine, "apply", oracles.affine_chain)
+            for name, chain in CHAINS.items():
+                patch.setattr(hd, name, chain)
+        rng = np.random.default_rng(seed)
+        params = make_model(rng, d, 2)
+        params.heads.recon_final_sigmoid = final_sigmoid
+        X = Matrix(rng.normal(size=(T, d)))
+        gt = rng.integers(0, 2, size=T).astype(float) if supervised else None
+        mats = [m for _, m in params.named_parameters()] + [X]
+        if held:
+            for m in mats:
+                m.grad = rng.normal(size=m.shape)
+        else:
+            params.zero_grads()
+        tape = Tape()
+        out = mdl.forward_loss(X, params, hd.LossWeights(supervised=supervised), gt, tape)
+        ag.backward(out.total, tape)
+    parts = [out.total, out.parts.repel, out.parts.recon] + [out.parts.cls] * supervised
+    return tape, [m.data.tobytes() for m in parts] + [m.grad.tobytes() for m in mats]
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["x-grad-empty", "x-grad-held"])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("final_sigmoid", [False, True], ids=["recon-linear", "recon-sigmoid"])
+@pytest.mark.parametrize("supervised", [True, False], ids=["supervised", "unsupervised"])
+@pytest.mark.parametrize("d", [4, 64])
+@pytest.mark.parametrize("T", [2, 7, 300])
+def test_heads_and_losses_equal_the_generic_op_chain(monkeypatch, T, d, supervised,
+                                                     final_sigmoid, seed, held):
+    args = (T, d, supervised, final_sigmoid, seed, held)
+    _, fused = training_step(monkeypatch, False, *args)
+    _, chain = training_step(monkeypatch, True, *args)
+    assert len(fused) == len(chain) == 3 + supervised + 18
+    for i, (got, want) in enumerate(zip(fused, chain)):
+        assert got == want, i
+
+
+@pytest.mark.parametrize("supervised, records, chain_records", [(True, 28, 56), (False, 27, 45)],
+                         ids=["supervised", "unsupervised"])
+def test_forward_loss_makes_28_records(monkeypatch, supervised, records, chain_records):
+    # attention 14 and fusion 2, then heads 8 (score 4, embed 1,
+    # reconstruction 3) and one record per loss; the chains' heads made 13
+    # records and their losses 27 (16 unsupervised)
+    assert len(training_step(monkeypatch, False, 7, 4, supervised)[0]) == records
+    assert len(training_step(monkeypatch, True, 7, 4, supervised)[0]) == chain_records
+
+
+def test_bce_loss_leaves_a_matrix_label_grad_unset():
+    y = Matrix.column([0.2, 0.7, 0.5])
+    gt = Matrix.column([0.0, 1.0, 1.0])
+    tape = Tape()
+    ag.backward(hd.bce_loss(y, gt, tape), tape)
+    assert gt.grad is None and y.grad is not None
+
+
+@pytest.mark.parametrize("fused, chain", [
+    (hd.bce_loss, oracles.bce_chain),
+    (hd.repelling_loss, oracles.repelling_chain),
+    (hd.reconstruction_loss, oracles.reconstruction_chain),
+    (hd.total_loss, oracles.total_loss_chain),
+], ids=["bce", "repelling", "reconstruction", "total"])
+def test_losses_add_onto_held_grads_as_the_chains_do(fused, chain):
+    # each operand's shares reach its held gradient one by one, in the chain's order
+    def run(loss):
+        rng = np.random.default_rng(20)
+        a = Matrix(rng.uniform(0.05, 0.95, size=(50, 1 if fused is hd.bce_loss else 16)))
+        b = Matrix(rng.normal(size=a.shape))
+        parts = hd.LossParts(*(Matrix(rng.normal(size=(1, 1))) for _ in range(3)))
+        args, operands = {
+            hd.bce_loss: ((a, (a.data[:, 0] > 0.5).astype(float)), [a]),
+            hd.repelling_loss: ((a,), [a]),
+            hd.reconstruction_loss: ((a, b), [a, b]),
+            hd.total_loss: ((parts, hd.LossWeights(alpha=0.3, beta=0.7)),
+                            [parts.cls, parts.repel, parts.recon]),
+        }[fused]
+        for m in operands:
+            m.grad = rng.normal(size=m.shape)
+        tape = Tape()
+        out = loss(*args, tape)
+        ag.backward(out, tape)
+        return [out.data.tobytes()] + [m.grad.tobytes() for m in operands]
+
+    assert run(fused) == run(chain)
