@@ -106,25 +106,25 @@ def sinusoidal_positions(frame_count: int, dim: int) -> Matrix:
     return Matrix(table)
 
 
-def pairwise_similarity(Q: Matrix, K: Matrix, kind: str, scale_q: float,
-                        tape: Tape | None = None) -> Matrix:
-    """T x T matrix of s(q_i, k_j) / sqrt(scale_q), as one recorded op.
+def _similarity(q: np.ndarray, k: np.ndarray, kind: str, scale_q: float):
+    """T x T array of s(q_i, k_j) / sqrt(scale_q), and the map from its
+    gradient to the gradients of q and of k.
 
     The l2 kind (-|u-v|^2) is computed in the decomposed form
     2 u.v - |u|^2 - |v|^2, which is two rank-T products instead of a
     T^2 x d expansion and shares its heavy lifting with the dot kind.
     The kind's tail runs in place in the buffer of Q K^T, and the
-    backward replays the generic-op chain's steps with its numpy and BLAS
-    calls, so both have its bytes. The record never reads the result, so
-    the caller may work in its buffer (autograd's one such exception).
+    gradient map replays the generic-op chain's steps with its numpy and
+    BLAS calls, so both have its bytes.
     """
-    if Q.shape != K.shape:
-        raise ShapeError(f"similarity operands differ: {Q.rows}x{Q.cols} vs {K.rows}x{K.cols}")
+    if q.shape != k.shape:
+        raise ShapeError(f"similarity operands differ: {q.shape[0]}x{q.shape[1]} "
+                         f"vs {k.shape[0]}x{k.shape[1]}")
     if scale_q <= 0.0:
         raise ContractError(f"scale_q must be positive, got {scale_q}")
     if kind not in SIMILARITY_KINDS:
         raise ContractError(f"unknown similarity kind: {kind!r}")
-    q, k, kt = Q.data, K.data, K.data.T.copy()
+    kt = k.T.copy()
     sq_q, sq_k = np.sum(q * q, axis=1, keepdims=True), np.sum(k * k, axis=1, keepdims=True)
     if kind == "cosine" and (np.any(sq_q == 0.0) or np.any(sq_k == 0.0)):
         raise NumericError("cosine similarity undefined for zero-norm rows")
@@ -140,7 +140,7 @@ def pairwise_similarity(Q: Matrix, K: Matrix, kind: str, scale_q: float,
         s -= sq_k.T
     s *= c
 
-    def shares(g):
+    def grads(g):
         g = g * c
         if kind == "cosine":
             dots = q @ kt  # the forward's call again, rather than a stored T x T copy
@@ -154,12 +154,33 @@ def pairwise_similarity(Q: Matrix, K: Matrix, kind: str, scale_q: float,
             d_sq_k = -g.sum(axis=0, keepdims=True).T
             d_sq_q = -g.sum(axis=1, keepdims=True)
             g *= 2.0
-        products = (g @ kt.T, (q.T @ g).T)
-        return products if kind == "dot" else (2.0 * k * d_sq_k, 2.0 * q * d_sq_q, *products)
+        # C-ordered, as the chain's accumulators are: the norms' shares, then the products'
+        gq, gk = np.zeros_like(q), np.zeros_like(k)
+        if kind != "dot":
+            gq += 2.0 * q * d_sq_q
+            gk += 2.0 * k * d_sq_k
+        gq += g @ kt.T
+        gk += (q.T @ g).T
+        return gq, gk
 
-    # the chain adds the norms' shares (K's, then Q's) before the product's
-    operands = (Q, K) if kind == "dot" else (K, Q, Q, K)
-    return ag._record(tape, s, (operands, shares))
+    return s, grads
+
+
+def pairwise_similarity(Q: Matrix, K: Matrix, kind: str, scale_q: float) -> Matrix:
+    """T x T matrix of s(q_i, k_j) / sqrt(scale_q), for every kind."""
+    return Matrix._wrap(_similarity(Q.data, K.data, kind, scale_q)[0])
+
+
+def _softmax_columns(s: np.ndarray) -> np.ndarray:
+    """Softmax over each column of `s`, in place. The shift, exp and
+    divide run in the order of the three-temporary formula, so the bytes
+    equal it; the gradient map is s * (g - (g * s).sum(axis=0))."""
+    if not np.all(np.isfinite(s)):
+        raise NumericError("column_softmax: input contains NaN or Inf")
+    s -= s.max(axis=0, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=0, keepdims=True)
+    return s
 
 
 _TRANSPOSE_BLOCK = 256  # a 512 KiB tile of float64
@@ -188,32 +209,46 @@ def gda_forward(X: Matrix, p: GdaParams, positions: Matrix | None,
     always project the raw features. Output row j mixes the value rows
     with the j-th column of the normalized weights.
 
-    The similarity's T x T buffer, which its record never reads, is the
-    only one with or without a tape: it is softmaxed in place, then
-    transposed in place so that its product with V is the chain's BLAS
-    call on the copied transpose (a product from a transposed view can
-    differ in the last bit), then transposed back to hold the weights.
+    Two records: the weights (positions, Q and K projections, similarity
+    and column softmax) and the features (V projection and mix). The
+    similarity's T x T buffer is the only one with or without a tape: it
+    is softmaxed in place, then transposed in place so that its product
+    with V is the chain's BLAS call on the copied transpose (a product
+    from a transposed view can differ in the last bit), then transposed
+    back to hold the weights, all before it is recorded. Each backward
+    repeats the generic-op chain's numpy and BLAS calls; X gets the V
+    share, then the K share, then the Q share (summed first, as the chain
+    sums them in X + positions). Positions are a constant table.
     """
     if X.rows == 0 or X.cols != p.Wq.rows:
         raise ShapeError(f"global attention needs T x {p.Wq.rows} features with T >= 1, "
                          f"got {X.rows}x{X.cols}")
-    Xp = X
+    x = xp = X.data
     if positions is not None:
         if positions.shape != X.shape:
             raise ShapeError(
                 f"positions {positions.rows}x{positions.cols} do not match "
                 f"features {X.rows}x{X.cols}"
             )
-        Xp = ag.add(X, positions, tape)
-    Q = ag.matmul(Xp, p.Wq, tape)
-    K = ag.matmul(Xp, p.Wk, tape)
-    V = ag.matmul(X, p.Wv, tape)
-    A = pairwise_similarity(Q, K, p.sim_kind, p.scale_q, tape)
-    weights = ag._column_softmax_in(A.data, A, tape)
-    w, v = weights.data, V.data
-    mixed = _transpose_in_place(w) @ v
+        xp = x + positions.data
+    wq, wk, wv = p.Wq.data, p.Wk.data, p.Wv.data
+    v = x @ wv
+    w, sim_grads = _similarity(xp @ wq, xp @ wk, p.sim_kind, p.scale_q)
+    mixed = _transpose_in_place(_softmax_columns(w)) @ v
     _transpose_in_place(w)
-    features = ag._record(tape, mixed, ((weights, V), lambda g: ((g @ v.T).T, w.T.copy().T @ g)))
+
+    def weight_shares(g):
+        gq, gk = sim_grads(w * (g - (g * w).sum(axis=0, keepdims=True)))
+        kx, qx = gk @ wk.T, gq @ wq.T
+        return xp.T @ gk, xp.T @ gq, *((kx, qx) if positions is None else (kx + qx,))
+
+    def feature_shares(g):
+        gv = w.T.copy().T @ g
+        return (g @ v.T).T, gv @ wv.T, x.T @ gv
+
+    x_uses = (X, X) if positions is None else (X,)
+    weights = ag._record(tape, w, ((p.Wk, p.Wq, *x_uses), weight_shares))
+    features = ag._record(tape, mixed, ((weights, X, p.Wv), feature_shares))
     return AttentionOutput(features=features, weights=weights)
 
 
@@ -257,18 +292,18 @@ def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionO
     which normalization pins to 1 (kept for fidelity, see the collapse
     test).
 
-    Seven records for any variant, policy and R: three projections, the
-    (2R+1) x T score block, its softmax in place (the score record never
-    reads its result), the transpose to the weights and the mix. Each
-    backward repeats the op chain's numpy and BLAS calls in its order.
+    Two records for any variant, policy and R: the weights (Q and K
+    projections, the (2R+1) x T score block, its softmax in place and the
+    transpose) and the features (V projection and mix). Each backward
+    repeats the op chain's numpy and BLAS calls in its order.
     """
     if X.rows == 0 or X.cols != p.Wq2.rows:
         raise ShapeError(f"local attention needs T x {p.Wq2.rows} features with T >= 1, "
                          f"got {X.rows}x{X.cols}")
     T, d = X.shape
     R, span = p.neighbor_R, 2 * p.neighbor_R + 1
-    Q, K, V = (ag.matmul(X, proj, tape) for proj in (p.Wq2, p.Wk2, p.Wv2))
-    q, k, v, rel = Q.data, K.data, V.data, p.rel_pos.data
+    x, wq, wk, wv, rel = X.data, p.Wq2.data, p.Wk2.data, p.Wv2.data, p.rel_pos.data
+    q, k, v = x @ wq, x @ wk, x @ wv
 
     def shifted(m: np.ndarray, o: int):
         """Slot o of every anchor's window, from m, and its gradient map."""
@@ -283,47 +318,53 @@ def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionO
     s = np.empty((span, T))
     for o in range(span):
         s[o] = ((shifted(q, o)[0] * (k + rel[abs(o - R)])) @ ones_d)[:, 0] * c
+    w = _softmax_columns(s).T.copy()  # T x (2R+1)
 
-    def score_shares(g):
-        g = g * c
+    def weight_shares(g):
+        g = s * (g.T - (g.T * s).sum(axis=0, keepdims=True)) * c
+        gq, gk = np.zeros_like(q), np.zeros_like(k)
         for o in reversed(range(span)):
             rows, scatter = shifted(q, o)
             g_key = g[o][:, None] * rows
             share = np.zeros_like(rel)
             share[abs(o - R)] = g_key.sum(axis=0)
-            yield from (scatter(g[o][:, None] * (k + rel[abs(o - R)])), g_key, share)
+            gq += scatter(g[o][:, None] * (k + rel[abs(o - R)]))
+            gk += g_key
+            yield share
+        yield from (gk @ wk.T, x.T @ gk, gq @ wq.T, x.T @ gq)
 
-    scores = ag._record(tape, s, ((Q, K, p.rel_pos) * span, score_shares))
-    weights = ag.transpose(ag._column_softmax_in(s, scores, tape), tape)  # T x (2R+1)
-    w = weights.data
     if p.variant == "literal":  # summed weights times the anchor's own value row
         total = w @ np.ones((span, 1))
-        return AttentionOutput(weights=weights, features=ag._record(
-            tape, v * total, (V, lambda g: g * total),
-            (weights, lambda g: (g * v).sum(axis=1, keepdims=True) @ np.ones((1, span)))))
-    mixed = shifted(v, 0)[0] * w[:, :1]
-    for o in range(1, span):
-        mixed += shifted(v, o)[0] * w[:, o:o + 1]
+        mixed = v * total
+    else:
+        mixed = shifted(v, 0)[0] * w[:, :1]
+        for o in range(1, span):
+            mixed += shifted(v, o)[0] * w[:, o:o + 1]
 
-    def mix_shares(g):
-        g_w = np.empty((T, span))
-        for o in reversed(range(span)):
-            rows, scatter = shifted(v, o)
-            g_w[:, o] = (g * rows).sum(axis=1)
-            yield scatter(g * w[:, o:o + 1])
-        yield g_w
+    def feature_shares(g):
+        if p.variant == "literal":
+            g_w, gv = (g * v).sum(axis=1, keepdims=True) @ np.ones((1, span)), g * total
+        else:
+            g_w, gv = np.empty((T, span)), np.zeros_like(v)
+            for o in reversed(range(span)):
+                rows, scatter = shifted(v, o)
+                g_w[:, o] = (g * rows).sum(axis=1)
+                gv += scatter(g * w[:, o:o + 1])
+        return g_w, gv @ wv.T, x.T @ gv
 
-    features = ag._record(tape, mixed, ((V,) * span + (weights,), mix_shares))
+    weights = ag._record(tape, w, ((p.rel_pos,) * span + (X, p.Wk2, X, p.Wq2), weight_shares))
+    features = ag._record(tape, mixed, ((weights, X, p.Wv2), feature_shares))
     return AttentionOutput(features=features, weights=weights)
 
 
 def dca_fuse(X: Matrix, Xg: Matrix, Xl: Matrix, tape: Tape | None = None) -> Matrix:
-    """Diversified contextual features: raw + global + local, elementwise."""
+    """Diversified contextual features: raw + global + local, elementwise,
+    as one record."""
     if not (X.shape == Xg.shape == Xl.shape):
         raise ShapeError(
             f"fusion operands differ: {X.shape} vs {Xg.shape} vs {Xl.shape}"
         )
-    return ag.add(ag.add(X, Xg, tape), Xl, tape)
+    return ag._record(tape, X.data + Xg.data + Xl.data, ((Xl, X, Xg), lambda g: (g, g, g)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ differentiable operation in execution order; :func:`backward` replays the
 tape in reverse and accumulates gradients additively into every operand
 that can reach the loss.
 
-The generic ops are ``matmul``, ``transpose``, ``add``, ``relu`` and
-``sigmoid``; the attention paths, the heads' affine layers and the
-losses record their own fused ops through ``_record``.
+autograd defines no ops of its own: each layer (the attention paths,
+the fusion, the heads and the losses) computes its arrays with numpy and
+records itself through ``_record``.
 
 Conventions:
   * all values are float64, all shapes strictly 2-D
@@ -17,18 +17,17 @@ Conventions:
   * while a tape is alive, the ``.data`` of recorded matrices must not be
     mutated in place (the recorded closures keep references, not copies)
 
-Recording contract: every operation computes its result array and
-returns it through ``_record``, the one place that looks at the tape.
+Recording contract: every layer computes all its arrays, then returns
+its result through ``_record``, the one place that looks at the tape.
 ``_record`` wraps that array without a copy, so every result owns a
 fresh 2-D, C-contiguous float64 buffer that shares no memory with its
 operands; the public ``Matrix(data)`` constructor copies. Called with a
-tape, an operation adds exactly one record; with ``tape=None`` it adds
-none and runs the same code to the same forward values. A record adds
-to an operand's gradient only once a gradient has reached the
-operation's output, so an operand whose results never reach the loss
-keeps ``.grad`` as it was (None, if never zeroed). Two results, whose
-records never read them, are softmaxed in place while a tape is alive:
-``attention.pairwise_similarity``'s and ``lca_forward``'s score block.
+tape, a layer adds its records; with ``tape=None`` it adds none and
+runs the same code to the same forward values. A record adds to an
+operand's gradient only once a gradient has reached the record's
+output, so an operand whose results never reach the loss keeps
+``.grad`` as it was (None, if never zeroed). A recorded result is never
+mutated.
 """
 
 from __future__ import annotations
@@ -76,10 +75,6 @@ class Matrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls._wrap(np.zeros((rows, cols)))
-
-    @classmethod
-    def column(cls, values) -> "Matrix":
-        return cls._wrap(np.array(values, dtype=np.float64).reshape(-1, 1))
 
     @property
     def rows(self) -> int:
@@ -130,25 +125,6 @@ def _accum(m: Matrix, g: np.ndarray):
     m.grad += g
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Sum gradient g down to `shape` across any broadcast axes."""
-    out = g
-    if shape[0] == 1 and g.shape[0] != 1:
-        out = out.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] != 1:
-        out = out.sum(axis=1, keepdims=True)
-    return out
-
-
-def _broadcast_shape(a: Matrix, b: Matrix, op: str) -> tuple[int, int]:
-    try:
-        return np.broadcast_shapes(a.data.shape, b.data.shape)
-    except ValueError:
-        raise ShapeError(
-            f"{op}: shapes {a.rows}x{a.cols} and {b.rows}x{b.cols} do not broadcast"
-        ) from None
-
-
 def backward(loss: Matrix, tape: Tape):
     """Populate gradients of everything on `tape` that reaches `loss`.
 
@@ -189,60 +165,3 @@ def _record(tape: Tape | None, data: np.ndarray, *contributions) -> Matrix:
 
         tape.record(bwd)
     return out
-
-
-# ---------------------------------------------------------------------------
-# operations
-
-
-def matmul(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
-    """Standard matrix product a @ b."""
-    if a.cols != b.rows:
-        raise ShapeError(
-            f"matmul: inner dimensions disagree, {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
-        )
-    a_data, b_data = a.data, b.data
-    return _record(tape, a_data @ b_data,
-                   (a, lambda g: g @ b_data.T), (b, lambda g: a_data.T @ g))
-
-
-def transpose(a: Matrix, tape: Tape | None = None) -> Matrix:
-    return _record(tape, a.data.T.copy(), (a, lambda g: g.T))
-
-
-def add(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
-    """Elementwise sum; an operand with a length-1 axis broadcasts."""
-    _broadcast_shape(a, b, "add")
-    return _record(tape, a.data + b.data,
-                   (a, lambda g: _unbroadcast(g, a.shape)),
-                   (b, lambda g: _unbroadcast(g, b.shape)))
-
-
-def relu(a: Matrix, tape: Tape | None = None) -> Matrix:
-    a_data = a.data
-    return _record(tape, np.maximum(a_data, 0.0), (a, lambda g: g * (a_data > 0.0)))
-
-
-def sigmoid(a: Matrix, tape: Tape | None = None) -> Matrix:
-    # split by sign for stability at large |x|
-    x = a.data
-    pos = x >= 0
-    s = np.empty_like(x)
-    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    s[~pos] = e / (1.0 + e)
-    return _record(tape, s, (a, lambda g: g * s * (1.0 - s)))
-
-
-def _column_softmax_in(s: np.ndarray, a: Matrix, tape: Tape | None) -> Matrix:
-    """Column softmax of `a` computed in `s`, a copy of a.data or a.data itself.
-
-    The shift, exp and divide run in place, in the order of the
-    three-temporary formula, so the bytes equal it.
-    """
-    if not np.all(np.isfinite(s)):
-        raise NumericError("column_softmax: input contains NaN or Inf")
-    s -= s.max(axis=0, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=0, keepdims=True)
-    return _record(tape, s, (a, lambda g: s * (g - (g * s).sum(axis=0, keepdims=True))))

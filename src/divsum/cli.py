@@ -142,7 +142,11 @@ def cmd_evaluate(args) -> int:
     if args.splits:
         split_path = Path(args.splits)
         if split_path.exists():
-            splits, _ = load_splits(split_path)
+            splits, meta = load_splits(split_path)
+            for key in ("mode", "folds", "seed", "target_corpus"):
+                if key in meta and meta[key] != getattr(protocol, key):
+                    raise ContractError(f"{split_path}: split file has {key} {meta[key]!r}, "
+                                        f"this run has {key} {getattr(protocol, key)!r}")
         else:
             splits = build_folds(videos, protocol)
             save_splits(split_path, splits, protocol)

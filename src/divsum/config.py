@@ -48,7 +48,7 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        for key in ("weight_decay", "alpha", "beta", "scale_q", "seed"):
+        for key in ("weight_decay", "alpha", "beta", "scale_q", "min_delta", "seed"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         for key, allowed in (("sim_kind", SIMILARITY_KINDS), ("lca_variant", LCA_VARIANTS),
@@ -58,10 +58,9 @@ class TrainConfig:
                                   f"got {getattr(self, key)!r}")
         if self.learning_rate <= 0.0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.neighbor_R < 1:
-            raise ConfigError(f"neighbor_R must be >= 1, got {self.neighbor_R}")
+        for key in ("epochs", "neighbor_R", "patience"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
 
 
 _FIELD_TYPES = {f.name: type(getattr(TrainConfig(), f.name)) for f in fields(TrainConfig)}

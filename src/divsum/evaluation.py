@@ -22,7 +22,7 @@ import numpy as np
 
 from .autograd import ContractError, NumericError, ShapeError
 from .config import TrainConfig
-from .data import AGGREGATION_MODES, json_field, read_json_object
+from .data import AGGREGATION_MODES, _repeated, json_field, read_json_object
 from .segmentation import SummaryMask, summarize_scores, summarize_video
 from .training import train
 
@@ -279,13 +279,14 @@ def save_splits(path, splits: list[FoldSplit], protocol: EvalProtocol) -> Path:
 
 
 def load_splits(path) -> tuple[list[FoldSplit], dict]:
+    """The file's splits, and the protocol fields it echoes (only those present)."""
     raw = read_json_object(path, "split file")
     splits = []
     for i, s in enumerate(json_field(raw, "splits", "a list of objects", f"{path}: split file")):
         where = f"{path}: split {i}"
         splits.append(FoldSplit(train_ids=json_field(s, "train", "a list of strings", where),
                                 test_ids=json_field(s, "test", "a list of strings", where)))
-    meta = {k: raw.get(k) for k in ("mode", "folds", "agg", "seed", "target_corpus")}
+    meta = {k: raw[k] for k in ("mode", "folds", "agg", "seed", "target_corpus") if k in raw}
     return splits, meta
 
 
@@ -331,9 +332,10 @@ def evaluate(videos, cfg: TrainConfig, protocol: EvalProtocol,
     videos, and average F / tau / rho over every test video."""
     if not videos:
         raise ContractError("cannot evaluate an empty video set")
+    repeated = _repeated(v.id for v in videos)
+    if repeated:
+        raise ContractError(f"video ids are not unique: {repeated}")
     by_id = {v.id: v for v in videos}
-    if len(by_id) != len(videos):
-        raise ContractError("video ids are not unique")
     if splits is None:
         splits = build_folds(videos, protocol)
 

@@ -6,9 +6,9 @@ repelling loss, and a two-layer reconstruction head. The combined
 objective is classification + alpha * repelling + beta * reconstruction,
 with the classification term dropped in unsupervised mode.
 
-Each affine layer, loss and the weighted total is one tape record that
-repeats its generic-op chain's numpy and BLAS steps, so it keeps the
-chain's bytes.
+Each head, loss and the weighted total is one tape record that repeats
+its generic-op chain's numpy and BLAS steps, so it keeps the chain's
+bytes.
 
 Note on the reconstruction head: its final sigmoid is off by default
 because ingested features are generally unbounded; a sigmoid output could
@@ -40,16 +40,6 @@ class Affine:
             raise ShapeError(
                 f"bias must be 1x{self.W.cols}, got {self.b.rows}x{self.b.cols}"
             )
-
-    def apply(self, x: Matrix, tape: Tape | None = None) -> Matrix:
-        """x @ W + b; the shares go to b (column sums), then x and W."""
-        if x.cols != self.W.rows:
-            raise ShapeError(f"affine input {x.rows}x{x.cols}, weight {self.W.rows}x{self.W.cols}")
-        x_data, W_data = x.data, self.W.data
-        out = x_data @ W_data
-        out += self.b.data
-        return ag._record(tape, out, (self.b, lambda g: g.sum(axis=0, keepdims=True)),
-                          (x, lambda g: g @ W_data.T), (self.W, lambda g: x_data.T @ g))
 
 
 @dataclass
@@ -100,37 +90,75 @@ class LossParts:
     recon: Matrix
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # split by sign for stability at large |x|
+    pos = x >= 0
+    s = np.empty_like(x)
+    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    s[~pos] = e / (1.0 + e)
+    return s
+
+
+def _layers(x: Matrix, layers, tape: Tape | None) -> Matrix:
+    """The affine layers, each followed by its activation ("relu",
+    "sigmoid" or None), as one record. Each layer computes x @ W, then
+    adds b in place; the backward runs the layers' reverse steps with the
+    generic-op chain's numpy and BLAS calls."""
+    if x.cols != layers[0][0].W.rows:
+        raise ShapeError(f"affine input {x.rows}x{x.cols}, "
+                         f"weight {layers[0][0].W.rows}x{layers[0][0].W.cols}")
+    inputs, outputs = [], []
+    out = x.data
+    for layer, act in layers:
+        inputs.append(out)
+        out = out @ layer.W.data
+        out += layer.b.data
+        out = np.maximum(out, 0.0) if act == "relu" else _sigmoid(out) if act else out
+        outputs.append(out)
+
+    def shares(g):
+        for (layer, act), a, out in reversed(list(zip(layers, inputs, outputs))):
+            if act == "relu":
+                g = g * (out > 0.0)
+            elif act == "sigmoid":
+                g = g * out * (1.0 - out)
+            yield g.sum(axis=0, keepdims=True)
+            yield a.T @ g
+            g = g @ layer.W.data.T
+        yield g
+
+    params = [m for layer, _ in reversed(layers) for m in (layer.b, layer.W)]
+    return ag._record(tape, out, ((*params, x), shares))
+
+
 def score_frames(Xt: Matrix, h: HeadParams, tape: Tape | None = None) -> Matrix:
     """Per-frame importance in (0,1): sigmoid(affine2(relu(affine1(x))))."""
-    hidden = ag.relu(h.score1.apply(Xt, tape), tape)
-    return ag.sigmoid(h.score2.apply(hidden, tape), tape)
+    return _layers(Xt, ((h.score1, "relu"), (h.score2, "sigmoid")), tape)
 
 
 def embed_frames(Xt: Matrix, h: HeadParams, tape: Tape | None = None) -> Matrix:
     """Linear embedding feeding the repelling loss; deliberately no activation."""
-    return h.embed.apply(Xt, tape)
+    return _layers(Xt, ((h.embed, None),), tape)
 
 
 def reconstruct_frames(Xt: Matrix, h: HeadParams, tape: Tape | None = None) -> Matrix:
-    hidden = ag.sigmoid(h.recon1.apply(Xt, tape), tape)
-    out = h.recon2.apply(hidden, tape)
-    if h.recon_final_sigmoid:
-        out = ag.sigmoid(out, tape)
-    return out
+    final = "sigmoid" if h.recon_final_sigmoid else None
+    return _layers(Xt, ((h.recon1, "sigmoid"), (h.recon2, final)), tape)
 
 
 def bce_loss(y: Matrix, gt, tape: Tape | None = None) -> Matrix:
     """Mean binary cross-entropy of predicted probabilities y (T x 1)
     against 0/1 targets, with predictions clipped to [eps, 1-eps].
 
-    The targets, a sequence or a T x 1 Matrix, are constants: only y gets
-    a share, and a Matrix target's .grad is left as it was."""
-    target = gt if isinstance(gt, Matrix) else Matrix.column(gt)
-    if y.cols != 1 or target.cols != 1:
+    The targets, a sequence of T values read as an array, are constants:
+    only y gets a share."""
+    t = np.array(gt, dtype=np.float64).reshape(-1, 1)
+    if y.cols != 1:
         raise ShapeError("bce_loss expects column vectors")
-    if y.rows != target.rows:
-        raise ShapeError(f"prediction/target lengths differ: {y.rows} vs {target.rows}")
-    T, y_data, t = y.rows, y.data, target.data
+    if y.rows != len(t):
+        raise ShapeError(f"prediction/target lengths differ: {y.rows} vs {len(t)}")
+    T, y_data = y.rows, y.data
     yc = np.clip(y_data, BCE_EPS, 1.0 - BCE_EPS)
     ones = np.ones((T, 1))
     not_t, not_yc = ones - t, ones - yc

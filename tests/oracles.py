@@ -71,24 +71,82 @@ def finite_difference_sampled(f, mats, rng, per_mat=4, step=1e-5):
 
 
 # ---------------------------------------------------------------------------
-# generic ops: recorded elementwise and reduction ops the reference chains
-# are built from
+# generic ops: recorded elementwise, product and reduction ops the
+# reference chains are built from
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Sum gradient g down to `shape` across any broadcast axes."""
+    out = g
+    if shape[0] == 1 and g.shape[0] != 1:
+        out = out.sum(axis=0, keepdims=True)
+    if shape[1] == 1 and g.shape[1] != 1:
+        out = out.sum(axis=1, keepdims=True)
+    return out
+
+
+def _broadcast_shape(a: Matrix, b: Matrix, op: str) -> tuple[int, int]:
+    try:
+        return np.broadcast_shapes(a.data.shape, b.data.shape)
+    except ValueError:
+        raise ag.ShapeError(
+            f"{op}: shapes {a.rows}x{a.cols} and {b.rows}x{b.cols} do not broadcast"
+        ) from None
+
+
+def matmul(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
+    """Standard matrix product a @ b."""
+    if a.cols != b.rows:
+        raise ag.ShapeError(
+            f"matmul: inner dimensions disagree, {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
+        )
+    a_data, b_data = a.data, b.data
+    return ag._record(tape, a_data @ b_data,
+                      (a, lambda g: g @ b_data.T), (b, lambda g: a_data.T @ g))
+
+
+def transpose(a: Matrix, tape: Tape | None = None) -> Matrix:
+    return ag._record(tape, a.data.T.copy(), (a, lambda g: g.T))
+
+
+def add(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
+    """Elementwise sum; an operand with a length-1 axis broadcasts."""
+    _broadcast_shape(a, b, "add")
+    return ag._record(tape, a.data + b.data,
+                      (a, lambda g: _unbroadcast(g, a.shape)),
+                      (b, lambda g: _unbroadcast(g, b.shape)))
+
+
+def relu(a: Matrix, tape: Tape | None = None) -> Matrix:
+    a_data = a.data
+    return ag._record(tape, np.maximum(a_data, 0.0), (a, lambda g: g * (a_data > 0.0)))
+
+
+def sigmoid(a: Matrix, tape: Tape | None = None) -> Matrix:
+    # split by sign for stability at large |x|
+    x = a.data
+    pos = x >= 0
+    s = np.empty_like(x)
+    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    s[~pos] = e / (1.0 + e)
+    return ag._record(tape, s, (a, lambda g: g * s * (1.0 - s)))
 
 
 def subtract(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
-    ag._broadcast_shape(a, b, "subtract")
+    _broadcast_shape(a, b, "subtract")
     return ag._record(tape, a.data - b.data,
-                      (a, lambda g: ag._unbroadcast(g, a.shape)),
-                      (b, lambda g: -ag._unbroadcast(g, b.shape)))
+                      (a, lambda g: _unbroadcast(g, a.shape)),
+                      (b, lambda g: -_unbroadcast(g, b.shape)))
 
 
 def multiply(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
     """Elementwise (Hadamard) product with the same broadcasting as add."""
-    ag._broadcast_shape(a, b, "multiply")
+    _broadcast_shape(a, b, "multiply")
     a_data, b_data = a.data, b.data
     return ag._record(tape, a_data * b_data,
-                      (a, lambda g: ag._unbroadcast(g * b_data, a_data.shape)),
-                      (b, lambda g: ag._unbroadcast(g * a_data, b_data.shape)))
+                      (a, lambda g: _unbroadcast(g * b_data, a_data.shape)),
+                      (b, lambda g: _unbroadcast(g * a_data, b_data.shape)))
 
 
 def scale(a: Matrix, c: float, tape: Tape | None = None) -> Matrix:
@@ -144,8 +202,16 @@ def sum_all(a: Matrix, tape: Tape | None = None) -> Matrix:
 
 
 def column_softmax(a: Matrix, tape: Tape | None = None) -> Matrix:
-    """Softmax over each column (the first index), max-stabilized."""
-    return ag._column_softmax_in(a.data.copy(), a, tape)
+    """Softmax over each column (the first index), max-stabilized. The
+    shift, exp and divide run in place in one copy of the input, in the
+    order of the three-temporary formula, so the bytes equal it."""
+    s = a.data.copy()
+    if not np.all(np.isfinite(s)):
+        raise ag.NumericError("column_softmax: input contains NaN or Inf")
+    s -= s.max(axis=0, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=0, keepdims=True)
+    return ag._record(tape, s, (a, lambda g: s * (g - (g * s).sum(axis=0, keepdims=True))))
 
 
 def row_norms_squared(a: Matrix, tape: Tape | None = None) -> Matrix:
@@ -221,29 +287,29 @@ def similarity_chain(Q, K, kind, scale_q, tape=None):
     """pairwise_similarity as a chain of generic autograd ops, one record
     each: 10 records for cosine, 9 for l2, 3 for dot."""
     c = 1.0 / np.sqrt(scale_q)
-    dots = ag.matmul(Q, ag.transpose(K, tape), tape)
+    dots = matmul(Q, transpose(K, tape), tape)
     if kind == "dot":
         sim = dots
     elif kind == "cosine":
         inv_q = rsqrt(row_norms_squared(Q, tape), tape)
         inv_k = rsqrt(row_norms_squared(K, tape), tape)
-        sim = multiply(multiply(dots, inv_q, tape), ag.transpose(inv_k, tape), tape)
+        sim = multiply(multiply(dots, inv_q, tape), transpose(inv_k, tape), tape)
     else:
         twice_dots = scale(dots, 2.0, tape)
         sq_q = row_norms_squared(Q, tape)
         sq_k = row_norms_squared(K, tape)
-        sim = subtract(subtract(twice_dots, sq_q, tape), ag.transpose(sq_k, tape), tape)
+        sim = subtract(subtract(twice_dots, sq_q, tape), transpose(sq_k, tape), tape)
     return scale(sim, c, tape)
 
 
 def gda_chain(X, p, positions, tape=None):
     """gda_forward as a chain of generic autograd ops: (features, weights)."""
-    Xp = ag.add(X, positions, tape) if positions is not None else X
-    Q = ag.matmul(Xp, p.Wq, tape)
-    K = ag.matmul(Xp, p.Wk, tape)
-    V = ag.matmul(X, p.Wv, tape)
+    Xp = add(X, positions, tape) if positions is not None else X
+    Q = matmul(Xp, p.Wq, tape)
+    K = matmul(Xp, p.Wk, tape)
+    V = matmul(X, p.Wv, tape)
     At = column_softmax(similarity_chain(Q, K, p.sim_kind, p.scale_q, tape), tape)
-    return ag.matmul(ag.transpose(At, tape), V, tape), At
+    return matmul(transpose(At, tape), V, tape), At
 
 
 def naive_local_attention(X, Wq, Wk, Wv, rel, radius, variant, boundary="clamp"):
@@ -323,33 +389,33 @@ def lca_chain(X, p, tape=None):
     T, d = X.shape
     R = p.neighbor_R
     span = 2 * R + 1
-    Q = ag.matmul(X, p.Wq2, tape)
-    K = ag.matmul(X, p.Wk2, tape)
-    V = ag.matmul(X, p.Wv2, tape)
+    Q = matmul(X, p.Wq2, tape)
+    K = matmul(X, p.Wk2, tape)
+    V = matmul(X, p.Wv2, tape)
 
     def shifted(M, o):
         src = np.arange(T) + o - R
         rows = gather_rows(M, np.clip(src, 0, T - 1), tape)
         if p.boundary == "zero":
-            rows = multiply(rows, Matrix.column((src >= 0) & (src < T)), tape)
+            rows = multiply(rows, Matrix(((src >= 0) & (src < T))[:, None]), tape)
         return rows
 
     ones_d = Matrix(np.ones((d, 1)))
     score_rows = []
     for o in range(span):
-        key = ag.add(K, gather_rows(p.rel_pos, [abs(o - R)], tape), tape)
-        score = ag.matmul(multiply(shifted(Q, o), key, tape), ones_d, tape)
-        score_rows.append(ag.transpose(score, tape))
+        key = add(K, gather_rows(p.rel_pos, [abs(o - R)], tape), tape)
+        score = matmul(multiply(shifted(Q, o), key, tape), ones_d, tape)
+        score_rows.append(transpose(score, tape))
     B = scale(stack_rows(score_rows, tape), 1.0 / np.sqrt(d), tape)
-    weights = ag.transpose(column_softmax(B, tape), tape)
+    weights = transpose(column_softmax(B, tape), tape)
     if p.variant == "contextual":
         features = None
         for o in range(span):
-            slot = ag.matmul(weights, Matrix.column(np.arange(span) == o), tape)
+            slot = matmul(weights, Matrix((np.arange(span) == o)[:, None]), tape)
             term = multiply(shifted(V, o), slot, tape)
-            features = term if features is None else ag.add(features, term, tape)
+            features = term if features is None else add(features, term, tape)
     else:
-        features = multiply(V, ag.matmul(weights, Matrix(np.ones((span, 1))), tape), tape)
+        features = multiply(V, matmul(weights, Matrix(np.ones((span, 1))), tape), tape)
     return features, weights
 
 
@@ -358,20 +424,37 @@ def lca_chain(X, p, tape=None):
 
 
 def affine_chain(layer, x, tape=None):
-    """Affine.apply as a chain of generic autograd ops: x @ W, then + b."""
-    return ag.add(ag.matmul(x, layer.W, tape), layer.b, tape)
+    """One affine layer as a chain of generic autograd ops: x @ W, then + b."""
+    return add(matmul(x, layer.W, tape), layer.b, tape)
+
+
+def score_chain(Xt, h, tape=None):
+    """score_frames as a chain of generic autograd ops, 6 records."""
+    hidden = relu(affine_chain(h.score1, Xt, tape), tape)
+    return sigmoid(affine_chain(h.score2, hidden, tape), tape)
+
+
+def embed_chain(Xt, h, tape=None):
+    """embed_frames as a chain of generic autograd ops, 2 records."""
+    return affine_chain(h.embed, Xt, tape)
+
+
+def reconstruct_chain(Xt, h, tape=None):
+    """reconstruct_frames as a chain of generic autograd ops: 5 records,
+    6 with the final sigmoid."""
+    out = affine_chain(h.recon2, sigmoid(affine_chain(h.recon1, Xt, tape), tape), tape)
+    return sigmoid(out, tape) if h.recon_final_sigmoid else out
 
 
 def bce_chain(y, gt, tape=None, eps=1e-7):
-    """bce_loss as a chain of generic autograd ops, 10 records; a Matrix
-    target gets a share here, as any operand does."""
-    target = gt if isinstance(gt, Matrix) else Matrix.column(gt)
+    """bce_loss as a chain of generic autograd ops, 10 records."""
+    target = Matrix(np.reshape(gt, (-1, 1)))
     T = y.rows
     yc = clip(y, eps, 1.0 - eps, tape)
     ones = Matrix(np.ones((T, 1)))
     pos = multiply(target, log(yc, tape), tape)
     neg = multiply(subtract(ones, target, tape), log(subtract(ones, yc, tape), tape), tape)
-    return scale(sum_all(ag.add(pos, neg, tape), tape), -1.0 / T, tape)
+    return scale(sum_all(add(pos, neg, tape), tape), -1.0 / T, tape)
 
 
 def repelling_chain(E, tape=None):
@@ -379,7 +462,7 @@ def repelling_chain(E, tape=None):
     cosine Gram matrix of the unit rows, summed, less its diagonal T."""
     T = E.rows
     unit = multiply(E, rsqrt(row_norms_squared(E, tape), tape), tape)
-    gram = ag.matmul(unit, ag.transpose(unit, tape), tape)
+    gram = matmul(unit, transpose(unit, tape), tape)
     off_diag = subtract(sum_all(gram, tape), Matrix([[float(T)]]), tape)
     return scale(off_diag, 1.0 / (T * (T - 1)), tape)
 
@@ -393,8 +476,8 @@ def reconstruction_chain(X, Xrec, tape=None):
 def total_loss_chain(parts, w, tape=None):
     """total_loss as a chain of generic autograd ops: 4 records, 3 when
     unsupervised."""
-    weighted = ag.add(scale(parts.repel, w.alpha, tape), scale(parts.recon, w.beta, tape), tape)
-    return ag.add(parts.cls, weighted, tape) if w.supervised else weighted
+    weighted = add(scale(parts.repel, w.alpha, tape), scale(parts.recon, w.beta, tape), tape)
+    return add(parts.cls, weighted, tape) if w.supervised else weighted
 
 
 def nearest_point_index(x, y, points):

@@ -42,7 +42,7 @@ def _loss_builders(rng, T, d):
     gt = rng.integers(0, 2, size=T).astype(float)
     gt[0], gt[1] = 0.0, 1.0
     return [
-        ("bce", [raw], lambda t: hd.bce_loss(ag.sigmoid(raw, t), gt, t)),
+        ("bce", [raw], lambda t: hd.bce_loss(oracles.sigmoid(raw, t), gt, t)),
         ("repelling", [E], lambda t: hd.repelling_loss(E, t)),
         ("reconstruction", [X, Xr], lambda t: hd.reconstruction_loss(X, Xr, t)),
     ]

@@ -223,11 +223,6 @@ def test_forward_only_gda_equals_taped_gda_byte_for_byte(kind, T, positions):
     assert bare.features.data.tobytes() == taped.features.data.tobytes()
     assert bare.weights.data.tobytes() == taped.weights.data.tobytes()
     assert bare.weights.data.flags.c_contiguous
-    Q, K = Matrix(rng.normal(size=(T, d))), Matrix(rng.normal(size=(T, d)))
-    q_bytes, k_bytes = Q.data.tobytes(), K.data.tobytes()
-    sim = att.pairwise_similarity(Q, K, kind, 3.0)
-    assert sim.data.tobytes() == att.pairwise_similarity(Q, K, kind, 3.0, Tape()).data.tobytes()
-    assert Q.data.tobytes() == q_bytes and K.data.tobytes() == k_bytes
 
 
 @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
@@ -260,7 +255,7 @@ def loss_grads(run, mats, loss, rng, held=None):
         terms.append(oracles.sum_all(oracles.multiply(features, mix_f, tape), tape))
     if loss in ("weights", "both"):
         terms.append(oracles.sum_all(oracles.multiply(weights, mix_w, tape), tape))
-    ag.backward(terms[0] if len(terms) == 1 else ag.add(*terms, tape), tape)
+    ag.backward(terms[0] if len(terms) == 1 else oracles.add(*terms, tape), tape)
     return [a.tobytes() for a in [features.data, weights.data] + [m.grad for m in mats]]
 
 
@@ -286,38 +281,65 @@ def test_gda_bytes_and_grads_equal_the_generic_op_chain(kind, T, positions, loss
     assert loss_grads(fused, mats, loss, np.random.default_rng(1)) == want
 
 
-@pytest.mark.parametrize("shared", [False, True], ids=["q-k", "q-is-k"])
+@pytest.mark.parametrize("positions", [False, True], ids=["bare", "positions"])
+@pytest.mark.parametrize("kind", att.SIMILARITY_KINDS)
+def test_gda_grads_add_onto_held_grads_as_the_op_chain_does(kind, positions):
+    rng = np.random.default_rng(3)
+    T, d = 7, 4
+    p = make_gda(rng, d, kind=kind)
+    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    P = att.sinusoidal_positions(T, d) if positions else None
+    mats = [p.Wq, p.Wk, p.Wv, X]
+    held = [rng.normal(size=m.shape) for m in mats]
+
+    def fused(tape):
+        out = att.gda_forward(X, p, P, tape)
+        return out.features, out.weights
+
+    want = loss_grads(lambda tape: oracles.gda_chain(X, p, P, tape), mats, "both",
+                      np.random.default_rng(1), held)
+    assert loss_grads(fused, mats, "both", np.random.default_rng(1), held) == want
+
+
 @pytest.mark.parametrize("T", [1, 2, 7, 300])
 @pytest.mark.parametrize("kind", att.SIMILARITY_KINDS)
-def test_similarity_bytes_and_grads_equal_the_generic_op_chain(kind, T, shared):
+def test_similarity_bytes_equal_the_generic_op_chain(kind, T):
+    # the gradient bytes are pinned through gda_forward's weights record
     rng = np.random.default_rng(T)
     Q, K = Matrix(rng.normal(size=(T, 4))), Matrix(rng.normal(size=(T, 4)))
-    if shared:
-        K = Q
-    mix = Matrix(rng.normal(size=(T, T)))
-    held = rng.normal(size=(2, T, 4))  # gradients already accumulated
-
-    def run(similarity):
-        Q.grad, K.grad = held[0].copy(), held[1].copy()
-        tape = Tape()
-        sim = similarity(Q, K, kind, 3.0, tape)
-        ag.backward(oracles.sum_all(oracles.multiply(sim, mix, tape), tape), tape)
-        return [a.tobytes() for a in (sim.data, Q.grad, K.grad)]
-
-    assert run(att.pairwise_similarity) == run(oracles.similarity_chain)
+    q_bytes, k_bytes = Q.data.tobytes(), K.data.tobytes()
+    want = oracles.similarity_chain(Q, K, kind, 3.0).data.tobytes()
+    assert att.pairwise_similarity(Q, K, kind, 3.0).data.tobytes() == want
+    assert Q.data.tobytes() == q_bytes and K.data.tobytes() == k_bytes
 
 
+@pytest.mark.parametrize("positions", [False, True], ids=["bare", "positions"])
 @pytest.mark.parametrize("kind", att.SIMILARITY_KINDS)
-def test_gda_forward_makes_seven_records_with_positions(kind):
+def test_gda_forward_makes_two_records(kind, positions):
     rng = np.random.default_rng(0)
     T, d = 5, 4
     p = make_gda(rng, d, kind=kind)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    P = att.sinusoidal_positions(T, d) if positions else None
     tape = Tape()
-    att.gda_forward(X, p, att.sinusoidal_positions(T, d), tape)
-    assert len(tape) == 7  # add, three projections, similarity, softmax, product
-    att.gda_forward(X, p, None, tape)
-    assert len(tape) == 13
+    att.gda_forward(X, p, P, tape)
+    assert len(tape) == 2  # weights, features
+    att.gda_forward(X, p, P, tape)
+    assert len(tape) == 4
+
+
+def test_gda_positions_get_no_gradient():
+    rng = np.random.default_rng(2)
+    T, d = 6, 4
+    p = make_gda(rng, d)
+    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    P = att.sinusoidal_positions(T, d)
+    tape = Tape()
+    out = att.gda_forward(X, p, P, tape)
+    loss = oracles.add(oracles.sum_all(out.features, tape), oracles.sum_all(out.weights, tape),
+                       tape)
+    ag.backward(loss, tape)
+    assert P.grad is None and X.grad is not None and p.Wq.grad is not None
 
 
 @pytest.mark.parametrize("n", [1, 7, 256, 300, 513])
@@ -447,13 +469,13 @@ def test_lca_grads_add_onto_held_grads_as_the_op_chain_does(variant, boundary):
 
 @pytest.mark.parametrize("boundary", att.BOUNDARY_POLICIES)
 @pytest.mark.parametrize("variant", att.LCA_VARIANTS)
-def test_lca_forward_makes_seven_records(variant, boundary):
+def test_lca_forward_makes_two_records(variant, boundary):
     rng = np.random.default_rng(0)
     X = Matrix(rng.uniform(-1, 1, size=(5, 4)))
     tape = Tape()
     for calls, R in enumerate((1, 2, 4), start=1):
         att.lca_forward(X, make_lca(rng, 4, R, variant=variant, boundary=boundary), tape)
-        assert len(tape) == 7 * calls  # three projections, scores, softmax, transpose, mix
+        assert len(tape) == 2 * calls  # weights, features
 
 
 @pytest.mark.parametrize("boundary", att.BOUNDARY_POLICIES)
@@ -550,6 +572,29 @@ def test_fuse_matches_elementwise_loops():
     got = att.dca_fuse(Matrix(a), Matrix(b), Matrix(c)).data
     want = [[a[i][j] + b[i][j] + c[i][j] for j in range(4)] for i in range(3)]
     np.testing.assert_allclose(got, want, atol=1e-15)
+
+
+@pytest.mark.parametrize("aliased", [False, True], ids=["distinct", "one-matrix"])
+def test_fuse_is_one_record_with_the_bytes_of_the_generic_op_chain(aliased):
+    rng = np.random.default_rng(23)
+    mats = [Matrix(rng.normal(size=(5, 3))) for _ in range(3)]
+    if aliased:
+        mats = mats[:1] * 3
+    mix = Matrix(rng.normal(size=(5, 3)))
+
+    def run(fuse):
+        for m in mats:
+            m.grad = np.full(m.shape, 0.1)
+        tape = Tape()
+        out = fuse(*mats, tape)
+        records = len(tape)
+        ag.backward(oracles.sum_all(oracles.multiply(out, mix, tape), tape), tape)
+        return records, [out.data.tobytes()] + [m.grad.tobytes() for m in mats]
+
+    chain = lambda X, Xg, Xl, tape: oracles.add(oracles.add(X, Xg, tape), Xl, tape)
+    records, got = run(att.dca_fuse)
+    assert records == 1
+    assert got == run(chain)[1]
 
 
 def test_fuse_rejects_mismatched_shapes():

@@ -208,6 +208,38 @@ def test_summarize_names_a_non_utf8_checkpoint_string(tmp_path, dataset, capsys,
     assert err.startswith("error:") and f"{ckpt}: {part} is not valid UTF-8" in err
 
 
+@pytest.mark.parametrize("flags, field, made, run_value", [
+    (["--folds", "3"], "folds", "2", "3"),
+    (["--split-seed", "5"], "seed", "0", "5"),
+    (["--mode", "augmented"], "mode", "'canonical'", "'augmented'"),
+    (["--target-corpus", "synth"], "target_corpus", "None", "'synth'"),
+], ids=["folds", "seed", "mode", "target-corpus"])
+def test_evaluate_refuses_a_split_file_made_for_another_protocol(tmp_path, dataset, capsys,
+                                                                 flags, field, made, run_value):
+    splits = tmp_path / "splits.json"
+    base = ["evaluate", "--data", str(dataset), "--folds", "2", "--epochs", "1",
+            "--radius", "1", "--budget-ratio", "0.3", "--splits", str(splits)]
+    assert run(*base) == 0
+    capsys.readouterr()
+    saved = splits.read_bytes()
+    assert run(*base, *flags) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {splits}: split file has {field} {made}, "
+                   f"this run has {field} {run_value}\n")
+    assert splits.read_bytes() == saved
+
+
+def test_evaluate_reuses_a_hand_written_split_file_without_protocol_fields(tmp_path, dataset):
+    ids = sorted(p.stem for p in dataset.glob("*.dsv"))
+    splits = tmp_path / "splits.json"
+    splits.write_text(json.dumps({"splits": [{"train": ids[:3], "test": ids[3:]}]}))
+    assert run("evaluate", "--data", str(dataset), "--folds", "4", "--split-seed", "9",
+               "--epochs", "1", "--radius", "1", "--budget-ratio", "0.3",
+               "--splits", str(splits), "--csv", str(tmp_path / "rep.csv")) == 0
+    _, rows = read_csv(tmp_path / "rep.csv")
+    assert [r[0] for r in rows] == ids[3:] + ["mean"]
+
+
 MANIFEST = {"name": "synth", "dim": 6, "videos": [], "aggregation": "mean_over_users"}
 
 

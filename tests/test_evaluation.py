@@ -449,6 +449,12 @@ def test_evaluate_rejects_bad_inputs():
         ev.evaluate(videos, quick_cfg(), ev.EvalProtocol(folds=1), splits=splits)
 
 
+def test_evaluate_names_the_repeated_video_ids():
+    v0, v1 = corpus("a", 2, seed=0)
+    with pytest.raises(ContractError, match=f"not unique: {v0.id!r}$"):
+        ev.evaluate([v0, v0, v1], TrainConfig(epochs=1), ev.EvalProtocol(folds=1))
+
+
 def test_random_baseline_rank_metrics_near_zero():
     videos = corpus("a", 30, seed=4, frames=40)
     report = ev.random_baseline(videos, ev.EvalProtocol(seed=11), budget_ratio=0.3)

@@ -90,6 +90,18 @@ def test_config_validation():
             load_config(None, {key: value})
 
 
+@pytest.mark.parametrize("key, value, rule", [
+    ("patience", 0, ">= 1"), ("patience", -5, ">= 1"), ("min_delta", -1e-3, ">= 0"),
+])
+def test_config_refuses_early_stop_settings_that_act_like_others(key, value, rule):
+    # patience 0 or below stopped like 1; a negative min_delta counted a rise as progress
+    for build in (lambda: TrainConfig(**{key: value}),
+                  lambda: config_from_text(f"{key}={value}\n"),
+                  lambda: load_config(None, {key: value})):
+        with pytest.raises(ConfigError, match=f"^{key} must be {rule}, got {value}$"):
+            build()
+    assert TrainConfig(patience=1, min_delta=0.0).patience == 1
+
 
 def test_readme_config_example_loads(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
