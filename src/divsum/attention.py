@@ -209,16 +209,14 @@ def gda_forward(X: Matrix, p: GdaParams, positions: Matrix | None,
     always project the raw features. Output row j mixes the value rows
     with the j-th column of the normalized weights.
 
-    Two records: the weights (positions, Q and K projections, similarity
-    and column softmax) and the features (V projection and mix). The
-    similarity's T x T buffer is the only one with or without a tape: it
-    is softmaxed in place, then transposed in place so that its product
-    with V is the chain's BLAS call on the copied transpose (a product
-    from a transposed view can differ in the last bit), then transposed
-    back to hold the weights, all before it is recorded. Each backward
-    repeats the generic-op chain's numpy and BLAS calls; X gets the V
-    share, then the K share, then the Q share (summed first, as the chain
-    sums them in X + positions). Positions are a constant table.
+    One record, adding gradient only to Wq, Wk and Wv; the features,
+    positions and weights are constants. The T x T similarity buffer is
+    the only one with or without a tape: softmaxed in place, then
+    transposed in place so its product with V is the chain's BLAS call
+    on the copied transpose (a transposed view's product can differ in
+    the last bit), then transposed back to hold the weights. The
+    backward repeats the chain's numpy and BLAS calls: Wv's share, the
+    weights' gradient, then Wk's and Wq's shares.
     """
     if X.rows == 0 or X.cols != p.Wq.rows:
         raise ShapeError(f"global attention needs T x {p.Wq.rows} features with T >= 1, "
@@ -231,25 +229,22 @@ def gda_forward(X: Matrix, p: GdaParams, positions: Matrix | None,
                 f"features {X.rows}x{X.cols}"
             )
         xp = x + positions.data
-    wq, wk, wv = p.Wq.data, p.Wk.data, p.Wv.data
-    v = x @ wv
-    w, sim_grads = _similarity(xp @ wq, xp @ wk, p.sim_kind, p.scale_q)
+    v = x @ p.Wv.data
+    w, sim_grads = _similarity(xp @ p.Wq.data, xp @ p.Wk.data, p.sim_kind, p.scale_q)
     mixed = _transpose_in_place(_softmax_columns(w)) @ v
     _transpose_in_place(w)
 
-    def weight_shares(g):
-        gq, gk = sim_grads(w * (g - (g * w).sum(axis=0, keepdims=True)))
-        kx, qx = gk @ wk.T, gq @ wq.T
-        return xp.T @ gk, xp.T @ gq, *((kx, qx) if positions is None else (kx + qx,))
-
-    def feature_shares(g):
+    def shares(g):
         gv = w.T.copy().T @ g
-        return (g @ v.T).T, gv @ wv.T, x.T @ gv
+        yield x.T @ gv
+        g_w = np.zeros_like(w)  # the chain's accumulator for the weights
+        g_w += (g @ v.T).T
+        gq, gk = sim_grads(w * (g_w - (g_w * w).sum(axis=0, keepdims=True)))
+        yield xp.T @ gk
+        yield xp.T @ gq
 
-    x_uses = (X, X) if positions is None else (X,)
-    weights = ag._record(tape, w, ((p.Wk, p.Wq, *x_uses), weight_shares))
-    features = ag._record(tape, mixed, ((weights, X, p.Wv), feature_shares))
-    return AttentionOutput(features=features, weights=weights)
+    features = ag._record(tape, mixed, ((p.Wv, p.Wk, p.Wq), shares))
+    return AttentionOutput(features=features, weights=Matrix._wrap(w))
 
 
 def _row_window(a: np.ndarray, start: int, count: int):
@@ -292,10 +287,10 @@ def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionO
     which normalization pins to 1 (kept for fidelity, see the collapse
     test).
 
-    Two records for any variant, policy and R: the weights (Q and K
-    projections, the (2R+1) x T score block, its softmax in place and the
-    transpose) and the features (V projection and mix). Each backward
-    repeats the op chain's numpy and BLAS calls in its order.
+    One record for any variant, policy and R, adding gradient only to
+    the projections and rel_pos. It repeats the op chain's numpy and BLAS
+    calls: Wv2's share, the weights' gradient, rel_pos's shares slot by
+    slot, then Wk2's and Wq2's.
     """
     if X.rows == 0 or X.cols != p.Wq2.rows:
         raise ShapeError(f"local attention needs T x {p.Wq2.rows} features with T >= 1, "
@@ -320,8 +315,26 @@ def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionO
         s[o] = ((shifted(q, o)[0] * (k + rel[abs(o - R)])) @ ones_d)[:, 0] * c
     w = _softmax_columns(s).T.copy()  # T x (2R+1)
 
-    def weight_shares(g):
-        g = s * (g.T - (g.T * s).sum(axis=0, keepdims=True)) * c
+    if p.variant == "literal":  # summed weights times the anchor's own value row
+        total = w @ np.ones((span, 1))
+        mixed = v * total
+    else:
+        mixed = shifted(v, 0)[0] * w[:, :1]
+        for o in range(1, span):
+            mixed += shifted(v, o)[0] * w[:, o:o + 1]
+
+    def shares(g):
+        if p.variant == "literal":
+            g_w, gv = (g * v).sum(axis=1, keepdims=True) @ np.ones((1, span)), g * total
+        else:
+            g_w, gv = np.empty((T, span)), np.zeros_like(v)
+            for o in reversed(range(span)):
+                rows, scatter = shifted(v, o)
+                g_w[:, o] = (g * rows).sum(axis=1)
+                gv += scatter(g * w[:, o:o + 1])
+        yield x.T @ gv
+        g_wt = (np.zeros_like(w) + g_w).T  # the chain's accumulator for the weights
+        g = s * (g_wt - (g_wt * s).sum(axis=0, keepdims=True)) * c
         gq, gk = np.zeros_like(q), np.zeros_like(k)
         for o in reversed(range(span)):
             rows, scatter = shifted(q, o)
@@ -331,40 +344,20 @@ def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionO
             gq += scatter(g[o][:, None] * (k + rel[abs(o - R)]))
             gk += g_key
             yield share
-        yield from (gk @ wk.T, x.T @ gk, gq @ wq.T, x.T @ gq)
+        yield from (x.T @ gk, x.T @ gq)
 
-    if p.variant == "literal":  # summed weights times the anchor's own value row
-        total = w @ np.ones((span, 1))
-        mixed = v * total
-    else:
-        mixed = shifted(v, 0)[0] * w[:, :1]
-        for o in range(1, span):
-            mixed += shifted(v, o)[0] * w[:, o:o + 1]
-
-    def feature_shares(g):
-        if p.variant == "literal":
-            g_w, gv = (g * v).sum(axis=1, keepdims=True) @ np.ones((1, span)), g * total
-        else:
-            g_w, gv = np.empty((T, span)), np.zeros_like(v)
-            for o in reversed(range(span)):
-                rows, scatter = shifted(v, o)
-                g_w[:, o] = (g * rows).sum(axis=1)
-                gv += scatter(g * w[:, o:o + 1])
-        return g_w, gv @ wv.T, x.T @ gv
-
-    weights = ag._record(tape, w, ((p.rel_pos,) * span + (X, p.Wk2, X, p.Wq2), weight_shares))
-    features = ag._record(tape, mixed, ((weights, X, p.Wv2), feature_shares))
-    return AttentionOutput(features=features, weights=weights)
+    features = ag._record(tape, mixed, ((p.Wv2, *(p.rel_pos,) * span, p.Wk2, p.Wq2), shares))
+    return AttentionOutput(features=features, weights=Matrix._wrap(w))
 
 
 def dca_fuse(X: Matrix, Xg: Matrix, Xl: Matrix, tape: Tape | None = None) -> Matrix:
     """Diversified contextual features: raw + global + local, elementwise,
-    as one record."""
+    as one record. X is a constant: only Xg and Xl get a share."""
     if not (X.shape == Xg.shape == Xl.shape):
         raise ShapeError(
             f"fusion operands differ: {X.shape} vs {Xg.shape} vs {Xl.shape}"
         )
-    return ag._record(tape, X.data + Xg.data + Xl.data, ((Xl, X, Xg), lambda g: (g, g, g)))
+    return ag._record(tape, X.data + Xg.data + Xl.data, ((Xl, Xg), lambda g: (g, g)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,15 @@ that can reach the loss.
 
 autograd defines no ops of its own: each layer (the attention paths,
 the fusion, the heads and the losses) computes its arrays with numpy and
-records itself through ``_record``.
+records itself through ``_record``, 10 records per training step (9
+unsupervised). Only parameters get gradients: the features, positions
+and attention weights are constants.
 
 Conventions:
   * all values are float64, all shapes strictly 2-D
   * gradients accumulate across uses of a matrix; callers zero them
     between optimizer steps
-  * while a tape is alive, the ``.data`` of recorded matrices must not be
+  * while a tape is alive, layer operands and outputs must not be
     mutated in place (the recorded closures keep references, not copies)
 
 Recording contract: every layer computes all its arrays, then returns

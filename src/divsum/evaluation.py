@@ -329,7 +329,8 @@ def evaluate(videos, cfg: TrainConfig, protocol: EvalProtocol,
              budget_ratio: float = 0.15,
              splits: list[FoldSplit] | None = None) -> EvalReport:
     """Train per fold on the split's training half, summarize the held-out
-    videos, and average F / tau / rho over every test video."""
+    videos, and average F / tau / rho over every test video. Every split's
+    video ids are checked before the first fold trains."""
     if not videos:
         raise ContractError("cannot evaluate an empty video set")
     repeated = _repeated(v.id for v in videos)
@@ -338,12 +339,12 @@ def evaluate(videos, cfg: TrainConfig, protocol: EvalProtocol,
     by_id = {v.id: v for v in videos}
     if splits is None:
         splits = build_folds(videos, protocol)
+    unknown = sorted({i for s in splits for i in s.train_ids + s.test_ids} - set(by_id))
+    if unknown:
+        raise ContractError(f"split references unknown video ids: {unknown}")
 
     def held_out():
         for split in splits:
-            unknown = [i for i in split.train_ids + split.test_ids if i not in by_id]
-            if unknown:
-                raise ContractError(f"split references unknown video ids: {unknown}")
             params = train([by_id[i] for i in split.train_ids], cfg).params
             for vid in split.test_ids:
                 yield by_id[vid], summarize_video(by_id[vid], params, budget_ratio)

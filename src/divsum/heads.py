@@ -203,8 +203,8 @@ def repelling_loss(E: Matrix, tape: Tape | None = None) -> Matrix:
 
 
 def reconstruction_loss(X: Matrix, Xrec: Matrix, tape: Tape | None = None) -> Matrix:
-    """Mean Euclidean distance (not squared) between original and
-    reconstructed frame rows; a zero distance gets subgradient 0."""
+    """Mean Euclidean distance (not squared) between the rows of X, a
+    constant, and of Xrec; a zero distance gets subgradient 0."""
     if X.shape != Xrec.shape:
         raise ShapeError(f"shape mismatch: {X.shape} vs {Xrec.shape}")
     diff = X.data - Xrec.data
@@ -212,14 +212,13 @@ def reconstruction_loss(X: Matrix, Xrec: Matrix, tape: Tape | None = None) -> Ma
     c = 1.0 / X.rows
     total = np.full((1, 1), float(dist.sum())) * c
 
-    def shares(g):
+    def share(g):
         d_dist = np.zeros_like(dist)
         nz = dist > 0.0
         d_dist[nz] = 0.5 / dist[nz]
-        g_diff = 2.0 * diff * (np.full(dist.shape, (g * c)[0, 0]) * d_dist)
-        return g_diff, -g_diff
+        return -(2.0 * diff * (np.full(dist.shape, (g * c)[0, 0]) * d_dist))
 
-    return ag._record(tape, total, ((X, Xrec), shares))
+    return ag._record(tape, total, (Xrec, share))
 
 
 def total_loss(parts: LossParts, w: LossWeights, tape: Tape | None = None) -> Matrix:

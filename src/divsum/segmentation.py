@@ -129,7 +129,7 @@ def kts_segment(X, max_shots: int) -> ShotPartition:
 
     Degenerate sizes: T < max_shots returns T singleton shots.
     """
-    feats = X.data if isinstance(X, Matrix) else np.asarray(X, dtype=np.float64)
+    feats = np.asarray(X, dtype=np.float64)
     T = feats.shape[0]
     if T < 1:
         raise ContractError("cannot segment an empty video")
@@ -247,8 +247,7 @@ def select_frames(frame_scores, part: ShotPartition, budget_ratio: float) -> Sum
 
 def score_video(video, params: ModelParams) -> np.ndarray:
     """Frame importance curve for one video under the given parameters."""
-    feats = video.features if isinstance(video.features, Matrix) else Matrix(video.features)
-    return forward_scores(feats, params).scores.data[:, 0].copy()
+    return forward_scores(Matrix(video.features), params).scores.data[:, 0].copy()
 
 
 @dataclass

@@ -154,6 +154,9 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
     if len(dims) != 1:
         raise ContractError(f"videos disagree on feature dim: {sorted(dims)}")
     d = dims.pop()
+    short = [v.id for v in videos if v.features.shape[0] < 2]
+    if short:
+        raise ContractError(f"training needs at least 2 frames per video; too short: {short}")
     weights = LossWeights(alpha=cfg.alpha, beta=cfg.beta, supervised=cfg.supervised)
     if cfg.supervised:
         missing = [v.id for v in videos if v.gt_binary is None]

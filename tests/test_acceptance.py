@@ -44,7 +44,7 @@ def _loss_builders(rng, T, d):
     return [
         ("bce", [raw], lambda t: hd.bce_loss(oracles.sigmoid(raw, t), gt, t)),
         ("repelling", [E], lambda t: hd.repelling_loss(E, t)),
-        ("reconstruction", [X, Xr], lambda t: hd.reconstruction_loss(X, Xr, t)),
+        ("reconstruction", [Xr], lambda t: hd.reconstruction_loss(X, Xr, t)),
     ]
 
 

@@ -240,30 +240,23 @@ def test_forward_only_gda_holds_one_t_by_t_buffer(taped):
     assert peak < 1.5 * T * T * 8
 
 
-def loss_grads(run, mats, loss, rng, held=None):
-    """Output bytes and the gradients of `mats` under a loss on the
-    features, the weights or both, for run(tape) -> (features, weights).
-    The gradients start from zero, or from copies of `held`."""
+def loss_grads(run, mats, rng, held=None):
+    """Output bytes and the gradients of the parameters `mats` under a
+    loss on the features, for run(tape) -> (features, weights). The
+    gradients start from zero, or from copies of `held`."""
     for i, m in enumerate(mats):
         m.grad = np.zeros_like(m.data) if held is None else held[i].copy()
     tape = Tape()
     features, weights = run(tape)
-    mix_f = Matrix(rng.uniform(-1, 1, size=features.shape))
-    mix_w = Matrix(rng.uniform(-1, 1, size=weights.shape))
-    terms = []
-    if loss in ("features", "both"):
-        terms.append(oracles.sum_all(oracles.multiply(features, mix_f, tape), tape))
-    if loss in ("weights", "both"):
-        terms.append(oracles.sum_all(oracles.multiply(weights, mix_w, tape), tape))
-    ag.backward(terms[0] if len(terms) == 1 else oracles.add(*terms, tape), tape)
+    mix = Matrix(rng.uniform(-1, 1, size=features.shape))
+    ag.backward(oracles.sum_all(oracles.multiply(features, mix, tape), tape), tape)
     return [a.tobytes() for a in [features.data, weights.data] + [m.grad for m in mats]]
 
 
-@pytest.mark.parametrize("loss", ["features", "weights", "both"])
 @pytest.mark.parametrize("positions", [False, True], ids=["bare", "positions"])
 @pytest.mark.parametrize("T", [1, 2, 7, 300])
 @pytest.mark.parametrize("kind", att.SIMILARITY_KINDS)
-def test_gda_bytes_and_grads_equal_the_generic_op_chain(kind, T, positions, loss):
+def test_gda_bytes_and_grads_equal_the_generic_op_chain(kind, T, positions):
     # d=4 keeps the products in the BLAS's small-matrix range
     rng = np.random.default_rng(T)
     d = 4
@@ -275,10 +268,10 @@ def test_gda_bytes_and_grads_equal_the_generic_op_chain(kind, T, positions, loss
         out = att.gda_forward(X, p, P, tape)
         return out.features, out.weights
 
-    mats = [p.Wq, p.Wk, p.Wv, X]
-    want = loss_grads(lambda tape: oracles.gda_chain(X, p, P, tape), mats, loss,
+    mats = [p.Wq, p.Wk, p.Wv]
+    want = loss_grads(lambda tape: oracles.gda_chain(X, p, P, tape), mats,
                       np.random.default_rng(1))
-    assert loss_grads(fused, mats, loss, np.random.default_rng(1)) == want
+    assert loss_grads(fused, mats, np.random.default_rng(1)) == want
 
 
 @pytest.mark.parametrize("positions", [False, True], ids=["bare", "positions"])
@@ -289,16 +282,16 @@ def test_gda_grads_add_onto_held_grads_as_the_op_chain_does(kind, positions):
     p = make_gda(rng, d, kind=kind)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
     P = att.sinusoidal_positions(T, d) if positions else None
-    mats = [p.Wq, p.Wk, p.Wv, X]
+    mats = [p.Wq, p.Wk, p.Wv]
     held = [rng.normal(size=m.shape) for m in mats]
 
     def fused(tape):
         out = att.gda_forward(X, p, P, tape)
         return out.features, out.weights
 
-    want = loss_grads(lambda tape: oracles.gda_chain(X, p, P, tape), mats, "both",
+    want = loss_grads(lambda tape: oracles.gda_chain(X, p, P, tape), mats,
                       np.random.default_rng(1), held)
-    assert loss_grads(fused, mats, "both", np.random.default_rng(1), held) == want
+    assert loss_grads(fused, mats, np.random.default_rng(1), held) == want
 
 
 @pytest.mark.parametrize("T", [1, 2, 7, 300])
@@ -315,7 +308,7 @@ def test_similarity_bytes_equal_the_generic_op_chain(kind, T):
 
 @pytest.mark.parametrize("positions", [False, True], ids=["bare", "positions"])
 @pytest.mark.parametrize("kind", att.SIMILARITY_KINDS)
-def test_gda_forward_makes_two_records(kind, positions):
+def test_gda_forward_makes_one_record(kind, positions):
     rng = np.random.default_rng(0)
     T, d = 5, 4
     p = make_gda(rng, d, kind=kind)
@@ -323,12 +316,12 @@ def test_gda_forward_makes_two_records(kind, positions):
     P = att.sinusoidal_positions(T, d) if positions else None
     tape = Tape()
     att.gda_forward(X, p, P, tape)
-    assert len(tape) == 2  # weights, features
+    assert len(tape) == 1
     att.gda_forward(X, p, P, tape)
-    assert len(tape) == 4
+    assert len(tape) == 2
 
 
-def test_gda_positions_get_no_gradient():
+def test_gda_features_positions_and_weights_get_no_gradient():
     rng = np.random.default_rng(2)
     T, d = 6, 4
     p = make_gda(rng, d)
@@ -336,10 +329,9 @@ def test_gda_positions_get_no_gradient():
     P = att.sinusoidal_positions(T, d)
     tape = Tape()
     out = att.gda_forward(X, p, P, tape)
-    loss = oracles.add(oracles.sum_all(out.features, tape), oracles.sum_all(out.weights, tape),
-                       tape)
-    ag.backward(loss, tape)
-    assert P.grad is None and X.grad is not None and p.Wq.grad is not None
+    ag.backward(oracles.sum_all(out.features, tape), tape)
+    assert X.grad is None and P.grad is None and out.weights.grad is None
+    assert all(m.grad is not None for m in (p.Wq, p.Wk, p.Wv))
 
 
 @pytest.mark.parametrize("n", [1, 7, 256, 300, 513])
@@ -431,23 +423,22 @@ def fused_lca(X, p, tape):
     return out.features, out.weights
 
 
-@pytest.mark.parametrize("loss", ["features", "weights", "both"])
 @pytest.mark.parametrize("d", [4, 64])
 @pytest.mark.parametrize("R", [1, 2, 4])
 @pytest.mark.parametrize("T", [1, 2, 7, 300])
 @pytest.mark.parametrize("boundary", att.BOUNDARY_POLICIES)
 @pytest.mark.parametrize("variant", att.LCA_VARIANTS)
-def test_lca_bytes_and_grads_equal_the_generic_op_chain(variant, boundary, T, R, d, loss):
+def test_lca_bytes_and_grads_equal_the_generic_op_chain(variant, boundary, T, R, d):
     rng = np.random.default_rng(T)
     p = make_lca(rng, d, R, variant=variant, boundary=boundary)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
     x_bytes = X.data.tobytes()
     bare = att.lca_forward(X, p)
     assert X.data.tobytes() == x_bytes
-    mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos, X]
-    want = loss_grads(lambda tape: oracles.lca_chain(X, p, tape), mats, loss,
+    mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos]
+    want = loss_grads(lambda tape: oracles.lca_chain(X, p, tape), mats,
                       np.random.default_rng(1))
-    assert loss_grads(lambda tape: fused_lca(X, p, tape), mats, loss,
+    assert loss_grads(lambda tape: fused_lca(X, p, tape), mats,
                       np.random.default_rng(1)) == want
     assert [bare.features.data.tobytes(), bare.weights.data.tobytes()] == want[:2]
 
@@ -459,23 +450,23 @@ def test_lca_grads_add_onto_held_grads_as_the_op_chain_does(variant, boundary):
     T, d, R = 7, 4, 2
     p = make_lca(rng, d, R, variant=variant, boundary=boundary)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
-    mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos, X]
+    mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos]
     held = [rng.normal(size=m.shape) for m in mats]
-    want = loss_grads(lambda tape: oracles.lca_chain(X, p, tape), mats, "both",
+    want = loss_grads(lambda tape: oracles.lca_chain(X, p, tape), mats,
                       np.random.default_rng(1), held)
-    assert loss_grads(lambda tape: fused_lca(X, p, tape), mats, "both",
+    assert loss_grads(lambda tape: fused_lca(X, p, tape), mats,
                       np.random.default_rng(1), held) == want
 
 
 @pytest.mark.parametrize("boundary", att.BOUNDARY_POLICIES)
 @pytest.mark.parametrize("variant", att.LCA_VARIANTS)
-def test_lca_forward_makes_two_records(variant, boundary):
+def test_lca_forward_makes_one_record(variant, boundary):
     rng = np.random.default_rng(0)
     X = Matrix(rng.uniform(-1, 1, size=(5, 4)))
     tape = Tape()
     for calls, R in enumerate((1, 2, 4), start=1):
         att.lca_forward(X, make_lca(rng, 4, R, variant=variant, boundary=boundary), tape)
-        assert len(tape) == 2 * calls  # weights, features
+        assert len(tape) == calls
 
 
 @pytest.mark.parametrize("boundary", att.BOUNDARY_POLICIES)
@@ -490,10 +481,6 @@ def test_lca_output_that_misses_the_loss_leaves_operand_grads_unset(variant, bou
     x = Matrix([[1.0, -2.0]])
     ag.backward(oracles.sum_all(oracles.scale(x, 2.0, tape), tape), tape)
     assert all(m.grad is None for m in mats)
-    tape = Tape()
-    out = att.lca_forward(X, p, tape)  # only the weights reach the loss: no gradient for Wv2
-    ag.backward(oracles.sum_all(out.weights, tape), tape)
-    assert [m.grad is None for m in mats] == [False, False, True, False, False]
 
 
 def test_zero_boundary_policy_differs_from_clamp_at_edges():
@@ -591,7 +578,8 @@ def test_fuse_is_one_record_with_the_bytes_of_the_generic_op_chain(aliased):
         ag.backward(oracles.sum_all(oracles.multiply(out, mix, tape), tape), tape)
         return records, [out.data.tobytes()] + [m.grad.tobytes() for m in mats]
 
-    chain = lambda X, Xg, Xl, tape: oracles.add(oracles.add(X, Xg, tape), Xl, tape)
+    # the raw features X are a constant, so the chain adds a copy of them
+    chain = lambda X, Xg, Xl, tape: oracles.add(oracles.add(Matrix(X.data), Xg, tape), Xl, tape)
     records, got = run(att.dca_fuse)
     assert records == 1
     assert got == run(chain)[1]

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from divsum import data as dat
 from divsum.cli import main
 from divsum.config import TrainConfig, config_to_text
 from divsum.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
@@ -279,6 +280,18 @@ def test_train_on_a_video_without_frames_or_dims_fails_with_one_line(tmp_path, c
                "--unsupervised") == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "video empty: features" in err[0]
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_train_on_a_video_of_one_frame_fails_with_one_line(tmp_path, dataset, capsys):
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    manifest["videos"].append("tiny.dsv")
+    (dataset / "manifest.json").write_text(json.dumps(manifest))
+    dat.save_video(dataset / "tiny.dsv", dat.VideoRecord(id="tiny", features=np.ones((1, 6))))
+    assert run("train", "--data", str(dataset), "--out", str(tmp_path / "x.ckpt"),
+               "--unsupervised") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "['tiny']" in err[0]
     assert not (tmp_path / "x.ckpt").exists()
 
 

@@ -449,6 +449,18 @@ def test_evaluate_rejects_bad_inputs():
         ev.evaluate(videos, quick_cfg(), ev.EvalProtocol(folds=1), splits=splits)
 
 
+def test_evaluate_checks_every_split_before_the_first_fold_trains(monkeypatch):
+    videos = corpus("a", 4, seed=0)
+    ids = [v.id for v in videos]
+    splits = [ev.FoldSplit(train_ids=ids[:2], test_ids=ids[2:]),
+              ev.FoldSplit(train_ids=ids[2:], test_ids=[ids[0], "ghost"])]
+    calls = []
+    monkeypatch.setattr(ev, "train", lambda *args: calls.append(args))
+    with pytest.raises(ContractError, match=r"split references unknown video ids: \['ghost'\]$"):
+        ev.evaluate(videos, quick_cfg(), ev.EvalProtocol(folds=2), splits=splits)
+    assert calls == []
+
+
 def test_evaluate_names_the_repeated_video_ids():
     v0, v1 = corpus("a", 2, seed=0)
     with pytest.raises(ContractError, match=f"not unique: {v0.id!r}$"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divsum import attention as att
 from divsum import autograd as ag
 from divsum import heads as hd
 from divsum import model as mdl
@@ -390,7 +391,7 @@ def training_step(monkeypatch, chains, T, d, supervised, final_sigmoid=False, se
                   held=False):
     """forward_loss plus backward on a fresh model, through the fused heads
     and losses or through the chains. Returns the step's tape and the bytes
-    of the total, the loss parts, every parameter gradient and X.grad."""
+    of the total, the loss parts and every parameter gradient."""
     with monkeypatch.context() as patch:
         if chains:
             for name, chain in CHAINS.items():
@@ -400,7 +401,7 @@ def training_step(monkeypatch, chains, T, d, supervised, final_sigmoid=False, se
         params.heads.recon_final_sigmoid = final_sigmoid
         X = Matrix(rng.normal(size=(T, d)))
         gt = rng.integers(0, 2, size=T).astype(float) if supervised else None
-        mats = [m for _, m in params.named_parameters()] + [X]
+        mats = [m for _, m in params.named_parameters()]
         if held:
             for m in mats:
                 m.grad = rng.normal(size=m.shape)
@@ -424,19 +425,44 @@ def test_heads_and_losses_equal_the_generic_op_chain(monkeypatch, T, d, supervis
     args = (T, d, supervised, final_sigmoid, seed, held)
     _, fused = training_step(monkeypatch, False, *args)
     _, chain = training_step(monkeypatch, True, *args)
-    assert len(fused) == len(chain) == 3 + supervised + 18
+    assert len(fused) == len(chain) == 3 + supervised + 17
     for i, (got, want) in enumerate(zip(fused, chain)):
         assert got == want, i
 
 
-@pytest.mark.parametrize("supervised, records, chain_records", [(True, 12, 45), (False, 11, 34)],
+@pytest.mark.parametrize("supervised, records, chain_records", [(True, 10, 43), (False, 9, 32)],
                          ids=["supervised", "unsupervised"])
-def test_forward_loss_makes_12_records(monkeypatch, supervised, records, chain_records):
-    # attention 4 and fusion 1, then one record per head (score, embed,
-    # reconstruction) and one per loss; the chains' heads make 13 records
-    # and their losses 27 (16 unsupervised)
+def test_forward_loss_makes_10_records(monkeypatch, supervised, records, chain_records):
+    # one per attention path and the fusion, then one record per head
+    # (score, embed, reconstruction) and one per loss; the chains' heads
+    # make 13 records and their losses 27 (16 unsupervised)
     assert len(training_step(monkeypatch, False, 7, 4, supervised)[0]) == records
     assert len(training_step(monkeypatch, True, 7, 4, supervised)[0]) == chain_records
+
+
+@pytest.mark.parametrize("supervised", [True, False], ids=["supervised", "unsupervised"])
+def test_a_step_gives_the_features_and_attention_weights_no_gradient(monkeypatch, supervised):
+    outputs = []
+
+    def kept(path):
+        def run(*args):
+            outputs.append(path(*args))
+            return outputs[-1]
+        return run
+
+    for name in ("gda_forward", "lca_forward"):
+        monkeypatch.setattr(att, name, kept(getattr(att, name)))
+    rng = np.random.default_rng(5)
+    params = make_model(rng, 4, 2)
+    X = Matrix(rng.normal(size=(7, 4)))
+    gt = rng.integers(0, 2, size=7).astype(float) if supervised else None
+    params.zero_grads()
+    tape = Tape()
+    ag.backward(mdl.forward_loss(X, params, hd.LossWeights(supervised=supervised), gt,
+                                 tape).total, tape)
+    assert len(outputs) == 2
+    assert X.grad is None and all(out.weights.grad is None for out in outputs)
+    assert np.any(params.gda.Wq.grad != 0.0) and np.any(params.lca.Wq2.grad != 0.0)
 
 
 @pytest.mark.parametrize("final_sigmoid", [False, True], ids=["recon-linear", "recon-sigmoid"])
@@ -466,7 +492,7 @@ def test_losses_add_onto_held_grads_as_the_chains_do(fused, chain):
         args, operands = {
             hd.bce_loss: ((a, (a.data[:, 0] > 0.5).astype(float)), [a]),
             hd.repelling_loss: ((a,), [a]),
-            hd.reconstruction_loss: ((a, b), [a, b]),
+            hd.reconstruction_loss: ((a, b), [b]),  # a is the constant target
             hd.total_loss: ((parts, hd.LossWeights(alpha=0.3, beta=0.7)),
                             [parts.cls, parts.repel, parts.recon]),
         }[fused]

@@ -327,6 +327,17 @@ def test_train_rejects_empty_and_mixed_dims():
         tr.train(vids, tiny_cfg())
 
 
+@pytest.mark.parametrize("supervised", [True, False], ids=["supervised", "unsupervised"])
+def test_train_refuses_a_video_of_one_frame_before_the_first_step(monkeypatch, supervised):
+    videos = tiny_videos()
+    videos.append(VideoRecord(id="tiny", features=np.ones((1, 4)), gt_binary=np.ones(1)))
+    steps = []
+    monkeypatch.setattr(tr, "adam_step", lambda *args: steps.append(args))
+    with pytest.raises(ContractError, match=r"at least 2 frames .*\['tiny'\]$"):
+        tr.train(videos, tiny_cfg(supervised=supervised))
+    assert steps == []
+
+
 def test_train_supervised_requires_labels():
     videos = tiny_videos(n=2)
     videos[1].gt_binary = None
