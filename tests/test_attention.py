@@ -240,23 +240,38 @@ def test_forward_only_gda_holds_one_t_by_t_buffer(taped):
     assert peak < 1.5 * T * T * 8
 
 
-def loss_grads(run, mats, rng, held=None):
+def loss_grads(run, mats, loss, rng, held=None):
     """Output bytes and the gradients of the parameters `mats` under a
-    loss on the features, for run(tape) -> (features, weights). The
-    gradients start from zero, or from copies of `held`."""
+    loss on the features, the weights or both, for run(tape) -> (features,
+    weights). The gradients start from zero, or from copies of `held`."""
     for i, m in enumerate(mats):
         m.grad = np.zeros_like(m.data) if held is None else held[i].copy()
     tape = Tape()
     features, weights = run(tape)
-    mix = Matrix(rng.uniform(-1, 1, size=features.shape))
-    ag.backward(oracles.sum_all(oracles.multiply(features, mix, tape), tape), tape)
+    mix_f = Matrix(rng.uniform(-1, 1, size=features.shape))
+    mix_w = Matrix(rng.uniform(-1, 1, size=weights.shape))
+    terms = []
+    if loss in ("features", "both"):
+        terms.append(oracles.sum_all(oracles.multiply(features, mix_f, tape), tape))
+    if loss in ("weights", "both"):
+        terms.append(oracles.sum_all(oracles.multiply(weights, mix_w, tape), tape))
+    ag.backward(terms[0] if len(terms) == 1 else oracles.add(*terms, tape), tape)
     return [a.tobytes() for a in [features.data, weights.data] + [m.grad for m in mats]]
 
 
+def constant_weights(chain):
+    """The op chain's (features, weights) with the weights as a constant,
+    as the fused attention paths give them: a loss on them reaches no
+    parameter."""
+    features, weights = chain
+    return features, Matrix(weights.data)
+
+
+@pytest.mark.parametrize("loss", ["features", "weights", "both"])
 @pytest.mark.parametrize("positions", [False, True], ids=["bare", "positions"])
 @pytest.mark.parametrize("T", [1, 2, 7, 300])
 @pytest.mark.parametrize("kind", att.SIMILARITY_KINDS)
-def test_gda_bytes_and_grads_equal_the_generic_op_chain(kind, T, positions):
+def test_gda_bytes_and_grads_equal_the_generic_op_chain(kind, T, positions, loss):
     # d=4 keeps the products in the BLAS's small-matrix range
     rng = np.random.default_rng(T)
     d = 4
@@ -269,9 +284,9 @@ def test_gda_bytes_and_grads_equal_the_generic_op_chain(kind, T, positions):
         return out.features, out.weights
 
     mats = [p.Wq, p.Wk, p.Wv]
-    want = loss_grads(lambda tape: oracles.gda_chain(X, p, P, tape), mats,
-                      np.random.default_rng(1))
-    assert loss_grads(fused, mats, np.random.default_rng(1)) == want
+    want = loss_grads(lambda tape: constant_weights(oracles.gda_chain(X, p, P, tape)), mats,
+                      loss, np.random.default_rng(1))
+    assert loss_grads(fused, mats, loss, np.random.default_rng(1)) == want
 
 
 @pytest.mark.parametrize("positions", [False, True], ids=["bare", "positions"])
@@ -289,9 +304,9 @@ def test_gda_grads_add_onto_held_grads_as_the_op_chain_does(kind, positions):
         out = att.gda_forward(X, p, P, tape)
         return out.features, out.weights
 
-    want = loss_grads(lambda tape: oracles.gda_chain(X, p, P, tape), mats,
-                      np.random.default_rng(1), held)
-    assert loss_grads(fused, mats, np.random.default_rng(1), held) == want
+    want = loss_grads(lambda tape: constant_weights(oracles.gda_chain(X, p, P, tape)), mats,
+                      "both", np.random.default_rng(1), held)
+    assert loss_grads(fused, mats, "both", np.random.default_rng(1), held) == want
 
 
 @pytest.mark.parametrize("T", [1, 2, 7, 300])
@@ -423,12 +438,13 @@ def fused_lca(X, p, tape):
     return out.features, out.weights
 
 
+@pytest.mark.parametrize("loss", ["features", "weights", "both"])
 @pytest.mark.parametrize("d", [4, 64])
 @pytest.mark.parametrize("R", [1, 2, 4])
 @pytest.mark.parametrize("T", [1, 2, 7, 300])
 @pytest.mark.parametrize("boundary", att.BOUNDARY_POLICIES)
 @pytest.mark.parametrize("variant", att.LCA_VARIANTS)
-def test_lca_bytes_and_grads_equal_the_generic_op_chain(variant, boundary, T, R, d):
+def test_lca_bytes_and_grads_equal_the_generic_op_chain(variant, boundary, T, R, d, loss):
     rng = np.random.default_rng(T)
     p = make_lca(rng, d, R, variant=variant, boundary=boundary)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
@@ -436,10 +452,10 @@ def test_lca_bytes_and_grads_equal_the_generic_op_chain(variant, boundary, T, R,
     bare = att.lca_forward(X, p)
     assert X.data.tobytes() == x_bytes
     mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos]
-    want = loss_grads(lambda tape: oracles.lca_chain(X, p, tape), mats,
-                      np.random.default_rng(1))
+    want = loss_grads(lambda tape: constant_weights(oracles.lca_chain(X, p, tape)), mats,
+                      loss, np.random.default_rng(1))
     assert loss_grads(lambda tape: fused_lca(X, p, tape), mats,
-                      np.random.default_rng(1)) == want
+                      loss, np.random.default_rng(1)) == want
     assert [bare.features.data.tobytes(), bare.weights.data.tobytes()] == want[:2]
 
 
@@ -452,10 +468,10 @@ def test_lca_grads_add_onto_held_grads_as_the_op_chain_does(variant, boundary):
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
     mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos]
     held = [rng.normal(size=m.shape) for m in mats]
-    want = loss_grads(lambda tape: oracles.lca_chain(X, p, tape), mats,
-                      np.random.default_rng(1), held)
+    want = loss_grads(lambda tape: constant_weights(oracles.lca_chain(X, p, tape)), mats,
+                      "both", np.random.default_rng(1), held)
     assert loss_grads(lambda tape: fused_lca(X, p, tape), mats,
-                      np.random.default_rng(1), held) == want
+                      "both", np.random.default_rng(1), held) == want
 
 
 @pytest.mark.parametrize("boundary", att.BOUNDARY_POLICIES)
