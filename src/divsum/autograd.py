@@ -67,7 +67,7 @@ class Matrix:
         """`arr` itself as a Matrix, without a copy.
 
         Only for arrays nobody else holds: a 2-D, C-contiguous float64
-        result the caller has just computed.
+        result the caller has just computed or read from a file.
         """
         m = cls.__new__(cls)
         m.data = arr

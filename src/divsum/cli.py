@@ -19,7 +19,7 @@ from .attention import GridSpec, SIMILARITY_KINDS, LCA_VARIANTS, partition_map_c
 from .autograd import ContractError, NumericError, ShapeError
 from .checks import run_self_checks
 from .config import ConfigError, TrainConfig, load_config
-from .data import (AGGREGATION_MODES, SynthSpec, load_dataset, load_manifest,
+from .data import (AGGREGATION_MODES, SynthSpec, Writer, load_dataset, load_manifest,
                    save_dataset, synth_generate)
 from .evaluation import (EvalProtocol, PROTOCOL_MODES, build_folds, evaluate,
                          human_baseline, load_splits, random_baseline, report_csv,
@@ -101,7 +101,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     save_checkpoint(out, result.params, result.state, cfg, epoch=result.epochs_run)
     history_path = Path(args.history) if args.history else out.with_suffix(".history.csv")
-    history_path.write_text(_history_csv(result))
+    Writer().put(_history_csv(result).encode()).write(history_path)
     print(f"trained {result.epochs_run} epochs on {len(videos)} videos; "
           f"final loss {result.history[-1]:.6f}")
     print(f"checkpoint: {out}")
@@ -125,7 +125,7 @@ def cmd_summarize(args) -> int:
         kept = int(detail.mask.frame_mask.sum())
         print(f"{v.id}: kept {kept}/{v.frame_count} frames "
               f"({len(detail.mask.selected_shots)} shots)")
-    Path(args.out).write_text("\n".join(rows) + "\n")
+    Writer().put(("\n".join(rows) + "\n").encode()).write(args.out)
     print(f"summary: {args.out}")
     return 0
 
@@ -161,9 +161,9 @@ def cmd_evaluate(args) -> int:
         print(f"{args.baseline} baseline: F={base.mean_f:.2f} "
               f"tau={base.kendall:.3f} rho={base.spearman:.3f}")
     if args.report:
-        Path(args.report).write_text(text)
+        Writer().put(text.encode()).write(args.report)
     if args.csv:
-        Path(args.csv).write_text(report_csv(report))
+        Writer().put(report_csv(report).encode()).write(args.csv)
     return 0
 
 
@@ -209,7 +209,7 @@ def cmd_ablate(args) -> int:
             rows.append(row)
             print(row)
     if args.out:
-        Path(args.out).write_text("\n".join(rows) + "\n")
+        Writer().put(("\n".join(rows) + "\n").encode()).write(args.out)
         print(f"ablation table: {args.out}")
     return 0
 
@@ -235,7 +235,7 @@ def cmd_partition_map(args) -> int:
         rng = np.random.default_rng(args.seed)
         pts = rng.uniform(0.1, 0.9, size=(args.num_points, 2))
     grid = GridSpec(nx=args.grid_size, ny=args.grid_size)
-    Path(args.out).write_text(partition_map_csv(pts, args.sim, grid))
+    Writer().put(partition_map_csv(pts, args.sim, grid).encode()).write(args.out)
     coords = "; ".join(f"({x:.3f}, {y:.3f})" for x, y in pts)
     print(f"partition map for {len(pts)} points [{coords}] with {args.sim}: {args.out}")
     return 0

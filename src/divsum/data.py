@@ -8,8 +8,10 @@ section it died in. A JSON manifest ties the files of a dataset together
 and carries the F-score aggregation mode.
 
 Writer and Reader are the one codec of both binary formats, this video
-container and the training checkpoint: a Writer assembles and writes a
-file, and a Reader decodes it in the same order.
+container and the training checkpoint: a Writer assembles a file and
+writes it atomically, and a Reader decodes it in the same order from a
+stream. Every file the package writes, text ones included, goes through
+Writer.write.
 
 Converters from common benchmark dumps are deliberately out of scope;
 the format is documented in the README so users can write their own.
@@ -17,8 +19,10 @@ the format is documented in the README so users can write their own.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
 import struct
 from collections import Counter
 from contextlib import contextmanager
@@ -121,14 +125,18 @@ class DatasetManifest:
 
 
 class Writer:
-    """Assembles a binary file in memory, mirroring Reader: little-endian
-    u32 values, length-prefixed UTF-8 strings, typed arrays and
-    length-prefixed sections. Every binary file is written by write()."""
+    """Assembles a binary file as a list of byte buffers, mirroring Reader:
+    little-endian u32 values, length-prefixed UTF-8 strings, typed arrays
+    and length-prefixed sections. An array is held as a view of its own
+    buffer, so assembling a file copies no array already in the stored
+    dtype and layout.
+
+    write() is the one function in the package that writes a file."""
 
     def __init__(self):
-        self.parts: list[bytes] = []
+        self.parts: list = []  # bytes, or byte views of arrays
 
-    def put(self, raw: bytes) -> "Writer":
+    def put(self, raw) -> "Writer":
         self.parts.append(raw)
         return self
 
@@ -140,45 +148,70 @@ class Writer:
         return self.u32(len(raw)).put(raw)
 
     def array(self, a, dtype: str) -> "Writer":
-        """The entries of `a` in row-major order, stored as `dtype`."""
-        return self.put(np.asarray(a, dtype=dtype).tobytes())
+        """The entries of `a` in row-major order, stored as `dtype`; `a` is
+        copied only when its dtype or layout differs, and must not change
+        before write()."""
+        flat = np.ascontiguousarray(a, dtype=dtype).reshape(-1)
+        return self.put(memoryview(flat.view("u1")))
 
     @contextmanager
     def section(self):
         """A Writer whose bytes land here behind their u32 length."""
         sub = Writer()
         yield sub
-        payload = b"".join(sub.parts)
-        self.u32(len(payload)).put(payload)
+        self.u32(sum(len(part) for part in sub.parts)).parts.extend(sub.parts)
 
     def write(self, path):
-        Path(path).write_bytes(b"".join(self.parts))
+        """Streams the parts into a new sibling temp file, then renames it
+        over `path`: a reader finds the old file or the new one, never a
+        mix, and a failed write leaves no temp file behind. There is no
+        fsync, so a power cut may still lose the new file."""
+        path = Path(path)
+        tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+        try:
+            with open(tmp, "xb") as fh:
+                for part in self.parts:
+                    fh.write(part)
+            os.replace(tmp, path)
+        except BaseException as e:
+            tmp.unlink(missing_ok=True)
+            if isinstance(e, OSError) and e.filename == str(tmp):  # name the caller's file
+                raise type(e)(e.errno, e.strerror, str(path)) from None
+            raise
 
 
 class Reader:
-    """Cursor over a binary file's bytes; every read names what it was after,
-    and every error names `where` (the file, or the file and a section)."""
+    """Reads a binary stream in order; every read names what it was after,
+    and every error names `where` (the file, or the file and a section).
+    Each read is checked against the bytes left before anything is
+    allocated, so a corrupt length cannot ask for more memory than the
+    file holds."""
 
-    def __init__(self, blob: bytes, where):
-        self.blob = memoryview(blob)  # slices share the file's buffer: no copies
-        self.pos = 0
+    def __init__(self, stream, where):
+        self.stream = stream
         self.where = where
+        start = stream.tell()
+        self.left = stream.seek(0, io.SEEK_END) - start
+        stream.seek(start)
 
-    def take(self, n: int, what: str) -> memoryview:
-        if self.pos + n > len(self.blob):
+    def _need(self, have: int, n: int, what: str):
+        if have < n:
             raise DataFormatError(f"{self.where}: truncated while reading {what}")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
+
+    def take(self, n: int, what: str) -> bytes:
+        self._need(self.left, n, what)
+        raw = self.stream.read(n)
+        self._need(len(raw), n, what)
+        self.left -= n
+        return raw
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
     def expect_end(self):
         """Every byte has been read."""
-        if self.pos != len(self.blob):
-            raise DataFormatError(
-                f"{self.where}: {len(self.blob) - self.pos} unexpected trailing bytes")
+        if self.left:
+            raise DataFormatError(f"{self.where}: {self.left} unexpected trailing bytes")
 
     def string(self, what: str) -> str:
         raw = self.take(self.u32(what + " length"), what)
@@ -188,18 +221,22 @@ class Reader:
             raise DataFormatError(f"{self.where}: {what} is not valid UTF-8") from None
 
     def array(self, dtype: str, shape, what: str) -> np.ndarray:
-        """A little-endian block of `dtype` entries in `shape` (an int or a
-        tuple), copied out."""
+        """A fresh array of little-endian `dtype` entries in `shape` (an int
+        or a tuple), read straight into its own buffer."""
         count = math.prod(shape) if isinstance(shape, tuple) else shape
-        raw = self.take(np.dtype(dtype).itemsize * count, what)
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        n = np.dtype(dtype).itemsize * count
+        self._need(self.left, n, what)
+        out = np.empty(shape, dtype)
+        self._need(self.stream.readinto(out), n, what)
+        self.left -= n
+        return out
 
     @contextmanager
     def section(self, name: str):
         """A Reader over the next u32-length-prefixed section; the with-block
         must read the section to its last byte."""
         raw = self.take(self.u32(f"{name} section length"), f"{name} section")
-        sub = Reader(raw, f"{self.where}: {name} section")
+        sub = Reader(io.BytesIO(raw), f"{self.where}: {name} section")
         yield sub
         sub.expect_end()
 
@@ -244,7 +281,7 @@ def save_video(path, rec: VideoRecord):
 
 
 def load_video(path) -> VideoRecord:
-    r = Reader(Path(path).read_bytes(), path)
+    r = Reader(io.BytesIO(Path(path).read_bytes()), path)
     if r.take(4, "magic") != MAGIC:
         raise DataFormatError(f"{path}: not a video container (bad magic)")
     version = r.u32("version")
@@ -313,13 +350,14 @@ def save_dataset(directory, records: list[VideoRecord], name: str,
     manifest = DatasetManifest(name=name, dim=dim, video_files=files,
                                aggregation=aggregation)
     path = directory / "manifest.json"
-    path.write_text(json.dumps({
+    text = json.dumps({
         "name": manifest.name,
         "dim": manifest.dim,
         "format_version": manifest.format_version,
         "aggregation": manifest.aggregation,
         "videos": manifest.video_files,
-    }, indent=2) + "\n")
+    }, indent=2) + "\n"
+    Writer().put(text.encode()).write(path)
     return path
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .autograd import ContractError, NumericError, ShapeError
 from .config import TrainConfig
-from .data import AGGREGATION_MODES, _repeated, json_field, read_json_object
+from .data import AGGREGATION_MODES, Writer, _repeated, json_field, read_json_object
 from .segmentation import SummaryMask, summarize_scores, summarize_video
 from .training import train
 
@@ -267,14 +267,15 @@ def build_folds(videos, protocol: EvalProtocol) -> list[FoldSplit]:
 
 def save_splits(path, splits: list[FoldSplit], protocol: EvalProtocol) -> Path:
     path = Path(path)
-    path.write_text(json.dumps({
+    text = json.dumps({
         "mode": protocol.mode,
         "folds": protocol.folds,
         "agg": protocol.agg,
         "seed": protocol.seed,
         "target_corpus": protocol.target_corpus,
         "splits": [{"train": s.train_ids, "test": s.test_ids} for s in splits],
-    }, indent=2) + "\n")
+    }, indent=2) + "\n"
+    Writer().put(text.encode()).write(path)
     return path
 
 

@@ -10,7 +10,6 @@ name, the optimizer moments, and the epoch counter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -229,29 +228,31 @@ def save_checkpoint(path, params: ModelParams, state: AdamState, cfg: TrainConfi
 def load_checkpoint(path):
     """Returns (params, adam_state, config, epoch). Byte layout must match
     what save_checkpoint wrote; any shortfall names the failing piece."""
-    r = Reader(Path(path).read_bytes(), path)
-    if r.take(4, "magic") != CHECKPOINT_MAGIC:
-        raise ContractError(f"{path}: not a checkpoint file (bad magic)")
-    version = r.u32("version")
-    if version != CHECKPOINT_VERSION:
-        raise ContractError(f"{path}: checkpoint version {version}, "
-                            f"this build reads {CHECKPOINT_VERSION}")
-    cfg = config_from_text(r.string("config"))
-    epoch, count = r.u32("epoch"), r.u32("parameter count")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name = r.string("parameter name")
-        rows, cols = r.u32(f"{name} rows"), r.u32(f"{name} cols")
-        tensors[name] = r.array("<f8", (rows, cols), f"{name} data")
-    try:
-        params = ModelParams.from_named({n: Matrix(a) for n, a in tensors.items()}, cfg)
-    except KeyError as e:
-        raise ContractError(f"{path}: checkpoint is missing parameter {e.args[0]}") from None
-    expected = [n for n, _ in params.named_parameters()]
-    if count != len(tensors) or list(tensors) != expected:
-        raise ContractError(f"{path}: checkpoint parameter order does not match this build")
-    step = r.u32("optimizer step")
-    m = [r.array("<f8", a.shape, "first moments") for a in tensors.values()]
-    v = [r.array("<f8", a.shape, "second moments") for a in tensors.values()]
-    r.expect_end()
+    with open(path, "rb") as fh:
+        r = Reader(fh, path)
+        if r.take(4, "magic") != CHECKPOINT_MAGIC:
+            raise ContractError(f"{path}: not a checkpoint file (bad magic)")
+        version = r.u32("version")
+        if version != CHECKPOINT_VERSION:
+            raise ContractError(f"{path}: checkpoint version {version}, "
+                                f"this build reads {CHECKPOINT_VERSION}")
+        cfg = config_from_text(r.string("config"))
+        epoch, count = r.u32("epoch"), r.u32("parameter count")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            name = r.string("parameter name")
+            rows, cols = r.u32(f"{name} rows"), r.u32(f"{name} cols")
+            tensors[name] = r.array("<f8", (rows, cols), f"{name} data")
+        try:
+            params = ModelParams.from_named(
+                {n: Matrix._wrap(a) for n, a in tensors.items()}, cfg)
+        except KeyError as e:
+            raise ContractError(f"{path}: checkpoint is missing parameter {e.args[0]}") from None
+        expected = [n for n, _ in params.named_parameters()]
+        if count != len(tensors) or list(tensors) != expected:
+            raise ContractError(f"{path}: checkpoint parameter order does not match this build")
+        step = r.u32("optimizer step")
+        m = [r.array("<f8", a.shape, "first moments") for a in tensors.values()]
+        v = [r.array("<f8", a.shape, "second moments") for a in tensors.values()]
+        r.expect_end()
     return params, AdamState(m=m, v=v, step=step), cfg, epoch

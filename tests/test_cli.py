@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import struct
 
 import numpy as np
@@ -149,6 +151,57 @@ def test_partition_map_csv_shape(tmp_path):
     assert header == ["x", "y", "winner_index"]
     assert len(rows) == 15 * 15
     assert {r[2] for r in rows} == {"0", "1"}
+
+
+class FullDisk:
+    """A file whose first write lands and then fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, part):
+        self.fh.write(part)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_an_interrupted_write_keeps_the_old_file_and_no_temp(tmp_path, dataset,
+                                                             monkeypatch, capsys):
+    ckpt, pm = tmp_path / "run.ckpt", tmp_path / "pm.csv"
+    assert run("train", "--data", str(dataset), "--out", str(ckpt),
+               "--epochs", "1", "--lr", "1e-3", "--radius", "1") == 0
+    assert run("partition-map", "--points", "0.2,0.2;0.8,0.8", "--grid-size", "5",
+               "--out", str(pm)) == 0
+    manifest = dataset / "manifest.json"
+    old = {path: path.read_bytes() for path in (ckpt, pm, manifest)}
+    listings = {d: sorted(os.listdir(d)) for d in (tmp_path, dataset)}
+
+    def open_failing(file, mode="r", **kw):
+        fh = open(file, mode, **kw)
+        return FullDisk(fh) if any(p.name in str(file) for p in old) else fh
+
+    monkeypatch.setattr(dat, "open", open_failing, raising=False)
+    assert run("train", "--data", str(dataset), "--out", str(ckpt),
+               "--epochs", "2", "--lr", "1e-3", "--radius", "1") == 1
+    assert run("partition-map", "--points", "0.1,0.2;0.8,0.8", "--grid-size", "5",
+               "--out", str(pm)) == 1
+    assert capsys.readouterr().err.count("No space left on device") == 2
+    with pytest.raises(OSError, match="No space left"):
+        dat.save_dataset(dataset, dat.load_dataset(dataset), name="renamed")
+    assert {path: path.read_bytes() for path in old} == old
+    assert {d: sorted(os.listdir(d)) for d in listings} == listings
+
+
+def test_a_failed_write_names_the_file_asked_for(tmp_path, capsys):
+    for out in (tmp_path / "missing" / "pm.csv", tmp_path):
+        assert run("partition-map", "--grid-size", "3", "--out", str(out)) == 1
+        assert capsys.readouterr().err.rstrip().endswith(f"'{out}'")
+    assert sorted(os.listdir(tmp_path)) == []
 
 
 def test_env_var_supplies_data_dir(tmp_path, dataset, monkeypatch):

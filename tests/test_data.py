@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import json
 import re
 import struct
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +77,34 @@ def test_save_load_save_is_byte_stable(tmp_path):
     dat.save_video(p1, rec)
     dat.save_video(p2, dat.load_video(p1))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_only_writer_write_writes_files():
+    # every output is atomic because Writer.write is the one code that
+    # opens a file for writing or renames one into place
+    found = []
+    for path in sorted(Path(dat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "data.py":
+            writer = next(n for n in tree.body if getattr(n, "name", "") == "Writer")
+            write = next(n for n in writer.body if getattr(n, "name", "") == "write")
+            allowed = {id(n) for n in ast.walk(write)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            modes = [a.value for a in node.args[1:2] + [k.value for k in node.keywords
+                                                       if k.arg == "mode"]
+                     if isinstance(a, ast.Constant)]
+            writes = (name in ("write_text", "write_bytes")
+                      or name == "open" and any(set(m) & set("wax+") for m in modes)
+                      or name in ("replace", "rename") and isinstance(func, ast.Attribute)
+                      and getattr(func.value, "id", "") == "os")
+            if writes:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_bad_magic_is_rejected(tmp_path):

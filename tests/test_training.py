@@ -1,4 +1,7 @@
+import gc
 import struct
+import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -458,19 +461,66 @@ def test_checkpoint_save_load_save_byte_stable(tmp_path):
 
 
 def test_checkpoint_truncation_names_the_piece(tmp_path):
-    path, *_ = trained_state(tmp_path)
+    path, params, _, cfg = trained_state(tmp_path)
     blob = path.read_bytes()
-    short = tmp_path / "short.ckpt"
-    short.write_bytes(blob[:2])
-    with pytest.raises(ContractError, match="magic"):
-        tr.load_checkpoint(short)
-    short.write_bytes(blob[:len(blob) // 2])
-    with pytest.raises(ContractError, match="truncated"):
-        tr.load_checkpoint(short)
-    longer = tmp_path / "long.ckpt"
-    longer.write_bytes(blob + b"xx")
-    with pytest.raises(ContractError, match="trailing"):
-        tr.load_checkpoint(longer)
+    named = params.named_parameters()
+    first, entries = named[0][0], sum(p.data.size for _, p in named)
+    # magic, version, config, epoch, count; then name, rows, cols, data
+    first_data = 20 + len(config_to_text(cfg).encode()) + 4 + len(first) + 8
+    moments = len(blob) - 2 * 8 * entries
+    cuts = {2: "truncated while reading magic",
+            len(blob) // 2: "truncated",
+            first_data + 8: f"truncated while reading {first} data",
+            moments - 2: "truncated while reading optimizer step",
+            len(blob) - 8: "truncated while reading second moments"}
+    bad = tmp_path / "bad.ckpt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for cut, message in cuts.items():
+            bad.write_bytes(blob[:cut])
+            with pytest.raises(ContractError, match=message):
+                tr.load_checkpoint(bad)
+        bad.write_bytes(blob + bytes(8))
+        with pytest.raises(ContractError, match="8 unexpected trailing bytes"):
+            tr.load_checkpoint(bad)
+        gc.collect()  # an unclosed file warns when it is collected
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def wide_state(d=128):
+    """An initial d-wide model and an Adam state with nonzero moments."""
+    cfg = tiny_cfg()
+    params = tr.init_params(d, cfg.neighbor_R, 0, cfg)
+    state = tr.AdamState.for_params(params)
+    rng = np.random.default_rng(0)
+    state.m = [rng.normal(size=a.shape) for a in state.m]
+    state.v = [rng.uniform(size=a.shape) for a in state.v]
+    return params, state, cfg
+
+
+def traced_peak(run) -> int:
+    """The peak bytes tracemalloc sees allocated while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_save_copies_no_array(tmp_path):
+    params, state, cfg = wide_state()
+    peak = traced_peak(lambda: tr.save_checkpoint(tmp_path / "w.ckpt", params, state, cfg, 1))
+    assert peak < 2**20 + len(config_to_text(cfg))
+
+
+def test_checkpoint_load_holds_each_array_once(tmp_path):
+    params, state, cfg = wide_state()
+    path = tmp_path / "w.ckpt"
+    tr.save_checkpoint(path, params, state, cfg, 1)
+    arrays = sum(p.data.nbytes for _, p in params.named_parameters()) \
+        + sum(a.nbytes for a in state.m + state.v)
+    assert traced_peak(lambda: tr.load_checkpoint(path)) <= 1.1 * arrays
 
 
 def test_checkpoint_rejects_wrong_magic_and_version(tmp_path):
