@@ -23,6 +23,7 @@ import io
 import json
 import math
 import os
+import stat
 import struct
 from collections import Counter
 from contextlib import contextmanager
@@ -162,22 +163,43 @@ class Writer:
         self.u32(sum(len(part) for part in sub.parts)).parts.extend(sub.parts)
 
     def write(self, path):
-        """Streams the parts into a new sibling temp file, then renames it
-        over `path`: a reader finds the old file or the new one, never a
-        mix, and a failed write leaves no temp file behind. There is no
-        fsync, so a power cut may still lose the new file."""
+        """Streams the parts into a new temp file beside the file `path`
+        names (through any symlinks), then renames it over that file: a
+        reader finds the old file or the new one, never a mix, and a failed
+        write leaves no temp file behind. A target that a rename would
+        change into something else (see _replaceable) is written in place,
+        without that guarantee. There is no fsync, so after a machine crash
+        the target may be empty or torn and its old contents lost."""
         path = Path(path)
-        tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+        target = Path(os.path.realpath(path))
+        in_place = not _replaceable(target)
+        tmp = target if in_place else target.parent / f".{target.name}.{os.urandom(6).hex()}.tmp"
         try:
-            with open(tmp, "xb") as fh:
+            with open(tmp, "wb" if in_place else "xb") as fh:
                 for part in self.parts:
                     fh.write(part)
-            os.replace(tmp, path)
+            if not in_place:
+                os.replace(tmp, target)
         except BaseException as e:
-            tmp.unlink(missing_ok=True)
+            if not in_place:
+                tmp.unlink(missing_ok=True)
             if isinstance(e, OSError) and e.filename == str(tmp):  # name the caller's file
                 raise type(e)(e.errno, e.strerror, str(path)) from None
             raise
+
+
+def _replaceable(target: Path) -> bool:
+    """Whether a new file renamed over `target` (a path with no symlink)
+    leaves it what it was: `target` is absent, or a regular file with no
+    other hard link, in a directory this process may write to. A device,
+    a FIFO or a hard-linked file is not, nor a file in a read-only
+    directory."""
+    try:
+        st = target.stat()
+    except OSError:  # absent, or the write will name what is wrong
+        return True
+    return (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+            and os.access(target.parent, os.W_OK))
 
 
 class Reader:

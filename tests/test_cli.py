@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import stat
 import struct
 
 import numpy as np
@@ -198,10 +199,48 @@ def test_an_interrupted_write_keeps_the_old_file_and_no_temp(tmp_path, dataset,
 
 
 def test_a_failed_write_names_the_file_asked_for(tmp_path, capsys):
-    for out in (tmp_path / "missing" / "pm.csv", tmp_path):
+    (tmp_path / "adir").mkdir()
+    for out in (tmp_path / "missing" / "pm.csv", tmp_path / "adir"):
+        # a temp file would be made beside the target: none is left there
         assert run("partition-map", "--grid-size", "3", "--out", str(out)) == 1
         assert capsys.readouterr().err.rstrip().endswith(f"'{out}'")
-    assert sorted(os.listdir(tmp_path)) == []
+        assert sorted(os.listdir(tmp_path)) == ["adir"]
+    assert os.listdir(tmp_path / "adir") == []
+
+
+def test_an_output_through_a_symlink_replaces_the_file_it_names(tmp_path):
+    dated, latest = tmp_path / "2026-10-19.csv", tmp_path / "latest.csv"
+    dated.write_text("old\n")
+    latest.symlink_to(dated.name)
+    assert run("partition-map", "--grid-size", "3", "--out", str(latest)) == 0
+    assert os.readlink(latest) == dated.name
+    assert dated.read_text().startswith("x,y,winner_index\n")
+    assert sorted(os.listdir(tmp_path)) == [dated.name, latest.name]
+
+
+def test_outputs_a_rename_would_change_are_written_in_place(tmp_path, monkeypatch):
+    # a hard-linked file, a file in a directory this process may not write
+    # to, and a device; os.replace is barred, so a regression fails here
+    # rather than renaming a regular file over os.devnull
+    def barred(*paths):
+        raise AssertionError(f"os.replace{paths}")
+
+    linked, other = tmp_path / "linked" / "pm.csv", tmp_path / "linked" / "pm_too.csv"
+    locked = tmp_path / "locked" / "pm.csv"
+    for out in (linked, locked):
+        out.parent.mkdir()
+        out.write_text("old\n")
+    os.link(linked, other)
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode: (
+        False if mode & os.W_OK and os.path.samefile(p, locked.parent) else access(p, mode)))
+    monkeypatch.setattr(os, "replace", barred)
+    for out in (linked, locked, os.devnull):
+        assert run("partition-map", "--grid-size", "3", "--out", str(out)) == 0
+    assert other.read_text() == linked.read_text() != "old\n"
+    assert locked.read_text() == linked.read_text()
+    assert os.stat(linked).st_nlink == 2
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 def test_env_var_supplies_data_dir(tmp_path, dataset, monkeypatch):
