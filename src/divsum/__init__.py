@@ -18,7 +18,7 @@ from .data import (DataFormatError, DatasetManifest, SynthSpec, VideoRecord,
 from .evaluation import (EvalProtocol, EvalReport, FoldSplit, build_folds,
                          evaluate, fscore, human_baseline, kendall_tau,
                          random_baseline, spearman_rho)
-from .heads import HeadParams, LossWeights, bce_loss, reconstruction_loss, \
+from .heads import HeadParams, bce_loss, reconstruction_loss, \
     repelling_loss, score_frames, total_loss
 from .model import ModelParams, forward_loss, forward_scores
 from .segmentation import (ShotPartition, SummaryMask, binarize_ground_truth,

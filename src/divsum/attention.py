@@ -51,13 +51,14 @@ class GdaParams:
 
 @dataclass
 class LcaParams:
-    """Projections, relative embeddings, and window settings for the local path."""
+    """Projections, relative embeddings, and window settings for the local
+    path. The window radius R is not stored: rel_pos has 2R+1 rows, one
+    per window slot, and neighbor_R reads R off them."""
 
     Wq2: Matrix
     Wk2: Matrix
     Wv2: Matrix
     rel_pos: Matrix
-    neighbor_R: int = 4
     variant: str = "contextual"
     boundary: str = "clamp"
 
@@ -66,18 +67,18 @@ class LcaParams:
         for name, w in (("Wq2", self.Wq2), ("Wk2", self.Wk2), ("Wv2", self.Wv2)):
             if w.shape != (d, d):
                 raise ShapeError(f"{name} must be square {d}x{d}, got {w.rows}x{w.cols}")
-        if self.neighbor_R < 1:
-            raise ContractError(f"neighbor_R must be >= 1, got {self.neighbor_R}")
-        span = 2 * self.neighbor_R + 1
-        if self.rel_pos.shape != (span, d):
-            raise ShapeError(
-                f"rel_pos must be {span}x{d} for R={self.neighbor_R}, "
-                f"got {self.rel_pos.rows}x{self.rel_pos.cols}"
-            )
+        span = self.rel_pos.rows
+        if span < 3 or span % 2 == 0 or self.rel_pos.cols != d:
+            raise ShapeError(f"rel_pos must be (2R+1)x{d} with R >= 1, "
+                             f"got {span}x{self.rel_pos.cols}")
         if self.variant not in LCA_VARIANTS:
             raise ContractError(f"unknown local-attention variant: {self.variant!r}")
         if self.boundary not in BOUNDARY_POLICIES:
             raise ContractError(f"unknown window boundary policy: {self.boundary!r}")
+
+    @property
+    def neighbor_R(self) -> int:
+        return (self.rel_pos.rows - 1) // 2
 
 
 @dataclass
@@ -296,7 +297,7 @@ def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionO
         raise ShapeError(f"local attention needs T x {p.Wq2.rows} features with T >= 1, "
                          f"got {X.rows}x{X.cols}")
     T, d = X.shape
-    R, span = p.neighbor_R, 2 * p.neighbor_R + 1
+    R, span = p.neighbor_R, p.rel_pos.rows
     x, wq, wk, wv, rel = X.data, p.Wq2.data, p.Wk2.data, p.Wv2.data, p.rel_pos.data
     q, k, v = x @ wq, x @ wk, x @ wv
 
@@ -392,6 +393,8 @@ def partition_map(points, kind: str, grid: GridSpec = GridSpec()):
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ContractError("partition map needs at least two 2-D points")
+    if not np.all(np.isfinite(pts)):
+        raise NumericError("partition map points must be finite")
     if np.all(pts == pts[0]):
         raise ContractError("degenerate point set: all points identical")
     if kind not in SIMILARITY_KINDS:

@@ -117,9 +117,6 @@ class Tape:
     def record(self, backward_fn):
         self.records.append(backward_fn)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 def _accum(m: Matrix, g: np.ndarray):
     if m.grad is None:

@@ -20,7 +20,6 @@ from .attention import GridSpec, lca_forward, pairwise_similarity, partition_map
 from .autograd import Matrix, Tape
 from .config import TrainConfig
 from .data import SynthSpec, load_dataset, save_dataset, synth_generate
-from .heads import LossWeights
 from .model import forward_loss
 from .segmentation import knapsack_select, kts_segment
 from .training import init_params
@@ -31,18 +30,18 @@ def _fd_full_model(seed: int) -> float:
     across every parameter of a tiny full forward pass."""
     rng = np.random.default_rng(seed)
     T, d = 4, 4
-    params = init_params(d, 1, seed, TrainConfig(neighbor_R=1))
+    cfg = TrainConfig(neighbor_R=1)
+    params = init_params(d, 1, seed, cfg)
     X = Matrix(rng.uniform(0.1, 0.9, size=(T, d)))
     gt = rng.integers(0, 2, size=T).astype(float)
     gt[0] = 1 - gt[1]  # keep both classes present
-    weights = LossWeights(alpha=0.1, beta=1.0, supervised=True)
 
     def loss_value() -> float:
-        return forward_loss(X, params, weights, gt).total.item()
+        return forward_loss(X, params, cfg, gt).total.item()
 
     params.zero_grads()
     tape = Tape()
-    out = forward_loss(X, params, weights, gt, tape)
+    out = forward_loss(X, params, cfg, gt, tape)
     ag.backward(out.total, tape)
     worst = 0.0
     step = 1e-5

@@ -219,10 +219,9 @@ def _parse_points(text: str) -> np.ndarray:
         pts = [[float(c) for c in pair.split(",")] for pair in text.split(";") if pair]
     except ValueError:
         raise ContractError(f"cannot parse points {text!r}; want 'x,y;x,y;...'")
-    arr = np.asarray(pts, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
+    if any(len(p) != 2 for p in pts):
         raise ContractError("every point needs exactly two coordinates")
-    return arr
+    return np.asarray(pts, dtype=np.float64)
 
 
 def cmd_partition_map(args) -> int:

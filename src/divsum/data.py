@@ -266,7 +266,7 @@ class Reader:
 def _read_partition(r: Reader, T: int) -> ShotPartition:
     starts = r.array("<u4", r.u32("shot count"), "shot starts").astype(int)
     try:
-        return ShotPartition.from_change_points(starts, T)
+        return ShotPartition(starts, T)
     except ContractError as e:
         raise DataFormatError(f"{r.where}: {e}") from None
 
@@ -506,8 +506,8 @@ class SynthSpec:
         _check_budget_ratio(self.budget_ratio)
 
 
-# Rejection draws before the direct one; every spec in the suite, the
-# scripts and the benchmark is accepted within 17.
+# Rejection draws before the direct one; every spec in the suite, CI
+# and the benchmark is accepted within 17.
 _PARTITION_TRIES = 1000
 
 
@@ -521,15 +521,12 @@ def _random_partition(rng, T: int, shots: int, min_len: int) -> ShotPartition:
     """
     for _ in range(_PARTITION_TRIES):
         cuts = np.sort(rng.choice(np.arange(1, T), size=shots - 1, replace=False))
-        starts = np.concatenate([[0], cuts])
-        lengths = np.diff(np.concatenate([starts, [T]]))
-        if lengths.min() >= min_len:
-            return ShotPartition(change_points=starts.astype(int),
-                                 shot_lengths=lengths.astype(int))
+        if np.diff(cuts, prepend=0, append=T).min() >= min_len:
+            return ShotPartition(np.concatenate([[0], cuts]), T)
     free = T - shots * (min_len - 1)  # the lengths less min_len - 1 compose `free`
     cuts = np.sort(rng.choice(np.arange(1, free), size=shots - 1, replace=False))
     lengths = np.diff(np.concatenate([[0], cuts, [free]])) + (min_len - 1)
-    return ShotPartition(change_points=np.cumsum(lengths) - lengths, shot_lengths=lengths)
+    return ShotPartition(np.cumsum(lengths) - lengths, T)
 
 
 def synth_generate(spec: SynthSpec) -> list[VideoRecord]:

@@ -331,7 +331,8 @@ def evaluate(videos, cfg: TrainConfig, protocol: EvalProtocol,
              splits: list[FoldSplit] | None = None) -> EvalReport:
     """Train per fold on the split's training half, summarize the held-out
     videos, and average F / tau / rho over every test video. Every split's
-    video ids are checked before the first fold trains."""
+    video ids, and that no split list or half is empty, are checked
+    before the first fold trains."""
     if not videos:
         raise ContractError("cannot evaluate an empty video set")
     repeated = _repeated(v.id for v in videos)
@@ -340,6 +341,12 @@ def evaluate(videos, cfg: TrainConfig, protocol: EvalProtocol,
     by_id = {v.id: v for v in videos}
     if splits is None:
         splits = build_folds(videos, protocol)
+    if not splits:
+        raise ContractError("no splits to evaluate")
+    for i, s in enumerate(splits):
+        for half, ids in (("train", s.train_ids), ("test", s.test_ids)):
+            if not ids:
+                raise ContractError(f"split {i} has an empty {half} list")
     unknown = sorted({i for s in splits for i in s.train_ids + s.test_ids} - set(by_id))
     if unknown:
         raise ContractError(f"split references unknown video ids: {unknown}")

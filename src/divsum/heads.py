@@ -69,19 +69,6 @@ class HeadParams:
 
 
 @dataclass
-class LossWeights:
-    alpha: float = 0.1  # repelling term
-    beta: float = 1.0  # reconstruction term
-    supervised: bool = True
-
-    def __post_init__(self):
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ContractError(
-                f"loss weights must be nonnegative, got alpha={self.alpha} beta={self.beta}"
-            )
-
-
-@dataclass
 class LossParts:
     """The scalar loss terms, pre-weighting. cls is None in unsupervised runs."""
 
@@ -221,14 +208,16 @@ def reconstruction_loss(X: Matrix, Xrec: Matrix, tape: Tape | None = None) -> Ma
     return ag._record(tape, total, (Xrec, share))
 
 
-def total_loss(parts: LossParts, w: LossWeights, tape: Tape | None = None) -> Matrix:
-    """cls + alpha*repel + beta*recon, or without cls in unsupervised mode."""
-    if w.supervised and parts.cls is None:
-        raise ContractError("supervised objective requires a classification term")
-    alpha, beta = float(w.alpha), float(w.beta)
+def total_loss(parts: LossParts, alpha: float, beta: float,
+               tape: Tape | None = None) -> Matrix:
+    """cls + alpha*repel + beta*recon, where the cls term is there exactly
+    when parts.cls is (supervised runs). Refuses negative weights."""
+    if alpha < 0.0 or beta < 0.0:
+        raise ContractError(f"loss weights must be nonnegative, got alpha={alpha} beta={beta}")
+    alpha, beta = float(alpha), float(beta)
     total = parts.repel.data * alpha + parts.recon.data * beta
     shares = [(parts.recon, lambda g: g * beta), (parts.repel, lambda g: g * alpha)]
-    if w.supervised:
+    if parts.cls is not None:
         total = parts.cls.data + total
         shares.insert(0, (parts.cls, lambda g: g))
     return ag._record(tape, total, *shares)

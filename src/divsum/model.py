@@ -56,9 +56,7 @@ class ModelParams:
     @classmethod
     def from_named(cls, mats: dict[str, Matrix], cfg: TrainConfig) -> "ModelParams":
         """The model made of `mats` (keyed by PARAMETERS names) with the
-        architecture settings of `cfg`. The window radius R is read off
-        lca.rel_pos, which has 2R+1 rows. A missing name raises KeyError."""
-        R = (mats["lca.rel_pos"].rows - 1) // 2
+        architecture settings of `cfg`. A missing name raises KeyError."""
         tree: dict = {}
         for name, _, _ in PARAMETERS:
             *path, leaf = name.split(".")
@@ -68,16 +66,12 @@ class ModelParams:
             node[leaf] = mats[name]
         return cls(
             gda=att.GdaParams(**tree["gda"], sim_kind=cfg.sim_kind, scale_q=cfg.scale_q),
-            lca=att.LcaParams(**tree["lca"], neighbor_R=R, variant=cfg.lca_variant,
+            lca=att.LcaParams(**tree["lca"], variant=cfg.lca_variant,
                               boundary=cfg.window_boundary),
             heads=hd.HeadParams(**{k: hd.Affine(**v) for k, v in tree["heads"].items()},
                                 recon_final_sigmoid=cfg.recon_final_sigmoid),
             use_positions=cfg.use_positions, use_gda=cfg.use_gda, use_lca=cfg.use_lca,
         )
-
-    @property
-    def dim(self) -> int:
-        return self.gda.Wq.rows
 
     def named_parameters(self) -> list[tuple[str, Matrix]]:
         """Every trainable matrix, in PARAMETERS order."""
@@ -121,24 +115,26 @@ class LossBreakdown:
     parts: hd.LossParts
 
 
-def forward_loss(X: Matrix, params: ModelParams, weights: hd.LossWeights,
+def forward_loss(X: Matrix, params: ModelParams, cfg: TrainConfig,
                  gt_binary=None, tape: Tape | None = None) -> LossBreakdown:
-    """Full training-step forward: features, heads, weighted objective.
+    """Full training-step forward: features, heads, and the objective
+    cls + cfg.alpha * repel + cfg.beta * recon, with the cls term exactly
+    when cfg.supervised.
 
-    gt_binary (0/1 per frame) is required exactly when weights.supervised;
+    gt_binary (0/1 per frame) is required exactly when cfg.supervised;
     unsupervised runs must not pass it, which makes "never reads labels"
     checkable at the call boundary.
     """
-    if weights.supervised and gt_binary is None:
+    if cfg.supervised and gt_binary is None:
         raise ContractError("supervised loss requires per-frame binary labels")
     out = forward_scores(X, params, tape)
     embeddings = hd.embed_frames(out.fused, params.heads, tape)
     recon = hd.reconstruct_frames(out.fused, params.heads, tape)
     cls = hd.bce_loss(out.scores, np.asarray(gt_binary, dtype=np.float64), tape) \
-        if weights.supervised else None
+        if cfg.supervised else None
     parts = hd.LossParts(
         cls=cls,
         repel=hd.repelling_loss(embeddings, tape),
         recon=hd.reconstruction_loss(X, recon, tape),
     )
-    return LossBreakdown(total=hd.total_loss(parts, weights, tape), parts=parts)
+    return LossBreakdown(total=hd.total_loss(parts, cfg.alpha, cfg.beta, tape), parts=parts)

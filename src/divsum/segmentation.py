@@ -10,7 +10,7 @@ into per-frame 0/1 training labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,41 +29,26 @@ _DP_BLOCK = 64
 
 @dataclass(frozen=True)
 class ShotPartition:
-    """Shots tiling [0, T): start indices (first is 0) and lengths."""
+    """Shots tiling [0, T), given by their start frames: 1-D, the first
+    0, strictly increasing, the last below T. shot_lengths is derived
+    from the starts and T; it cannot be passed or set."""
 
     change_points: np.ndarray
-    shot_lengths: np.ndarray
+    total_frames: int
+    shot_lengths: np.ndarray = field(init=False)
 
     def __post_init__(self):
         starts = np.asarray(self.change_points, dtype=int)
-        lengths = np.asarray(self.shot_lengths, dtype=int)
-        object.__setattr__(self, "change_points", starts)
-        object.__setattr__(self, "shot_lengths", lengths)
-        if starts.ndim != 1 or lengths.ndim != 1 or starts.size != lengths.size:
-            raise ShapeError("change points and lengths must be 1-D and parallel")
-        if starts.size == 0:
-            raise ContractError("a partition needs at least one shot")
-        if starts[0] != 0:
-            raise ContractError(f"first shot must start at frame 0, got {starts[0]}")
-        if np.any(lengths < 1):
-            raise ContractError("every shot needs at least one frame")
-        expected = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        if not np.array_equal(starts, expected):
-            raise ContractError("shots must tile the frame range without gaps or overlap")
-
-    @classmethod
-    def from_change_points(cls, starts, total_frames: int) -> "ShotPartition":
-        starts = np.asarray(starts, dtype=int)
+        T = int(self.total_frames)
+        if starts.ndim != 1:
+            raise ShapeError(f"change points must be 1-D, got ndim={starts.ndim}")
         if starts.size == 0 or starts[0] != 0:
             raise ContractError("change points must begin with frame 0")
-        if np.any(np.diff(starts) < 1) or starts[-1] >= total_frames:
+        if np.any(np.diff(starts) < 1) or starts[-1] >= T:
             raise ContractError("change points must increase strictly within the video")
-        bounds = np.concatenate([starts, [total_frames]])
-        return cls(change_points=starts, shot_lengths=np.diff(bounds))
-
-    @property
-    def total_frames(self) -> int:
-        return int(self.shot_lengths.sum())
+        object.__setattr__(self, "change_points", starts)
+        object.__setattr__(self, "total_frames", T)
+        object.__setattr__(self, "shot_lengths", np.diff(np.append(starts, T)))
 
     @property
     def num_shots(self) -> int:
@@ -112,10 +97,6 @@ def _scatter_table(K: np.ndarray) -> np.ndarray:
     return table
 
 
-def _singleton_partition(T: int) -> ShotPartition:
-    return ShotPartition(change_points=np.arange(T), shot_lengths=np.ones(T, dtype=int))
-
-
 def kts_segment(X, max_shots: int) -> ShotPartition:
     """Partition frames into visually coherent shots.
 
@@ -136,7 +117,7 @@ def kts_segment(X, max_shots: int) -> ShotPartition:
     if max_shots < 1:
         raise ContractError(f"max_shots must be >= 1, got {max_shots}")
     if T < max_shots:
-        return _singleton_partition(T)
+        return ShotPartition(np.arange(T), T)
 
     M = int(max_shots)
     K = feats @ feats.T
@@ -171,7 +152,7 @@ def kts_segment(X, max_shots: int) -> ShotPartition:
         t = int(B[m, t])
         cuts.append(t)
     starts = np.array([0] + sorted(cuts), dtype=int)
-    return ShotPartition.from_change_points(starts, T)
+    return ShotPartition(starts, T)
 
 
 def shot_scores(y, part: ShotPartition) -> np.ndarray:

@@ -17,7 +17,6 @@ from . import autograd as ag
 from .autograd import ContractError, Matrix, NumericError, Tape
 from .config import TrainConfig, config_from_text, config_to_text
 from .data import Reader, Writer
-from .heads import LossWeights
 from .model import PARAMETERS, ModelParams, forward_loss
 
 ADAM_BETA1 = 0.9
@@ -156,7 +155,6 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
     short = [v.id for v in videos if v.features.shape[0] < 2]
     if short:
         raise ContractError(f"training needs at least 2 frames per video; too short: {short}")
-    weights = LossWeights(alpha=cfg.alpha, beta=cfg.beta, supervised=cfg.supervised)
     if cfg.supervised:
         missing = [v.id for v in videos if v.gt_binary is None]
         if missing:
@@ -179,7 +177,7 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
         for i in order:
             params.zero_grads()
             tape = Tape()
-            out = forward_loss(feats[i], params, weights, labels[i], tape)
+            out = forward_loss(feats[i], params, cfg, labels[i], tape)
             loss = out.total.item()
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss {loss} on video {videos[i].id} "

@@ -473,11 +473,11 @@ def reconstruction_chain(X, Xrec, tape=None):
     return scale(sum_all(dist, tape), 1.0 / X.rows, tape)
 
 
-def total_loss_chain(parts, w, tape=None):
+def total_loss_chain(parts, alpha, beta, tape=None):
     """total_loss as a chain of generic autograd ops: 4 records, 3 when
-    unsupervised."""
-    weighted = add(scale(parts.repel, w.alpha, tape), scale(parts.recon, w.beta, tape), tape)
-    return add(parts.cls, weighted, tape) if w.supervised else weighted
+    unsupervised (parts.cls is None)."""
+    weighted = add(scale(parts.repel, alpha, tape), scale(parts.recon, beta, tape), tape)
+    return add(parts.cls, weighted, tape) if parts.cls is not None else weighted
 
 
 def nearest_point_index(x, y, points):

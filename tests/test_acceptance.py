@@ -21,7 +21,6 @@ from divsum.autograd import Matrix, Tape
 from divsum.cli import main as cli_main
 from divsum.config import TrainConfig
 from divsum.data import SynthSpec, save_dataset, synth_generate
-from divsum.heads import LossWeights
 from divsum.model import forward_loss
 from divsum.segmentation import knapsack_select, kts_segment
 from divsum.training import init_params, train
@@ -71,18 +70,18 @@ def test_criterion_01_gradient_correctness():
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         T, d = int(rng.integers(3, 9)), 2 * int(rng.integers(2, 9))
-        params = init_params(d, 1, seed, TrainConfig(neighbor_R=1))
+        cfg = TrainConfig(neighbor_R=1, alpha=0.1, beta=1.0, supervised=True)
+        params = init_params(d, 1, seed, cfg)
         X = Matrix(rng.uniform(0.1, 0.9, size=(T, d)))
         gt = rng.integers(0, 2, size=T).astype(float)
         gt[0], gt[1] = 0.0, 1.0
-        weights = LossWeights(alpha=0.1, beta=1.0, supervised=True)
 
         def total() -> float:
-            return forward_loss(X, params, weights, gt).total.item()
+            return forward_loss(X, params, cfg, gt).total.item()
 
         params.zero_grads()
         tape = Tape()
-        out = forward_loss(X, params, weights, gt, tape)
+        out = forward_loss(X, params, cfg, gt, tape)
         ag.backward(out.total, tape)
         mats = [p for _, p in params.named_parameters()]
         idx, fd = oracles.finite_difference_sampled(total, mats, rng, per_mat=3)

@@ -28,7 +28,6 @@ def make_lca(rng, d, R, variant="contextual", boundary="clamp"):
         Wk2=Matrix(rng.uniform(-1, 1, size=(d, d))),
         Wv2=Matrix(rng.uniform(-1, 1, size=(d, d))),
         rel_pos=Matrix(rng.uniform(-1, 1, size=(2 * R + 1, d))),
-        neighbor_R=R,
         variant=variant,
         boundary=boundary,
     )
@@ -331,9 +330,9 @@ def test_gda_forward_makes_one_record(kind, positions):
     P = att.sinusoidal_positions(T, d) if positions else None
     tape = Tape()
     att.gda_forward(X, p, P, tape)
-    assert len(tape) == 1
+    assert len(tape.records) == 1
     att.gda_forward(X, p, P, tape)
-    assert len(tape) == 2
+    assert len(tape.records) == 2
 
 
 def test_gda_features_positions_and_weights_get_no_gradient():
@@ -482,7 +481,7 @@ def test_lca_forward_makes_one_record(variant, boundary):
     tape = Tape()
     for calls, R in enumerate((1, 2, 4), start=1):
         att.lca_forward(X, make_lca(rng, 4, R, variant=variant, boundary=boundary), tape)
-        assert len(tape) == calls
+        assert len(tape.records) == calls
 
 
 @pytest.mark.parametrize("boundary", att.BOUNDARY_POLICIES)
@@ -508,7 +507,6 @@ def test_zero_boundary_policy_differs_from_clamp_at_edges():
         Wk2=Matrix(clamped.Wk2.data.copy()),
         Wv2=Matrix(clamped.Wv2.data.copy()),
         rel_pos=Matrix(clamped.rel_pos.data.copy()),
-        neighbor_R=R,
         boundary="zero",
     )
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
@@ -521,24 +519,21 @@ def test_zero_boundary_policy_differs_from_clamp_at_edges():
 
 
 def test_lca_param_validation():
-    rng = np.random.default_rng(18)
-    with pytest.raises(ShapeError):
-        att.LcaParams(
-            Wq2=Matrix(np.eye(3)),
-            Wk2=Matrix(np.eye(3)),
-            Wv2=Matrix(np.eye(3)),
-            rel_pos=Matrix(np.zeros((4, 3))),  # needs 2R+1 = 5 rows
-            neighbor_R=2,
-        )
+    eye = lambda: Matrix(np.eye(3))
+    for rows, cols in ((4, 3), (1, 3), (5, 2)):  # even, R = 0, wrong width
+        with pytest.raises(ShapeError):
+            att.LcaParams(Wq2=eye(), Wk2=eye(), Wv2=eye(), rel_pos=Matrix(np.zeros((rows, cols))))
     with pytest.raises(ContractError):
-        att.LcaParams(
-            Wq2=Matrix(np.eye(3)),
-            Wk2=Matrix(np.eye(3)),
-            Wv2=Matrix(np.eye(3)),
-            rel_pos=Matrix(np.zeros((3, 3))),
-            neighbor_R=1,
-            variant="averaging",
-        )
+        att.LcaParams(Wq2=eye(), Wk2=eye(), Wv2=eye(), rel_pos=Matrix(np.zeros((3, 3))),
+                      variant="averaging")
+
+
+def test_lca_radius_is_read_off_rel_pos():
+    for R in (1, 2, 5):
+        p = make_lca(np.random.default_rng(R), 3, R)
+        assert p.neighbor_R == R
+    with pytest.raises(AttributeError):
+        p.neighbor_R = 2
 
 
 @pytest.mark.parametrize("path", ["global", "local"])
@@ -590,7 +585,7 @@ def test_fuse_is_one_record_with_the_bytes_of_the_generic_op_chain(aliased):
             m.grad = np.full(m.shape, 0.1)
         tape = Tape()
         out = fuse(*mats, tape)
-        records = len(tape)
+        records = len(tape.records)
         ag.backward(oracles.sum_all(oracles.multiply(out, mix, tape), tape), tape)
         return records, [out.data.tobytes()] + [m.grad.tobytes() for m in mats]
 
@@ -638,6 +633,9 @@ def test_partition_rejects_degenerate_inputs():
         att.partition_map([[0.5, 0.5], [0.5, 0.5]], "l2")
     with pytest.raises(ContractError):
         att.partition_map([[0.0, 0.0], [1.0, 1.0]], "chebyshev")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericError):
+            att.partition_map([[0.1, 0.2], [0.3, bad]], "l2")
 
 
 def test_partition_csv_shape_and_header():

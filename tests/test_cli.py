@@ -282,7 +282,7 @@ def test_summarize_names_a_missing_checkpoint_parameter(tmp_path, dataset, capsy
     assert run("summarize", "--checkpoint", str(ckpt), "--data", str(dataset),
                "--out", str(tmp_path / "s.csv")) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "missing parameter lca.rel_pos" in err
+    assert err.startswith("error:") and "missing parameter gda.Wq" in err
 
 
 @pytest.mark.parametrize("part", ["config", "parameter name"])
@@ -331,6 +331,22 @@ def test_evaluate_reuses_a_hand_written_split_file_without_protocol_fields(tmp_p
                "--splits", str(splits), "--csv", str(tmp_path / "rep.csv")) == 0
     _, rows = read_csv(tmp_path / "rep.csv")
     assert [r[0] for r in rows] == ids[3:] + ["mean"]
+
+
+@pytest.mark.parametrize("folds, message", [
+    (0, "no splits to evaluate"),
+    (1, "split 0 has an empty test list"),
+], ids=["no-splits", "empty-test"])
+def test_evaluate_refuses_an_empty_split_file_with_one_line(tmp_path, dataset, capsys,
+                                                             folds, message):
+    ids = sorted(p.stem for p in dataset.glob("*.dsv"))
+    splits = tmp_path / "splits.json"
+    splits.write_text(json.dumps({"splits": [{"train": ids, "test": []}] * folds}))
+    assert run("evaluate", "--data", str(dataset), "--epochs", "1", "--radius", "1",
+               "--splits", str(splits), "--csv", str(tmp_path / "rep.csv")) == 1
+    printed, err = capsys.readouterr()
+    assert printed == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "rep.csv").exists()
 
 
 MANIFEST = {"name": "synth", "dim": 6, "videos": [], "aggregation": "mean_over_users"}
@@ -396,6 +412,20 @@ def test_bad_points_and_bad_config_fail_cleanly(tmp_path, dataset, capsys):
     assert run("train", "--data", str(dataset), "--out", str(tmp_path / "x.ckpt"),
                "--config", str(cfg)) == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points, message", [
+    ("0.1,0.2;0.3", "exactly two coordinates"),
+    ("0.1,0.2;0.3,0.4,0.5", "exactly two coordinates"),
+    ("0.1,0.2;0.3,nan", "must be finite"),
+    ("0.1,0.2;inf,0.4", "must be finite"),
+], ids=["one-coordinate", "three-coordinates", "nan", "inf"])
+def test_bad_points_fail_with_one_line(tmp_path, capsys, points, message):
+    out = tmp_path / "x.csv"
+    assert run("partition-map", "--points", points, "--out", str(out)) == 1
+    printed, err = capsys.readouterr()
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+    assert printed == "" and not out.exists()
 
 
 def test_non_utf8_config_file_fails_cleanly(tmp_path, dataset, capsys):

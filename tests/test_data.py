@@ -18,7 +18,7 @@ from divsum.segmentation import ShotPartition, kts_segment, shot_scores
 
 
 def full_record(rng, T=12, d=5, tag="demo"):
-    part = ShotPartition.from_change_points([0, 4, 9], T)
+    part = ShotPartition([0, 4, 9], T)
     users = [rng.integers(0, 2, size=T).astype(int) for _ in range(3)]
     return dat.VideoRecord(
         id="vid_full",
@@ -194,7 +194,7 @@ def test_validation_catches_length_mismatches():
     with pytest.raises(dat.DataFormatError, match="user summary 1"):
         dat.VideoRecord(id="v", features=feats,
                         user_summaries=[np.zeros(5, dtype=int), np.zeros(3, dtype=int)]).validate()
-    part = ShotPartition.from_change_points([0, 2], 4)
+    part = ShotPartition([0, 2], 4)
     with pytest.raises(dat.DataFormatError, match="change points"):
         dat.VideoRecord(id="v", features=feats, change_points=part).validate()
     with pytest.raises(dat.DataFormatError, match="NaN"):
@@ -293,7 +293,7 @@ def arithmetic_record(annotated: bool) -> dat.VideoRecord:
         rec.gt_scores = np.arange(T) / 8.0
         rec.gt_binary = np.arange(T) % 2
         rec.user_summaries = [(np.arange(T) + u) % 2 for u in range(2)]
-        rec.change_points = ShotPartition.from_change_points([0, 2, 5], T)
+        rec.change_points = ShotPartition([0, 2, 5], T)
         rec.picks = np.arange(T) * 15
     return rec
 

@@ -461,6 +461,24 @@ def test_evaluate_checks_every_split_before_the_first_fold_trains(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("halves, message", [
+    ([], "no splits to evaluate"),
+    ([((0, 2), (2, 4)), ((0, 0), (0, 2))], "split 1 has an empty train list"),
+    ([((0, 2), (2, 4)), ((2, 4), (0, 0))], "split 1 has an empty test list"),
+], ids=["no-splits", "empty-train", "empty-test"])
+def test_evaluate_refuses_empty_splits_before_the_first_fold_trains(monkeypatch, halves,
+                                                                   message):
+    videos = corpus("a", 4, seed=0)
+    ids = [v.id for v in videos]
+    splits = [ev.FoldSplit(train_ids=ids[slice(*train)], test_ids=ids[slice(*test)])
+              for train, test in halves]
+    calls = []
+    monkeypatch.setattr(ev, "train", lambda *args: calls.append(args))
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        ev.evaluate(videos, quick_cfg(), ev.EvalProtocol(folds=2), splits=splits)
+    assert calls == []
+
+
 def test_evaluate_names_the_repeated_video_ids():
     v0, v1 = corpus("a", 2, seed=0)
     with pytest.raises(ContractError, match=f"not unique: {v0.id!r}$"):

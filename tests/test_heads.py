@@ -10,6 +10,7 @@ from divsum import heads as hd
 from divsum import model as mdl
 from divsum.attention import GdaParams, LcaParams
 from divsum.autograd import ContractError, Matrix, NumericError, ShapeError, Tape
+from divsum.config import TrainConfig
 
 from . import oracles
 from .oracles import finite_difference_grads
@@ -44,7 +45,7 @@ def make_model(rng, d, R, sim="l2", variant="contextual"):
         lca=LcaParams(
             Wq2=sq(), Wk2=sq(), Wv2=sq(),
             rel_pos=Matrix(rng.uniform(-0.5, 0.5, size=(2 * R + 1, d))),
-            neighbor_R=R, variant=variant,
+            variant=variant,
         ),
         heads=make_heads(rng, d),
     )
@@ -267,21 +268,18 @@ def test_reconstruction_grads_match_fd():
 def test_total_loss_weights():
     parts = hd.LossParts(cls=Matrix([[7.0]]), repel=Matrix([[2.0]]),
                          recon=Matrix([[3.0]]))
-    only_cls = hd.total_loss(parts, hd.LossWeights(alpha=0.0, beta=0.0, supervised=True))
+    only_cls = hd.total_loss(parts, 0.0, 0.0)
     assert only_cls.item() == pytest.approx(7.0)
-    unsup = hd.total_loss(parts, hd.LossWeights(alpha=0.1, beta=1.0, supervised=False))
+    unsup = hd.total_loss(hd.LossParts(cls=None, repel=parts.repel, recon=parts.recon),
+                          0.1, 1.0)
     assert unsup.item() == pytest.approx(3.2, abs=1e-12)
 
 
-def test_total_loss_supervised_requires_cls():
-    parts = hd.LossParts(cls=None, repel=Matrix([[1.0]]), recon=Matrix([[1.0]]))
-    with pytest.raises(ContractError):
-        hd.total_loss(parts, hd.LossWeights(supervised=True))
-
-
 def test_loss_weights_must_be_nonnegative():
-    with pytest.raises(ContractError):
-        hd.LossWeights(alpha=-0.1)
+    parts = hd.LossParts(cls=None, repel=Matrix([[1.0]]), recon=Matrix([[1.0]]))
+    for alpha, beta in ((-0.1, 1.0), (0.1, -1.0)):
+        with pytest.raises(ContractError):
+            hd.total_loss(parts, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +292,12 @@ def test_full_forward_loss_grads_match_fd():
     params = make_model(rng, d, R)
     X = Matrix(rng.uniform(-1, 1, (T, d)))
     gt = rng.integers(0, 2, size=T).astype(float)
-    weights = hd.LossWeights(alpha=0.1, beta=1.0, supervised=True)
+    cfg = TrainConfig(alpha=0.1, beta=1.0, supervised=True)
     mats = [p for _, p in params.named_parameters()]
 
     def run():
         tape = Tape()
-        out = mdl.forward_loss(X, params, weights, gt, tape)
+        out = mdl.forward_loss(X, params, cfg, gt, tape)
         return out.total, tape
 
     params.zero_grads()
@@ -318,7 +316,7 @@ def test_gradient_reaches_every_head():
     gt = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
     params.zero_grads()
     tape = Tape()
-    out = mdl.forward_loss(X, params, hd.LossWeights(supervised=True), gt, tape)
+    out = mdl.forward_loss(X, params, TrainConfig(supervised=True), gt, tape)
     ag.backward(out.total, tape)
     for name, m in params.named_parameters():
         assert np.any(m.grad != 0.0), f"no gradient reached {name}"
@@ -355,14 +353,14 @@ def test_supervised_forward_requires_labels():
     params = make_model(rng, 4, 1)
     X = Matrix(rng.uniform(-1, 1, (4, 4)))
     with pytest.raises(ContractError):
-        mdl.forward_loss(X, params, hd.LossWeights(supervised=True), None)
+        mdl.forward_loss(X, params, TrainConfig(supervised=True), None)
 
 
 def test_unsupervised_forward_needs_no_labels():
     rng = np.random.default_rng(16)
     params = make_model(rng, 4, 1)
     X = Matrix(rng.uniform(-1, 1, (4, 4)))
-    out = mdl.forward_loss(X, params, hd.LossWeights(supervised=False), None)
+    out = mdl.forward_loss(X, params, TrainConfig(supervised=False), None)
     assert out.parts.cls is None
     assert np.isfinite(out.total.item())
 
@@ -408,7 +406,7 @@ def training_step(monkeypatch, chains, T, d, supervised, final_sigmoid=False, se
         else:
             params.zero_grads()
         tape = Tape()
-        out = mdl.forward_loss(X, params, hd.LossWeights(supervised=supervised), gt, tape)
+        out = mdl.forward_loss(X, params, TrainConfig(supervised=supervised), gt, tape)
         ag.backward(out.total, tape)
     parts = [out.total, out.parts.repel, out.parts.recon] + [out.parts.cls] * supervised
     return tape, [m.data.tobytes() for m in parts] + [m.grad.tobytes() for m in mats]
@@ -436,8 +434,8 @@ def test_forward_loss_makes_10_records(monkeypatch, supervised, records, chain_r
     # one per attention path and the fusion, then one record per head
     # (score, embed, reconstruction) and one per loss; the chains' heads
     # make 13 records and their losses 27 (16 unsupervised)
-    assert len(training_step(monkeypatch, False, 7, 4, supervised)[0]) == records
-    assert len(training_step(monkeypatch, True, 7, 4, supervised)[0]) == chain_records
+    assert len(training_step(monkeypatch, False, 7, 4, supervised)[0].records) == records
+    assert len(training_step(monkeypatch, True, 7, 4, supervised)[0].records) == chain_records
 
 
 @pytest.mark.parametrize("supervised", [True, False], ids=["supervised", "unsupervised"])
@@ -458,7 +456,7 @@ def test_a_step_gives_the_features_and_attention_weights_no_gradient(monkeypatch
     gt = rng.integers(0, 2, size=7).astype(float) if supervised else None
     params.zero_grads()
     tape = Tape()
-    ag.backward(mdl.forward_loss(X, params, hd.LossWeights(supervised=supervised), gt,
+    ag.backward(mdl.forward_loss(X, params, TrainConfig(supervised=supervised), gt,
                                  tape).total, tape)
     assert len(outputs) == 2
     assert X.grad is None and all(out.weights.grad is None for out in outputs)
@@ -473,7 +471,7 @@ def test_each_head_makes_one_record(head, final_sigmoid):
     h = make_heads(rng, 4, recon_final_sigmoid=final_sigmoid)
     tape = Tape()
     head(Matrix(rng.normal(size=(5, 4))), h, tape)
-    assert len(tape) == 1
+    assert len(tape.records) == 1
 
 
 @pytest.mark.parametrize("fused, chain", [
@@ -493,7 +491,7 @@ def test_losses_add_onto_held_grads_as_the_chains_do(fused, chain):
             hd.bce_loss: ((a, (a.data[:, 0] > 0.5).astype(float)), [a]),
             hd.repelling_loss: ((a,), [a]),
             hd.reconstruction_loss: ((a, b), [b]),  # a is the constant target
-            hd.total_loss: ((parts, hd.LossWeights(alpha=0.3, beta=0.7)),
+            hd.total_loss: ((parts, 0.3, 0.7),
                             [parts.cls, parts.repel, parts.recon]),
         }[fused]
         for m in operands:

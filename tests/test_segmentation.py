@@ -17,22 +17,29 @@ from . import oracles
 
 def test_partition_tiling_validation():
     with pytest.raises(ContractError):
-        seg.ShotPartition(change_points=np.array([1, 4]), shot_lengths=np.array([3, 2]))
+        seg.ShotPartition([1, 4], 7)  # does not start at frame 0
     with pytest.raises(ContractError):
-        seg.ShotPartition(change_points=np.array([0, 5]), shot_lengths=np.array([3, 2]))
+        seg.ShotPartition([0, 3, 3], 7)  # a zero-length shot
     with pytest.raises(ContractError):
-        seg.ShotPartition(change_points=np.array([0, 3]), shot_lengths=np.array([3, 0]))
-    part = seg.ShotPartition(change_points=np.array([0, 3]), shot_lengths=np.array([3, 4]))
+        seg.ShotPartition([0, 5, 3], 7)  # not increasing
+    with pytest.raises(ContractError):
+        seg.ShotPartition([0, 7], 7)  # a start past the last frame
+    with pytest.raises(ContractError):
+        seg.ShotPartition([], 7)
+    with pytest.raises(ShapeError):
+        seg.ShotPartition([[0, 3]], 7)
+    part = seg.ShotPartition(np.array([0, 3]), 7)
     assert part.total_frames == 7 and part.num_shots == 2
 
 
 def test_partition_from_change_points():
-    part = seg.ShotPartition.from_change_points([0, 4, 9], 12)
+    part = seg.ShotPartition([0, 4, 9], 12)
     np.testing.assert_array_equal(part.shot_lengths, [4, 5, 3])
-    with pytest.raises(ContractError):
-        seg.ShotPartition.from_change_points([2, 4], 8)
-    with pytest.raises(ContractError):
-        seg.ShotPartition.from_change_points([0, 9], 8)
+    assert list(part.frame_ranges()) == [(0, 4), (4, 9), (9, 12)]
+    with pytest.raises(TypeError):
+        seg.ShotPartition([0, 4], 12, shot_lengths=np.array([4, 8]))
+    with pytest.raises(AttributeError):
+        part.shot_lengths = np.array([12])
 
 
 # ---------------------------------------------------------------------------
@@ -160,26 +167,26 @@ def test_scatter_table_is_the_oracle_transposed_byte_for_byte(kind, T):
 
 
 def test_shot_scores_constant():
-    part = seg.ShotPartition.from_change_points([0, 4], 10)
+    part = seg.ShotPartition([0, 4], 10)
     np.testing.assert_allclose(seg.shot_scores(np.full(10, 0.7), part), [0.7, 0.7])
 
 
 def test_shot_scores_single_shot_is_mean():
-    part = seg.ShotPartition.from_change_points([0], 6)
+    part = seg.ShotPartition([0], 6)
     y = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
     assert seg.shot_scores(y, part)[0] == pytest.approx(y.mean(), abs=1e-15)
 
 
 def test_shot_scores_match_loop_oracle():
     rng = np.random.default_rng(4)
-    part = seg.ShotPartition.from_change_points([0, 3, 9, 10], 17)
+    part = seg.ShotPartition([0, 3, 9, 10], 17)
     y = rng.uniform(size=17)
     want = oracles.loop_shot_means(y, part.change_points, part.shot_lengths)
     np.testing.assert_allclose(seg.shot_scores(y, part), want, atol=1e-12)
 
 
 def test_shot_scores_length_mismatch():
-    part = seg.ShotPartition.from_change_points([0, 3], 8)
+    part = seg.ShotPartition([0, 3], 8)
     with pytest.raises(ShapeError):
         seg.shot_scores(np.zeros(7), part)
 
@@ -232,7 +239,7 @@ def test_knapsack_input_validation():
 
 def test_select_frames_budget_and_shape():
     rng = np.random.default_rng(6)
-    part = seg.ShotPartition.from_change_points([0, 5, 11, 14], 20)
+    part = seg.ShotPartition([0, 5, 11, 14], 20)
     scores = rng.uniform(size=20)
     mask = seg.select_frames(scores, part, budget_ratio=0.3)
     assert mask.frame_mask.sum() <= int(0.3 * 20)
@@ -246,7 +253,7 @@ def make_trained_like_params(d, R, seed=0):
 
 def make_video(rng, T, d, with_cps=True):
     feats = rng.uniform(0, 1, size=(T, d))
-    cps = seg.ShotPartition.from_change_points([0, T // 3, 2 * T // 3], T) if with_cps else None
+    cps = seg.ShotPartition([0, T // 3, 2 * T // 3], T) if with_cps else None
     return VideoRecord(id="v", features=feats, change_points=cps, corpus_tag="t")
 
 
@@ -261,7 +268,7 @@ def test_summarize_video_full_budget_selects_all():
 def test_summarize_video_single_shot_all_or_nothing():
     rng = np.random.default_rng(8)
     feats = rng.uniform(0, 1, size=(12, 4))
-    single = seg.ShotPartition.from_change_points([0], 12)
+    single = seg.ShotPartition([0], 12)
     video = VideoRecord(id="v", features=feats, change_points=single)
     params = make_trained_like_params(4, 2)
     small = seg.summarize_video(video, params, budget_ratio=0.5).mask  # 6 < 12, cannot fit
@@ -315,7 +322,7 @@ def test_summarize_video_is_pure_read():
 def test_constructed_high_scoring_shot_is_selected():
     # shot 1 (frames 5..10) gets distinctly higher annotated scores and its
     # length exactly matches the budget
-    part = seg.ShotPartition.from_change_points([0, 5, 10], 20)
+    part = seg.ShotPartition([0, 5, 10], 20)
     scores = np.full(20, 0.1)
     scores[5:10] = 0.9
     labels = seg.binarize_ground_truth(scores, part, budget_ratio=0.25)  # budget = 5
@@ -326,7 +333,7 @@ def test_constructed_high_scoring_shot_is_selected():
 
 def test_binarize_shares_selection_mechanics():
     rng = np.random.default_rng(11)
-    part = seg.ShotPartition.from_change_points([0, 4, 9], 15)
+    part = seg.ShotPartition([0, 4, 9], 15)
     scores = rng.uniform(size=15)
     labels = seg.binarize_ground_truth(scores, part, budget_ratio=0.4)
     mask = seg.select_frames(scores, part, budget_ratio=0.4)
@@ -334,7 +341,7 @@ def test_binarize_shares_selection_mechanics():
 
 
 def test_binarize_uniform_scores_prefers_early_shots():
-    part = seg.ShotPartition.from_change_points([0, 3, 6, 9],  12)
+    part = seg.ShotPartition([0, 3, 6, 9],  12)
     labels = seg.binarize_ground_truth(np.full(12, 0.5), part, budget_ratio=0.5)
     want = np.zeros(12, dtype=int)
     want[0:6] = 1  # two shots fit; lower indices win the tie

@@ -546,7 +546,7 @@ def parameterless_checkpoint(path, cfg):
 
 def test_checkpoint_missing_parameter_is_named(tmp_path):
     path = parameterless_checkpoint(tmp_path / "empty.ckpt", tiny_cfg())
-    with pytest.raises(ContractError, match="missing parameter lca.rel_pos"):
+    with pytest.raises(ContractError, match="missing parameter gda.Wq"):
         tr.load_checkpoint(path)
 
 
@@ -591,14 +591,13 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     order = np.random.default_rng(cfg.seed).permutation(len(videos))
     feats = [Matrix(np.asarray(v.features, dtype=np.float64)) for v in videos]
     labels = [np.asarray(v.gt_binary, dtype=np.float64) for v in videos]
-    weights = hd.LossWeights(alpha=cfg.alpha, beta=cfg.beta, supervised=True)
 
     def one_epoch(params, state):
         from divsum.model import forward_loss
         for i in order:
             params.zero_grads()
             tape = Tape()
-            out = forward_loss(feats[i], params, weights, labels[i], tape)
+            out = forward_loss(feats[i], params, cfg, labels[i], tape)
             ag.backward(out.total, tape)
             tr.adam_step(params, state, cfg)
 
