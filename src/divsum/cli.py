@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,32 +31,29 @@ DATA_DIR_ENV = "DIVSUM_DATA_DIR"
 
 
 def _add_model_flags(p: argparse.ArgumentParser):
+    """The config file and the flags that override it; each flag's dest is
+    the TrainConfig key it sets, and an absent flag is None."""
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--seed", type=int, help="RNG seed (init + data order)")
-    p.add_argument("--sim", choices=SIMILARITY_KINDS, help="pairwise similarity kind")
-    p.add_argument("--radius", type=int, help="local window radius R")
+    p.add_argument("--sim", dest="sim_kind", choices=SIMILARITY_KINDS,
+                   help="pairwise similarity kind")
+    p.add_argument("--radius", dest="neighbor_R", metavar="RADIUS", type=int,
+                   help="local window radius R")
     p.add_argument("--lca-variant", choices=LCA_VARIANTS, help="local attention variant")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float, help="learning rate")
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float,
+                   help="learning rate")
     p.add_argument("--alpha", type=float, help="repelling loss weight")
     p.add_argument("--beta", type=float, help="reconstruction loss weight")
     p.add_argument("--weight-decay", type=float)
-    p.add_argument("--unsupervised", action="store_true",
+    p.add_argument("--unsupervised", dest="supervised", action="store_false", default=None,
                    help="train without ground-truth labels")
 
 
 def _config_from_args(args) -> TrainConfig:
-    overrides = {}
-    for flag, key in (("seed", "seed"), ("sim", "sim_kind"), ("radius", "neighbor_R"),
-                      ("lca_variant", "lca_variant"), ("epochs", "epochs"),
-                      ("lr", "learning_rate"), ("alpha", "alpha"), ("beta", "beta"),
-                      ("weight_decay", "weight_decay")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "unsupervised", False):
-        overrides["supervised"] = False
-    return load_config(getattr(args, "config", None), overrides)
+    keys = {f.name for f in fields(TrainConfig)}
+    return load_config(args.config, {k: v for k, v in vars(args).items()
+                                     if k in keys and v is not None})
 
 
 def _data_path(args) -> Path:
@@ -66,6 +63,31 @@ def _data_path(args) -> Path:
     if env:
         return Path(env)
     raise ContractError(f"no dataset given: pass --data or set ${DATA_DIR_ENV}")
+
+
+def _file_identity(path):
+    """The file `path` names through any symlinks: its device and inode
+    when it exists, so hard links match too, else its real path."""
+    real = os.path.realpath(path)
+    try:
+        st = os.stat(real)
+    except OSError:
+        return real
+    return st.st_dev, st.st_ino
+
+
+def _refuse_clashes(outputs: dict, inputs: dict):
+    """Refuses, naming both flags, an output that names the same file as
+    another output or an input. Keys are flags, values paths or None."""
+    seen = {}
+    for i, (flag, path) in enumerate([*outputs.items(), *inputs.items()]):
+        if path is None:
+            continue
+        key = _file_identity(path)
+        if key in seen:
+            raise ContractError(f"{seen[key]} and {flag} name the same file: {path}")
+        if i < len(outputs):
+            seen[key] = flag
 
 
 def _history_csv(result) -> str:
@@ -85,22 +107,21 @@ def _history_csv(result) -> str:
 def cmd_synth(args) -> int:
     spec = SynthSpec(videos=args.videos, frames=args.frames, dim=args.dim,
                      shots_per_video=args.shots, noise=args.noise, seed=args.seed,
-                     users=args.users, budget_ratio=args.budget_ratio,
-                     name=args.name, aggregation=args.agg)
+                     users=args.users, budget_ratio=args.budget_ratio, name=args.name)
     records = synth_generate(spec)
-    manifest = save_dataset(args.out, records, name=spec.name,
-                            aggregation=spec.aggregation)
+    manifest = save_dataset(args.out, records, name=spec.name, aggregation=args.agg)
     print(f"wrote {len(records)} videos to {manifest}")
     return 0
 
 
 def cmd_train(args) -> int:
+    out = Path(args.out)
+    history_path = Path(args.history) if args.history else out.with_suffix(".history.csv")
+    _refuse_clashes({"--out": out, "--history": history_path}, {"--config": args.config})
     cfg = _config_from_args(args)
     videos = load_dataset(_data_path(args))
     result = train(videos, cfg)
-    out = Path(args.out)
     save_checkpoint(out, result.params, result.state, cfg, epoch=result.epochs_run)
-    history_path = Path(args.history) if args.history else out.with_suffix(".history.csv")
     Writer().put(_history_csv(result).encode()).write(history_path)
     print(f"trained {result.epochs_run} epochs on {len(videos)} videos; "
           f"final loss {result.history[-1]:.6f}")
@@ -110,6 +131,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    _refuse_clashes({"--out": args.out}, {"--checkpoint": args.checkpoint})
     params, _, _, _ = load_checkpoint(args.checkpoint)
     videos = load_dataset(_data_path(args))
     if args.video is not None:
@@ -130,11 +152,17 @@ def cmd_summarize(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _config_from_args(args)
+def _dataset_and_agg(args) -> tuple[list, str]:
+    """The dataset's videos, and --agg or else the manifest's aggregation."""
     data = _data_path(args)
-    videos = load_dataset(data)
-    agg = args.agg or load_manifest(data).aggregation
+    return load_dataset(data), args.agg or load_manifest(data).aggregation
+
+
+def cmd_evaluate(args) -> int:
+    _refuse_clashes({"--report": args.report, "--csv": args.csv, "--splits": args.splits},
+                    {"--config": args.config})
+    cfg = _config_from_args(args)
+    videos, agg = _dataset_and_agg(args)
     protocol = EvalProtocol(mode=args.mode, folds=args.folds, agg=agg,
                             seed=args.split_seed if args.split_seed is not None else cfg.seed,
                             target_corpus=args.target_corpus)
@@ -142,11 +170,7 @@ def cmd_evaluate(args) -> int:
     if args.splits:
         split_path = Path(args.splits)
         if split_path.exists():
-            splits, meta = load_splits(split_path)
-            for key in ("mode", "folds", "seed", "target_corpus"):
-                if key in meta and meta[key] != getattr(protocol, key):
-                    raise ContractError(f"{split_path}: split file has {key} {meta[key]!r}, "
-                                        f"this run has {key} {getattr(protocol, key)!r}")
+            splits = load_splits(split_path, protocol)
         else:
             splits = build_folds(videos, protocol)
             save_splits(split_path, splits, protocol)
@@ -167,39 +191,27 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-_ABLATION_AXES = ("similarity", "radius", "losses", "variant")
-
-
-def _axis_variants(axis: str, cfg: TrainConfig):
-    """(label, config) pairs for one ablation axis."""
-    if axis == "similarity":
-        return [(k, replace(cfg, sim_kind=k)) for k in SIMILARITY_KINDS]
-    if axis == "radius":
-        return [(f"R={r}", replace(cfg, neighbor_R=r)) for r in (1, 2, 3, 4)]
-    if axis == "losses":
-        return [
-            ("cls", replace(cfg, alpha=0.0, beta=0.0)),
-            ("cls+repel", replace(cfg, beta=0.0)),
-            ("cls+recon", replace(cfg, alpha=0.0)),
-            ("cls+repel+recon", cfg),
-        ]
-    if axis == "variant":
-        return [(v, replace(cfg, lca_variant=v)) for v in LCA_VARIANTS]
-    raise ContractError(f"unknown ablation axis: {axis!r}")
+# Each ablation axis as (label, config changes) pairs, one per value.
+_ABLATION_AXES = {
+    "similarity": [(k, {"sim_kind": k}) for k in SIMILARITY_KINDS],
+    "radius": [(f"R={r}", {"neighbor_R": r}) for r in (1, 2, 3, 4)],
+    "losses": [("cls", {"alpha": 0.0, "beta": 0.0}), ("cls+repel", {"beta": 0.0}),
+               ("cls+recon", {"alpha": 0.0}), ("cls+repel+recon", {})],
+    "variant": [(v, {"lca_variant": v}) for v in LCA_VARIANTS],
+}
 
 
 def cmd_ablate(args) -> int:
     if args.repeats < 1:
         raise ContractError(f"--repeats must be >= 1, got {args.repeats}")
+    _refuse_clashes({"--out": args.out}, {"--config": args.config})
     cfg = _config_from_args(args)
-    data = _data_path(args)
-    videos = load_dataset(data)
-    agg = args.agg or load_manifest(data).aggregation
+    videos, agg = _dataset_and_agg(args)
     rows = ["axis,value,seed,mean_f,kendall_tau,spearman_rho"]
-    for label, variant_cfg in _axis_variants(args.axis, cfg):
+    for label, changes in _ABLATION_AXES[args.axis]:
         for r in range(args.repeats):
             seed = cfg.seed + r
-            run_cfg = replace(variant_cfg, seed=seed)
+            run_cfg = replace(cfg, **changes, seed=seed)
             protocol = EvalProtocol(mode="canonical", folds=args.folds, agg=agg,
                                     seed=seed)
             report = evaluate(videos, run_cfg, protocol,

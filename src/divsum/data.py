@@ -346,8 +346,8 @@ def save_dataset(directory, records: list[VideoRecord], name: str,
     """Write every record plus a manifest; returns the manifest path.
 
     Refuses, before writing anything, an empty record list, mixed feature
-    dims, duplicate video ids, and any video id that is not a plain file
-    name stem.
+    dims, duplicate video ids, any video id that is not a plain file name
+    stem, and an unknown aggregation mode.
     """
     if not records:
         raise DataFormatError("refusing to write an empty dataset")
@@ -362,15 +362,12 @@ def save_dataset(directory, records: list[VideoRecord], name: str,
             )
         if not _is_file_name(rec.id):
             raise DataFormatError(f"video id {rec.id!r} is not a file name in the dataset")
+    files = [f"{rec.id}.dsv" for rec in records]
+    manifest = DatasetManifest(name=name, dim=dim, video_files=files, aggregation=aggregation)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    files = []
-    for rec in records:
-        fname = f"{rec.id}.dsv"
+    for rec, fname in zip(records, files):
         save_video(directory / fname, rec)
-        files.append(fname)
-    manifest = DatasetManifest(name=name, dim=dim, video_files=files,
-                               aggregation=aggregation)
     path = directory / "manifest.json"
     text = json.dumps({
         "name": manifest.name,
@@ -491,7 +488,6 @@ class SynthSpec:
     users: int = 3
     budget_ratio: float = 0.15
     name: str = "synth"
-    aggregation: str = "mean_over_users"
 
     def __post_init__(self):
         if min(self.videos, self.frames, self.dim, self.shots_per_video) < 1:

@@ -59,10 +59,7 @@ class FoldSplit:
 
 @dataclass
 class EvalReport:
-    mode: str
-    agg: str
-    folds: int
-    seed: int
+    protocol: EvalProtocol
     budget_ratio: float
     per_video_f: dict[str, float]
     per_video_tau: dict[str, float]
@@ -279,16 +276,20 @@ def save_splits(path, splits: list[FoldSplit], protocol: EvalProtocol) -> Path:
     return path
 
 
-def load_splits(path) -> tuple[list[FoldSplit], dict]:
-    """The file's splits, and the protocol fields it echoes (only those present)."""
+def load_splits(path, protocol: EvalProtocol) -> list[FoldSplit]:
+    """The file's splits. Refuses a file that records another mode, folds,
+    seed or target corpus than `protocol`; a field it omits is not checked."""
     raw = read_json_object(path, "split file")
     splits = []
     for i, s in enumerate(json_field(raw, "splits", "a list of objects", f"{path}: split file")):
         where = f"{path}: split {i}"
         splits.append(FoldSplit(train_ids=json_field(s, "train", "a list of strings", where),
                                 test_ids=json_field(s, "test", "a list of strings", where)))
-    meta = {k: raw[k] for k in ("mode", "folds", "agg", "seed", "target_corpus") if k in raw}
-    return splits, meta
+    for key in ("mode", "folds", "seed", "target_corpus"):
+        if key in raw and raw[key] != getattr(protocol, key):
+            raise ContractError(f"{path}: split file has {key} {raw[key]!r}, "
+                                f"this run has {key} {getattr(protocol, key)!r}")
+    return splits
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +305,7 @@ def _finish_report(protocol, budget_ratio, per_f, per_tau, per_rho, label) -> Ev
                       RuntimeWarning, stacklevel=3)
         kendall = spearman = 0.0
     return EvalReport(
-        mode=protocol.mode, agg=protocol.agg, folds=protocol.folds,
-        seed=protocol.seed, budget_ratio=budget_ratio,
+        protocol=protocol, budget_ratio=budget_ratio,
         per_video_f=per_f, per_video_tau=per_tau, per_video_rho=per_rho,
         mean_f=float(np.mean(list(per_f.values()))) if per_f else 0.0,
         kendall=kendall, spearman=spearman, label=label,
@@ -408,9 +408,10 @@ def human_baseline(videos, protocol: EvalProtocol,
 
 
 def report_text(report: EvalReport) -> str:
+    p = report.protocol
     lines = [
-        f"protocol: {report.mode}  folds: {report.folds}  agg: {report.agg}  "
-        f"seed: {report.seed}  budget: {report.budget_ratio}  source: {report.label}",
+        f"protocol: {p.mode}  folds: {p.folds}  agg: {p.agg}  "
+        f"seed: {p.seed}  budget: {report.budget_ratio}  source: {report.label}",
         "",
         f"{'video':<24} {'F(%)':>8} {'tau':>8} {'rho':>8}",
     ]

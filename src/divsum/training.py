@@ -36,7 +36,9 @@ def _xavier(rng, rows: int, cols: int) -> Matrix:
 
 
 def init_params(d: int, R: int, seed: int, cfg: TrainConfig | None = None) -> ModelParams:
-    """Fresh model parameters, Xavier-uniform weights and zero biases.
+    """Fresh model parameters, Xavier-uniform weights and zero biases, with
+    the architecture settings of `cfg` (default TrainConfig(neighbor_R=R)),
+    whose neighbor_R must be R.
 
     Weight draws happen in the named-parameter order (biases are zeros
     and consume no randomness), so the same seed always produces
@@ -44,13 +46,16 @@ def init_params(d: int, R: int, seed: int, cfg: TrainConfig | None = None) -> Mo
     """
     if d < 1:
         raise ContractError(f"feature dim must be >= 1, got {d}")
+    cfg = cfg or TrainConfig(neighbor_R=R)
+    if cfg.neighbor_R != R:
+        raise ContractError(f"init_params: R={R}, the config has neighbor_R={cfg.neighbor_R}")
     rng = np.random.default_rng(seed)
     size = {"d": d, "span": 2 * R + 1, 1: 1}
     mats = {}
     for name, rows, cols in PARAMETERS:
         shape = size[rows], size[cols]
         mats[name] = Matrix.zeros(*shape) if name.endswith(".b") else _xavier(rng, *shape)
-    return ModelParams.from_named(mats, cfg or TrainConfig())
+    return ModelParams.from_named(mats, cfg)
 
 
 @dataclass
@@ -204,10 +209,27 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
 # checkpoints
 
 
+def _settings(params: ModelParams) -> dict:
+    """The config keys a model carries, as it carries them (scale_q resolved)."""
+    return {"sim_kind": params.gda.sim_kind, "scale_q": params.gda.scale_q,
+            "neighbor_R": params.lca.neighbor_R, "lca_variant": params.lca.variant,
+            "window_boundary": params.lca.boundary,
+            "recon_final_sigmoid": params.heads.recon_final_sigmoid,
+            "use_positions": params.use_positions, "use_gda": params.use_gda,
+            "use_lca": params.use_lca}
+
+
 def save_checkpoint(path, params: ModelParams, state: AdamState, cfg: TrainConfig,
                     epoch: int):
-    """Refuses (NumericError) to write a non-finite parameter or moment."""
+    """Refuses (ContractError) a config that describes another model than
+    `params`, and (NumericError) a non-finite parameter or moment."""
     named = params.named_parameters()
+    have = _settings(params)
+    want = {**_settings(ModelParams.from_named(dict(named), cfg)), "neighbor_R": cfg.neighbor_R}
+    for key in have:
+        if have[key] != want[key]:
+            raise ContractError(f"{path}: refusing to save a config with {key}={want[key]!r} "
+                                f"for a model with {key}={have[key]!r}")
     for kind, arrays in (("parameter", [p.data for _, p in named]),
                          ("first moment of", state.m), ("second moment of", state.v)):
         for (name, _), a in zip(named, arrays):
@@ -249,6 +271,9 @@ def load_checkpoint(path):
         expected = [n for n, _ in params.named_parameters()]
         if count != len(tensors) or list(tensors) != expected:
             raise ContractError(f"{path}: checkpoint parameter order does not match this build")
+        if params.lca.neighbor_R != cfg.neighbor_R:
+            raise ContractError(f"{path}: config has neighbor_R={cfg.neighbor_R}, "
+                                f"lca.rel_pos has {params.lca.rel_pos.rows} rows")
         step = r.u32("optimizer step")
         m = [r.array("<f8", a.shape, "first moments") for a in tensors.values()]
         v = [r.array("<f8", a.shape, "second moments") for a in tensors.values()]

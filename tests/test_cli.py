@@ -3,6 +3,7 @@ import json
 import os
 import stat
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +98,18 @@ def test_cli_overrides_beat_config_file(tmp_path, dataset):
     assert epoch == 1
 
 
+def test_each_model_flag_overrides_its_config_key(tmp_path, dataset):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs=1\nsim_kind=dot\nneighbor_R=3\nlearning_rate=0.5\n"
+                   "lca_variant=literal\nsupervised=false\nalpha=0.5\n")
+    ckpt = tmp_path / "o.ckpt"
+    assert run("train", "--data", str(dataset), "--out", str(ckpt), "--config", str(cfg),
+               "--sim", "cosine", "--radius", "1", "--lr", "1e-3", "--beta", "0.25") == 0
+    got = load_checkpoint(ckpt)[2]
+    assert got == TrainConfig(epochs=1, sim_kind="cosine", neighbor_R=1, learning_rate=1e-3,
+                              lca_variant="literal", supervised=False, alpha=0.5, beta=0.25)
+
+
 def test_unsupervised_flag_reaches_training(tmp_path, dataset):
     ckpt = tmp_path / "u.ckpt"
     assert run("train", "--data", str(dataset), "--out", str(ckpt),
@@ -122,6 +135,64 @@ def test_evaluate_writes_report_and_reuses_splits(tmp_path, dataset):
     header, rows = read_csv(tmp_path / "rep.csv")
     assert header == ["video", "fscore", "kendall_tau", "spearman_rho"]
     assert rows[-1][0] == "mean"
+
+
+def test_train_refuses_a_history_that_is_its_checkpoint(tmp_path, dataset, capsys):
+    ckpt, link = tmp_path / "run.ckpt", tmp_path / "history.csv"
+    link.symlink_to(ckpt.name)  # names the checkpoint-to-be
+    for history in (ckpt, link):
+        assert run("train", "--data", str(dataset), "--out", str(ckpt), "--history",
+                   str(history), "--epochs", "1", "--radius", "1") == 1
+        assert capsys.readouterr().err == (
+            f"error: --out and --history name the same file: {history}\n")
+    assert sorted(os.listdir(tmp_path)) == ["ds", "history.csv"]
+
+
+def test_summarize_refuses_to_write_over_its_checkpoint(tmp_path, dataset, capsys):
+    ckpt, linked = tmp_path / "run.ckpt", tmp_path / "linked.ckpt"
+    assert run("train", "--data", str(dataset), "--out", str(ckpt), "--epochs", "1",
+               "--radius", "1") == 0
+    os.link(ckpt, linked)  # a hard link is written in place, so it counts too
+    saved = ckpt.read_bytes()
+    capsys.readouterr()
+    for out in (ckpt, linked):
+        assert run("summarize", "--checkpoint", str(ckpt), "--data", str(dataset),
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out and --checkpoint name the same file: {ckpt}\n")
+    assert ckpt.read_bytes() == saved
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--out", "run.cfg"],
+    ["train", "--out", "run.ckpt", "--history", "run.cfg"],
+    ["evaluate", "--report", "run.cfg"],
+    ["ablate", "--axis", "radius", "--out", "run.cfg"],
+], ids=["train-out", "train-history", "evaluate-report", "ablate-out"])
+def test_no_output_may_overwrite_the_config_file(tmp_path, dataset, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("epochs=1\nneighbor_R=1\n")
+    assert run(*argv, "--data", str(dataset), "--config", "run.cfg") == 1
+    assert capsys.readouterr().err == (
+        f"error: {argv[-2]} and --config name the same file: run.cfg\n")
+    assert sorted(os.listdir(tmp_path)) == ["ds", "run.cfg"]
+    assert Path("run.cfg").read_text() == "epochs=1\nneighbor_R=1\n"
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--splits", "S", "--csv", "S"], "--csv and --splits"),
+    (["--report", "R", "--csv", "R"], "--report and --csv"),
+    (["--splits", "S", "--report", "S"], "--report and --splits"),
+], ids=["splits-csv", "report-csv", "splits-report"])
+def test_evaluate_refuses_outputs_that_name_one_file(tmp_path, dataset, capsys, flags, named):
+    splits = tmp_path / "S"
+    splits.write_text(json.dumps({"splits": [{"train": ["synth_000"], "test": ["synth_001"]}]}))
+    saved = sorted(os.listdir(tmp_path)), splits.read_bytes()
+    assert run("evaluate", "--data", str(dataset), "--epochs", "1", "--radius", "1",
+               *[str(tmp_path / f) if f in "SR" else f for f in flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} name the same file: {tmp_path}")
+    assert (sorted(os.listdir(tmp_path)), splits.read_bytes()) == saved
 
 
 def test_ablate_similarity_emits_one_row_per_kind(tmp_path, dataset, capsys):

@@ -378,6 +378,13 @@ def test_dataset_refuses_duplicate_ids_naming_them(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_dataset_refuses_an_unknown_aggregation_before_writing(tmp_path):
+    recs = [dat.VideoRecord(id=i, features=np.zeros((2, 3))) for i in "ab"]
+    with pytest.raises(dat.DataFormatError, match="unknown aggregation mode: 'median'"):
+        dat.save_dataset(tmp_path / "ds", recs, name="x", aggregation="median")
+    assert list(tmp_path.iterdir()) == []
+
+
 def patched_manifest(tmp_path, ids, videos):
     """A saved dataset of zero-feature videos `ids` whose manifest lists `videos`."""
     mp = dat.save_dataset(tmp_path / "ds", [dat.VideoRecord(id=i, features=np.zeros((2, 3)))

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -373,24 +374,36 @@ def test_split_file_round_trip(tmp_path):
     proto = ev.EvalProtocol(folds=3, seed=2)
     splits = ev.build_folds(videos, proto)
     p = ev.save_splits(tmp_path / "splits.json", splits, proto)
-    got, meta = ev.load_splits(p)
+    got = ev.load_splits(p, proto)
     assert [s.train_ids for s in got] == [s.train_ids for s in splits]
     assert [s.test_ids for s in got] == [s.test_ids for s in splits]
-    assert meta["seed"] == 2 and meta["mode"] == "canonical"
     raw = json.loads(p.read_text())
     assert set(raw) == {"mode", "folds", "agg", "seed", "target_corpus", "splits"}
+    assert raw["seed"] == 2 and raw["mode"] == "canonical"
+
+
+def test_split_file_refuses_another_protocol(tmp_path):
+    proto = ev.EvalProtocol(folds=3, seed=2)
+    p = ev.save_splits(tmp_path / "splits.json", ev.build_folds(corpus("a", 6, seed=0), proto),
+                       proto)
+    with pytest.raises(ContractError, match=f"^{re.escape(str(p))}: split file has folds 3, "
+                                            "this run has folds 2$"):
+        ev.load_splits(p, replace(proto, folds=2))
+    # the aggregation is a scoring choice, not part of the split
+    assert len(ev.load_splits(p, replace(proto, agg="max_over_users"))) == 3
 
 
 def test_split_file_errors(tmp_path):
+    proto = ev.EvalProtocol()
     with pytest.raises(ContractError, match="not found"):
-        ev.load_splits(tmp_path / "nope.json")
+        ev.load_splits(tmp_path / "nope.json", proto)
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     with pytest.raises(ContractError, match="JSON"):
-        ev.load_splits(bad)
+        ev.load_splits(bad, proto)
     bad.write_text(json.dumps({"splits": [{"train": []}]}))
     with pytest.raises(ContractError, match="missing field"):
-        ev.load_splits(bad)
+        ev.load_splits(bad, proto)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +424,7 @@ def test_evaluate_reports_every_test_video_once():
     assert 0.0 <= report.mean_f <= 100.0
     assert -1.0 <= report.kendall <= 1.0
     assert -1.0 <= report.spearman <= 1.0
-    assert report.mode == "canonical" and report.folds == 2 and report.label == "trained"
+    assert report.protocol is proto and report.label == "trained"
 
 
 def test_evaluate_is_deterministic():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from divsum import attention as att
 from divsum import autograd as ag
 from divsum import heads as hd
 from divsum import training as tr
@@ -151,6 +152,15 @@ def test_init_variance_matches_fanin_fanout():
 def test_init_rejects_bad_dim():
     with pytest.raises(ContractError):
         tr.init_params(0, 2, seed=0)
+
+
+def test_init_refuses_a_radius_its_config_disagrees_with(tmp_path):
+    with pytest.raises(ContractError, match="R=3, the config has neighbor_R=2"):
+        tr.init_params(8, 3, 0, TrainConfig())
+    params = tr.init_params(8, 3, 0)  # no config: one with neighbor_R=3
+    assert params.lca.neighbor_R == 3
+    tr.save_checkpoint(tmp_path / "r3.ckpt", params, tr.AdamState.for_params(params),
+                       TrainConfig(neighbor_R=3), epoch=0)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +587,73 @@ def test_ablated_model_summarizes_the_same_after_a_checkpoint(tmp_path):
         np.testing.assert_array_equal(there.mask.frame_mask, here.mask.frame_mask)
         gda_on = summarize_video(v, replace(loaded, use_gda=True), 0.3)
         assert not np.array_equal(gda_on.frame_scores, here.frame_scores)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sim_kind", "dot"), ("scale_q", 2.0), ("neighbor_R", 2), ("lca_variant", "literal"),
+    ("window_boundary", "zero"), ("recon_final_sigmoid", True), ("use_positions", False),
+    ("use_gda", False), ("use_lca", False),
+])
+def test_checkpoint_refuses_a_config_that_describes_another_model(tmp_path, key, value):
+    cfg = tiny_cfg()
+    params = tr.init_params(4, cfg.neighbor_R, 0, cfg)
+    state = tr.AdamState.for_params(params)
+    path = tmp_path / "run.ckpt"
+    with pytest.raises(ContractError, match=f"config with {key}={value!r} for a model with "):
+        tr.save_checkpoint(path, params, state, replace(cfg, **{key: value}), epoch=1)
+    assert not path.exists()
+
+
+def test_checkpoint_config_must_follow_a_switched_model(tmp_path):
+    cfg = tiny_cfg()
+    params = tr.init_params(4, cfg.neighbor_R, 0, cfg)
+    state = tr.AdamState.for_params(params)
+    path = tmp_path / "run.ckpt"
+    # a default config would reload this model with GDA on
+    with pytest.raises(ContractError, match="use_gda=True for a model with use_gda=False"):
+        tr.save_checkpoint(path, replace(params, use_gda=False), state, cfg, epoch=1)
+    tr.save_checkpoint(path, replace(params, use_gda=False), state,
+                       replace(cfg, use_gda=False), epoch=1)
+    assert tr.load_checkpoint(path)[0].use_gda is False
+    # scale_q=0 means the feature dim, so both spellings describe this model
+    tr.save_checkpoint(path, params, state, replace(cfg, scale_q=4.0), epoch=1)
+    assert tr.load_checkpoint(path)[2].scale_q == 4.0
+
+
+def test_checkpoint_refuses_a_radius_its_relative_embeddings_disagree_with(tmp_path):
+    path, *_ = trained_state(tmp_path)
+    blob = path.read_bytes()
+    assert blob.count(b"neighbor_R=1\n") == 1
+    path.write_bytes(blob.replace(b"neighbor_R=1\n", b"neighbor_R=2\n"))
+    with pytest.raises(ContractError, match="config has neighbor_R=2, lca.rel_pos has 3 rows"):
+        tr.load_checkpoint(path)
+
+
+def test_a_model_without_positions_runs_gda_on_the_raw_features():
+    cfg = tiny_cfg(use_positions=False)
+    params = tr.init_params(4, cfg.neighbor_R, 0, cfg)
+    X = Matrix(np.random.default_rng(0).uniform(size=(7, 4)))
+    out = forward_scores(X, params)
+    gda = att.gda_forward(X, params.gda, None)
+    np.testing.assert_array_equal(out.global_attention.features.data, gda.features.data)
+    np.testing.assert_array_equal(out.global_attention.weights.data, gda.weights.data)
+    fused = att.dca_fuse(X, gda.features, att.lca_forward(X, params.lca).features)
+    np.testing.assert_array_equal(out.scores.data, hd.score_frames(fused, params.heads).data)
+    with_positions = forward_scores(X, replace(params, use_positions=True))
+    assert not np.array_equal(with_positions.scores.data, out.scores.data)
+
+
+def test_a_checkpoint_keeps_a_model_without_positions(tmp_path):
+    videos = tiny_videos(n=2, T=12, d=4)
+    cfg = tiny_cfg(use_positions=False)
+    result = tr.train(videos, cfg)
+    path = tmp_path / "nopos.ckpt"
+    tr.save_checkpoint(path, result.params, result.state, cfg, epoch=result.epochs_run)
+    loaded, _, got_cfg, _ = tr.load_checkpoint(path)
+    assert loaded.use_positions is False and got_cfg.use_positions is False
+    for v in videos:
+        np.testing.assert_array_equal(summarize_video(v, loaded, 0.3).frame_scores,
+                                      summarize_video(v, result.params, 0.3).frame_scores)
 
 
 def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
