@@ -28,7 +28,8 @@ BOUNDARY_POLICIES = ("clamp", "zero")
 
 @dataclass
 class GdaParams:
-    """Projections and similarity settings for the global attention path."""
+    """Projections and similarity settings for the global attention path.
+    ModelParams checks the model's shapes."""
 
     Wq: Matrix
     Wk: Matrix
@@ -37,14 +38,10 @@ class GdaParams:
     scale_q: float = 0.0  # 0 means "use d", resolved in __post_init__
 
     def __post_init__(self):
-        d = self.Wq.rows
-        for name, w in (("Wq", self.Wq), ("Wk", self.Wk), ("Wv", self.Wv)):
-            if w.shape != (d, d):
-                raise ShapeError(f"{name} must be square {d}x{d}, got {w.rows}x{w.cols}")
         if self.sim_kind not in SIMILARITY_KINDS:
             raise ContractError(f"unknown similarity kind: {self.sim_kind!r}")
         if self.scale_q == 0.0:
-            self.scale_q = float(d)
+            self.scale_q = float(self.Wq.rows)
         if self.scale_q <= 0.0:
             raise ContractError(f"scale_q must be positive, got {self.scale_q}")
 
@@ -53,7 +50,8 @@ class GdaParams:
 class LcaParams:
     """Projections, relative embeddings, and window settings for the local
     path. The window radius R is not stored: rel_pos has 2R+1 rows, one
-    per window slot, and neighbor_R reads R off them."""
+    per window slot, and neighbor_R reads R off them. ModelParams checks
+    the model's shapes; this checks only the rel_pos arithmetic."""
 
     Wq2: Matrix
     Wk2: Matrix
@@ -63,14 +61,11 @@ class LcaParams:
     boundary: str = "clamp"
 
     def __post_init__(self):
-        d = self.Wq2.rows
-        for name, w in (("Wq2", self.Wq2), ("Wk2", self.Wk2), ("Wv2", self.Wv2)):
-            if w.shape != (d, d):
-                raise ShapeError(f"{name} must be square {d}x{d}, got {w.rows}x{w.cols}")
-        span = self.rel_pos.rows
-        if span < 3 or span % 2 == 0 or self.rel_pos.cols != d:
-            raise ShapeError(f"rel_pos must be (2R+1)x{d} with R >= 1, "
-                             f"got {span}x{self.rel_pos.cols}")
+        # the keys are added to rel_pos rows and the queries dotted with them
+        e, (span, cols) = self.Wk2.cols, self.rel_pos.shape
+        if span < 3 or span % 2 == 0 or cols != e or self.Wq2.cols != e:
+            raise ShapeError(f"rel_pos must be (2R+1)xe with R >= 1 and e the width of Wq2 "
+                             f"and Wk2, got {span}x{cols} with widths {self.Wq2.cols} and {e}")
         if self.variant not in LCA_VARIANTS:
             raise ContractError(f"unknown local-attention variant: {self.variant!r}")
         if self.boundary not in BOUNDARY_POLICIES:

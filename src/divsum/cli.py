@@ -65,6 +65,16 @@ def _data_path(args) -> Path:
     raise ContractError(f"no dataset given: pass --data or set ${DATA_DIR_ENV}")
 
 
+def _data_inputs(args) -> list:
+    """("--data", path) for the manifest --data resolves to and for every
+    video file it lists."""
+    manifest = _data_path(args)
+    if manifest.is_dir():
+        manifest = manifest / "manifest.json"
+    files = load_manifest(manifest).video_files
+    return [("--data", p) for p in (manifest, *(manifest.parent / f for f in files))]
+
+
 def _file_identity(path):
     """The file `path` names through any symlinks: its device and inode
     when it exists, so hard links match too, else its real path."""
@@ -76,11 +86,12 @@ def _file_identity(path):
     return st.st_dev, st.st_ino
 
 
-def _refuse_clashes(outputs: dict, inputs: dict):
+def _refuse_clashes(outputs: dict, inputs: list):
     """Refuses, naming both flags, an output that names the same file as
-    another output or an input. Keys are flags, values paths or None."""
+    another output or an input. Outputs map flags to paths or None; inputs
+    are (flag, path or None) pairs."""
     seen = {}
-    for i, (flag, path) in enumerate([*outputs.items(), *inputs.items()]):
+    for i, (flag, path) in enumerate([*outputs.items(), *inputs]):
         if path is None:
             continue
         key = _file_identity(path)
@@ -117,7 +128,8 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     out = Path(args.out)
     history_path = Path(args.history) if args.history else out.with_suffix(".history.csv")
-    _refuse_clashes({"--out": out, "--history": history_path}, {"--config": args.config})
+    _refuse_clashes({"--out": out, "--history": history_path},
+                    [("--config", args.config), *_data_inputs(args)])
     cfg = _config_from_args(args)
     videos = load_dataset(_data_path(args))
     result = train(videos, cfg)
@@ -131,7 +143,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    _refuse_clashes({"--out": args.out}, {"--checkpoint": args.checkpoint})
+    _refuse_clashes({"--out": args.out}, [("--checkpoint", args.checkpoint),
+                                          *_data_inputs(args)])
     params, _, _, _ = load_checkpoint(args.checkpoint)
     videos = load_dataset(_data_path(args))
     if args.video is not None:
@@ -160,7 +173,7 @@ def _dataset_and_agg(args) -> tuple[list, str]:
 
 def cmd_evaluate(args) -> int:
     _refuse_clashes({"--report": args.report, "--csv": args.csv, "--splits": args.splits},
-                    {"--config": args.config})
+                    [("--config", args.config), *_data_inputs(args)])
     cfg = _config_from_args(args)
     videos, agg = _dataset_and_agg(args)
     protocol = EvalProtocol(mode=args.mode, folds=args.folds, agg=agg,
@@ -204,7 +217,7 @@ _ABLATION_AXES = {
 def cmd_ablate(args) -> int:
     if args.repeats < 1:
         raise ContractError(f"--repeats must be >= 1, got {args.repeats}")
-    _refuse_clashes({"--out": args.out}, {"--config": args.config})
+    _refuse_clashes({"--out": args.out}, [("--config", args.config), *_data_inputs(args)])
     cfg = _config_from_args(args)
     videos, agg = _dataset_and_agg(args)
     rows = ["axis,value,seed,mean_f,kendall_tau,spearman_rho"]

@@ -345,15 +345,17 @@ def save_dataset(directory, records: list[VideoRecord], name: str,
                  aggregation: str = "mean_over_users") -> Path:
     """Write every record plus a manifest; returns the manifest path.
 
-    Refuses, before writing anything, an empty record list, mixed feature
-    dims, duplicate video ids, any video id that is not a plain file name
-    stem, and an unknown aggregation mode.
+    Refuses, before writing anything, an empty record list, a record that
+    fails validate(), mixed feature dims, duplicate video ids, any video id
+    that is not a plain file name stem, and an unknown aggregation mode.
     """
     if not records:
         raise DataFormatError("refusing to write an empty dataset")
     repeated = _repeated(rec.id for rec in records)
     if repeated:
         raise DataFormatError(f"duplicate video ids: {repeated}")
+    for rec in records:
+        rec.validate()
     dim = records[0].dim
     for rec in records:
         if rec.dim != dim:

@@ -44,28 +44,14 @@ class Affine:
 
 @dataclass
 class HeadParams:
+    """The three heads' layers. ModelParams checks the model's shapes."""
+
     score1: Affine  # d -> d, ReLU after
     score2: Affine  # d -> 1, sigmoid after
     embed: Affine  # d -> d, purely linear
     recon1: Affine  # d -> d, sigmoid after
     recon2: Affine  # d -> d, sigmoid optional (see module note)
     recon_final_sigmoid: bool = False
-
-    def __post_init__(self):
-        d = self.score1.W.rows
-        checks = [
-            ("score1", self.score1, (d, d)),
-            ("score2", self.score2, (d, 1)),
-            ("embed", self.embed, (d, d)),
-            ("recon1", self.recon1, (d, d)),
-            ("recon2", self.recon2, (d, d)),
-        ]
-        for name, layer, shape in checks:
-            if layer.W.shape != shape:
-                raise ShapeError(
-                    f"{name} weight must be {shape[0]}x{shape[1]}, "
-                    f"got {layer.W.rows}x{layer.W.cols}"
-                )
 
 
 @dataclass
@@ -92,12 +78,12 @@ def _layers(x: Matrix, layers, tape: Tape | None) -> Matrix:
     "sigmoid" or None), as one record. Each layer computes x @ W, then
     adds b in place; the backward runs the layers' reverse steps with the
     generic-op chain's numpy and BLAS calls."""
-    if x.cols != layers[0][0].W.rows:
-        raise ShapeError(f"affine input {x.rows}x{x.cols}, "
-                         f"weight {layers[0][0].W.rows}x{layers[0][0].W.cols}")
     inputs, outputs = [], []
     out = x.data
     for layer, act in layers:
+        if out.shape[1] != layer.W.rows:
+            raise ShapeError(f"affine input {out.shape[0]}x{out.shape[1]}, "
+                             f"weight {layer.W.rows}x{layer.W.cols}")
         inputs.append(out)
         out = out @ layer.W.data
         out += layer.b.data

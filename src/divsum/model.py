@@ -14,14 +14,14 @@ import numpy as np
 
 from . import attention as att
 from . import heads as hd
-from .autograd import ContractError, Matrix, Tape
+from .autograd import ContractError, Matrix, ShapeError, Tape
 from .config import TrainConfig
 
 
 # Every trainable matrix as (attribute path on ModelParams, rows, cols),
-# where "d" is the feature dim and "span" the local window 2R+1. The order
-# is load-bearing: initialization draws, Adam state, and checkpoint layout
-# all follow it.
+# where "d" is the feature dim and "span" the local window 2R+1. ModelParams
+# checks every shape against it. The order is load-bearing: initialization
+# draws, Adam state, and checkpoint layout all follow it.
 PARAMETERS = (
     ("gda.Wq", "d", "d"),
     ("gda.Wk", "d", "d"),
@@ -52,6 +52,15 @@ class ModelParams:
     # ablation switches: a path that is off contributes zero features
     use_gda: bool = True
     use_lca: bool = True
+
+    def __post_init__(self):
+        """Refuses, naming the first, a matrix whose shape is not its
+        PARAMETERS shape for d = rows of gda.Wq and span = rows of lca.rel_pos."""
+        size = {"d": self.gda.Wq.rows, "span": self.lca.rel_pos.rows, 1: 1}
+        for name, rows, cols in PARAMETERS:
+            got, want = attrgetter(name)(self).shape, (size[rows], size[cols])
+            if got != want:
+                raise ShapeError(f"{name} must be {want[0]}x{want[1]}, got {got[0]}x{got[1]}")
 
     @classmethod
     def from_named(cls, mats: dict[str, Matrix], cfg: TrainConfig) -> "ModelParams":

@@ -259,18 +259,15 @@ def load_checkpoint(path):
         cfg = config_from_text(r.string("config"))
         epoch, count = r.u32("epoch"), r.u32("parameter count")
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            name = r.string("parameter name")
+        for i, (name, _, _) in enumerate(PARAMETERS):  # each entry checked before its data
+            if i == count:
+                raise ContractError(f"{path}: checkpoint is missing parameter {name}")
+            if count > len(PARAMETERS) or r.string("parameter name") != name:
+                raise ContractError(f"{path}: checkpoint parameter order does not match "
+                                    f"this build")
             rows, cols = r.u32(f"{name} rows"), r.u32(f"{name} cols")
             tensors[name] = r.array("<f8", (rows, cols), f"{name} data")
-        try:
-            params = ModelParams.from_named(
-                {n: Matrix._wrap(a) for n, a in tensors.items()}, cfg)
-        except KeyError as e:
-            raise ContractError(f"{path}: checkpoint is missing parameter {e.args[0]}") from None
-        expected = [n for n, _ in params.named_parameters()]
-        if count != len(tensors) or list(tensors) != expected:
-            raise ContractError(f"{path}: checkpoint parameter order does not match this build")
+        params = ModelParams.from_named({n: Matrix._wrap(a) for n, a in tensors.items()}, cfg)
         if params.lca.neighbor_R != cfg.neighbor_R:
             raise ContractError(f"{path}: config has neighbor_R={cfg.neighbor_R}, "
                                 f"lca.rel_pos has {params.lca.rel_pos.rows} rows")

@@ -9,6 +9,7 @@ the heads and the losses: the chains pin the fused ops' bytes, and
 their ops are checked against finite differences on their own.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -478,6 +479,15 @@ def total_loss_chain(parts, alpha, beta, tape=None):
     unsupervised (parts.cls is None)."""
     weighted = add(scale(parts.repel, alpha, tape), scale(parts.recon, beta, tape), tape)
     return add(parts.cls, weighted, tape) if parts.cls is not None else weighted
+
+
+def nearest_direction_gaps(x, y, points):
+    """Each 2-D point's angle to the direction of (x, y), in [0, pi]."""
+    gaps = []
+    for px, py in points:
+        turn = math.atan2(y, x) - math.atan2(py, px)
+        gaps.append(abs((turn + math.pi) % (2.0 * math.pi) - math.pi))
+    return gaps
 
 
 def nearest_point_index(x, y, points):

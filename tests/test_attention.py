@@ -523,6 +523,9 @@ def test_lca_param_validation():
     for rows, cols in ((4, 3), (1, 3), (5, 2)):  # even, R = 0, wrong width
         with pytest.raises(ShapeError):
             att.LcaParams(Wq2=eye(), Wk2=eye(), Wv2=eye(), rel_pos=Matrix(np.zeros((rows, cols))))
+    with pytest.raises(ShapeError, match="got 3x3 with widths 2 and 3"):  # queries too narrow
+        att.LcaParams(Wq2=Matrix(np.eye(3)[:, :2]), Wk2=eye(), Wv2=eye(),
+                      rel_pos=Matrix(np.zeros((3, 3))))
     with pytest.raises(ContractError):
         att.LcaParams(Wq2=eye(), Wk2=eye(), Wv2=eye(), rel_pos=Matrix(np.zeros((3, 3))),
                       variant="averaging")
@@ -613,6 +616,23 @@ def test_partition_l2_matches_nearest_neighbor():
     for iy in range(0, 50, 7):
         for ix in range(0, 50, 7):
             assert winners[iy, ix] == oracles.nearest_point_index(xs[ix], ys[iy], pts)
+
+
+def test_partition_cosine_matches_the_nearest_direction():
+    pts = np.array([[1.0, 0.1], [-0.3, 1.0], [-1.0, -0.8], [0.6, -1.0]])
+    grid = att.GridSpec(xmin=-1, xmax=1, ymin=-1, ymax=1, nx=21, ny=21)
+    winners, xs, ys = att.partition_map(pts, "cosine", grid)
+    # the origin cell has similarity 0 to every point, so the lowest index wins
+    assert xs[10] == ys[10] == 0.0 and winners[10, 10] == 0
+    checked = 0
+    for iy, y in enumerate(ys):
+        for ix, x in enumerate(xs):
+            gaps = oracles.nearest_direction_gaps(x, y, pts)
+            first, second = sorted(gaps)[:2]
+            if (x, y) != (0.0, 0.0) and second - first > 1e-9:  # no near-tie
+                assert winners[iy, ix] == int(np.argmin(gaps))
+                checked += 1
+    assert checked > 400
 
 
 def test_partition_dot_two_point_boundary_is_linear():

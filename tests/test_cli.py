@@ -11,6 +11,7 @@ import pytest
 from divsum import data as dat
 from divsum.cli import main
 from divsum.config import TrainConfig, config_to_text
+from divsum.evaluation import EvalProtocol, human_baseline, random_baseline
 from divsum.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
 
 from .test_data import write_features_of_shape
@@ -70,6 +71,38 @@ def test_train_then_summarize_respects_budget(tmp_path, dataset):
         per_video[vid] = per_video.get(vid, 0) + int(sel)
     assert len(per_video) == 4
     assert all(n <= budget for n in per_video.values())
+
+
+def test_summarize_one_video(tmp_path, dataset, capsys):
+    ckpt, full, one = tmp_path / "run.ckpt", tmp_path / "all.csv", tmp_path / "one.csv"
+    assert run("train", "--data", str(dataset), "--out", str(ckpt), "--epochs", "1",
+               "--radius", "1") == 0
+    assert run("summarize", "--checkpoint", str(ckpt), "--data", str(dataset),
+               "--out", str(full)) == 0
+    assert run("summarize", "--checkpoint", str(ckpt), "--data", str(dataset),
+               "--video", "synth_002", "--out", str(one)) == 0
+    assert read_csv(one) == (read_csv(full)[0],
+                             [r for r in read_csv(full)[1] if r[0] == "synth_002"])
+    assert len(read_csv(one)[1]) == 24
+    capsys.readouterr()
+    missing = tmp_path / "missing.csv"
+    assert run("summarize", "--checkpoint", str(ckpt), "--data", str(dataset),
+               "--video", "synth_999", "--out", str(missing)) == 1
+    assert capsys.readouterr().err == "error: video id 'synth_999' not in the dataset\n"
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("baseline", ["random", "human"])
+def test_evaluate_prints_the_baseline_it_is_asked_for(tmp_path, dataset, capsys, baseline):
+    assert run("evaluate", "--data", str(dataset), "--folds", "2", "--epochs", "1",
+               "--radius", "1", "--seed", "3", "--budget-ratio", "0.3",
+               "--baseline", baseline) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    protocol = EvalProtocol(folds=2, seed=3)
+    base = (random_baseline if baseline == "random" else human_baseline)(
+        dat.load_dataset(dataset), protocol, budget_ratio=0.3)
+    assert line == (f"{baseline} baseline: F={base.mean_f:.2f} tau={base.kendall:.3f} "
+                    f"rho={base.spearman:.3f}")
 
 
 def test_identical_seeds_produce_identical_files(tmp_path, dataset):
@@ -177,6 +210,31 @@ def test_no_output_may_overwrite_the_config_file(tmp_path, dataset, capsys, monk
         f"error: {argv[-2]} and --config name the same file: run.cfg\n")
     assert sorted(os.listdir(tmp_path)) == ["ds", "run.cfg"]
     assert Path("run.cfg").read_text() == "epochs=1\nneighbor_R=1\n"
+
+
+def file_bytes(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("argv, victim", [
+    (["train", "--data", "ds", "--epochs", "1", "--out"], "manifest.json"),
+    (["summarize", "--data", "ds/manifest.json", "--checkpoint", "run.ckpt", "--out"],
+     "synth_001.dsv"),
+    (["evaluate", "--epochs", "1", "--csv"], "manifest.json"),  # $DIVSUM_DATA_DIR
+    (["ablate", "--data", "ds", "--axis", "radius", "--epochs", "1", "--out"], "synth_002.dsv"),
+], ids=["train", "summarize", "evaluate", "ablate"])
+def test_no_output_may_overwrite_the_dataset(tmp_path, dataset, capsys, monkeypatch, argv,
+                                            victim):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DIVSUM_DATA_DIR", "ds")
+    if argv[0] == "summarize":
+        assert run("train", "--out", "run.ckpt", "--epochs", "1", "--radius", "1") == 0
+    saved = file_bytes(tmp_path)
+    capsys.readouterr()
+    assert run(*argv, f"ds/{victim}") == 1
+    assert capsys.readouterr().err == (
+        f"error: {argv[-1]} and --data name the same file: ds/{victim}\n")
+    assert file_bytes(tmp_path) == saved
 
 
 @pytest.mark.parametrize("flags, named", [

@@ -385,6 +385,16 @@ def test_dataset_refuses_an_unknown_aggregation_before_writing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_dataset_refuses_an_invalid_record_before_writing(tmp_path):
+    bad = np.zeros((2, 3))
+    bad[1, 2] = np.nan
+    recs = [dat.VideoRecord(id="a", features=np.zeros((2, 3))),
+            dat.VideoRecord(id="b", features=bad)]
+    with pytest.raises(dat.DataFormatError, match="video b: features contain NaN or Inf"):
+        dat.save_dataset(tmp_path / "ds", recs, name="x")
+    assert not (tmp_path / "ds").exists()
+
+
 def patched_manifest(tmp_path, ids, videos):
     """A saved dataset of zero-feature videos `ids` whose manifest lists `videos`."""
     mp = dat.save_dataset(tmp_path / "ds", [dat.VideoRecord(id=i, features=np.zeros((2, 3)))
@@ -408,6 +418,16 @@ def test_load_dataset_refuses_repeated_or_outside_entries_before_reading_videos(
     with pytest.raises(dat.DataFormatError, match=re.escape(f"{mp}: manifest")) as err:
         dat.load_dataset(tmp_path / "ds")
     assert named in str(err.value)
+
+
+def test_load_dataset_refuses_another_format_version(tmp_path):
+    mp = patched_manifest(tmp_path, "ab", ["a.dsv", "b.dsv"])
+    raw = json.loads(mp.read_text())
+    raw["format_version"] = 2
+    mp.write_text(json.dumps(raw))
+    with pytest.raises(dat.DataFormatError,
+                       match=re.escape(f"{mp}: manifest format version 2, this build reads 1")):
+        dat.load_dataset(mp)
 
 
 def test_load_dataset_refuses_two_files_holding_one_video_id(tmp_path):

@@ -367,6 +367,9 @@ def test_multi_corpus_needs_explicit_target():
     videos = corpus("a", 3, seed=0) + corpus("b", 3, seed=1)
     with pytest.raises(ContractError, match="target_corpus"):
         ev.build_folds(videos, ev.EvalProtocol(folds=2))
+    with pytest.raises(ContractError, match=re.escape("target corpus 'c' not in dataset "
+                                                      "(has ['a', 'b'])")):
+        ev.build_folds(videos, ev.EvalProtocol(folds=2, target_corpus="c"))
 
 
 def test_split_file_round_trip(tmp_path):
@@ -425,6 +428,15 @@ def test_evaluate_reports_every_test_video_once():
     assert -1.0 <= report.kendall <= 1.0
     assert -1.0 <= report.spearman <= 1.0
     assert report.protocol is proto and report.label == "trained"
+
+
+def test_evaluate_without_frame_scores_warns_and_reports_zero_rank_metrics():
+    videos = [replace(v, gt_scores=None) for v in corpus("a", 4, seed=0)]
+    with pytest.warns(RuntimeWarning, match="no videos carried frame-level scores"):
+        report = ev.evaluate(videos, quick_cfg(), ev.EvalProtocol(folds=2), budget_ratio=0.3)
+    assert report.kendall == report.spearman == 0.0
+    assert report.per_video_tau == report.per_video_rho == {}
+    assert sorted(report.per_video_f) == sorted(v.id for v in videos)
 
 
 def test_evaluate_is_deterministic():

@@ -11,6 +11,7 @@ from divsum import model as mdl
 from divsum.attention import GdaParams, LcaParams
 from divsum.autograd import ContractError, Matrix, NumericError, ShapeError, Tape
 from divsum.config import TrainConfig
+from divsum.training import init_params
 
 from . import oracles
 from .oracles import finite_difference_grads
@@ -103,15 +104,22 @@ def test_score_head_grads_match_fd():
 
 
 def test_head_params_validate_dimension_chain():
+    cfg = TrainConfig(neighbor_R=1)
+    mats = dict(init_params(4, 1, 0, cfg).named_parameters())
+    mats["heads.score2.W"], mats["heads.score2.b"] = Matrix.zeros(4, 2), Matrix.zeros(1, 2)
+    # the score head must end in a single score column
+    with pytest.raises(ShapeError, match="^heads.score2.W must be 4x1, got 4x2$"):
+        mdl.ModelParams.from_named(mats, cfg)
+
+
+def test_a_head_layer_refuses_an_input_of_the_wrong_width():
     rng = np.random.default_rng(4)
-    with pytest.raises(ShapeError):
-        hd.HeadParams(
-            score1=affine(rng, 4, 4),
-            score2=affine(rng, 4, 2),  # must end in a single score column
-            embed=affine(rng, 4, 4),
-            recon1=affine(rng, 4, 4),
-            recon2=affine(rng, 4, 4),
-        )
+    h = make_heads(rng, 4)
+    with pytest.raises(ShapeError, match="affine input 3x5, weight 4x4"):
+        hd.score_frames(Matrix(np.zeros((3, 5))), h)
+    broken = replace(h, score1=affine(rng, 4, 3))  # one column short of score2's rows
+    with pytest.raises(ShapeError, match="affine input 3x3, weight 4x1"):
+        hd.score_frames(Matrix(np.zeros((3, 4))), broken)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ from divsum import attention as att
 from divsum import autograd as ag
 from divsum import heads as hd
 from divsum import training as tr
-from divsum.autograd import ContractError, Matrix, NumericError, Tape
+from divsum.autograd import ContractError, Matrix, NumericError, ShapeError, Tape
 from divsum.config import ConfigError, TrainConfig, config_from_text, config_to_text, \
     load_config, parse_config_text
 from divsum.data import VideoRecord, synth_generate, SynthSpec
-from divsum.model import forward_scores
+from divsum.model import ModelParams, forward_scores
 from divsum.segmentation import summarize_video
 
 from . import oracles
@@ -546,17 +546,82 @@ def test_checkpoint_rejects_wrong_magic_and_version(tmp_path):
         tr.load_checkpoint(bad)
 
 
-def parameterless_checkpoint(path, cfg):
-    """A well-formed checkpoint file that lists zero parameters."""
+def handmade_checkpoint(path, cfg, entries, cut=None):
+    """A checkpoint file built byte by byte: epoch 0, the (name, array)
+    entries as its parameter table, step 0 and zero moments. With `cut`,
+    the file ends after the name of entry `cut`."""
     cfg_raw = config_to_text(cfg).encode("utf-8")
-    path.write_bytes(tr.CHECKPOINT_MAGIC + struct.pack("<II", tr.CHECKPOINT_VERSION, len(cfg_raw))
-                     + cfg_raw + struct.pack("<III", 0, 0, 0))
+    blob = tr.CHECKPOINT_MAGIC + struct.pack("<II", tr.CHECKPOINT_VERSION, len(cfg_raw)) \
+        + cfg_raw + struct.pack("<II", 0, len(entries))
+    for i, (name, a) in enumerate(entries):
+        blob += struct.pack("<I", len(name)) + name.encode("utf-8")
+        if i == cut:
+            break
+        blob += struct.pack("<II", *a.shape) + a.astype("<f8").tobytes()
+    else:
+        blob += struct.pack("<I", 0) + bytes(2 * 8 * sum(a.size for _, a in entries))
+    path.write_bytes(blob)
     return path
 
 
+def model_entries(d=4):
+    params = tr.init_params(d, 1, 0, tiny_cfg())
+    return [(name, p.data) for name, p in params.named_parameters()]
+
+
 def test_checkpoint_missing_parameter_is_named(tmp_path):
-    path = parameterless_checkpoint(tmp_path / "empty.ckpt", tiny_cfg())
+    path = handmade_checkpoint(tmp_path / "empty.ckpt", tiny_cfg(), [])
     with pytest.raises(ContractError, match="missing parameter gda.Wq"):
+        tr.load_checkpoint(path)
+
+
+def test_handmade_checkpoint_matches_a_saved_one(tmp_path):
+    params = tr.init_params(4, 1, 0, tiny_cfg())
+    tr.save_checkpoint(tmp_path / "saved.ckpt", params, tr.AdamState.for_params(params),
+                       tiny_cfg(), epoch=0)
+    made = handmade_checkpoint(tmp_path / "made.ckpt", tiny_cfg(), model_entries())
+    assert made.read_bytes() == (tmp_path / "saved.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("kept", [1, 7, 16])
+def test_a_table_cut_short_names_the_next_parameter(tmp_path, kept):
+    entries = model_entries()
+    path = handmade_checkpoint(tmp_path / "short.ckpt", tiny_cfg(), entries[:kept])
+    with pytest.raises(ContractError, match=f"missing parameter {entries[kept][0]}$"):
+        tr.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("table", ["swapped", "repeated", "extra"])
+def test_a_misplaced_parameter_is_refused_before_its_data(tmp_path, table):
+    entries = model_entries()
+    at = {"swapped": 3, "repeated": 5, "extra": 0}[table]
+    if table == "swapped":
+        entries[3], entries[4] = entries[4], entries[3]
+    elif table == "repeated":
+        entries[5] = entries[4]
+    else:
+        entries.append(("extra", np.zeros((1, 1))))
+    for cut in (None, at):  # a file that ends after the name fails the same way
+        path = handmade_checkpoint(tmp_path / "bad.ckpt", tiny_cfg(), entries, cut)
+        with pytest.raises(ContractError, match="parameter order does not match this build"):
+            tr.load_checkpoint(path)
+
+
+def mixed_width_entries():
+    """A d=4 model whose local path is 6 wide."""
+    wide = dict(model_entries(6))
+    return [(n, wide[n] if n.startswith("lca.") else a) for n, a in model_entries(4)]
+
+
+def test_a_model_whose_parts_disagree_on_the_feature_dim_is_refused():
+    mats = {n: Matrix(a) for n, a in mixed_width_entries()}
+    with pytest.raises(ShapeError, match="^lca.Wq2 must be 4x4, got 6x6$"):
+        ModelParams.from_named(mats, tiny_cfg())
+
+
+def test_a_checkpoint_whose_parts_disagree_on_the_feature_dim_is_refused(tmp_path):
+    path = handmade_checkpoint(tmp_path / "mixed.ckpt", tiny_cfg(), mixed_width_entries())
+    with pytest.raises(ShapeError, match="lca.Wq2 must be 4x4, got 6x6"):
         tr.load_checkpoint(path)
 
 
