@@ -2,7 +2,9 @@
 
 Subcommands: synth, train, summarize, evaluate, ablate, partition-map,
 check. Every run with the same inputs and seeds writes identical output
-files. Datasets resolve from --data, falling back to $DIVSUM_DATA_DIR.
+files on the same BLAS build at the same BLAS thread count (a product may
+split differently across thread counts). Datasets resolve from --data,
+falling back to $DIVSUM_DATA_DIR.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .attention import GridSpec, SIMILARITY_KINDS, LCA_VARIANTS, partition_map_c
 from .autograd import ContractError, NumericError, ShapeError
 from .checks import run_self_checks
 from .config import ConfigError, TrainConfig, load_config
-from .data import (AGGREGATION_MODES, SynthSpec, Writer, load_dataset, load_manifest,
-                   save_dataset, synth_generate)
+from .data import (AGGREGATION_MODES, DatasetManifest, SynthSpec, Writer, _manifest_file,
+                   load_dataset, load_manifest, save_dataset, synth_generate)
 from .evaluation import (EvalProtocol, PROTOCOL_MODES, build_folds, evaluate,
                          human_baseline, load_splits, random_baseline, report_csv,
                          report_text, save_splits)
@@ -56,23 +58,17 @@ def _config_from_args(args) -> TrainConfig:
                                      if k in keys and v is not None})
 
 
-def _data_path(args) -> Path:
-    if getattr(args, "data", None):
-        return Path(args.data)
-    env = os.environ.get(DATA_DIR_ENV)
-    if env:
-        return Path(env)
-    raise ContractError(f"no dataset given: pass --data or set ${DATA_DIR_ENV}")
-
-
-def _data_inputs(args) -> list:
-    """("--data", path) for the manifest --data resolves to and for every
-    video file it lists."""
-    manifest = _data_path(args)
-    if manifest.is_dir():
-        manifest = manifest / "manifest.json"
-    files = load_manifest(manifest).video_files
-    return [("--data", p) for p in (manifest, *(manifest.parent / f for f in files))]
+def _manifest(args) -> tuple[Path, DatasetManifest, list]:
+    """The manifest file --data (else $DIVSUM_DATA_DIR) names, its checked
+    contents, and the clash check's ("--data", path) inputs: that file and
+    every video file it lists."""
+    data = args.data or os.environ.get(DATA_DIR_ENV)
+    if not data:
+        raise ContractError(f"no dataset given: pass --data or set ${DATA_DIR_ENV}")
+    path = _manifest_file(data)
+    manifest = load_manifest(path)
+    files = (path, *(path.parent / f for f in manifest.video_files))
+    return path, manifest, [("--data", f) for f in files]
 
 
 def _file_identity(path):
@@ -128,10 +124,11 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     out = Path(args.out)
     history_path = Path(args.history) if args.history else out.with_suffix(".history.csv")
+    data, _, inputs = _manifest(args)
     _refuse_clashes({"--out": out, "--history": history_path},
-                    [("--config", args.config), *_data_inputs(args)])
+                    [("--config", args.config), *inputs])
     cfg = _config_from_args(args)
-    videos = load_dataset(_data_path(args))
+    videos = load_dataset(data)
     result = train(videos, cfg)
     save_checkpoint(out, result.params, result.state, cfg, epoch=result.epochs_run)
     Writer().put(_history_csv(result).encode()).write(history_path)
@@ -143,10 +140,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    _refuse_clashes({"--out": args.out}, [("--checkpoint", args.checkpoint),
-                                          *_data_inputs(args)])
+    data, _, inputs = _manifest(args)
+    _refuse_clashes({"--out": args.out}, [("--checkpoint", args.checkpoint), *inputs])
     params, _, _, _ = load_checkpoint(args.checkpoint)
-    videos = load_dataset(_data_path(args))
+    videos = load_dataset(data)
     if args.video is not None:
         videos = [v for v in videos if v.id == args.video]
         if not videos:
@@ -165,20 +162,16 @@ def cmd_summarize(args) -> int:
     return 0
 
 
-def _dataset_and_agg(args) -> tuple[list, str]:
-    """The dataset's videos, and --agg or else the manifest's aggregation."""
-    data = _data_path(args)
-    return load_dataset(data), args.agg or load_manifest(data).aggregation
-
-
 def cmd_evaluate(args) -> int:
+    data, manifest, inputs = _manifest(args)
     _refuse_clashes({"--report": args.report, "--csv": args.csv, "--splits": args.splits},
-                    [("--config", args.config), *_data_inputs(args)])
+                    [("--config", args.config), *inputs])
     cfg = _config_from_args(args)
-    videos, agg = _dataset_and_agg(args)
-    protocol = EvalProtocol(mode=args.mode, folds=args.folds, agg=agg,
+    protocol = EvalProtocol(mode=args.mode, folds=args.folds,
+                            agg=args.agg or manifest.aggregation,
                             seed=args.split_seed if args.split_seed is not None else cfg.seed,
-                            target_corpus=args.target_corpus)
+                            target_corpus=args.target_corpus, budget_ratio=args.budget_ratio)
+    videos = load_dataset(data)
     splits = None
     if args.splits:
         split_path = Path(args.splits)
@@ -188,13 +181,12 @@ def cmd_evaluate(args) -> int:
             splits = build_folds(videos, protocol)
             save_splits(split_path, splits, protocol)
             print(f"splits: {split_path}")
-    report = evaluate(videos, cfg, protocol, budget_ratio=args.budget_ratio,
-                      splits=splits)
+    report = evaluate(videos, cfg, protocol, splits=splits)
     text = report_text(report)
     print(text, end="")
     if args.baseline != "none":
         base = (random_baseline if args.baseline == "random" else human_baseline)(
-            videos, protocol, budget_ratio=args.budget_ratio)
+            videos, protocol)
         print(f"{args.baseline} baseline: F={base.mean_f:.2f} "
               f"tau={base.kendall:.3f} rho={base.spearman:.3f}")
     if args.report:
@@ -217,18 +209,19 @@ _ABLATION_AXES = {
 def cmd_ablate(args) -> int:
     if args.repeats < 1:
         raise ContractError(f"--repeats must be >= 1, got {args.repeats}")
-    _refuse_clashes({"--out": args.out}, [("--config", args.config), *_data_inputs(args)])
+    data, manifest, inputs = _manifest(args)
+    _refuse_clashes({"--out": args.out}, [("--config", args.config), *inputs])
     cfg = _config_from_args(args)
-    videos, agg = _dataset_and_agg(args)
+    protocol = EvalProtocol(mode="canonical", folds=args.folds,
+                            agg=args.agg or manifest.aggregation, seed=cfg.seed,
+                            budget_ratio=args.budget_ratio)
+    videos = load_dataset(data)
     rows = ["axis,value,seed,mean_f,kendall_tau,spearman_rho"]
     for label, changes in _ABLATION_AXES[args.axis]:
         for r in range(args.repeats):
             seed = cfg.seed + r
-            run_cfg = replace(cfg, **changes, seed=seed)
-            protocol = EvalProtocol(mode="canonical", folds=args.folds, agg=agg,
-                                    seed=seed)
-            report = evaluate(videos, run_cfg, protocol,
-                              budget_ratio=args.budget_ratio)
+            report = evaluate(videos, replace(cfg, **changes, seed=seed),
+                              replace(protocol, seed=seed))
             row = (f"{args.axis},{label},{seed},{report.mean_f:.4f},"
                    f"{report.kendall:.4f},{report.spearman:.4f}")
             rows.append(row)
@@ -358,6 +351,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ConfigError, ContractError, NumericError, ShapeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # a size flag too large to allocate
+        print(f"error: {args.command}: out of memory: {e}", file=sys.stderr)
         return 1
 
 

@@ -114,7 +114,6 @@ class DatasetManifest:
     dim: int
     video_files: list[str]
     aggregation: str = "mean_over_users"
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         if self.aggregation not in AGGREGATION_MODES:
@@ -338,7 +337,7 @@ def _repeated(names) -> str:
 
 def _is_file_name(name: str) -> bool:
     """Whether `name` names a file inside a dataset directory."""
-    return name not in ("", ".", "..") and "/" not in name and "\\" not in name
+    return name not in ("", ".", "..") and not any(c in name for c in ("/", "\\", "\0"))
 
 
 def save_dataset(directory, records: list[VideoRecord], name: str,
@@ -374,7 +373,7 @@ def save_dataset(directory, records: list[VideoRecord], name: str,
     text = json.dumps({
         "name": manifest.name,
         "dim": manifest.dim,
-        "format_version": manifest.format_version,
+        "format_version": FORMAT_VERSION,
         "aggregation": manifest.aggregation,
         "videos": manifest.video_files,
     }, indent=2) + "\n"
@@ -421,46 +420,47 @@ def json_field(raw: dict, key: str, kind: str, where: str, default=_REQUIRED):
     return value
 
 
-def load_manifest(path) -> DatasetManifest:
+def _manifest_file(path) -> Path:
+    """`path`, or the manifest.json in it when `path` is a directory."""
     path = Path(path)
-    if path.is_dir():
-        path = path / "manifest.json"
+    return path / "manifest.json" if path.is_dir() else path
+
+
+def load_manifest(path) -> DatasetManifest:
+    """Read a manifest (file or directory) and make every check that needs
+    no video file: each field's type, then the aggregation mode, the format
+    version, a file listed twice, and an entry that is not a file name in
+    the manifest's directory."""
+    path = _manifest_file(path)
     raw = read_json_object(path, "manifest")
     where = f"{path}: manifest"
-    return DatasetManifest(
-        name=json_field(raw, "name", "a string", where),
-        dim=json_field(raw, "dim", "an integer", where),
-        video_files=json_field(raw, "videos", "a list of strings", where),
-        aggregation=json_field(raw, "aggregation", "a string", where, "mean_over_users"),
-        format_version=json_field(raw, "format_version", "an integer", where,
-                                  FORMAT_VERSION),
+    name, dim, files, aggregation, version = (
+        json_field(raw, "name", "a string", where),
+        json_field(raw, "dim", "an integer", where),
+        json_field(raw, "videos", "a list of strings", where),
+        json_field(raw, "aggregation", "a string", where, "mean_over_users"),
+        json_field(raw, "format_version", "an integer", where, FORMAT_VERSION),
     )
-
-
-def load_dataset(path) -> list[VideoRecord]:
-    """Read a manifest (file or directory) and every video it references.
-
-    Refuses, before reading any video, a manifest that lists a file twice
-    or an entry that is not a file name in the manifest's directory, and,
-    once the videos are read, two files holding the same video id.
-    """
-    path = Path(path)
-    if path.is_dir():
-        path = path / "manifest.json"
-    manifest = load_manifest(path)
-    where = f"{path}: manifest"
-    if manifest.format_version != FORMAT_VERSION:
-        raise DataFormatError(
-            f"{where} format version {manifest.format_version}, "
-            f"this build reads {FORMAT_VERSION}"
-        )
-    repeated = _repeated(manifest.video_files)
+    manifest = DatasetManifest(name=name, dim=dim, video_files=files, aggregation=aggregation)
+    if version != FORMAT_VERSION:
+        raise DataFormatError(f"{where} format version {version}, "
+                              f"this build reads {FORMAT_VERSION}")
+    repeated = _repeated(files)
     if repeated:
         raise DataFormatError(f"{where} lists video files more than once: {repeated}")
-    outside = [f for f in manifest.video_files if not _is_file_name(f)]
+    outside = [f for f in files if not _is_file_name(f)]
     if outside:
         raise DataFormatError(f"{where} entries are not file names in its directory: "
                               f"{', '.join(map(repr, outside))}")
+    return manifest
+
+
+def load_dataset(path) -> list[VideoRecord]:
+    """Read a manifest (file or directory) through load_manifest, then every
+    video it lists. Refuses a video whose dim disagrees with the manifest's
+    and two files holding the same video id."""
+    path = _manifest_file(path)
+    manifest = load_manifest(path)
     records = []
     for fname in manifest.video_files:
         rec = load_video(path.parent / fname)
@@ -471,7 +471,8 @@ def load_dataset(path) -> list[VideoRecord]:
         records.append(rec)
     repeated = _repeated(rec.id for rec in records)
     if repeated:
-        raise DataFormatError(f"{where} lists files that hold the same video ids: {repeated}")
+        raise DataFormatError(f"{path}: manifest lists files that hold the same video ids: "
+                              f"{repeated}")
     return records
 
 

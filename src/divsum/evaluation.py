@@ -23,7 +23,7 @@ import numpy as np
 from .autograd import ContractError, NumericError, ShapeError
 from .config import TrainConfig
 from .data import AGGREGATION_MODES, Writer, _repeated, json_field, read_json_object
-from .segmentation import SummaryMask, summarize_scores, summarize_video
+from .segmentation import SummaryMask, _check_budget_ratio, summarize_scores, summarize_video
 from .training import train
 
 PROTOCOL_MODES = ("canonical", "augmented", "transfer")
@@ -33,12 +33,17 @@ RANK_UNDEFINED_MSG = "rank correlation undefined for constant scores; reporting 
 
 @dataclass
 class EvalProtocol:
+    """How a run is scored: fold protocol, F aggregation, split seed, corpus
+    under test and summary budget (the share of each video's frames a
+    summary may keep), each checked when the protocol is built."""
+
     mode: str = "canonical"
     folds: int = 5
     agg: str = "mean_over_users"
     seed: int = 0
     # corpus under evaluation; None means the videos all share one tag
     target_corpus: str | None = None
+    budget_ratio: float = 0.15
 
     def __post_init__(self):
         if self.mode not in PROTOCOL_MODES:
@@ -49,6 +54,7 @@ class EvalProtocol:
             raise ContractError(f"unknown aggregation mode: {self.agg!r}")
         if self.seed < 0:
             raise ContractError(f"protocol seed must be >= 0, got {self.seed}")
+        _check_budget_ratio(self.budget_ratio)
 
 
 @dataclass
@@ -60,7 +66,6 @@ class FoldSplit:
 @dataclass
 class EvalReport:
     protocol: EvalProtocol
-    budget_ratio: float
     per_video_f: dict[str, float]
     per_video_tau: dict[str, float]
     per_video_rho: dict[str, float]
@@ -296,7 +301,7 @@ def load_splits(path, protocol: EvalProtocol) -> list[FoldSplit]:
 # protocol runs
 
 
-def _finish_report(protocol, budget_ratio, per_f, per_tau, per_rho, label) -> EvalReport:
+def _finish_report(protocol, per_f, per_tau, per_rho, label) -> EvalReport:
     if per_tau:
         kendall = float(np.mean(list(per_tau.values())))
         spearman = float(np.mean(list(per_rho.values())))
@@ -305,8 +310,7 @@ def _finish_report(protocol, budget_ratio, per_f, per_tau, per_rho, label) -> Ev
                       RuntimeWarning, stacklevel=3)
         kendall = spearman = 0.0
     return EvalReport(
-        protocol=protocol, budget_ratio=budget_ratio,
-        per_video_f=per_f, per_video_tau=per_tau, per_video_rho=per_rho,
+        protocol=protocol, per_video_f=per_f, per_video_tau=per_tau, per_video_rho=per_rho,
         mean_f=float(np.mean(list(per_f.values()))) if per_f else 0.0,
         kendall=kendall, spearman=spearman, label=label,
     )
@@ -327,12 +331,11 @@ def _per_video_metrics(scored, agg: str):
 
 
 def evaluate(videos, cfg: TrainConfig, protocol: EvalProtocol,
-             budget_ratio: float = 0.15,
              splits: list[FoldSplit] | None = None) -> EvalReport:
     """Train per fold on the split's training half, summarize the held-out
-    videos, and average F / tau / rho over every test video. Every split's
-    video ids, and that no split list or half is empty, are checked
-    before the first fold trains."""
+    videos under the protocol's budget, and average F / tau / rho over
+    every test video. Every split's video ids, and that no split list or
+    half is empty, are checked before the first fold trains."""
     if not videos:
         raise ContractError("cannot evaluate an empty video set")
     repeated = _repeated(v.id for v in videos)
@@ -355,30 +358,28 @@ def evaluate(videos, cfg: TrainConfig, protocol: EvalProtocol,
         for split in splits:
             params = train([by_id[i] for i in split.train_ids], cfg).params
             for vid in split.test_ids:
-                yield by_id[vid], summarize_video(by_id[vid], params, budget_ratio)
+                yield by_id[vid], summarize_video(by_id[vid], params, protocol.budget_ratio)
 
-    return _finish_report(protocol, budget_ratio,
-                          *_per_video_metrics(held_out(), protocol.agg), "trained")
+    return _finish_report(protocol, *_per_video_metrics(held_out(), protocol.agg), "trained")
 
 
-def random_baseline(videos, protocol: EvalProtocol,
-                    budget_ratio: float = 0.15) -> EvalReport:
+def random_baseline(videos, protocol: EvalProtocol) -> EvalReport:
     """Uniform-random importance scores pushed through the same shot
-    selection; the reference point for Table-style comparisons."""
+    selection under the protocol's budget; the reference point for
+    Table-style comparisons."""
     if not videos:
         raise ContractError("cannot evaluate an empty video set")
     rng = np.random.default_rng(protocol.seed)
-    scored = ((v, summarize_scores(v, rng.uniform(size=v.frame_count), budget_ratio))
+    scored = ((v, summarize_scores(v, rng.uniform(size=v.frame_count), protocol.budget_ratio))
               for v in videos)
-    return _finish_report(protocol, budget_ratio,
-                          *_per_video_metrics(scored, protocol.agg), "random")
+    return _finish_report(protocol, *_per_video_metrics(scored, protocol.agg), "random")
 
 
-def human_baseline(videos, protocol: EvalProtocol,
-                   budget_ratio: float = 0.15) -> EvalReport:
+def human_baseline(videos, protocol: EvalProtocol) -> EvalReport:
     """Annotator agreement reference: each user summary scored against the
     other users (leave one out), and against the frame-level scores for the
-    rank metrics. Videos without user summaries are skipped."""
+    rank metrics. Videos without user summaries are skipped. The summaries
+    are scored as annotated, so the protocol's budget does not enter."""
     per_f: dict[str, float] = {}
     per_tau: dict[str, float] = {}
     per_rho: dict[str, float] = {}
@@ -400,7 +401,7 @@ def human_baseline(videos, protocol: EvalProtocol,
             per_rho[v.id] = float(np.mean(rhos))
     if not per_f:
         raise ContractError("human baseline needs videos with >= 2 user summaries")
-    return _finish_report(protocol, budget_ratio, per_f, per_tau, per_rho, "human")
+    return _finish_report(protocol, per_f, per_tau, per_rho, "human")
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +412,7 @@ def report_text(report: EvalReport) -> str:
     p = report.protocol
     lines = [
         f"protocol: {p.mode}  folds: {p.folds}  agg: {p.agg}  "
-        f"seed: {p.seed}  budget: {report.budget_ratio}  source: {report.label}",
+        f"seed: {p.seed}  budget: {p.budget_ratio}  source: {report.label}",
         "",
         f"{'video':<24} {'F(%)':>8} {'tau':>8} {'rho':>8}",
     ]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from divsum import data as dat
+from divsum import evaluation
 from divsum.cli import main
 from divsum.config import TrainConfig, config_to_text
 from divsum.evaluation import EvalProtocol, human_baseline, random_baseline
@@ -98,9 +99,9 @@ def test_evaluate_prints_the_baseline_it_is_asked_for(tmp_path, dataset, capsys,
                "--radius", "1", "--seed", "3", "--budget-ratio", "0.3",
                "--baseline", baseline) == 0
     line = capsys.readouterr().out.splitlines()[-1]
-    protocol = EvalProtocol(folds=2, seed=3)
+    protocol = EvalProtocol(folds=2, seed=3, budget_ratio=0.3)
     base = (random_baseline if baseline == "random" else human_baseline)(
-        dat.load_dataset(dataset), protocol, budget_ratio=0.3)
+        dat.load_dataset(dataset), protocol)
     assert line == (f"{baseline} baseline: F={base.mean_f:.2f} tau={base.kendall:.3f} "
                     f"rho={base.spearman:.3f}")
 
@@ -578,12 +579,58 @@ def test_non_utf8_config_file_fails_cleanly(tmp_path, dataset, capsys):
     (["partition-map", "--grid-size", "-1"], "grid sizes"),
     (["ablate", "--data", "{data}", "--axis", "radius", "--repeats", "0"], "--repeats"),
     (["ablate", "--data", "{data}", "--axis", "radius", "--repeats", "-1"], "--repeats"),
+    # sizes too large to allocate: 291 and 349 TiB, beyond any 48-bit address
+    # space, so they are refused whatever the kernel's overcommit policy
+    (["synth", "--frames", "40", "--shots", "4", "--dim", "10000000000000"],
+     "error: synth: out of memory: "),
+    (["partition-map", "--grid-size", "4000000"], "error: partition-map: out of memory: "),
 ], ids=["synth-seed", "synth-users", "synth-noise", "synth-budget-ratio", "evaluate-split-seed",
         "partition-map-seed", "partition-map-num-points", "partition-map-grid-size",
-        "ablate-repeats-0", "ablate-repeats-negative"])
+        "ablate-repeats-0", "ablate-repeats-negative", "synth-dim-too-large",
+        "partition-map-grid-too-large"])
 def test_out_of_range_numbers_fail_with_one_line(tmp_path, dataset, capsys, argv, setting):
     out = ["--out", str(tmp_path / "out")] if argv[0] != "evaluate" else []
     assert run(*[a.format(data=dataset) for a in argv], *out) == 1
     printed, err = capsys.readouterr()
     assert err.startswith("error:") and err.count("\n") == 1 and setting in err
     assert printed == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--epochs", "1", "--out", "out.ckpt"],
+    ["summarize", "--checkpoint", "run.ckpt", "--out", "out.csv"],
+    ["evaluate", "--epochs", "1", "--folds", "2", "--csv", "out.csv"],
+    ["ablate", "--axis", "radius", "--epochs", "1", "--out", "out.csv"],
+], ids=["train", "summarize", "evaluate", "ablate"])
+def test_a_manifest_entry_holding_nul_fails_with_one_line(tmp_path, dataset, capsys,
+                                                          monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run("train", "--data", "ds", "--out", "run.ckpt", "--epochs", "1",
+               "--radius", "1") == 0
+    manifest = Path("ds/manifest.json")
+    raw = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**raw, "videos": raw["videos"] + ["a\u0000.dsv"]}))
+    saved = file_bytes(tmp_path)
+    capsys.readouterr()
+    assert run(*argv, "--data", "ds") == 1
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: manifest entries are not file names in its directory: "
+        "'a\\x00.dsv'\n")
+    assert file_bytes(tmp_path) == saved
+
+
+@pytest.mark.parametrize("budget", ["0", "1.5", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--folds", "2", "--csv"],
+    ["ablate", "--axis", "radius", "--out"],
+], ids=["evaluate", "ablate"])
+def test_a_bad_budget_fails_with_one_line_before_any_fold_trains(tmp_path, dataset, capsys,
+                                                                  monkeypatch, argv, budget):
+    calls = []
+    monkeypatch.setattr(evaluation, "train", lambda *args: calls.append(args))
+    out = tmp_path / "out.csv"
+    assert run(*argv, str(out), "--data", str(dataset), "--epochs", "1",
+               "--budget-ratio", budget) == 1
+    assert capsys.readouterr().err == (
+        f"error: budget_ratio must be in (0, 1], got {float(budget)}\n")
+    assert calls == [] and not out.exists()

@@ -430,6 +430,25 @@ def test_load_dataset_refuses_another_format_version(tmp_path):
         dat.load_dataset(mp)
 
 
+@pytest.mark.parametrize("version, videos, named", [
+    (2, ["a.dsv", "b.dsv"], "format version 2, this build reads 1"),
+    (1, ["a.dsv", "b.dsv", "a.dsv"], "lists video files more than once: 'a.dsv'"),
+    (1, ["a.dsv", "../x.dsv"], "entries are not file names in its directory: '../x.dsv'"),
+    (1, ["a.dsv", "a/b.dsv"], "entries are not file names in its directory: 'a/b.dsv'"),
+    (1, ["a.dsv", "a\u0000.dsv"], "entries are not file names in its directory: 'a\\x00.dsv'"),
+    (2, ["a.dsv", "a.dsv", "a\u0000.dsv"], "format version 2, this build reads 1"),
+], ids=["version", "file-twice", "parent", "subdirectory", "nul", "several-faults"])
+def test_load_manifest_refuses_each_manifest_fault_without_reading_videos(
+        tmp_path, monkeypatch, version, videos, named):
+    mp = patched_manifest(tmp_path, ["a", "b"], videos)
+    mp.write_text(json.dumps({**json.loads(mp.read_text()), "format_version": version}))
+    monkeypatch.setattr(dat, "load_video", lambda path: pytest.fail(f"read {path}"))
+    for load in (dat.load_manifest, dat.load_dataset):
+        with pytest.raises(dat.DataFormatError) as err:
+            load(tmp_path / "ds")
+        assert str(err.value) == f"{mp}: manifest {named}"
+
+
 def test_load_dataset_refuses_two_files_holding_one_video_id(tmp_path):
     mp = patched_manifest(tmp_path, ["a", "b"], ["a.dsv", "b.dsv", "copy.dsv"])
     (tmp_path / "ds" / "copy.dsv").write_bytes((tmp_path / "ds" / "a.dsv").read_bytes())

@@ -361,6 +361,9 @@ def test_fold_count_validation():
         ev.EvalProtocol(mode="sideways")
     with pytest.raises(ContractError):
         ev.EvalProtocol(agg="median")
+    for budget in (0.0, 1.5, float("nan")):
+        with pytest.raises(ContractError, match=r"budget_ratio must be in \(0, 1\]"):
+            ev.EvalProtocol(budget_ratio=budget)
 
 
 def test_multi_corpus_needs_explicit_target():
@@ -421,8 +424,8 @@ def quick_cfg(**kw):
 
 def test_evaluate_reports_every_test_video_once():
     videos = corpus("a", 4, seed=0)
-    proto = ev.EvalProtocol(folds=2, seed=0)
-    report = ev.evaluate(videos, quick_cfg(), proto, budget_ratio=0.3)
+    proto = ev.EvalProtocol(folds=2, seed=0, budget_ratio=0.3)
+    report = ev.evaluate(videos, quick_cfg(), proto)
     assert sorted(report.per_video_f) == sorted(v.id for v in videos)
     assert 0.0 <= report.mean_f <= 100.0
     assert -1.0 <= report.kendall <= 1.0
@@ -433,7 +436,7 @@ def test_evaluate_reports_every_test_video_once():
 def test_evaluate_without_frame_scores_warns_and_reports_zero_rank_metrics():
     videos = [replace(v, gt_scores=None) for v in corpus("a", 4, seed=0)]
     with pytest.warns(RuntimeWarning, match="no videos carried frame-level scores"):
-        report = ev.evaluate(videos, quick_cfg(), ev.EvalProtocol(folds=2), budget_ratio=0.3)
+        report = ev.evaluate(videos, quick_cfg(), ev.EvalProtocol(folds=2, budget_ratio=0.3))
     assert report.kendall == report.spearman == 0.0
     assert report.per_video_tau == report.per_video_rho == {}
     assert sorted(report.per_video_f) == sorted(v.id for v in videos)
@@ -441,9 +444,9 @@ def test_evaluate_without_frame_scores_warns_and_reports_zero_rank_metrics():
 
 def test_evaluate_is_deterministic():
     videos = corpus("a", 4, seed=0)
-    proto = ev.EvalProtocol(folds=2, seed=0)
-    a = ev.evaluate(videos, quick_cfg(), proto, budget_ratio=0.3)
-    b = ev.evaluate(videos, quick_cfg(), proto, budget_ratio=0.3)
+    proto = ev.EvalProtocol(folds=2, seed=0, budget_ratio=0.3)
+    a = ev.evaluate(videos, quick_cfg(), proto)
+    b = ev.evaluate(videos, quick_cfg(), proto)
     assert a == b
 
 
@@ -451,7 +454,7 @@ def test_evaluate_is_deterministic():
 def test_evaluate_scores_test_videos_with_the_trained_paths(switch):
     videos = corpus("a", 2, seed=0)
     cfg = quick_cfg(**{switch: False})
-    report = ev.evaluate(videos, cfg, ev.EvalProtocol(folds=1), budget_ratio=0.3)
+    report = ev.evaluate(videos, cfg, ev.EvalProtocol(folds=1, budget_ratio=0.3))
     params = train(videos, cfg).params
     assert getattr(params, switch) is False
     both_on = replace(params, **{switch: True})
@@ -486,6 +489,17 @@ def test_evaluate_checks_every_split_before_the_first_fold_trains(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("budget", [0.0, 1.5, float("nan")], ids=["zero", "over-one", "nan"])
+def test_evaluate_refuses_a_bad_budget_before_the_first_fold_trains(monkeypatch, budget):
+    videos = corpus("a", 4, seed=0)
+    calls = []
+    monkeypatch.setattr(ev, "train", lambda *args: calls.append(args))
+    with pytest.raises(ContractError) as err:
+        ev.evaluate(videos, quick_cfg(), ev.EvalProtocol(folds=2, budget_ratio=budget))
+    assert str(err.value) == f"budget_ratio must be in (0, 1], got {budget}"
+    assert calls == []
+
+
 @pytest.mark.parametrize("halves, message", [
     ([], "no splits to evaluate"),
     ([((0, 2), (2, 4)), ((0, 0), (0, 2))], "split 1 has an empty train list"),
@@ -512,7 +526,7 @@ def test_evaluate_names_the_repeated_video_ids():
 
 def test_random_baseline_rank_metrics_near_zero():
     videos = corpus("a", 30, seed=4, frames=40)
-    report = ev.random_baseline(videos, ev.EvalProtocol(seed=11), budget_ratio=0.3)
+    report = ev.random_baseline(videos, ev.EvalProtocol(seed=11, budget_ratio=0.3))
     assert report.label == "random"
     assert abs(report.kendall) < 0.15  # 30 videos of 40 frames; loose desk-scale band
     assert abs(report.spearman) < 0.15
@@ -521,9 +535,9 @@ def test_random_baseline_rank_metrics_near_zero():
 
 def test_human_baseline_beats_random_on_synth():
     videos = corpus("a", 8, seed=5)
-    proto = ev.EvalProtocol(seed=0)
-    human = ev.human_baseline(videos, proto, budget_ratio=0.3)
-    rand = ev.random_baseline(videos, proto, budget_ratio=0.3)
+    proto = ev.EvalProtocol(seed=0, budget_ratio=0.3)
+    human = ev.human_baseline(videos, proto)
+    rand = ev.random_baseline(videos, proto)
     assert human.label == "human"
     assert human.mean_f > rand.mean_f
     bare = [VideoRecord(id="x", features=np.zeros((4, 2)))]
@@ -533,7 +547,7 @@ def test_human_baseline_beats_random_on_synth():
 
 def test_report_rendering_round_out():
     videos = corpus("a", 3, seed=0)
-    report = ev.random_baseline(videos, ev.EvalProtocol(seed=0), budget_ratio=0.3)
+    report = ev.random_baseline(videos, ev.EvalProtocol(seed=0, budget_ratio=0.3))
     text = ev.report_text(report)
     csv = ev.report_csv(report)
     assert "mean" in text and "protocol: canonical" in text
