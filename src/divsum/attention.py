@@ -5,6 +5,9 @@ The global path scores every frame pair with a selectable similarity
 each column with softmax, and mixes value projections with the column
 weights. The local path restricts attention to a +/-R frame window around
 each anchor and adds learned relative-position embeddings to the keys.
+The parameter classes hold only matrices: both paths read their settings
+(similarity kind and scale, window variant and boundary) from the
+model's TrainConfig.
 
 Also houses the 2-D partition-map demonstration: color each point of a
 plane by which seed point wins the similarity argmax. With the l2
@@ -15,11 +18,15 @@ geometric argument for why that similarity diversifies attention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import ContractError, Matrix, NumericError, ShapeError, Tape
+
+if TYPE_CHECKING:  # config imports this module's setting names
+    from .config import TrainConfig
 
 SIMILARITY_KINDS = ("dot", "cosine", "l2")
 LCA_VARIANTS = ("literal", "contextual")
@@ -28,37 +35,25 @@ BOUNDARY_POLICIES = ("clamp", "zero")
 
 @dataclass
 class GdaParams:
-    """Projections and similarity settings for the global attention path.
-    ModelParams checks the model's shapes."""
+    """Projections of the global attention path. ModelParams checks the
+    model's shapes; the similarity settings are the model's TrainConfig."""
 
     Wq: Matrix
     Wk: Matrix
     Wv: Matrix
-    sim_kind: str = "l2"
-    scale_q: float = 0.0  # 0 means "use d", resolved in __post_init__
-
-    def __post_init__(self):
-        if self.sim_kind not in SIMILARITY_KINDS:
-            raise ContractError(f"unknown similarity kind: {self.sim_kind!r}")
-        if self.scale_q == 0.0:
-            self.scale_q = float(self.Wq.rows)
-        if self.scale_q <= 0.0:
-            raise ContractError(f"scale_q must be positive, got {self.scale_q}")
 
 
 @dataclass
 class LcaParams:
-    """Projections, relative embeddings, and window settings for the local
-    path. The window radius R is not stored: rel_pos has 2R+1 rows, one
-    per window slot, and neighbor_R reads R off them. ModelParams checks
-    the model's shapes; this checks only the rel_pos arithmetic."""
+    """Projections and relative embeddings of the local path. The window
+    radius R is not stored: rel_pos has 2R+1 rows, one per window slot,
+    and neighbor_R reads R off them. ModelParams checks the model's shapes
+    and R against its TrainConfig; this checks only the rel_pos arithmetic."""
 
     Wq2: Matrix
     Wk2: Matrix
     Wv2: Matrix
     rel_pos: Matrix
-    variant: str = "contextual"
-    boundary: str = "clamp"
 
     def __post_init__(self):
         # the keys are added to rel_pos rows and the queries dotted with them
@@ -66,10 +61,6 @@ class LcaParams:
         if span < 3 or span % 2 == 0 or cols != e or self.Wq2.cols != e:
             raise ShapeError(f"rel_pos must be (2R+1)xe with R >= 1 and e the width of Wq2 "
                              f"and Wk2, got {span}x{cols} with widths {self.Wq2.cols} and {e}")
-        if self.variant not in LCA_VARIANTS:
-            raise ContractError(f"unknown local-attention variant: {self.variant!r}")
-        if self.boundary not in BOUNDARY_POLICIES:
-            raise ContractError(f"unknown window boundary policy: {self.boundary!r}")
 
     @property
     def neighbor_R(self) -> int:
@@ -197,9 +188,10 @@ def _transpose_in_place(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def gda_forward(X: Matrix, p: GdaParams, positions: Matrix | None,
+def gda_forward(X: Matrix, p: GdaParams, cfg: TrainConfig, positions: Matrix | None,
                 tape: Tape | None = None) -> AttentionOutput:
-    """Global attention over all frame pairs.
+    """Global attention over all frame pairs, scored with cfg.sim_kind
+    scaled by cfg.scale_q (0 means the feature dim).
 
     Positions, when given, are added on the query/key path only; values
     always project the raw features. Output row j mixes the value rows
@@ -226,7 +218,8 @@ def gda_forward(X: Matrix, p: GdaParams, positions: Matrix | None,
             )
         xp = x + positions.data
     v = x @ p.Wv.data
-    w, sim_grads = _similarity(xp @ p.Wq.data, xp @ p.Wk.data, p.sim_kind, p.scale_q)
+    scale_q = cfg.scale_q or float(p.Wq.rows)
+    w, sim_grads = _similarity(xp @ p.Wq.data, xp @ p.Wk.data, cfg.sim_kind, scale_q)
     mixed = _transpose_in_place(_softmax_columns(w)) @ v
     _transpose_in_place(w)
 
@@ -267,8 +260,10 @@ def _row_window(a: np.ndarray, start: int, count: int):
     return out, scatter
 
 
-def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionOutput:
-    """Windowed attention around every anchor frame, all anchors at once.
+def lca_forward(X: Matrix, p: LcaParams, cfg: TrainConfig,
+                tape: Tape | None = None) -> AttentionOutput:
+    """Windowed attention around every anchor frame, all anchors at once,
+    with cfg.lca_variant and cfg.window_boundary; R is p.neighbor_R.
 
     Window slot o of anchor h holds frame h+o-R. Its score against the
     anchor is q_(h+o-R) . (k_h + a_|o-R|) / sqrt(d), and each anchor's
@@ -299,7 +294,7 @@ def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionO
     def shifted(m: np.ndarray, o: int):
         """Slot o of every anchor's window, from m, and its gradient map."""
         rows, scatter = _row_window(m, o - R, T)
-        if p.boundary == "clamp":
+        if cfg.window_boundary == "clamp":
             return rows, scatter
         src = np.arange(T) + o - R
         mask = ((src >= 0) & (src < T)).astype(np.float64)[:, None]
@@ -311,7 +306,7 @@ def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionO
         s[o] = ((shifted(q, o)[0] * (k + rel[abs(o - R)])) @ ones_d)[:, 0] * c
     w = _softmax_columns(s).T.copy()  # T x (2R+1)
 
-    if p.variant == "literal":  # summed weights times the anchor's own value row
+    if cfg.lca_variant == "literal":  # summed weights times the anchor's own value row
         total = w @ np.ones((span, 1))
         mixed = v * total
     else:
@@ -320,7 +315,7 @@ def lca_forward(X: Matrix, p: LcaParams, tape: Tape | None = None) -> AttentionO
             mixed += shifted(v, o)[0] * w[:, o:o + 1]
 
     def shares(g):
-        if p.variant == "literal":
+        if cfg.lca_variant == "literal":
             g_w, gv = (g * v).sum(axis=1, keepdims=True) @ np.ones((1, span)), g * total
         else:
             g_w, gv = np.empty((T, span)), np.zeros_like(v)

@@ -30,18 +30,17 @@ def _fd_full_model(seed: int) -> float:
     across every parameter of a tiny full forward pass."""
     rng = np.random.default_rng(seed)
     T, d = 4, 4
-    cfg = TrainConfig(neighbor_R=1)
-    params = init_params(d, 1, seed, cfg)
+    params = init_params(d, 1, seed, TrainConfig(neighbor_R=1))
     X = Matrix(rng.uniform(0.1, 0.9, size=(T, d)))
     gt = rng.integers(0, 2, size=T).astype(float)
     gt[0] = 1 - gt[1]  # keep both classes present
 
     def loss_value() -> float:
-        return forward_loss(X, params, cfg, gt).total.item()
+        return forward_loss(X, params, gt).total.item()
 
     params.zero_grads()
     tape = Tape()
-    out = forward_loss(X, params, cfg, gt, tape)
+    out = forward_loss(X, params, gt, tape)
     ag.backward(out.total, tape)
     worst = 0.0
     step = 1e-5
@@ -84,7 +83,7 @@ def check_window_normalization() -> tuple[bool, str]:
     rng = np.random.default_rng(1)
     params = init_params(5, 2, 7, TrainConfig(neighbor_R=2))
     X = Matrix(rng.normal(size=(9, 5)))
-    out = lca_forward(X, params.lca)
+    out = lca_forward(X, params.lca, params.cfg)
     sums = out.weights.data.sum(axis=1)
     err = np.abs(sums - 1.0).max()
     return err < 1e-10, f"window rows sum to 1 within {err:.2e} (limit 1e-10)"

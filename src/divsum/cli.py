@@ -26,7 +26,7 @@ from .data import (AGGREGATION_MODES, DatasetManifest, SynthSpec, Writer, _manif
 from .evaluation import (EvalProtocol, PROTOCOL_MODES, build_folds, evaluate,
                          human_baseline, load_splits, random_baseline, report_csv,
                          report_text, save_splits)
-from .segmentation import summarize_video
+from .segmentation import _check_budget_ratio, summarize_video
 from .training import load_checkpoint, save_checkpoint, train
 
 DATA_DIR_ENV = "DIVSUM_DATA_DIR"
@@ -140,6 +140,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    _check_budget_ratio(args.budget_ratio)
     data, _, inputs = _manifest(args)
     _refuse_clashes({"--out": args.out}, [("--checkpoint", args.checkpoint), *inputs])
     params, _, _, _ = load_checkpoint(args.checkpoint)

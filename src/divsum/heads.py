@@ -10,10 +10,10 @@ Each head, loss and the weighted total is one tape record that repeats
 its generic-op chain's numpy and BLAS steps, so it keeps the chain's
 bytes.
 
-Note on the reconstruction head: its final sigmoid is off by default
-because ingested features are generally unbounded; a sigmoid output could
-then never match them. Enable recon_final_sigmoid only for datasets whose
-features are scaled to [0, 1].
+Note on the reconstruction head: its final sigmoid, the config's
+recon_final_sigmoid, is off by default because ingested features are
+generally unbounded; a sigmoid output could then never match them. Enable
+it only for datasets whose features are scaled to [0, 1].
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import ContractError, Matrix, NumericError, ShapeError, Tape
+from .config import TrainConfig
 
 BCE_EPS = 1e-7
 
@@ -35,12 +36,6 @@ class Affine:
     W: Matrix
     b: Matrix
 
-    def __post_init__(self):
-        if self.b.shape != (1, self.W.cols):
-            raise ShapeError(
-                f"bias must be 1x{self.W.cols}, got {self.b.rows}x{self.b.cols}"
-            )
-
 
 @dataclass
 class HeadParams:
@@ -51,7 +46,6 @@ class HeadParams:
     embed: Affine  # d -> d, purely linear
     recon1: Affine  # d -> d, sigmoid after
     recon2: Affine  # d -> d, sigmoid optional (see module note)
-    recon_final_sigmoid: bool = False
 
 
 @dataclass
@@ -84,6 +78,8 @@ def _layers(x: Matrix, layers, tape: Tape | None) -> Matrix:
         if out.shape[1] != layer.W.rows:
             raise ShapeError(f"affine input {out.shape[0]}x{out.shape[1]}, "
                              f"weight {layer.W.rows}x{layer.W.cols}")
+        if layer.b.shape != (1, layer.W.cols):
+            raise ShapeError(f"bias must be 1x{layer.W.cols}, got {layer.b.rows}x{layer.b.cols}")
         inputs.append(out)
         out = out @ layer.W.data
         out += layer.b.data
@@ -115,8 +111,10 @@ def embed_frames(Xt: Matrix, h: HeadParams, tape: Tape | None = None) -> Matrix:
     return _layers(Xt, ((h.embed, None),), tape)
 
 
-def reconstruct_frames(Xt: Matrix, h: HeadParams, tape: Tape | None = None) -> Matrix:
-    final = "sigmoid" if h.recon_final_sigmoid else None
+def reconstruct_frames(Xt: Matrix, h: HeadParams, cfg: TrainConfig,
+                       tape: Tape | None = None) -> Matrix:
+    """affine2(sigmoid(affine1(x))), through a sigmoid when cfg.recon_final_sigmoid."""
+    final = "sigmoid" if cfg.recon_final_sigmoid else None
     return _layers(Xt, ((h.recon1, "sigmoid"), (h.recon2, final)), tape)
 
 

@@ -1,8 +1,9 @@
 """Full model assembly: attention paths, fusion, heads, combined loss.
 
-A ModelParams owns every trainable matrix. The forward functions are free
-of hidden state; everything differentiable flows through an explicit tape
-so the optimizer can replay it.
+A ModelParams owns every trainable matrix and, as cfg, the one copy of
+the model's settings. The forward functions are free of hidden state;
+everything differentiable flows through an explicit tape so the
+optimizer can replay it.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from .config import TrainConfig
 
 
 # Every trainable matrix as (attribute path on ModelParams, rows, cols),
-# where "d" is the feature dim and "span" the local window 2R+1. ModelParams
-# checks every shape against it. The order is load-bearing: initialization
-# draws, Adam state, and checkpoint layout all follow it.
+# where "d" is the feature dim and "span" the local window 2R+1, R being
+# cfg.neighbor_R. ModelParams checks every shape against it. The order is
+# load-bearing: initialization draws, Adam state, and checkpoint layout
+# all follow it.
 PARAMETERS = (
     ("gda.Wq", "d", "d"),
     ("gda.Wk", "d", "d"),
@@ -48,15 +50,12 @@ class ModelParams:
     gda: att.GdaParams
     lca: att.LcaParams
     heads: hd.HeadParams
-    use_positions: bool = True
-    # ablation switches: a path that is off contributes zero features
-    use_gda: bool = True
-    use_lca: bool = True
+    cfg: TrainConfig
 
     def __post_init__(self):
         """Refuses, naming the first, a matrix whose shape is not its
-        PARAMETERS shape for d = rows of gda.Wq and span = rows of lca.rel_pos."""
-        size = {"d": self.gda.Wq.rows, "span": self.lca.rel_pos.rows, 1: 1}
+        PARAMETERS shape for d = rows of gda.Wq and span = 2*cfg.neighbor_R+1."""
+        size = {"d": self.gda.Wq.rows, "span": 2 * self.cfg.neighbor_R + 1, 1: 1}
         for name, rows, cols in PARAMETERS:
             got, want = attrgetter(name)(self).shape, (size[rows], size[cols])
             if got != want:
@@ -65,7 +64,7 @@ class ModelParams:
     @classmethod
     def from_named(cls, mats: dict[str, Matrix], cfg: TrainConfig) -> "ModelParams":
         """The model made of `mats` (keyed by PARAMETERS names) with the
-        architecture settings of `cfg`. A missing name raises KeyError."""
+        settings of `cfg`. A missing name raises KeyError."""
         tree: dict = {}
         for name, _, _ in PARAMETERS:
             *path, leaf = name.split(".")
@@ -73,14 +72,9 @@ class ModelParams:
             for key in path:
                 node = node.setdefault(key, {})
             node[leaf] = mats[name]
-        return cls(
-            gda=att.GdaParams(**tree["gda"], sim_kind=cfg.sim_kind, scale_q=cfg.scale_q),
-            lca=att.LcaParams(**tree["lca"], variant=cfg.lca_variant,
-                              boundary=cfg.window_boundary),
-            heads=hd.HeadParams(**{k: hd.Affine(**v) for k, v in tree["heads"].items()},
-                                recon_final_sigmoid=cfg.recon_final_sigmoid),
-            use_positions=cfg.use_positions, use_gda=cfg.use_gda, use_lca=cfg.use_lca,
-        )
+        return cls(gda=att.GdaParams(**tree["gda"]), lca=att.LcaParams(**tree["lca"]),
+                   heads=hd.HeadParams(**{k: hd.Affine(**v) for k, v in tree["heads"].items()}),
+                   cfg=cfg)
 
     def named_parameters(self) -> list[tuple[str, Matrix]]:
         """Every trainable matrix, in PARAMETERS order."""
@@ -100,12 +94,13 @@ class ForwardOutput:
 
 
 def forward_scores(X: Matrix, params: ModelParams, tape: Tape | None = None) -> ForwardOutput:
-    """Attention paths, fusion, score head. A path the params switch off
+    """Attention paths, fusion, score head. A path params.cfg switches off
     (use_gda / use_lca) contributes zero features."""
     T, d = X.shape
-    positions = att.sinusoidal_positions(T, d) if params.use_positions else None
-    gout = att.gda_forward(X, params.gda, positions, tape) if params.use_gda else None
-    lout = att.lca_forward(X, params.lca, tape) if params.use_lca else None
+    cfg = params.cfg
+    positions = att.sinusoidal_positions(T, d) if cfg.use_positions else None
+    gout = att.gda_forward(X, params.gda, cfg, positions, tape) if cfg.use_gda else None
+    lout = att.lca_forward(X, params.lca, cfg, tape) if cfg.use_lca else None
     zero = Matrix.zeros(T, d)
     fused = att.dca_fuse(
         X,
@@ -124,21 +119,22 @@ class LossBreakdown:
     parts: hd.LossParts
 
 
-def forward_loss(X: Matrix, params: ModelParams, cfg: TrainConfig,
-                 gt_binary=None, tape: Tape | None = None) -> LossBreakdown:
+def forward_loss(X: Matrix, params: ModelParams, gt_binary=None,
+                 tape: Tape | None = None) -> LossBreakdown:
     """Full training-step forward: features, heads, and the objective
-    cls + cfg.alpha * repel + cfg.beta * recon, with the cls term exactly
-    when cfg.supervised.
+    cls + cfg.alpha * repel + cfg.beta * recon of cfg = params.cfg, with
+    the cls term exactly when cfg.supervised.
 
     gt_binary (0/1 per frame) is required exactly when cfg.supervised;
     unsupervised runs must not pass it, which makes "never reads labels"
     checkable at the call boundary.
     """
+    cfg = params.cfg
     if cfg.supervised and gt_binary is None:
         raise ContractError("supervised loss requires per-frame binary labels")
     out = forward_scores(X, params, tape)
     embeddings = hd.embed_frames(out.fused, params.heads, tape)
-    recon = hd.reconstruct_frames(out.fused, params.heads, tape)
+    recon = hd.reconstruct_frames(out.fused, params.heads, cfg, tape)
     cls = hd.bce_loss(out.scores, np.asarray(gt_binary, dtype=np.float64), tape) \
         if cfg.supervised else None
     parts = hd.LossParts(

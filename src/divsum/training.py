@@ -9,13 +9,13 @@ name, the optimizer moments, and the epoch counter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autograd as ag
-from .autograd import ContractError, Matrix, NumericError, Tape
-from .config import TrainConfig, config_from_text, config_to_text
+from .autograd import ContractError, Matrix, NumericError, ShapeError, Tape
+from .config import ConfigError, TrainConfig, config_from_text, config_to_text
 from .data import Reader, Writer
 from .model import PARAMETERS, ModelParams, forward_loss
 
@@ -37,8 +37,8 @@ def _xavier(rng, rows: int, cols: int) -> Matrix:
 
 def init_params(d: int, R: int, seed: int, cfg: TrainConfig | None = None) -> ModelParams:
     """Fresh model parameters, Xavier-uniform weights and zero biases, with
-    the architecture settings of `cfg` (default TrainConfig(neighbor_R=R)),
-    whose neighbor_R must be R.
+    the settings of `cfg` (default TrainConfig(neighbor_R=R)), whose
+    neighbor_R must be R.
 
     Weight draws happen in the named-parameter order (biases are zeros
     and consume no randomness), so the same seed always produces
@@ -182,7 +182,7 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
         for i in order:
             params.zero_grads()
             tape = Tape()
-            out = forward_loss(feats[i], params, cfg, labels[i], tape)
+            out = forward_loss(feats[i], params, labels[i], tape)
             loss = out.total.item()
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss {loss} on video {videos[i].id} "
@@ -209,27 +209,17 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
 # checkpoints
 
 
-def _settings(params: ModelParams) -> dict:
-    """The config keys a model carries, as it carries them (scale_q resolved)."""
-    return {"sim_kind": params.gda.sim_kind, "scale_q": params.gda.scale_q,
-            "neighbor_R": params.lca.neighbor_R, "lca_variant": params.lca.variant,
-            "window_boundary": params.lca.boundary,
-            "recon_final_sigmoid": params.heads.recon_final_sigmoid,
-            "use_positions": params.use_positions, "use_gda": params.use_gda,
-            "use_lca": params.use_lca}
-
-
 def save_checkpoint(path, params: ModelParams, state: AdamState, cfg: TrainConfig,
                     epoch: int):
-    """Refuses (ContractError) a config that describes another model than
-    `params`, and (NumericError) a non-finite parameter or moment."""
+    """Refuses (ContractError), naming the first differing key, a `cfg`
+    other than params.cfg, and (NumericError) a non-finite parameter or
+    moment."""
+    for key in (f.name for f in fields(TrainConfig)):
+        have, want = getattr(params.cfg, key), getattr(cfg, key)
+        if have != want:
+            raise ContractError(f"{path}: refusing to save a config with {key}={want!r} "
+                                f"for a model with {key}={have!r}")
     named = params.named_parameters()
-    have = _settings(params)
-    want = {**_settings(ModelParams.from_named(dict(named), cfg)), "neighbor_R": cfg.neighbor_R}
-    for key in have:
-        if have[key] != want[key]:
-            raise ContractError(f"{path}: refusing to save a config with {key}={want[key]!r} "
-                                f"for a model with {key}={have[key]!r}")
     for kind, arrays in (("parameter", [p.data for _, p in named]),
                          ("first moment of", state.m), ("second moment of", state.v)):
         for (name, _), a in zip(named, arrays):
@@ -246,8 +236,10 @@ def save_checkpoint(path, params: ModelParams, state: AdamState, cfg: TrainConfi
 
 
 def load_checkpoint(path):
-    """Returns (params, adam_state, config, epoch). Byte layout must match
-    what save_checkpoint wrote; any shortfall names the failing piece."""
+    """Returns (params, adam_state, config, epoch), where params.cfg is
+    config. Byte layout must match what save_checkpoint wrote; any
+    shortfall, bad config or misshapen matrix names the file and the
+    failing piece."""
     with open(path, "rb") as fh:
         r = Reader(fh, path)
         if r.take(4, "magic") != CHECKPOINT_MAGIC:
@@ -256,7 +248,10 @@ def load_checkpoint(path):
         if version != CHECKPOINT_VERSION:
             raise ContractError(f"{path}: checkpoint version {version}, "
                                 f"this build reads {CHECKPOINT_VERSION}")
-        cfg = config_from_text(r.string("config"))
+        try:
+            cfg = config_from_text(r.string("config"))
+        except ConfigError as e:
+            raise ConfigError(f"{path}: {e}") from None
         epoch, count = r.u32("epoch"), r.u32("parameter count")
         tensors: dict[str, np.ndarray] = {}
         for i, (name, _, _) in enumerate(PARAMETERS):  # each entry checked before its data
@@ -267,10 +262,11 @@ def load_checkpoint(path):
                                     f"this build")
             rows, cols = r.u32(f"{name} rows"), r.u32(f"{name} cols")
             tensors[name] = r.array("<f8", (rows, cols), f"{name} data")
-        params = ModelParams.from_named({n: Matrix._wrap(a) for n, a in tensors.items()}, cfg)
-        if params.lca.neighbor_R != cfg.neighbor_R:
-            raise ContractError(f"{path}: config has neighbor_R={cfg.neighbor_R}, "
-                                f"lca.rel_pos has {params.lca.rel_pos.rows} rows")
+        mats = {n: Matrix._wrap(a) for n, a in tensors.items()}
+        try:
+            params = ModelParams.from_named(mats, cfg)
+        except ShapeError as e:
+            raise ShapeError(f"{path}: {e}") from None
         step = r.u32("optimizer step")
         m = [r.array("<f8", a.shape, "first moments") for a in tensors.values()]
         v = [r.array("<f8", a.shape, "second moments") for a in tensors.values()]

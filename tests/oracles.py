@@ -303,13 +303,14 @@ def similarity_chain(Q, K, kind, scale_q, tape=None):
     return scale(sim, c, tape)
 
 
-def gda_chain(X, p, positions, tape=None):
+def gda_chain(X, p, cfg, positions, tape=None):
     """gda_forward as a chain of generic autograd ops: (features, weights)."""
     Xp = add(X, positions, tape) if positions is not None else X
     Q = matmul(Xp, p.Wq, tape)
     K = matmul(Xp, p.Wk, tape)
     V = matmul(X, p.Wv, tape)
-    At = column_softmax(similarity_chain(Q, K, p.sim_kind, p.scale_q, tape), tape)
+    scale_q = cfg.scale_q or float(p.Wq.rows)
+    At = column_softmax(similarity_chain(Q, K, cfg.sim_kind, scale_q, tape), tape)
     return matmul(transpose(At, tape), V, tape), At
 
 
@@ -377,7 +378,7 @@ def stack_rows(mats, tape=None):
                         for m, lo, hi in zip(mats, offsets[:-1], offsets[1:])))
 
 
-def lca_chain(X, p, tape=None):
+def lca_chain(X, p, cfg, tape=None):
     """lca_forward as a chain of generic autograd ops: (features, weights).
 
     Per window slot o it gathers the slot's query rows (zeroed past the
@@ -397,7 +398,7 @@ def lca_chain(X, p, tape=None):
     def shifted(M, o):
         src = np.arange(T) + o - R
         rows = gather_rows(M, np.clip(src, 0, T - 1), tape)
-        if p.boundary == "zero":
+        if cfg.window_boundary == "zero":
             rows = multiply(rows, Matrix(((src >= 0) & (src < T))[:, None]), tape)
         return rows
 
@@ -409,7 +410,7 @@ def lca_chain(X, p, tape=None):
         score_rows.append(transpose(score, tape))
     B = scale(stack_rows(score_rows, tape), 1.0 / np.sqrt(d), tape)
     weights = transpose(column_softmax(B, tape), tape)
-    if p.variant == "contextual":
+    if cfg.lca_variant == "contextual":
         features = None
         for o in range(span):
             slot = matmul(weights, Matrix((np.arange(span) == o)[:, None]), tape)
@@ -440,11 +441,11 @@ def embed_chain(Xt, h, tape=None):
     return affine_chain(h.embed, Xt, tape)
 
 
-def reconstruct_chain(Xt, h, tape=None):
+def reconstruct_chain(Xt, h, cfg, tape=None):
     """reconstruct_frames as a chain of generic autograd ops: 5 records,
     6 with the final sigmoid."""
     out = affine_chain(h.recon2, sigmoid(affine_chain(h.recon1, Xt, tape), tape), tape)
-    return sigmoid(out, tape) if h.recon_final_sigmoid else out
+    return sigmoid(out, tape) if cfg.recon_final_sigmoid else out
 
 
 def bce_chain(y, gt, tape=None, eps=1e-7):

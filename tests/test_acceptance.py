@@ -77,11 +77,11 @@ def test_criterion_01_gradient_correctness():
         gt[0], gt[1] = 0.0, 1.0
 
         def total() -> float:
-            return forward_loss(X, params, cfg, gt).total.item()
+            return forward_loss(X, params, gt).total.item()
 
         params.zero_grads()
         tape = Tape()
-        out = forward_loss(X, params, cfg, gt, tape)
+        out = forward_loss(X, params, gt, tape)
         ag.backward(out.total, tape)
         mats = [p for _, p in params.named_parameters()]
         idx, fd = oracles.finite_difference_sampled(total, mats, rng, per_mat=3)
@@ -129,9 +129,9 @@ def test_criterion_03_softmax_normalization():
         params = init_params(d, R, seed, TrainConfig(
             sim_kind=kind, neighbor_R=R, window_boundary=boundary))
         X = Matrix(rng.uniform(0.1, 1.0, size=(T, d)))
-        gout = gda_forward(X, params.gda, None)
+        gout = gda_forward(X, params.gda, params.cfg, None)
         worst = max(worst, np.abs(gout.weights.data.sum(axis=0) - 1.0).max())
-        lout = lca_forward(X, params.lca)
+        lout = lca_forward(X, params.lca, params.cfg)
         worst = max(worst, np.abs(lout.weights.data.sum(axis=1) - 1.0).max())
     assert worst < 1e-10, f"normalization off by {worst:.3e}"
     print(f"[PASS] criterion 3 softmax normalization: worst {worst:.2e}")
@@ -149,7 +149,7 @@ def test_criterion_04_literal_variant_collapse():
         params = init_params(d, R, seed, TrainConfig(
             neighbor_R=R, lca_variant="literal", window_boundary=boundary))
         X = Matrix(rng.normal(size=(T, d)))
-        out = lca_forward(X, params.lca)
+        out = lca_forward(X, params.lca, params.cfg)
         plain = X.data @ params.lca.Wv2.data
         worst = max(worst, np.abs(out.features.data - plain).max())
     assert worst < 1e-10, f"literal collapse off by {worst:.3e}"

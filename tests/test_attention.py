@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,30 +8,31 @@ from hypothesis import given, settings, strategies as st
 from divsum import attention as att
 from divsum import autograd as ag
 from divsum.autograd import ContractError, Matrix, NumericError, ShapeError, Tape
+from divsum.config import TrainConfig
 
 from . import oracles
 from .oracles import finite_difference_grads
 
 
 def make_gda(rng, d, kind="l2", scale_q=0.0):
-    return att.GdaParams(
+    """Global-path params and the config holding their settings."""
+    p = att.GdaParams(
         Wq=Matrix(rng.uniform(-1, 1, size=(d, d))),
         Wk=Matrix(rng.uniform(-1, 1, size=(d, d))),
         Wv=Matrix(rng.uniform(-1, 1, size=(d, d))),
-        sim_kind=kind,
-        scale_q=scale_q,
     )
+    return p, TrainConfig(sim_kind=kind, scale_q=scale_q)
 
 
 def make_lca(rng, d, R, variant="contextual", boundary="clamp"):
-    return att.LcaParams(
+    """Local-path params and the config holding their settings."""
+    p = att.LcaParams(
         Wq2=Matrix(rng.uniform(-1, 1, size=(d, d))),
         Wk2=Matrix(rng.uniform(-1, 1, size=(d, d))),
         Wv2=Matrix(rng.uniform(-1, 1, size=(d, d))),
         rel_pos=Matrix(rng.uniform(-1, 1, size=(2 * R + 1, d))),
-        variant=variant,
-        boundary=boundary,
     )
+    return p, TrainConfig(neighbor_R=R, lca_variant=variant, window_boundary=boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +124,9 @@ def test_similarity_rejects_unknown_kind_and_zero_rows():
 def test_gda_single_frame_attends_to_itself():
     rng = np.random.default_rng(8)
     d = 6
-    p = make_gda(rng, d, kind="dot")
+    p, cfg = make_gda(rng, d, kind="dot")
     X = Matrix(rng.uniform(-1, 1, size=(1, d)))
-    out = att.gda_forward(X, p, att.sinusoidal_positions(1, d))
+    out = att.gda_forward(X, p, cfg, att.sinusoidal_positions(1, d))
     np.testing.assert_allclose(out.features.data, X.data @ p.Wv.data, atol=1e-12)
     np.testing.assert_allclose(out.weights.data, [[1.0]], atol=1e-15)
 
@@ -133,9 +135,9 @@ def test_gda_single_frame_attends_to_itself():
 def test_gda_identical_rows_spread_uniformly(kind):
     rng = np.random.default_rng(9)
     d, T = 4, 5
-    p = make_gda(rng, d, kind=kind)
+    p, cfg = make_gda(rng, d, kind=kind)
     X = Matrix(np.tile(rng.uniform(0.1, 1, size=(1, d)), (T, 1)))
-    out = att.gda_forward(X, p, None)
+    out = att.gda_forward(X, p, cfg, None)
     np.testing.assert_allclose(out.weights.data, np.full((T, T), 1.0 / T), atol=1e-12)
 
 
@@ -143,12 +145,12 @@ def test_gda_identical_rows_spread_uniformly(kind):
 def test_gda_matches_naive_reference(kind):
     rng = np.random.default_rng(10)
     T, d = 6, 8
-    p = make_gda(rng, d, kind=kind)
+    p, cfg = make_gda(rng, d, kind=kind)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
     P = att.sinusoidal_positions(T, d)
-    out = att.gda_forward(X, p, P)
+    out = att.gda_forward(X, p, cfg, P)
     want_feat, want_wts = oracles.naive_global_attention(
-        X.data, p.Wq.data, p.Wk.data, p.Wv.data, kind, p.scale_q, positions=P.data
+        X.data, p.Wq.data, p.Wk.data, p.Wv.data, kind, d, positions=P.data
     )
     np.testing.assert_allclose(out.weights.data, want_wts, atol=1e-12)
     np.testing.assert_allclose(out.features.data, want_feat, atol=1e-12)
@@ -160,9 +162,9 @@ def test_gda_weight_columns_sum_to_one(seed, kind):
     rng = np.random.default_rng(seed)
     T = int(rng.integers(1, 9))
     d = int(rng.integers(2, 7)) * 2
-    p = make_gda(rng, d, kind=kind)
+    p, cfg = make_gda(rng, d, kind=kind)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
-    out = att.gda_forward(X, p, att.sinusoidal_positions(T, d))
+    out = att.gda_forward(X, p, cfg, att.sinusoidal_positions(T, d))
     np.testing.assert_allclose(out.weights.data.sum(axis=0), np.ones(T), atol=1e-10)
 
 
@@ -170,7 +172,7 @@ def test_gda_weight_columns_sum_to_one(seed, kind):
 def test_gda_grads_match_fd(kind):
     rng = np.random.default_rng(11)
     T, d = 6, 8
-    p = make_gda(rng, d, kind=kind)
+    p, cfg = make_gda(rng, d, kind=kind)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
     P = att.sinusoidal_positions(T, d)
     W = Matrix(rng.uniform(-1, 1, size=(T, d)))  # mixing weights, so grads are generic
@@ -178,7 +180,7 @@ def test_gda_grads_match_fd(kind):
 
     def run():
         tape = Tape()
-        out = att.gda_forward(X, p, P, tape)
+        out = att.gda_forward(X, p, cfg, P, tape)
         loss = oracles.sum_all(oracles.multiply(out.features, W, tape), tape)
         return loss, tape
 
@@ -194,11 +196,11 @@ def test_gda_grads_match_fd(kind):
 def test_gda_permutation_equivariant_without_positions():
     rng = np.random.default_rng(12)
     T, d = 7, 6
-    p = make_gda(rng, d, kind="l2")
+    p, cfg = make_gda(rng, d, kind="l2")
     X = rng.uniform(-1, 1, size=(T, d))
     perm = rng.permutation(T)
-    base = att.gda_forward(Matrix(X), p, None).features.data
-    shuffled = att.gda_forward(Matrix(X[perm]), p, None).features.data
+    base = att.gda_forward(Matrix(X), p, cfg, None).features.data
+    shuffled = att.gda_forward(Matrix(X[perm]), p, cfg, None).features.data
     unshuffled = np.empty_like(shuffled)
     unshuffled[perm] = shuffled
     np.testing.assert_allclose(unshuffled, base, atol=1e-12)
@@ -212,12 +214,12 @@ def test_forward_only_gda_equals_taped_gda_byte_for_byte(kind, T, positions):
     # product taken from a transposed view differs in the last bit
     rng = np.random.default_rng(T)
     d = 4
-    p = make_gda(rng, d, kind=kind)
+    p, cfg = make_gda(rng, d, kind=kind)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
     P = att.sinusoidal_positions(T, d) if positions else None
     x_bytes = X.data.tobytes()
-    bare = att.gda_forward(X, p, P)
-    taped = att.gda_forward(X, p, P, Tape())
+    bare = att.gda_forward(X, p, cfg, P)
+    taped = att.gda_forward(X, p, cfg, P, Tape())
     assert X.data.tobytes() == x_bytes
     assert bare.features.data.tobytes() == taped.features.data.tobytes()
     assert bare.weights.data.tobytes() == taped.weights.data.tobytes()
@@ -228,11 +230,11 @@ def test_forward_only_gda_equals_taped_gda_byte_for_byte(kind, T, positions):
 def test_forward_only_gda_holds_one_t_by_t_buffer(taped):
     T, d = 1000, 64
     rng = np.random.default_rng(0)
-    p = make_gda(rng, d)
+    p, cfg = make_gda(rng, d)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
     tracemalloc.start()
     try:
-        att.gda_forward(X, p, None, Tape() if taped else None)
+        att.gda_forward(X, p, cfg, None, Tape() if taped else None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -274,16 +276,16 @@ def test_gda_bytes_and_grads_equal_the_generic_op_chain(kind, T, positions, loss
     # d=4 keeps the products in the BLAS's small-matrix range
     rng = np.random.default_rng(T)
     d = 4
-    p = make_gda(rng, d, kind=kind)
+    p, cfg = make_gda(rng, d, kind=kind)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
     P = att.sinusoidal_positions(T, d) if positions else None
 
     def fused(tape):
-        out = att.gda_forward(X, p, P, tape)
+        out = att.gda_forward(X, p, cfg, P, tape)
         return out.features, out.weights
 
     mats = [p.Wq, p.Wk, p.Wv]
-    want = loss_grads(lambda tape: constant_weights(oracles.gda_chain(X, p, P, tape)), mats,
+    want = loss_grads(lambda tape: constant_weights(oracles.gda_chain(X, p, cfg, P, tape)), mats,
                       loss, np.random.default_rng(1))
     assert loss_grads(fused, mats, loss, np.random.default_rng(1)) == want
 
@@ -293,17 +295,17 @@ def test_gda_bytes_and_grads_equal_the_generic_op_chain(kind, T, positions, loss
 def test_gda_grads_add_onto_held_grads_as_the_op_chain_does(kind, positions):
     rng = np.random.default_rng(3)
     T, d = 7, 4
-    p = make_gda(rng, d, kind=kind)
+    p, cfg = make_gda(rng, d, kind=kind)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
     P = att.sinusoidal_positions(T, d) if positions else None
     mats = [p.Wq, p.Wk, p.Wv]
     held = [rng.normal(size=m.shape) for m in mats]
 
     def fused(tape):
-        out = att.gda_forward(X, p, P, tape)
+        out = att.gda_forward(X, p, cfg, P, tape)
         return out.features, out.weights
 
-    want = loss_grads(lambda tape: constant_weights(oracles.gda_chain(X, p, P, tape)), mats,
+    want = loss_grads(lambda tape: constant_weights(oracles.gda_chain(X, p, cfg, P, tape)), mats,
                       "both", np.random.default_rng(1), held)
     assert loss_grads(fused, mats, "both", np.random.default_rng(1), held) == want
 
@@ -325,24 +327,24 @@ def test_similarity_bytes_equal_the_generic_op_chain(kind, T):
 def test_gda_forward_makes_one_record(kind, positions):
     rng = np.random.default_rng(0)
     T, d = 5, 4
-    p = make_gda(rng, d, kind=kind)
+    p, cfg = make_gda(rng, d, kind=kind)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
     P = att.sinusoidal_positions(T, d) if positions else None
     tape = Tape()
-    att.gda_forward(X, p, P, tape)
+    att.gda_forward(X, p, cfg, P, tape)
     assert len(tape.records) == 1
-    att.gda_forward(X, p, P, tape)
+    att.gda_forward(X, p, cfg, P, tape)
     assert len(tape.records) == 2
 
 
 def test_gda_features_positions_and_weights_get_no_gradient():
     rng = np.random.default_rng(2)
     T, d = 6, 4
-    p = make_gda(rng, d)
+    p, cfg = make_gda(rng, d)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
     P = att.sinusoidal_positions(T, d)
     tape = Tape()
-    out = att.gda_forward(X, p, P, tape)
+    out = att.gda_forward(X, p, cfg, P, tape)
     ag.backward(oracles.sum_all(out.features, tape), tape)
     assert X.grad is None and P.grad is None and out.weights.grad is None
     assert all(m.grad is not None for m in (p.Wq, p.Wk, p.Wv))
@@ -361,18 +363,18 @@ def test_transpose_in_place_equals_the_copied_transpose(n):
 def test_literal_variant_collapses_to_value_projection():
     rng = np.random.default_rng(13)
     T, d, R = 9, 5, 2
-    p = make_lca(rng, d, R, variant="literal")
+    p, cfg = make_lca(rng, d, R, variant="literal")
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
-    out = att.lca_forward(X, p)
+    out = att.lca_forward(X, p, cfg)
     np.testing.assert_allclose(out.features.data, X.data @ p.Wv2.data, atol=1e-10)
 
 
 def test_contextual_identical_window_gives_value_projection():
     rng = np.random.default_rng(14)
     d, R = 4, 2
-    p = make_lca(rng, d, R)
+    p, cfg = make_lca(rng, d, R)
     X = Matrix(np.tile(rng.uniform(-1, 1, size=(1, d)), (7, 1)))
-    out = att.lca_forward(X, p)
+    out = att.lca_forward(X, p, cfg)
     np.testing.assert_allclose(out.features.data, X.data @ p.Wv2.data, atol=1e-10)
 
 
@@ -384,9 +386,9 @@ def test_lca_matches_naive_loops(variant, boundary, T):
     # reaches past at least one end
     rng = np.random.default_rng(15)
     d, R = 6, 2
-    p = make_lca(rng, d, R, variant=variant, boundary=boundary)
+    p, cfg = make_lca(rng, d, R, variant=variant, boundary=boundary)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
-    out = att.lca_forward(X, p)
+    out = att.lca_forward(X, p, cfg)
     want_feat, want_wts = oracles.naive_local_attention(
         X.data, p.Wq2.data, p.Wk2.data, p.Wv2.data, p.rel_pos.data, R, variant, boundary
     )
@@ -401,9 +403,9 @@ def test_lca_window_distributions_sum_to_one(seed, variant):
     T = int(rng.integers(1, 10))
     d = int(rng.integers(2, 7))
     R = int(rng.integers(1, 4))
-    p = make_lca(rng, d, R, variant=variant)
+    p, cfg = make_lca(rng, d, R, variant=variant)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
-    out = att.lca_forward(X, p)
+    out = att.lca_forward(X, p, cfg)
     assert out.weights.shape == (T, 2 * R + 1)
     np.testing.assert_allclose(out.weights.data.sum(axis=1), np.ones(T), atol=1e-10)
 
@@ -413,14 +415,14 @@ def test_lca_window_distributions_sum_to_one(seed, variant):
 def test_lca_grads_match_fd(variant, boundary):
     rng = np.random.default_rng(16)
     T, d, R = 5, 4, 1
-    p = make_lca(rng, d, R, variant=variant, boundary=boundary)
+    p, cfg = make_lca(rng, d, R, variant=variant, boundary=boundary)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
     W = Matrix(rng.uniform(-1, 1, size=(T, d)))
     params = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos]
 
     def run():
         tape = Tape()
-        out = att.lca_forward(X, p, tape)
+        out = att.lca_forward(X, p, cfg, tape)
         return oracles.sum_all(oracles.multiply(out.features, W, tape), tape), tape
 
     for m in params:
@@ -432,8 +434,8 @@ def test_lca_grads_match_fd(variant, boundary):
         np.testing.assert_allclose(m.grad, num, rtol=1e-4, atol=1e-6)
 
 
-def fused_lca(X, p, tape):
-    out = att.lca_forward(X, p, tape)
+def fused_lca(X, p, cfg, tape):
+    out = att.lca_forward(X, p, cfg, tape)
     return out.features, out.weights
 
 
@@ -445,15 +447,15 @@ def fused_lca(X, p, tape):
 @pytest.mark.parametrize("variant", att.LCA_VARIANTS)
 def test_lca_bytes_and_grads_equal_the_generic_op_chain(variant, boundary, T, R, d, loss):
     rng = np.random.default_rng(T)
-    p = make_lca(rng, d, R, variant=variant, boundary=boundary)
+    p, cfg = make_lca(rng, d, R, variant=variant, boundary=boundary)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
     x_bytes = X.data.tobytes()
-    bare = att.lca_forward(X, p)
+    bare = att.lca_forward(X, p, cfg)
     assert X.data.tobytes() == x_bytes
     mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos]
-    want = loss_grads(lambda tape: constant_weights(oracles.lca_chain(X, p, tape)), mats,
+    want = loss_grads(lambda tape: constant_weights(oracles.lca_chain(X, p, cfg, tape)), mats,
                       loss, np.random.default_rng(1))
-    assert loss_grads(lambda tape: fused_lca(X, p, tape), mats,
+    assert loss_grads(lambda tape: fused_lca(X, p, cfg, tape), mats,
                       loss, np.random.default_rng(1)) == want
     assert [bare.features.data.tobytes(), bare.weights.data.tobytes()] == want[:2]
 
@@ -463,13 +465,13 @@ def test_lca_bytes_and_grads_equal_the_generic_op_chain(variant, boundary, T, R,
 def test_lca_grads_add_onto_held_grads_as_the_op_chain_does(variant, boundary):
     rng = np.random.default_rng(3)
     T, d, R = 7, 4, 2
-    p = make_lca(rng, d, R, variant=variant, boundary=boundary)
+    p, cfg = make_lca(rng, d, R, variant=variant, boundary=boundary)
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
     mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos]
     held = [rng.normal(size=m.shape) for m in mats]
-    want = loss_grads(lambda tape: constant_weights(oracles.lca_chain(X, p, tape)), mats,
+    want = loss_grads(lambda tape: constant_weights(oracles.lca_chain(X, p, cfg, tape)), mats,
                       "both", np.random.default_rng(1), held)
-    assert loss_grads(lambda tape: fused_lca(X, p, tape), mats,
+    assert loss_grads(lambda tape: fused_lca(X, p, cfg, tape), mats,
                       "both", np.random.default_rng(1), held) == want
 
 
@@ -480,7 +482,7 @@ def test_lca_forward_makes_one_record(variant, boundary):
     X = Matrix(rng.uniform(-1, 1, size=(5, 4)))
     tape = Tape()
     for calls, R in enumerate((1, 2, 4), start=1):
-        att.lca_forward(X, make_lca(rng, 4, R, variant=variant, boundary=boundary), tape)
+        att.lca_forward(X, *make_lca(rng, 4, R, variant=variant, boundary=boundary), tape)
         assert len(tape.records) == calls
 
 
@@ -488,11 +490,11 @@ def test_lca_forward_makes_one_record(variant, boundary):
 @pytest.mark.parametrize("variant", att.LCA_VARIANTS)
 def test_lca_output_that_misses_the_loss_leaves_operand_grads_unset(variant, boundary):
     rng = np.random.default_rng(4)
-    p = make_lca(rng, 4, 2, variant=variant, boundary=boundary)
+    p, cfg = make_lca(rng, 4, 2, variant=variant, boundary=boundary)
     X = Matrix(rng.uniform(-1, 1, size=(6, 4)))
     mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos, X]
     tape = Tape()
-    att.lca_forward(X, p, tape)
+    att.lca_forward(X, p, cfg, tape)
     x = Matrix([[1.0, -2.0]])
     ag.backward(oracles.sum_all(oracles.scale(x, 2.0, tape), tape), tape)
     assert all(m.grad is None for m in mats)
@@ -501,17 +503,10 @@ def test_lca_output_that_misses_the_loss_leaves_operand_grads_unset(variant, bou
 def test_zero_boundary_policy_differs_from_clamp_at_edges():
     rng = np.random.default_rng(17)
     T, d, R = 5, 4, 2
-    clamped = make_lca(rng, d, R, boundary="clamp")
-    zeroed = att.LcaParams(
-        Wq2=Matrix(clamped.Wq2.data.copy()),
-        Wk2=Matrix(clamped.Wk2.data.copy()),
-        Wv2=Matrix(clamped.Wv2.data.copy()),
-        rel_pos=Matrix(clamped.rel_pos.data.copy()),
-        boundary="zero",
-    )
+    p, clamp = make_lca(rng, d, R, boundary="clamp")
     X = Matrix(rng.uniform(-1, 1, size=(T, d)))
-    out_c = att.lca_forward(X, clamped)
-    out_z = att.lca_forward(X, zeroed)
+    out_c = att.lca_forward(X, p, clamp)
+    out_z = att.lca_forward(X, p, replace(clamp, window_boundary="zero"))
     # interior anchor (h=2) has no padding, so the two policies agree there
     np.testing.assert_allclose(out_c.features.data[2], out_z.features.data[2], atol=1e-12)
     assert not np.allclose(out_c.features.data[0], out_z.features.data[0])
@@ -526,14 +521,11 @@ def test_lca_param_validation():
     with pytest.raises(ShapeError, match="got 3x3 with widths 2 and 3"):  # queries too narrow
         att.LcaParams(Wq2=Matrix(np.eye(3)[:, :2]), Wk2=eye(), Wv2=eye(),
                       rel_pos=Matrix(np.zeros((3, 3))))
-    with pytest.raises(ContractError):
-        att.LcaParams(Wq2=eye(), Wk2=eye(), Wv2=eye(), rel_pos=Matrix(np.zeros((3, 3))),
-                      variant="averaging")
 
 
 def test_lca_radius_is_read_off_rel_pos():
     for R in (1, 2, 5):
-        p = make_lca(np.random.default_rng(R), 3, R)
+        p, _ = make_lca(np.random.default_rng(R), 3, R)
         assert p.neighbor_R == R
     with pytest.raises(AttributeError):
         p.neighbor_R = 2
@@ -546,9 +538,9 @@ def test_attention_refuses_features_without_frames_or_of_the_wrong_dim(path, sha
     X = Matrix(np.zeros(shape))
     with pytest.raises(ShapeError, match=f"{path} attention .* got {shape[0]}x{shape[1]}"):
         if path == "global":
-            att.gda_forward(X, make_gda(rng, 4), None)
+            att.gda_forward(X, *make_gda(rng, 4), None)
         else:
-            att.lca_forward(X, make_lca(rng, 4, 1))
+            att.lca_forward(X, *make_lca(rng, 4, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from divsum import data as dat
-from divsum import evaluation
+from divsum import evaluation, segmentation
 from divsum.cli import main
 from divsum.config import TrainConfig, config_to_text
 from divsum.evaluation import EvalProtocol, human_baseline, random_baseline
@@ -631,6 +631,24 @@ def test_a_bad_budget_fails_with_one_line_before_any_fold_trains(tmp_path, datas
     out = tmp_path / "out.csv"
     assert run(*argv, str(out), "--data", str(dataset), "--epochs", "1",
                "--budget-ratio", budget) == 1
+    assert capsys.readouterr().err == (
+        f"error: budget_ratio must be in (0, 1], got {float(budget)}\n")
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("budget", ["0", "1.5", "nan"])
+def test_summarize_refuses_a_bad_budget_before_it_scores_a_video(tmp_path, dataset, capsys,
+                                                                 monkeypatch, budget):
+    ckpt, out = tmp_path / "run.ckpt", tmp_path / "sum.csv"
+    assert run("train", "--data", str(dataset), "--out", str(ckpt), "--epochs", "1",
+               "--radius", "1") == 0
+    calls = []
+    scores = segmentation.forward_scores
+    monkeypatch.setattr(segmentation, "forward_scores",
+                        lambda *args: calls.append(args) or scores(*args))
+    capsys.readouterr()
+    assert run("summarize", "--checkpoint", str(ckpt), "--data", str(dataset),
+               "--budget-ratio", budget, "--out", str(out)) == 1
     assert capsys.readouterr().err == (
         f"error: budget_ratio must be in (0, 1], got {float(budget)}\n")
     assert calls == [] and not out.exists()

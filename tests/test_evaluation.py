@@ -456,8 +456,8 @@ def test_evaluate_scores_test_videos_with_the_trained_paths(switch):
     cfg = quick_cfg(**{switch: False})
     report = ev.evaluate(videos, cfg, ev.EvalProtocol(folds=1, budget_ratio=0.3))
     params = train(videos, cfg).params
-    assert getattr(params, switch) is False
-    both_on = replace(params, **{switch: True})
+    assert getattr(params.cfg, switch) is False
+    both_on = replace(params, cfg=replace(cfg, **{switch: True}))
     for v in videos:
         detail = summarize_video(v, params, 0.3)
         assert report.per_video_tau[v.id] == ev.kendall_tau(detail.frame_scores, v.gt_scores)

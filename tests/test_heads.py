@@ -24,14 +24,13 @@ def affine(rng, rows, cols):
     )
 
 
-def make_heads(rng, d, recon_final_sigmoid=False):
+def make_heads(rng, d):
     return hd.HeadParams(
         score1=affine(rng, d, d),
         score2=affine(rng, d, 1),
         embed=affine(rng, d, d),
         recon1=affine(rng, d, d),
         recon2=affine(rng, d, d),
-        recon_final_sigmoid=recon_final_sigmoid,
     )
 
 
@@ -39,17 +38,23 @@ def col(values):
     return Matrix(np.reshape(values, (-1, 1)))
 
 
-def make_model(rng, d, R, sim="l2", variant="contextual"):
+def make_model(rng, d, R, **settings):
+    """A model of random matrices whose config is TrainConfig(neighbor_R=R, **settings)."""
     sq = lambda: Matrix(rng.uniform(-0.5, 0.5, size=(d, d)))
     return mdl.ModelParams(
-        gda=GdaParams(Wq=sq(), Wk=sq(), Wv=sq(), sim_kind=sim),
+        gda=GdaParams(Wq=sq(), Wk=sq(), Wv=sq()),
         lca=LcaParams(
             Wq2=sq(), Wk2=sq(), Wv2=sq(),
             rel_pos=Matrix(rng.uniform(-0.5, 0.5, size=(2 * R + 1, d))),
-            variant=variant,
         ),
         heads=make_heads(rng, d),
+        cfg=TrainConfig(neighbor_R=R, **settings),
     )
+
+
+def switched(params, **settings):
+    """params with the config keys `settings` changed."""
+    return replace(params, cfg=replace(params.cfg, **settings))
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +111,7 @@ def test_score_head_grads_match_fd():
 def test_head_params_validate_dimension_chain():
     cfg = TrainConfig(neighbor_R=1)
     mats = dict(init_params(4, 1, 0, cfg).named_parameters())
-    mats["heads.score2.W"], mats["heads.score2.b"] = Matrix.zeros(4, 2), Matrix.zeros(1, 2)
+    mats["heads.score2.W"] = Matrix.zeros(4, 2)
     # the score head must end in a single score column
     with pytest.raises(ShapeError, match="^heads.score2.W must be 4x1, got 4x2$"):
         mdl.ModelParams.from_named(mats, cfg)
@@ -120,6 +125,9 @@ def test_a_head_layer_refuses_an_input_of_the_wrong_width():
     broken = replace(h, score1=affine(rng, 4, 3))  # one column short of score2's rows
     with pytest.raises(ShapeError, match="affine input 3x3, weight 4x1"):
         hd.score_frames(Matrix(np.zeros((3, 4))), broken)
+    wide_bias = replace(h, score2=hd.Affine(W=h.score2.W, b=Matrix.zeros(1, 2)))
+    with pytest.raises(ShapeError, match="^bias must be 1x1, got 1x2$"):
+        hd.score_frames(Matrix(np.zeros((3, 4))), wide_bias)
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +305,14 @@ def test_loss_weights_must_be_nonnegative():
 def test_full_forward_loss_grads_match_fd():
     rng = np.random.default_rng(12)
     T, d, R = 4, 4, 1
-    params = make_model(rng, d, R)
+    params = make_model(rng, d, R, alpha=0.1, beta=1.0, supervised=True)
     X = Matrix(rng.uniform(-1, 1, (T, d)))
     gt = rng.integers(0, 2, size=T).astype(float)
-    cfg = TrainConfig(alpha=0.1, beta=1.0, supervised=True)
     mats = [p for _, p in params.named_parameters()]
 
     def run():
         tape = Tape()
-        out = mdl.forward_loss(X, params, cfg, gt, tape)
+        out = mdl.forward_loss(X, params, gt, tape)
         return out.total, tape
 
     params.zero_grads()
@@ -319,12 +326,12 @@ def test_full_forward_loss_grads_match_fd():
 
 def test_gradient_reaches_every_head():
     rng = np.random.default_rng(13)
-    params = make_model(rng, 4, 1)
+    params = make_model(rng, 4, 1, supervised=True)
     X = Matrix(rng.uniform(-1, 1, (5, 4)))
     gt = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
     params.zero_grads()
     tape = Tape()
-    out = mdl.forward_loss(X, params, TrainConfig(supervised=True), gt, tape)
+    out = mdl.forward_loss(X, params, gt, tape)
     ag.backward(out.total, tape)
     for name, m in params.named_parameters():
         assert np.any(m.grad != 0.0), f"no gradient reached {name}"
@@ -335,9 +342,9 @@ def test_forward_scores_ablation_toggles():
     params = make_model(rng, 4, 1)
     X = Matrix(rng.uniform(-1, 1, (5, 4)))
     both = mdl.forward_scores(X, params)
-    no_gda = mdl.forward_scores(X, replace(params, use_gda=False))
-    no_lca = mdl.forward_scores(X, replace(params, use_lca=False))
-    neither = mdl.forward_scores(X, replace(params, use_gda=False, use_lca=False))
+    no_gda = mdl.forward_scores(X, switched(params, use_gda=False))
+    no_lca = mdl.forward_scores(X, switched(params, use_lca=False))
+    neither = mdl.forward_scores(X, switched(params, use_gda=False, use_lca=False))
     assert no_gda.global_attention is None and no_gda.local_attention is not None
     np.testing.assert_allclose(
         no_gda.fused.data, X.data + no_gda.local_attention.features.data, atol=1e-12
@@ -351,26 +358,41 @@ def test_forward_scores_ablation_toggles():
 
 def test_forward_scores_refuses_features_without_frames():
     params = make_model(np.random.default_rng(22), 4, 1)
-    for switched in (params, replace(params, use_gda=False)):
+    for model in (params, switched(params, use_gda=False)):
         with pytest.raises(ShapeError, match="attention .* got 0x4"):
-            mdl.forward_scores(Matrix(np.zeros((0, 4))), switched)
+            mdl.forward_scores(Matrix(np.zeros((0, 4))), model)
 
 
 def test_supervised_forward_requires_labels():
     rng = np.random.default_rng(15)
-    params = make_model(rng, 4, 1)
+    params = make_model(rng, 4, 1, supervised=True)
     X = Matrix(rng.uniform(-1, 1, (4, 4)))
     with pytest.raises(ContractError):
-        mdl.forward_loss(X, params, TrainConfig(supervised=True), None)
+        mdl.forward_loss(X, params, None)
 
 
 def test_unsupervised_forward_needs_no_labels():
     rng = np.random.default_rng(16)
-    params = make_model(rng, 4, 1)
+    params = make_model(rng, 4, 1, supervised=False)
     X = Matrix(rng.uniform(-1, 1, (4, 4)))
-    out = mdl.forward_loss(X, params, TrainConfig(supervised=False), None)
+    out = mdl.forward_loss(X, params, None)
     assert out.parts.cls is None
     assert np.isfinite(out.total.item())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sim_kind", "cosine"), ("scale_q", 2.0), ("lca_variant", "literal"),
+    ("window_boundary", "zero"), ("recon_final_sigmoid", True), ("use_positions", False),
+    ("use_gda", False), ("use_lca", False),
+])
+def test_each_setting_reaches_the_model_from_its_config(key, value):
+    cfg = TrainConfig(neighbor_R=1)
+    X = Matrix(np.random.default_rng(23).uniform(-1, 1, (6, 4)))
+    gt = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+    base, other = (init_params(4, 1, 0, c) for c in (cfg, replace(cfg, **{key: value})))
+    assert other.cfg != base.cfg
+    totals = [mdl.forward_loss(X, model, gt).total.item() for model in (base, other)]
+    assert totals[0] != totals[1]
 
 
 def test_named_parameters_are_stable_and_complete():
@@ -403,8 +425,7 @@ def training_step(monkeypatch, chains, T, d, supervised, final_sigmoid=False, se
             for name, chain in CHAINS.items():
                 patch.setattr(hd, name, chain)
         rng = np.random.default_rng(seed)
-        params = make_model(rng, d, 2)
-        params.heads.recon_final_sigmoid = final_sigmoid
+        params = make_model(rng, d, 2, supervised=supervised, recon_final_sigmoid=final_sigmoid)
         X = Matrix(rng.normal(size=(T, d)))
         gt = rng.integers(0, 2, size=T).astype(float) if supervised else None
         mats = [m for _, m in params.named_parameters()]
@@ -414,7 +435,7 @@ def training_step(monkeypatch, chains, T, d, supervised, final_sigmoid=False, se
         else:
             params.zero_grads()
         tape = Tape()
-        out = mdl.forward_loss(X, params, TrainConfig(supervised=supervised), gt, tape)
+        out = mdl.forward_loss(X, params, gt, tape)
         ag.backward(out.total, tape)
     parts = [out.total, out.parts.repel, out.parts.recon] + [out.parts.cls] * supervised
     return tape, [m.data.tobytes() for m in parts] + [m.grad.tobytes() for m in mats]
@@ -459,13 +480,12 @@ def test_a_step_gives_the_features_and_attention_weights_no_gradient(monkeypatch
     for name in ("gda_forward", "lca_forward"):
         monkeypatch.setattr(att, name, kept(getattr(att, name)))
     rng = np.random.default_rng(5)
-    params = make_model(rng, 4, 2)
+    params = make_model(rng, 4, 2, supervised=supervised)
     X = Matrix(rng.normal(size=(7, 4)))
     gt = rng.integers(0, 2, size=7).astype(float) if supervised else None
     params.zero_grads()
     tape = Tape()
-    ag.backward(mdl.forward_loss(X, params, TrainConfig(supervised=supervised), gt,
-                                 tape).total, tape)
+    ag.backward(mdl.forward_loss(X, params, gt, tape).total, tape)
     assert len(outputs) == 2
     assert X.grad is None and all(out.weights.grad is None for out in outputs)
     assert np.any(params.gda.Wq.grad != 0.0) and np.any(params.lca.Wq2.grad != 0.0)
@@ -476,9 +496,13 @@ def test_a_step_gives_the_features_and_attention_weights_no_gradient(monkeypatch
                          ids=["score", "embed", "reconstruct"])
 def test_each_head_makes_one_record(head, final_sigmoid):
     rng = np.random.default_rng(3)
-    h = make_heads(rng, 4, recon_final_sigmoid=final_sigmoid)
+    h = make_heads(rng, 4)
+    X = Matrix(rng.normal(size=(5, 4)))
     tape = Tape()
-    head(Matrix(rng.normal(size=(5, 4))), h, tape)
+    if head is hd.reconstruct_frames:
+        head(X, h, TrainConfig(recon_final_sigmoid=final_sigmoid), tape)
+    else:
+        head(X, h, tape)
     assert len(tape.records) == 1
 
 

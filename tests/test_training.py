@@ -644,13 +644,13 @@ def test_ablated_model_summarizes_the_same_after_a_checkpoint(tmp_path):
     path = tmp_path / "nogda.ckpt"
     tr.save_checkpoint(path, result.params, result.state, cfg, epoch=result.epochs_run)
     loaded, *_ = tr.load_checkpoint(path)
-    assert loaded.use_gda is False and loaded.use_lca is True
+    assert loaded.cfg.use_gda is False and loaded.cfg.use_lca is True
     for v in videos:
         here = summarize_video(v, result.params, 0.3)
         there = summarize_video(v, loaded, 0.3)
         np.testing.assert_array_equal(there.frame_scores, here.frame_scores)
         np.testing.assert_array_equal(there.mask.frame_mask, here.mask.frame_mask)
-        gda_on = summarize_video(v, replace(loaded, use_gda=True), 0.3)
+        gda_on = summarize_video(v, replace(loaded, cfg=replace(loaded.cfg, use_gda=True)), 0.3)
         assert not np.array_equal(gda_on.frame_scores, here.frame_scores)
 
 
@@ -674,15 +674,15 @@ def test_checkpoint_config_must_follow_a_switched_model(tmp_path):
     params = tr.init_params(4, cfg.neighbor_R, 0, cfg)
     state = tr.AdamState.for_params(params)
     path = tmp_path / "run.ckpt"
+    no_gda = replace(params, cfg=replace(cfg, use_gda=False))
     # a default config would reload this model with GDA on
     with pytest.raises(ContractError, match="use_gda=True for a model with use_gda=False"):
-        tr.save_checkpoint(path, replace(params, use_gda=False), state, cfg, epoch=1)
-    tr.save_checkpoint(path, replace(params, use_gda=False), state,
-                       replace(cfg, use_gda=False), epoch=1)
-    assert tr.load_checkpoint(path)[0].use_gda is False
-    # scale_q=0 means the feature dim, so both spellings describe this model
-    tr.save_checkpoint(path, params, state, replace(cfg, scale_q=4.0), epoch=1)
-    assert tr.load_checkpoint(path)[2].scale_q == 4.0
+        tr.save_checkpoint(path, no_gda, state, cfg, epoch=1)
+    tr.save_checkpoint(path, no_gda, state, no_gda.cfg, epoch=1)
+    assert tr.load_checkpoint(path)[0].cfg.use_gda is False
+    # scale_q=0 resolves to the feature dim, but the config must be the model's own
+    with pytest.raises(ContractError, match="scale_q=4.0 for a model with scale_q=0.0"):
+        tr.save_checkpoint(path, params, state, replace(cfg, scale_q=4.0), epoch=1)
 
 
 def test_checkpoint_refuses_a_radius_its_relative_embeddings_disagree_with(tmp_path):
@@ -690,8 +690,33 @@ def test_checkpoint_refuses_a_radius_its_relative_embeddings_disagree_with(tmp_p
     blob = path.read_bytes()
     assert blob.count(b"neighbor_R=1\n") == 1
     path.write_bytes(blob.replace(b"neighbor_R=1\n", b"neighbor_R=2\n"))
-    with pytest.raises(ContractError, match="config has neighbor_R=2, lca.rel_pos has 3 rows"):
+    with pytest.raises(ShapeError, match=f"{path.name}: lca.rel_pos must be 5x4, got 3x4$"):
         tr.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("old, new, error, message", [
+    (b"epochs=1\n", b"epochs=0\n", ConfigError, "epochs must be >= 1, got 0"),
+    (b"use_gda=True\n", b"use_gdx=True\n", ConfigError, "unknown config key: 'use_gdx'"),
+    (b"use_gda=True\n", b"use_gda=mayb\n", ConfigError,
+     "use_gda: expected a boolean, got 'mayb'"),
+], ids=["epochs-0", "unknown-key", "not-a-boolean"])
+def test_a_checkpoint_config_refusal_names_the_file(tmp_path, old, new, error, message):
+    path, *_ = trained_state(tmp_path)
+    blob = path.read_bytes()
+    assert blob.count(old) == 1
+    path.write_bytes(blob.replace(old, new))
+    with pytest.raises(error) as refused:
+        tr.load_checkpoint(path)
+    assert str(refused.value) == f"{path}: {message}"
+
+
+def test_a_misshapen_checkpoint_matrix_refusal_names_the_file(tmp_path):
+    entries = model_entries()
+    entries[9] = ("heads.score2.W", np.zeros((4, 2)))
+    path = handmade_checkpoint(tmp_path / "wide.ckpt", tiny_cfg(), entries)
+    with pytest.raises(ShapeError) as refused:
+        tr.load_checkpoint(path)
+    assert str(refused.value) == f"{path}: heads.score2.W must be 4x1, got 4x2"
 
 
 def test_a_model_without_positions_runs_gda_on_the_raw_features():
@@ -699,12 +724,12 @@ def test_a_model_without_positions_runs_gda_on_the_raw_features():
     params = tr.init_params(4, cfg.neighbor_R, 0, cfg)
     X = Matrix(np.random.default_rng(0).uniform(size=(7, 4)))
     out = forward_scores(X, params)
-    gda = att.gda_forward(X, params.gda, None)
+    gda = att.gda_forward(X, params.gda, cfg, None)
     np.testing.assert_array_equal(out.global_attention.features.data, gda.features.data)
     np.testing.assert_array_equal(out.global_attention.weights.data, gda.weights.data)
-    fused = att.dca_fuse(X, gda.features, att.lca_forward(X, params.lca).features)
+    fused = att.dca_fuse(X, gda.features, att.lca_forward(X, params.lca, cfg).features)
     np.testing.assert_array_equal(out.scores.data, hd.score_frames(fused, params.heads).data)
-    with_positions = forward_scores(X, replace(params, use_positions=True))
+    with_positions = forward_scores(X, replace(params, cfg=replace(cfg, use_positions=True)))
     assert not np.array_equal(with_positions.scores.data, out.scores.data)
 
 
@@ -715,7 +740,7 @@ def test_a_checkpoint_keeps_a_model_without_positions(tmp_path):
     path = tmp_path / "nopos.ckpt"
     tr.save_checkpoint(path, result.params, result.state, cfg, epoch=result.epochs_run)
     loaded, _, got_cfg, _ = tr.load_checkpoint(path)
-    assert loaded.use_positions is False and got_cfg.use_positions is False
+    assert loaded.cfg.use_positions is False and got_cfg.use_positions is False
     for v in videos:
         np.testing.assert_array_equal(summarize_video(v, loaded, 0.3).frame_scores,
                                       summarize_video(v, result.params, 0.3).frame_scores)
@@ -739,7 +764,7 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
         for i in order:
             params.zero_grads()
             tape = Tape()
-            out = forward_loss(feats[i], params, cfg, labels[i], tape)
+            out = forward_loss(feats[i], params, labels[i], tape)
             ag.backward(out.total, tape)
             tr.adam_step(params, state, cfg)
 
