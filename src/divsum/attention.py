@@ -6,8 +6,8 @@ each column with softmax, and mixes value projections with the column
 weights. The local path restricts attention to a +/-R frame window around
 each anchor and adds learned relative-position embeddings to the keys.
 The parameter classes hold only matrices: both paths read their settings
-(similarity kind and scale, window variant and boundary) from the
-model's TrainConfig.
+(similarity kind and scale, window radius, variant and boundary) from
+the model's TrainConfig.
 
 Also houses the 2-D partition-map demonstration: color each point of a
 plane by which seed point wins the similarity argmax. With the l2
@@ -45,26 +45,13 @@ class GdaParams:
 
 @dataclass
 class LcaParams:
-    """Projections and relative embeddings of the local path. The window
-    radius R is not stored: rel_pos has 2R+1 rows, one per window slot,
-    and neighbor_R reads R off them. ModelParams checks the model's shapes
-    and R against its TrainConfig; this checks only the rel_pos arithmetic."""
+    """Projections and relative embeddings (one row per window slot) of the
+    local path. ModelParams and lca_forward check their shapes for cfg.neighbor_R."""
 
     Wq2: Matrix
     Wk2: Matrix
     Wv2: Matrix
     rel_pos: Matrix
-
-    def __post_init__(self):
-        # the keys are added to rel_pos rows and the queries dotted with them
-        e, (span, cols) = self.Wk2.cols, self.rel_pos.shape
-        if span < 3 or span % 2 == 0 or cols != e or self.Wq2.cols != e:
-            raise ShapeError(f"rel_pos must be (2R+1)xe with R >= 1 and e the width of Wq2 "
-                             f"and Wk2, got {span}x{cols} with widths {self.Wq2.cols} and {e}")
-
-    @property
-    def neighbor_R(self) -> int:
-        return (self.rel_pos.rows - 1) // 2
 
 
 @dataclass
@@ -263,7 +250,7 @@ def _row_window(a: np.ndarray, start: int, count: int):
 def lca_forward(X: Matrix, p: LcaParams, cfg: TrainConfig,
                 tape: Tape | None = None) -> AttentionOutput:
     """Windowed attention around every anchor frame, all anchors at once,
-    with cfg.lca_variant and cfg.window_boundary; R is p.neighbor_R.
+    with R = cfg.neighbor_R, cfg.lca_variant and cfg.window_boundary.
 
     Window slot o of anchor h holds frame h+o-R. Its score against the
     anchor is q_(h+o-R) . (k_h + a_|o-R|) / sqrt(d), and each anchor's
@@ -281,13 +268,18 @@ def lca_forward(X: Matrix, p: LcaParams, cfg: TrainConfig,
     One record for any variant, policy and R, adding gradient only to
     the projections and rel_pos. It repeats the op chain's numpy and BLAS
     calls: Wv2's share, the weights' gradient, rel_pos's shares slot by
-    slot, then Wk2's and Wq2's.
+    slot, then Wk2's and Wq2's. Refuses, naming the first, a matrix that
+    is not d x d (the projections) or (2R+1) x d (rel_pos).
     """
     if X.rows == 0 or X.cols != p.Wq2.rows:
         raise ShapeError(f"local attention needs T x {p.Wq2.rows} features with T >= 1, "
                          f"got {X.rows}x{X.cols}")
     T, d = X.shape
-    R, span = p.neighbor_R, p.rel_pos.rows
+    R, span = cfg.neighbor_R, 2 * cfg.neighbor_R + 1
+    for name, want in (("Wq2", (d, d)), ("Wk2", (d, d)), ("Wv2", (d, d)), ("rel_pos", (span, d))):
+        got = getattr(p, name).shape
+        if got != want:
+            raise ShapeError(f"lca.{name} must be {want[0]}x{want[1]}, got {got[0]}x{got[1]}")
     x, wq, wk, wv, rel = X.data, p.Wq2.data, p.Wk2.data, p.Wv2.data, p.rel_pos.data
     q, k, v = x @ wq, x @ wk, x @ wv
 
@@ -367,8 +359,9 @@ class GridSpec:
     ny: int = 200
 
     def __post_init__(self):
-        if min(self.nx, self.ny) < 1:
-            raise ContractError(f"grid sizes must be >= 1, got {self.nx} x {self.ny}")
+        top = np.iinfo(np.intp).max  # the largest size numpy can index
+        if not 1 <= min(self.nx, self.ny) <= max(self.nx, self.ny) <= top:
+            raise ContractError(f"grid sizes must be in [1, {top}], got {self.nx} x {self.ny}")
 
 
 def partition_map(points, kind: str, grid: GridSpec = GridSpec()):

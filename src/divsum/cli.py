@@ -247,9 +247,10 @@ def cmd_partition_map(args) -> int:
     if args.points:
         pts = _parse_points(args.points)
     else:
-        for flag, value in (("--seed", args.seed), ("--num-points", args.num_points)):
-            if value < 0:
-                raise ContractError(f"{flag} must be >= 0, got {value}")
+        for flag, value, top in (("--seed", args.seed, np.inf),
+                                 ("--num-points", args.num_points, np.iinfo(np.intp).max)):
+            if not 0 <= value <= top:
+                raise ContractError(f"{flag} must be in [0, {top}], got {value}")
         rng = np.random.default_rng(args.seed)
         pts = rng.uniform(0.1, 0.9, size=(args.num_points, 2))
     grid = GridSpec(nx=args.grid_size, ny=args.grid_size)

@@ -336,8 +336,10 @@ def _repeated(names) -> str:
 
 
 def _is_file_name(name: str) -> bool:
-    """Whether `name` names a file inside a dataset directory."""
-    return name not in ("", ".", "..") and not any(c in name for c in ("/", "\\", "\0"))
+    """Whether `name` is UTF-8 text naming a file inside a dataset
+    directory. Lone surrogates are the only characters UTF-8 cannot encode."""
+    return name not in ("", ".", "..") and not any(
+        c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in name)
 
 
 def save_dataset(directory, records: list[VideoRecord], name: str,
@@ -493,8 +495,11 @@ class SynthSpec:
     name: str = "synth"
 
     def __post_init__(self):
-        if min(self.videos, self.frames, self.dim, self.shots_per_video) < 1:
-            raise DataFormatError("synthetic sizes must all be positive")
+        top = np.iinfo(np.intp).max  # the largest size numpy can index
+        for key in ("videos", "frames", "dim", "shots_per_video"):
+            if not 1 <= getattr(self, key) <= top:
+                raise DataFormatError(f"synthetic {key} must be in [1, {top}], "
+                                      f"got {getattr(self, key)}")
         if self.shots_per_video * 2 > self.frames:
             raise DataFormatError(
                 f"cannot fit {self.shots_per_video} shots of >= 2 frames into {self.frames}"

@@ -389,7 +389,7 @@ def lca_chain(X, p, cfg, tape=None):
     each times its weight column (picked by a one-hot product); the
     literal one scales the value rows by the summed weights."""
     T, d = X.shape
-    R = p.neighbor_R
+    R = cfg.neighbor_R
     span = 2 * R + 1
     Q = matmul(X, p.Wq2, tape)
     K = matmul(X, p.Wk2, tape)

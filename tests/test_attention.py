@@ -515,20 +515,26 @@ def test_zero_boundary_policy_differs_from_clamp_at_edges():
 
 def test_lca_param_validation():
     eye = lambda: Matrix(np.eye(3))
-    for rows, cols in ((4, 3), (1, 3), (5, 2)):  # even, R = 0, wrong width
-        with pytest.raises(ShapeError):
-            att.LcaParams(Wq2=eye(), Wk2=eye(), Wv2=eye(), rel_pos=Matrix(np.zeros((rows, cols))))
-    with pytest.raises(ShapeError, match="got 3x3 with widths 2 and 3"):  # queries too narrow
-        att.LcaParams(Wq2=Matrix(np.eye(3)[:, :2]), Wk2=eye(), Wv2=eye(),
+    X = Matrix(np.random.default_rng(5).uniform(-1, 1, size=(4, 3)))
+    for rows, cols, R in ((4, 3, 1), (1, 3, 1), (5, 2, 2)):  # even, R = 0, wrong width
+        p = att.LcaParams(Wq2=eye(), Wk2=eye(), Wv2=eye(), rel_pos=Matrix(np.zeros((rows, cols))))
+        want = f"lca.rel_pos must be {2 * R + 1}x3, got {rows}x{cols}"
+        with pytest.raises(ShapeError, match=want):
+            att.lca_forward(X, p, TrainConfig(neighbor_R=R))
+    p = att.LcaParams(Wq2=Matrix(np.eye(3)[:, :2]), Wk2=eye(), Wv2=eye(),  # queries too narrow
                       rel_pos=Matrix(np.zeros((3, 3))))
+    with pytest.raises(ShapeError, match="lca.Wq2 must be 3x3, got 3x2"):
+        att.lca_forward(X, p, TrainConfig(neighbor_R=1))
 
 
-def test_lca_radius_is_read_off_rel_pos():
-    for R in (1, 2, 5):
-        p, _ = make_lca(np.random.default_rng(R), 3, R)
-        assert p.neighbor_R == R
-    with pytest.raises(AttributeError):
-        p.neighbor_R = 2
+@pytest.mark.parametrize("rows, R", [(3, 3), (5, 1)])
+def test_lca_refuses_rel_pos_rows_its_config_radius_disagrees_with(rows, R):
+    rng = np.random.default_rng(rows)
+    p, _ = make_lca(rng, 4, (rows - 1) // 2)
+    X = Matrix(rng.uniform(-1, 1, size=(6, 4)))
+    with pytest.raises(ShapeError, match=f"lca.rel_pos must be {2 * R + 1}x4, got {rows}x4"):
+        att.lca_forward(X, p, TrainConfig(neighbor_R=R))
+    assert att.lca_forward(X, p, TrainConfig(neighbor_R=(rows - 1) // 2)).weights.shape == (6, rows)
 
 
 @pytest.mark.parametrize("path", ["global", "local"])

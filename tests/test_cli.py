@@ -404,6 +404,15 @@ def test_synth_refuses_a_name_that_leaves_the_dataset(tmp_path, capsys, monkeypa
     assert list(tmp_path.rglob("*")) == []
 
 
+def test_synth_refuses_a_name_that_is_not_utf8_text(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # "a\udcff" is how Python decodes the command-line bytes b"a\xff"
+    assert run("synth", "--out", "ds", "--name", "a\udcff") == 1
+    assert capsys.readouterr().err == (
+        "error: video id 'a\\udcff_000' is not a file name in the dataset\n")
+    assert list(tmp_path.rglob("*")) == []
+
+
 def test_summarize_names_a_missing_checkpoint_parameter(tmp_path, dataset, capsys):
     cfg_raw = config_to_text(TrainConfig()).encode("utf-8")
     ckpt = tmp_path / "empty.ckpt"
@@ -584,10 +593,16 @@ def test_non_utf8_config_file_fails_cleanly(tmp_path, dataset, capsys):
     (["synth", "--frames", "40", "--shots", "4", "--dim", "10000000000000"],
      "error: synth: out of memory: "),
     (["partition-map", "--grid-size", "4000000"], "error: partition-map: out of memory: "),
+    # sizes past the largest size numpy can index (2**63 - 1 on 64-bit builds)
+    (["synth", "--frames", "10000000000000000000"], "synthetic frames must be in [1, "),
+    (["synth", "--dim", "100000000000000000000"], "synthetic dim must be in [1, "),
+    (["partition-map", "--grid-size", "100000000000000000000"], "grid sizes must be in [1, "),
+    (["partition-map", "--num-points", "100000000000000000000"], "--num-points must be in [0, "),
 ], ids=["synth-seed", "synth-users", "synth-noise", "synth-budget-ratio", "evaluate-split-seed",
         "partition-map-seed", "partition-map-num-points", "partition-map-grid-size",
         "ablate-repeats-0", "ablate-repeats-negative", "synth-dim-too-large",
-        "partition-map-grid-too-large"])
+        "partition-map-grid-too-large", "synth-frames-past-index", "synth-dim-past-index",
+        "partition-map-grid-past-index", "partition-map-num-points-past-index"])
 def test_out_of_range_numbers_fail_with_one_line(tmp_path, dataset, capsys, argv, setting):
     out = ["--out", str(tmp_path / "out")] if argv[0] != "evaluate" else []
     assert run(*[a.format(data=dataset) for a in argv], *out) == 1
@@ -609,13 +624,14 @@ def test_a_manifest_entry_holding_nul_fails_with_one_line(tmp_path, dataset, cap
                "--radius", "1") == 0
     manifest = Path("ds/manifest.json")
     raw = json.loads(manifest.read_text())
-    manifest.write_text(json.dumps({**raw, "videos": raw["videos"] + ["a\u0000.dsv"]}))
+    entries = ["a\u0000.dsv", "\ud800.dsv"]  # NUL, and a lone surrogate UTF-8 cannot encode
+    manifest.write_text(json.dumps({**raw, "videos": raw["videos"] + entries}))
     saved = file_bytes(tmp_path)
     capsys.readouterr()
     assert run(*argv, "--data", "ds") == 1
     assert capsys.readouterr().err == (
         f"error: {manifest}: manifest entries are not file names in its directory: "
-        "'a\\x00.dsv'\n")
+        "'a\\x00.dsv', '\\ud800.dsv'\n")
     assert file_bytes(tmp_path) == saved
 
 

@@ -158,7 +158,7 @@ def test_init_refuses_a_radius_its_config_disagrees_with(tmp_path):
     with pytest.raises(ContractError, match="R=3, the config has neighbor_R=2"):
         tr.init_params(8, 3, 0, TrainConfig())
     params = tr.init_params(8, 3, 0)  # no config: one with neighbor_R=3
-    assert params.lca.neighbor_R == 3
+    assert (params.cfg.neighbor_R, params.lca.rel_pos.rows) == (3, 7)
     tr.save_checkpoint(tmp_path / "r3.ckpt", params, tr.AdamState.for_params(params),
                        TrainConfig(neighbor_R=3), epoch=0)
 
