@@ -148,10 +148,15 @@ def pairwise_similarity(Q: Matrix, K: Matrix, kind: str, scale_q: float) -> Matr
 def _softmax_columns(s: np.ndarray) -> np.ndarray:
     """Softmax over each column of `s`, in place. The shift, exp and
     divide run in the order of the three-temporary formula, so the bytes
-    equal it; the gradient map is s * (g - (g * s).sum(axis=0))."""
-    if not np.all(np.isfinite(s)):
+    equal it; the gradient map is s * (g - (g * s).sum(axis=0)).
+
+    NaN and +Inf show in the column maxima and -Inf in the minima, so
+    those two passes refuse a non-finite input before `s` is touched.
+    """
+    mx = s.max(axis=0, keepdims=True)
+    if not (np.all(np.isfinite(mx)) and np.all(np.isfinite(s.min(axis=0)))):
         raise NumericError("column_softmax: input contains NaN or Inf")
-    s -= s.max(axis=0, keepdims=True)
+    s -= mx
     np.exp(s, out=s)
     s /= s.sum(axis=0, keepdims=True)
     return s
@@ -175,6 +180,16 @@ def _transpose_in_place(s: np.ndarray) -> np.ndarray:
     return s
 
 
+def _check_shapes(layer: str, p, want):
+    """Refuse, naming the first, a matrix of `p` whose shape is not the one
+    `want` pairs with its name."""
+    for name, shape in want:
+        got = getattr(p, name).shape
+        if got != shape:
+            raise ShapeError(f"{layer}.{name} must be {shape[0]}x{shape[1]}, "
+                             f"got {got[0]}x{got[1]}")
+
+
 def gda_forward(X: Matrix, p: GdaParams, cfg: TrainConfig, positions: Matrix | None,
                 tape: Tape | None = None) -> AttentionOutput:
     """Global attention over all frame pairs, scored with cfg.sim_kind
@@ -191,11 +206,14 @@ def gda_forward(X: Matrix, p: GdaParams, cfg: TrainConfig, positions: Matrix | N
     on the copied transpose (a transposed view's product can differ in
     the last bit), then transposed back to hold the weights. The
     backward repeats the chain's numpy and BLAS calls: Wv's share, the
-    weights' gradient, then Wk's and Wq's shares.
+    weights' gradient, then Wk's and Wq's shares. Refuses, naming the
+    first, a projection that is not d x d.
     """
     if X.rows == 0 or X.cols != p.Wq.rows:
         raise ShapeError(f"global attention needs T x {p.Wq.rows} features with T >= 1, "
                          f"got {X.rows}x{X.cols}")
+    d = X.cols
+    _check_shapes("gda", p, (("Wq", (d, d)), ("Wk", (d, d)), ("Wv", (d, d))))
     x = xp = X.data
     if positions is not None:
         if positions.shape != X.shape:
@@ -276,10 +294,8 @@ def lca_forward(X: Matrix, p: LcaParams, cfg: TrainConfig,
                          f"got {X.rows}x{X.cols}")
     T, d = X.shape
     R, span = cfg.neighbor_R, 2 * cfg.neighbor_R + 1
-    for name, want in (("Wq2", (d, d)), ("Wk2", (d, d)), ("Wv2", (d, d)), ("rel_pos", (span, d))):
-        got = getattr(p, name).shape
-        if got != want:
-            raise ShapeError(f"lca.{name} must be {want[0]}x{want[1]}, got {got[0]}x{got[1]}")
+    _check_shapes("lca", p, (("Wq2", (d, d)), ("Wk2", (d, d)), ("Wv2", (d, d)),
+                             ("rel_pos", (span, d))))
     x, wq, wk, wv, rel = X.data, p.Wq2.data, p.Wk2.data, p.Wv2.data, p.rel_pos.data
     q, k, v = x @ wq, x @ wk, x @ wv
 

@@ -5,10 +5,14 @@ loss = classification + alpha * repelling + beta * reconstruction (the
 classification term only in supervised mode). Checkpoints are a versioned
 little-endian binary: config text, every parameter matrix shape-tagged by
 name, the optimizer moments, and the epoch counter.
+
+On glibc, `train` keeps freed heap memory mapped for the rest of the
+process (`_keep_freed_heap`), so each step reuses the last step's pages.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -25,6 +29,12 @@ ADAM_EPS = 1e-8
 # Entries per in-place Adam block: the block's slices of the parameter,
 # gradient, both moments and two scratch buffers (6 x 256 KiB) fit in L2.
 _ADAM_BLOCK = 32768
+
+# glibc's mallopt parameters, and the ceiling its own dynamic mmap threshold
+# stops at on 64-bit
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 << 20
 
 CHECKPOINT_MAGIC = b"DSCK"
 CHECKPOINT_VERSION = 1
@@ -130,6 +140,26 @@ def adam_step(params: ModelParams, state: AdamState, cfg: TrainConfig):
                 w -= a
 
 
+def _keep_freed_heap() -> None:
+    """Tell glibc's allocator to serve arrays under 32 MiB from the heap and
+    never to trim it, so a training step reuses the pages the last step
+    freed instead of faulting them in again. Process-wide and permanent.
+
+    The mmap threshold goes first: either call turns off glibc's dynamic
+    thresholds, and the trim setting alone would leave the mmap threshold
+    at 128 KiB, so every T x T array would be mapped and unmapped per
+    step. Without mallopt (not glibc) nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: Windows loads no CDLL(None)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX) == 1:
+        mallopt(_M_TRIM_THRESHOLD, -1)
+
+
 @dataclass
 class TrainResult:
     params: ModelParams
@@ -150,6 +180,10 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
     are never read. Optional early stop ends training once the mean loss
     stops improving by min_delta for patience epochs. A non-finite loss
     raises NumericError (epochs count from 0, as in the history CSV).
+
+    On glibc, it sets the process's allocator to keep freed heap memory
+    mapped from then on (`_keep_freed_heap`), so RSS does not shrink after
+    it returns.
     """
     if not videos:
         raise ContractError("cannot train on an empty video set")
@@ -165,6 +199,7 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
         if missing:
             raise ContractError(f"supervised training needs labels; missing on {missing}")
 
+    _keep_freed_heap()
     params = init_params(d, cfg.neighbor_R, cfg.seed, cfg)
     state = AdamState.for_params(params)
     order = np.random.default_rng(cfg.seed).permutation(len(videos))

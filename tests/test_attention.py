@@ -527,6 +527,42 @@ def test_lca_param_validation():
         att.lca_forward(X, p, TrainConfig(neighbor_R=1))
 
 
+def test_gda_refuses_projections_that_are_not_d_by_d():
+    rng = np.random.default_rng(24)
+    X = Matrix(rng.uniform(-1, 1, size=(5, 4)))
+    for name, bad in (("Wq", (4, 3)), ("Wk", (4, 3)), ("Wv", (4, 2))):
+        p, cfg = make_gda(rng, 4)
+        setattr(p, name, Matrix(rng.uniform(-1, 1, size=bad)))
+        with pytest.raises(ShapeError, match=f"gda.{name} must be 4x4, got {bad[0]}x{bad[1]}"):
+            att.gda_forward(X, p, cfg, None)
+
+
+@pytest.mark.parametrize("layer", ["gda", "lca"])
+@pytest.mark.parametrize("bad", ["nan", "+inf", "-inf", "-inf column"])
+def test_column_softmax_refuses_non_finite_scores_before_touching_them(monkeypatch, layer, bad):
+    # each layer's scores, with one bad entry (or column) planted on the way in
+    real, seen = att._softmax_columns, []
+
+    def planted(s):
+        if bad == "-inf column":
+            s[:, 1] = -np.inf
+        else:
+            s[0, 1] = float(bad)
+        seen.append((s, s.copy()))
+        return real(s)
+
+    monkeypatch.setattr(att, "_softmax_columns", planted)
+    rng = np.random.default_rng(25)
+    X = Matrix(rng.uniform(-1, 1, size=(6, 4)))
+    with pytest.raises(NumericError, match="column_softmax: input contains NaN or Inf"):
+        if layer == "gda":
+            att.gda_forward(X, *make_gda(rng, 4), None)
+        else:
+            att.lca_forward(X, *make_lca(rng, 4, 1))
+    [(s, before)] = seen
+    assert s.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("rows, R", [(3, 3), (5, 1)])
 def test_lca_refuses_rel_pos_rows_its_config_radius_disagrees_with(rows, R):
     rng = np.random.default_rng(rows)

@@ -1,5 +1,11 @@
+import ctypes
 import gc
+import json
+import os
+import platform
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -330,6 +336,91 @@ def test_train_loss_decreases_on_easy_data():
     videos = tiny_videos(n=2, T=12, d=4)
     result = tr.train(videos, tiny_cfg(epochs=25, learning_rate=3e-3))
     assert result.history[-1] < result.history[0]
+
+
+def result_bytes(result: tr.TrainResult) -> list[bytes]:
+    """Every parameter, both moments and the history of a training run."""
+    arrays = [p.data for _, p in result.params.named_parameters()] + result.state.m \
+        + result.state.v
+    return [a.tobytes() for a in arrays] + [np.array(result.history).tobytes()]
+
+
+# Minor faults of three train() calls after an identical warm-up call.
+FAULT_PROBE = """
+import json, resource
+from divsum import training as tr
+from divsum.config import TrainConfig
+from divsum.data import SynthSpec, synth_generate
+videos = [synth_generate(SynthSpec(videos=1, frames=T, dim=32, shots_per_video=3, seed=i,
+                                   name=f"v{i}"))[0] for i, T in enumerate((400, 300, 350))]
+cfg = TrainConfig(learning_rate=1e-3, weight_decay=0.0, epochs=2, neighbor_R=1, seed=0)
+tr.train(videos, cfg)
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    tr.train(videos, cfg)
+    faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator setting is glibc's")
+def test_a_repeated_train_call_faults_in_no_fresh_pages():
+    # Each step frees and rebuilds the same T x T arrays: a trimmed heap
+    # faults them in again (thousands of faults a call), a kept one reuses
+    # its pages. The probe runs in a fresh interpreter, because the large
+    # arrays earlier tests freed raise glibc's dynamic thresholds, which
+    # can stop the trimming without this setting. A kept heap can still
+    # grow once, by about one T x T array, on some later call as its free
+    # chunks settle, so the median of the three calls is taken.
+    src = str(Path(tr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    faults = json.loads(run.stdout)
+    assert sorted(faults)[1] < 100, faults
+
+
+class FakeLibc:
+    """A C library whose mallopt records its calls and returns `answer`."""
+
+    def __init__(self, answer):
+        self.calls = []
+
+        def mallopt(param, value):  # a function, so the code under test can declare its types
+            self.calls.append((param, value))
+            return answer
+
+        self.mallopt = mallopt
+
+
+@pytest.mark.parametrize("answer, calls", [
+    (1, [(-3, 32 << 20), (-1, -1)]),  # mmap threshold first, then never trim
+    (0, [(-3, 32 << 20)]),  # a refused mmap threshold leaves trimming on
+])
+def test_train_sets_the_mmap_threshold_before_the_trim_threshold(monkeypatch, answer, calls):
+    libc = FakeLibc(answer)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    tr.train(tiny_videos(), tiny_cfg())
+    assert libc.calls == calls
+
+
+class NoMallopt:
+    def __init__(self, name):
+        pass
+
+
+def no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("loader", [NoMallopt, no_c_library], ids=["no-mallopt", "no-library"])
+def test_train_without_mallopt_gives_the_same_bytes(monkeypatch, loader):
+    videos, cfg = tiny_videos(), tiny_cfg()
+    want = result_bytes(tr.train(videos, cfg))
+    monkeypatch.setattr(ctypes, "CDLL", loader)
+    assert result_bytes(tr.train(videos, cfg)) == want
 
 
 def test_train_rejects_empty_and_mixed_dims():
