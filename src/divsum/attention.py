@@ -237,7 +237,7 @@ def gda_forward(X: Matrix, p: GdaParams, cfg: TrainConfig, positions: Matrix | N
         yield xp.T @ gk
         yield xp.T @ gq
 
-    features = ag._record(tape, mixed, ((p.Wv, p.Wk, p.Wq), shares))
+    features = ag._record(tape, mixed, (p.Wv, p.Wk, p.Wq), shares)
     return AttentionOutput(features=features, weights=Matrix._wrap(w))
 
 
@@ -345,7 +345,7 @@ def lca_forward(X: Matrix, p: LcaParams, cfg: TrainConfig,
             yield share
         yield from (x.T @ gk, x.T @ gq)
 
-    features = ag._record(tape, mixed, ((p.Wv2, *(p.rel_pos,) * span, p.Wk2, p.Wq2), shares))
+    features = ag._record(tape, mixed, (p.Wv2, *(p.rel_pos,) * span, p.Wk2, p.Wq2), shares)
     return AttentionOutput(features=features, weights=Matrix._wrap(w))
 
 
@@ -356,7 +356,7 @@ def dca_fuse(X: Matrix, Xg: Matrix, Xl: Matrix, tape: Tape | None = None) -> Mat
         raise ShapeError(
             f"fusion operands differ: {X.shape} vs {Xg.shape} vs {Xl.shape}"
         )
-    return ag._record(tape, X.data + Xg.data + Xl.data, ((Xl, Xg), lambda g: (g, g)))
+    return ag._record(tape, X.data + Xg.data + Xl.data, (Xl, Xg), lambda g: (g, g))
 
 
 # ---------------------------------------------------------------------------

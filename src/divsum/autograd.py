@@ -14,8 +14,8 @@ and attention weights are constants.
 
 Conventions:
   * all values are float64, all shapes strictly 2-D
-  * gradients accumulate across uses of a matrix; callers zero them
-    between optimizer steps
+  * a gradient is None until a record reaches its matrix, then the sum
+    of the shares backward gave it; nothing zero-fills it
   * while a tape is alive, layer operands and outputs must not be
     mutated in place (the recorded closures keep references, not copies)
 
@@ -28,7 +28,7 @@ tape, a layer adds its records; with ``tape=None`` it adds none and
 runs the same code to the same forward values. A record adds to an
 operand's gradient only once a gradient has reached the record's
 output, so an operand whose results never reach the loss keeps
-``.grad`` as it was (None, if never zeroed). A recorded result is never
+``.grad`` as it was (None, if cleared). A recorded result is never
 mutated.
 """
 
@@ -95,9 +95,6 @@ class Matrix:
             raise ShapeError(f"item() needs a 1x1 matrix, got {self.rows}x{self.cols}")
         return float(self.data[0, 0])
 
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
@@ -119,9 +116,10 @@ class Tape:
 
 
 def _accum(m: Matrix, g: np.ndarray):
-    if m.grad is None:
-        m.grad = np.zeros_like(m.data)
-    m.grad += g
+    if m.grad is None:  # adopt the bytes of 0.0 + g, C-ordered in a fresh buffer
+        m.grad = np.add(g, 0.0, out=np.empty_like(m.data))
+    else:
+        m.grad += g
 
 
 def backward(loss: Matrix, tape: Tape):
@@ -129,7 +127,7 @@ def backward(loss: Matrix, tape: Tape):
 
     `loss` must be 1x1 and must have been produced through `tape`.
     Parameters the loss cannot reach keep whatever gradient they already
-    hold (zeros, if the caller zeroed them first).
+    hold (None, if the caller cleared them first).
     """
     if loss.data.shape != (1, 1):
         raise ContractError(f"backward needs a scalar loss, got {loss.rows}x{loss.cols}")
@@ -138,15 +136,15 @@ def backward(loss: Matrix, tape: Tape):
         fn()
 
 
-def _record(tape: Tape | None, data: np.ndarray, *contributions) -> Matrix:
+def _record(tape: Tape | None, data: np.ndarray, operands: tuple, shares) -> Matrix:
     """Wrap an op's freshly computed `data` without a copy, and record its
     backward on `tape` when there is one.
 
-    Each contribution is an (operand, fn) pair: fn maps the output's
-    gradient to the operand's share of it; for a tuple of operands, fn
-    returns one share per operand. The record adds the shares one
-    operand at a time, in the order given, and does nothing while no
-    gradient has reached the result.
+    `shares` maps the output's gradient to one share per operand, in the
+    order of `operands`; a repeated operand takes each of its shares. The
+    record adds the shares in that order, does nothing while no gradient
+    has reached the result, and raises ValueError when `shares` gives
+    fewer or more shares than there are operands.
     """
     out = Matrix._wrap(data)
     if tape is not None:
@@ -155,12 +153,8 @@ def _record(tape: Tape | None, data: np.ndarray, *contributions) -> Matrix:
             g = out.grad
             if g is None:
                 return
-            for m, fn in contributions:
-                if isinstance(m, Matrix):
-                    _accum(m, fn(g))
-                else:
-                    for operand, share in zip(m, fn(g)):
-                        _accum(operand, share)
+            for m, share in zip(operands, shares(g), strict=True):
+                _accum(m, share)
 
         tape.record(bwd)
     return out

@@ -83,9 +83,11 @@ def _file_identity(path):
 
 
 def _refuse_clashes(outputs: dict, inputs: list):
-    """Refuses, naming both flags, an output that names the same file as
-    another output or an input. Outputs map flags to paths or None; inputs
-    are (flag, path or None) pairs."""
+    """Refuses, naming its flag, an output that names an existing directory
+    or whose directory (through any symlinks) is missing or is not one;
+    and, naming both flags, an output that names the same file as another
+    output or an input. Outputs map flags to paths or None; inputs are
+    (flag, path or None) pairs."""
     seen = {}
     for i, (flag, path) in enumerate([*outputs.items(), *inputs]):
         if path is None:
@@ -94,6 +96,12 @@ def _refuse_clashes(outputs: dict, inputs: list):
         if key in seen:
             raise ContractError(f"{seen[key]} and {flag} name the same file: {path}")
         if i < len(outputs):
+            real = os.path.realpath(path)
+            if os.path.isdir(real):
+                raise ContractError(f"{flag} names a directory: '{path}'")
+            if not os.path.isdir(os.path.dirname(real)):
+                raise ContractError(f"{flag}: no directory {os.path.dirname(real)} "
+                                    f"to hold '{path}'")
             seen[key] = flag
 
 
@@ -244,6 +252,7 @@ def _parse_points(text: str) -> np.ndarray:
 
 
 def cmd_partition_map(args) -> int:
+    _refuse_clashes({"--out": args.out}, [])
     if args.points:
         pts = _parse_points(args.points)
     else:

@@ -504,9 +504,11 @@ class SynthSpec:
             raise DataFormatError(
                 f"cannot fit {self.shots_per_video} shots of >= 2 frames into {self.frames}"
             )
-        for key in ("seed", "users", "noise"):
-            if not getattr(self, key) >= 0:  # a NaN noise is refused too
+        for key in ("seed", "users"):
+            if not getattr(self, key) >= 0:
                 raise DataFormatError(f"synthetic {key} must be >= 0, got {getattr(self, key)}")
+        if not 0 <= self.noise < np.inf:  # a NaN noise is refused too
+            raise DataFormatError(f"synthetic noise must be finite and >= 0, got {self.noise}")
         _check_budget_ratio(self.budget_ratio)
 
 

@@ -98,7 +98,7 @@ def _layers(x: Matrix, layers, tape: Tape | None) -> Matrix:
         yield g
 
     params = [m for layer, _ in reversed(layers) for m in (layer.b, layer.W)]
-    return ag._record(tape, out, ((*params, x), shares))
+    return ag._record(tape, out, (*params, x), shares)
 
 
 def score_frames(Xt: Matrix, h: HeadParams, tape: Tape | None = None) -> Matrix:
@@ -136,12 +136,12 @@ def bce_loss(y: Matrix, gt, tape: Tape | None = None) -> Matrix:
     c = -1.0 / T
     total = np.full((1, 1), float((t * np.log(yc) + not_t * np.log(not_yc)).sum())) * c
 
-    def share(g):
+    def shares(g):
         g = np.full((T, 1), (g * c)[0, 0])
         g_yc = -(g * not_t / not_yc) + g * t / yc
-        return g_yc * ((y_data >= BCE_EPS) & (y_data <= 1.0 - BCE_EPS))
+        yield g_yc * ((y_data >= BCE_EPS) & (y_data <= 1.0 - BCE_EPS))
 
-    return ag._record(tape, total, (y, share))
+    return ag._record(tape, total, (y,), shares)
 
 
 def repelling_loss(E: Matrix, tape: Tape | None = None) -> Matrix:
@@ -170,7 +170,7 @@ def repelling_loss(E: Matrix, tape: Tape | None = None) -> Matrix:
         yield g_unit * inv
         yield 2.0 * e * ((g_unit * e).sum(axis=1, keepdims=True) * (-0.5) * inv / norms)
 
-    return ag._record(tape, total, ((E, E), shares))
+    return ag._record(tape, total, (E, E), shares)
 
 
 def reconstruction_loss(X: Matrix, Xrec: Matrix, tape: Tape | None = None) -> Matrix:
@@ -183,13 +183,13 @@ def reconstruction_loss(X: Matrix, Xrec: Matrix, tape: Tape | None = None) -> Ma
     c = 1.0 / X.rows
     total = np.full((1, 1), float(dist.sum())) * c
 
-    def share(g):
+    def shares(g):
         d_dist = np.zeros_like(dist)
         nz = dist > 0.0
         d_dist[nz] = 0.5 / dist[nz]
-        return -(2.0 * diff * (np.full(dist.shape, (g * c)[0, 0]) * d_dist))
+        yield -(2.0 * diff * (np.full(dist.shape, (g * c)[0, 0]) * d_dist))
 
-    return ag._record(tape, total, (Xrec, share))
+    return ag._record(tape, total, (Xrec,), shares)
 
 
 def total_loss(parts: LossParts, alpha: float, beta: float,
@@ -200,8 +200,8 @@ def total_loss(parts: LossParts, alpha: float, beta: float,
         raise ContractError(f"loss weights must be nonnegative, got alpha={alpha} beta={beta}")
     alpha, beta = float(alpha), float(beta)
     total = parts.repel.data * alpha + parts.recon.data * beta
-    shares = [(parts.recon, lambda g: g * beta), (parts.repel, lambda g: g * alpha)]
+    operands, shares = (parts.recon, parts.repel), lambda g: (g * beta, g * alpha)
     if parts.cls is not None:
         total = parts.cls.data + total
-        shares.insert(0, (parts.cls, lambda g: g))
-    return ag._record(tape, total, *shares)
+        operands, shares = (parts.cls, *operands), lambda g, weighted=shares: (g, *weighted(g))
+    return ag._record(tape, total, operands, shares)

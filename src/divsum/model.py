@@ -81,8 +81,9 @@ class ModelParams:
         return [(name, attrgetter(name)(self)) for name, _, _ in PARAMETERS]
 
     def zero_grads(self):
+        """Clear every gradient to None, the start of each training step."""
         for _, p in self.named_parameters():
-            p.zero_grad()
+            p.grad = None
 
 
 @dataclass

@@ -85,7 +85,8 @@ class AdamState:
 def adam_step(params: ModelParams, state: AdamState, cfg: TrainConfig):
     """One Adam update with bias correction, then decoupled weight decay
     (theta <- theta - lr * wd * theta, applied after the gradient step).
-    Gradients are read off the parameter matrices and must be populated.
+    Gradients are read off the parameters; one no record reached (None)
+    steps as zeros. Refuses, changing nothing, a call with no gradient.
 
     Updates the moments and parameters in place, _ADAM_BLOCK entries at a
     time, so each block's dozen elementwise passes run in cache. The
@@ -95,11 +96,11 @@ def adam_step(params: ModelParams, state: AdamState, cfg: TrainConfig):
     named = params.named_parameters()
     if len(named) != len(state.m) or len(named) != len(state.v):
         raise ContractError("optimizer state does not match the parameter set")
+    if all(p.grad is None for _, p in named):
+        raise ContractError("adam_step called with no gradient on any parameter")
     for (name, p), m, v in zip(named, state.m, state.v):
-        if p.grad is None:
-            raise ContractError("adam_step called with unpopulated gradients")
         for what, a in (("gradient", p.grad), ("first moment", m), ("second moment", v)):
-            if a.shape != p.shape:
+            if a is not None and a.shape != p.shape:
                 raise ContractError(f"adam_step: {what} of {name} has shape {a.shape}, "
                                     f"the parameter {p.shape}")
         for what, a in (("parameter", p.data), ("first moment", m), ("second moment", v)):
@@ -114,7 +115,8 @@ def adam_step(params: ModelParams, state: AdamState, cfg: TrainConfig):
     decay = cfg.learning_rate * cfg.weight_decay
     buf1, buf2 = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
     for (_, p), m, v in zip(named, state.m, state.v):
-        flat = [x.reshape(-1) for x in (p.data, p.grad, m, v)]
+        grad = np.broadcast_to(0.0, p.shape) if p.grad is None else p.grad  # a view, no fill
+        flat = [x.reshape(-1) for x in (p.data, grad, m, v)]
         for lo in range(0, flat[0].size, _ADAM_BLOCK):
             w, g, mb, vb = (x[lo:lo + _ADAM_BLOCK] for x in flat)
             a, b = buf1[:w.size], buf2[:w.size]

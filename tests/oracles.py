@@ -95,6 +95,13 @@ def _broadcast_shape(a: Matrix, b: Matrix, op: str) -> tuple[int, int]:
         ) from None
 
 
+def _record(tape, data, *pairs):
+    """ag._record for (operand, fn) pairs, fn mapping the output's gradient
+    to its operand's share, in the order given."""
+    operands = tuple(m for m, _ in pairs)
+    return ag._record(tape, data, operands, lambda g: (fn(g) for _, fn in pairs))
+
+
 def matmul(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
     """Standard matrix product a @ b."""
     if a.cols != b.rows:
@@ -102,25 +109,25 @@ def matmul(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
             f"matmul: inner dimensions disagree, {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
         )
     a_data, b_data = a.data, b.data
-    return ag._record(tape, a_data @ b_data,
-                      (a, lambda g: g @ b_data.T), (b, lambda g: a_data.T @ g))
+    return _record(tape, a_data @ b_data,
+                   (a, lambda g: g @ b_data.T), (b, lambda g: a_data.T @ g))
 
 
 def transpose(a: Matrix, tape: Tape | None = None) -> Matrix:
-    return ag._record(tape, a.data.T.copy(), (a, lambda g: g.T))
+    return _record(tape, a.data.T.copy(), (a, lambda g: g.T))
 
 
 def add(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
     """Elementwise sum; an operand with a length-1 axis broadcasts."""
     _broadcast_shape(a, b, "add")
-    return ag._record(tape, a.data + b.data,
-                      (a, lambda g: _unbroadcast(g, a.shape)),
-                      (b, lambda g: _unbroadcast(g, b.shape)))
+    return _record(tape, a.data + b.data,
+                   (a, lambda g: _unbroadcast(g, a.shape)),
+                   (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def relu(a: Matrix, tape: Tape | None = None) -> Matrix:
     a_data = a.data
-    return ag._record(tape, np.maximum(a_data, 0.0), (a, lambda g: g * (a_data > 0.0)))
+    return _record(tape, np.maximum(a_data, 0.0), (a, lambda g: g * (a_data > 0.0)))
 
 
 def sigmoid(a: Matrix, tape: Tape | None = None) -> Matrix:
@@ -131,29 +138,29 @@ def sigmoid(a: Matrix, tape: Tape | None = None) -> Matrix:
     s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     e = np.exp(x[~pos])
     s[~pos] = e / (1.0 + e)
-    return ag._record(tape, s, (a, lambda g: g * s * (1.0 - s)))
+    return _record(tape, s, (a, lambda g: g * s * (1.0 - s)))
 
 
 def subtract(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
     _broadcast_shape(a, b, "subtract")
-    return ag._record(tape, a.data - b.data,
-                      (a, lambda g: _unbroadcast(g, a.shape)),
-                      (b, lambda g: -_unbroadcast(g, b.shape)))
+    return _record(tape, a.data - b.data,
+                   (a, lambda g: _unbroadcast(g, a.shape)),
+                   (b, lambda g: -_unbroadcast(g, b.shape)))
 
 
 def multiply(a: Matrix, b: Matrix, tape: Tape | None = None) -> Matrix:
     """Elementwise (Hadamard) product with the same broadcasting as add."""
     _broadcast_shape(a, b, "multiply")
     a_data, b_data = a.data, b.data
-    return ag._record(tape, a_data * b_data,
-                      (a, lambda g: _unbroadcast(g * b_data, a_data.shape)),
-                      (b, lambda g: _unbroadcast(g * a_data, b_data.shape)))
+    return _record(tape, a_data * b_data,
+                   (a, lambda g: _unbroadcast(g * b_data, a_data.shape)),
+                   (b, lambda g: _unbroadcast(g * a_data, b_data.shape)))
 
 
 def scale(a: Matrix, c: float, tape: Tape | None = None) -> Matrix:
     """Multiply every entry by the constant c."""
     c = float(c)
-    return ag._record(tape, a.data * c, (a, lambda g: g * c))
+    return _record(tape, a.data * c, (a, lambda g: g * c))
 
 
 def log(a: Matrix, tape: Tape | None = None) -> Matrix:
@@ -161,7 +168,7 @@ def log(a: Matrix, tape: Tape | None = None) -> Matrix:
     if np.any(a.data <= 0.0):
         raise ag.NumericError("log: input has non-positive entries")
     a_data = a.data
-    return ag._record(tape, np.log(a_data), (a, lambda g: g / a_data))
+    return _record(tape, np.log(a_data), (a, lambda g: g / a_data))
 
 
 def sqrt(a: Matrix, tape: Tape | None = None) -> Matrix:
@@ -176,7 +183,7 @@ def sqrt(a: Matrix, tape: Tape | None = None) -> Matrix:
         d[nz] = 0.5 / root[nz]
         return g * d
 
-    return ag._record(tape, root, (a, grad))
+    return _record(tape, root, (a, grad))
 
 
 def rsqrt(a: Matrix, tape: Tape | None = None) -> Matrix:
@@ -185,21 +192,21 @@ def rsqrt(a: Matrix, tape: Tape | None = None) -> Matrix:
         raise ag.NumericError("rsqrt: input has non-positive entries")
     a_data = a.data
     val = 1.0 / np.sqrt(a_data)
-    return ag._record(tape, val, (a, lambda g: g * (-0.5) * val / a_data))
+    return _record(tape, val, (a, lambda g: g * (-0.5) * val / a_data))
 
 
 def clip(a: Matrix, lo: float, hi: float, tape: Tape | None = None) -> Matrix:
     """Clamp to [lo, hi]; gradient passes through unclipped entries only."""
     a_data = a.data
-    return ag._record(tape, np.clip(a_data, lo, hi),
-                      (a, lambda g: g * ((a_data >= lo) & (a_data <= hi))))
+    return _record(tape, np.clip(a_data, lo, hi),
+                   (a, lambda g: g * ((a_data >= lo) & (a_data <= hi))))
 
 
 def sum_all(a: Matrix, tape: Tape | None = None) -> Matrix:
     """Sum of all entries, as a 1x1 matrix."""
     shape = a.shape
-    return ag._record(tape, np.full((1, 1), float(a.data.sum())),
-                      (a, lambda g: np.full(shape, g[0, 0])))
+    return _record(tape, np.full((1, 1), float(a.data.sum())),
+                   (a, lambda g: np.full(shape, g[0, 0])))
 
 
 def column_softmax(a: Matrix, tape: Tape | None = None) -> Matrix:
@@ -212,14 +219,14 @@ def column_softmax(a: Matrix, tape: Tape | None = None) -> Matrix:
     s -= s.max(axis=0, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=0, keepdims=True)
-    return ag._record(tape, s, (a, lambda g: s * (g - (g * s).sum(axis=0, keepdims=True))))
+    return _record(tape, s, (a, lambda g: s * (g - (g * s).sum(axis=0, keepdims=True))))
 
 
 def row_norms_squared(a: Matrix, tape: Tape | None = None) -> Matrix:
     """Column vector of squared Euclidean row norms."""
     a_data = a.data
-    return ag._record(tape, np.sum(a_data * a_data, axis=1, keepdims=True),
-                      (a, lambda g: 2.0 * a_data * g))
+    return _record(tape, np.sum(a_data * a_data, axis=1, keepdims=True),
+                   (a, lambda g: 2.0 * a_data * g))
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +373,16 @@ def gather_rows(a, indices, tape=None):
         np.add.at(grad, idx, g)
         return grad
 
-    return ag._record(tape, a.data[idx], (a, scatter))
+    return _record(tape, a.data[idx], (a, scatter))
 
 
 def stack_rows(mats, tape=None):
     """np.vstack of the matrices, as one recorded op that hands each
     matrix its rows of the gradient."""
     offsets = np.cumsum([0] + [m.rows for m in mats])
-    return ag._record(tape, np.vstack([m.data for m in mats]),
-                      *((m, lambda g, lo=lo, hi=hi: g[lo:hi])
-                        for m, lo, hi in zip(mats, offsets[:-1], offsets[1:])))
+    return _record(tape, np.vstack([m.data for m in mats]),
+                   *((m, lambda g, lo=lo, hi=hi: g[lo:hi])
+                     for m, lo, hi in zip(mats, offsets[:-1], offsets[1:])))
 
 
 def lca_chain(X, p, cfg, tape=None):

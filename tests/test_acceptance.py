@@ -57,7 +57,7 @@ def test_criterion_01_gradient_correctness():
         T, d = int(rng.integers(3, 7)), int(rng.integers(3, 7))
         for name, mats, build in _loss_builders(rng, T, d):
             for m in mats:
-                m.zero_grad()
+                m.grad = np.zeros_like(m.data)
             tape = Tape()
             loss = build(tape)
             ag.backward(loss, tape)

@@ -185,7 +185,7 @@ def test_gda_grads_match_fd(kind):
         return loss, tape
 
     for m in params:
-        m.zero_grad()
+        m.grad = np.zeros_like(m.data)
     loss, tape = run()
     ag.backward(loss, tape)
     numeric = finite_difference_grads(lambda: run()[0].item(), params)
@@ -426,7 +426,7 @@ def test_lca_grads_match_fd(variant, boundary):
         return oracles.sum_all(oracles.multiply(out.features, W, tape), tape), tape
 
     for m in params:
-        m.zero_grad()
+        m.grad = np.zeros_like(m.data)
     loss, tape = run()
     ag.backward(loss, tape)
     numeric = finite_difference_grads(lambda: run()[0].item(), params)

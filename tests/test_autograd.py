@@ -23,7 +23,7 @@ def check_grads_fd(build_loss, mats, rtol=1e-4, atol=1e-6, step=1e-5):
     """build_loss() -> (loss Matrix, tape); compares tape grads against
     central differences for every matrix in mats."""
     for m in mats:
-        m.zero_grad()
+        m.grad = np.zeros_like(m.data)
     loss, tape = build_loss()
     ag.backward(loss, tape)
     numeric = finite_difference_grads(lambda: build_loss()[0].item(), mats, step=step)
@@ -212,7 +212,7 @@ def test_deterministic_forward():
 
 def test_backward_sum_gives_ones():
     p = Matrix(np.random.default_rng(0).uniform(-1, 1, size=(3, 4)))
-    p.zero_grad()
+    p.grad = np.zeros_like(p.data)
     tape = Tape()
     loss = oracles.sum_all(p, tape)
     ag.backward(loss, tape)
@@ -221,7 +221,7 @@ def test_backward_sum_gives_ones():
 
 def test_backward_zero_times_param_gives_zero_grad():
     p = Matrix(np.random.default_rng(1).uniform(-1, 1, size=(2, 2)))
-    p.zero_grad()
+    p.grad = np.zeros_like(p.data)
     tape = Tape()
     loss = oracles.sum_all(oracles.scale(p, 0.0, tape), tape)
     ag.backward(loss, tape)
@@ -236,7 +236,7 @@ def test_backward_requires_scalar_loss():
 
 def test_grad_accumulates_across_uses():
     p = Matrix([[2.0]])
-    p.zero_grad()
+    p.grad = np.zeros_like(p.data)
     tape = Tape()
     # loss = p + p, so dloss/dp = 2 via two accumulations
     loss = oracles.add(p, p, tape)
@@ -247,8 +247,8 @@ def test_grad_accumulates_across_uses():
 def test_unreached_param_keeps_zero_grad():
     p = Matrix([[1.0]])
     q = Matrix([[5.0]])
-    p.zero_grad()
-    q.zero_grad()
+    p.grad = np.zeros_like(p.data)
+    q.grad = np.zeros_like(q.data)
     tape = Tape()
     loss = oracles.sum_all(oracles.scale(p, 3.0, tape), tape)
     ag.backward(loss, tape)
@@ -410,7 +410,7 @@ def test_row_norms_and_structure_ops_match_fd():
 
 def test_clip_blocks_gradient_outside_bounds():
     a = Matrix([[2.0, -2.0, 0.3]])
-    a.zero_grad()
+    a.grad = np.zeros_like(a.data)
     tape = Tape()
     loss = oracles.sum_all(oracles.clip(a, -1.0, 1.0, tape), tape)
     ag.backward(loss, tape)
@@ -422,7 +422,7 @@ def test_relu_and_clip_gradients_at_the_boundaries():
     a = Matrix([[0.0, -1.0, 1.0, 0.5]])
     for op, want in ((lambda m, tape: oracles.relu(m, tape), [[0.0, 0.0, 1.0, 1.0]]),
                      (lambda m, tape: oracles.clip(m, -1.0, 1.0, tape), [[1.0, 1.0, 1.0, 1.0]])):
-        a.zero_grad()
+        a.grad = np.zeros_like(a.data)
         tape = Tape()
         ag.backward(oracles.sum_all(op(a, tape), tape), tape)
         np.testing.assert_array_equal(a.grad, want)
@@ -431,7 +431,7 @@ def test_relu_and_clip_gradients_at_the_boundaries():
 def test_zero_grad_resets_between_steps():
     a = Matrix([[1.0]])
     for _ in range(2):
-        a.zero_grad()
+        a.grad = np.zeros_like(a.data)
         tape = Tape()
         loss = oracles.sum_all(oracles.scale(a, 2.0, tape), tape)
         ag.backward(loss, tape)
@@ -577,3 +577,30 @@ def test_only_record_asks_whether_there_is_a_tape():
                 if (asks or records) and not allowed:
                     found.append(f"{path.name}:{node.lineno} in {fn.name}")
     assert found == []
+
+
+def test_a_first_share_is_adopted_c_ordered_with_the_bytes_of_zero_plus_it():
+    # a Fortran-ordered first share keeps its values but not its layout, so
+    # the next product that reads the gradient sees the C order a zero-filled
+    # accumulator gave; -0.0 becomes 0.0 as it does in 0.0 + share
+    rng = np.random.default_rng(31)
+    share = np.asfortranarray(rng.normal(size=(4, 3)))
+    share[1, 2] = -0.0
+    a = Matrix(rng.normal(size=(4, 3)))
+    tape = Tape()
+    out = ag._record(tape, a.data.copy(), (a,), lambda g: (share,))
+    out.grad = np.ones(out.shape)
+    tape.records[0]()
+    assert a.grad.flags.c_contiguous and not np.shares_memory(a.grad, share)
+    assert a.grad.tobytes() == np.ascontiguousarray(0.0 + share).tobytes()
+    assert a.grad.tobytes() != np.ascontiguousarray(share).tobytes()
+
+
+@pytest.mark.parametrize("given", [0, 1, 3], ids=["none", "fewer", "more"])
+def test_a_record_refuses_shares_that_do_not_match_its_operands(given):
+    a, b = Matrix([[1.0]]), Matrix([[2.0]])
+    tape = Tape()
+    out = ag._record(tape, a.data + b.data, (a, b), lambda g: [g] * given)
+    out.grad = np.ones((1, 1))
+    with pytest.raises(ValueError, match="zip"):
+        tape.records[0]()

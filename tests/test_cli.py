@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from divsum import data as dat
-from divsum import evaluation, segmentation
+from divsum import cli, evaluation, segmentation
 from divsum.cli import main
 from divsum.config import TrainConfig, config_to_text
 from divsum.evaluation import EvalProtocol, human_baseline, random_baseline
@@ -581,6 +581,7 @@ def test_non_utf8_config_file_fails_cleanly(tmp_path, dataset, capsys):
     (["synth", "--seed", "-1"], "seed"),
     (["synth", "--users", "-1"], "users"),
     (["synth", "--noise", "-1"], "noise"),
+    (["synth", "--noise", "inf"], "synthetic noise must be finite"),
     (["synth", "--budget-ratio", "nan"], "budget_ratio"),
     (["evaluate", "--data", "{data}", "--split-seed", "-1"], "seed"),
     (["partition-map", "--seed", "-3"], "--seed"),
@@ -598,7 +599,8 @@ def test_non_utf8_config_file_fails_cleanly(tmp_path, dataset, capsys):
     (["synth", "--dim", "100000000000000000000"], "synthetic dim must be in [1, "),
     (["partition-map", "--grid-size", "100000000000000000000"], "grid sizes must be in [1, "),
     (["partition-map", "--num-points", "100000000000000000000"], "--num-points must be in [0, "),
-], ids=["synth-seed", "synth-users", "synth-noise", "synth-budget-ratio", "evaluate-split-seed",
+], ids=["synth-seed", "synth-users", "synth-noise", "synth-noise-inf", "synth-budget-ratio",
+        "evaluate-split-seed",
         "partition-map-seed", "partition-map-num-points", "partition-map-grid-size",
         "ablate-repeats-0", "ablate-repeats-negative", "synth-dim-too-large",
         "partition-map-grid-too-large", "synth-frames-past-index", "synth-dim-past-index",
@@ -668,3 +670,42 @@ def test_summarize_refuses_a_bad_budget_before_it_scores_a_video(tmp_path, datas
     assert capsys.readouterr().err == (
         f"error: budget_ratio must be in (0, 1], got {float(budget)}\n")
     assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--out", "nodir/m.ckpt"], "--out: no directory {root}/nodir to hold 'nodir/m.ckpt'"),
+    (["train", "--out", "m.ckpt", "--history", "nodir/h.csv"],
+     "--history: no directory {root}/nodir to hold 'nodir/h.csv'"),
+    (["train", "--out", "outdir"], "--out names a directory: 'outdir'"),
+    (["train", "--out", "dangling"], "--out: no directory {root}/nodir to hold 'dangling'"),
+    (["summarize", "--checkpoint", "run.ckpt", "--out", "nodir/s.csv"],
+     "--out: no directory {root}/nodir to hold 'nodir/s.csv'"),
+    (["evaluate", "--folds", "2", "--csv", "nodir/r.csv"],
+     "--csv: no directory {root}/nodir to hold 'nodir/r.csv'"),
+    (["evaluate", "--folds", "2", "--report", "outdir"], "--report names a directory: 'outdir'"),
+    (["ablate", "--axis", "radius", "--out", "run.ckpt/a.csv"],
+     "--out: no directory {root}/run.ckpt to hold 'run.ckpt/a.csv'"),
+    (["partition-map", "--out", "nodir/p.csv"],
+     "--out: no directory {root}/nodir to hold 'nodir/p.csv'"),
+], ids=["train-out", "train-history", "train-out-directory", "train-out-dangling-symlink",
+        "summarize-out", "evaluate-csv", "evaluate-report-directory", "ablate-out-under-a-file",
+        "partition-map-out"])
+def test_an_output_that_cannot_be_written_fails_with_one_line_before_any_work(
+        tmp_path, dataset, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run("train", "--data", "ds", "--out", "run.ckpt", "--epochs", "1",
+               "--radius", "1") == 0
+    Path("outdir").mkdir()
+    Path("dangling").symlink_to("nodir/x.csv")
+    calls = []
+    for module in (cli, evaluation):
+        monkeypatch.setattr(module, "train", lambda *args: calls.append(args))
+    saved = sorted(tmp_path.rglob("*")), file_bytes(tmp_path)
+    capsys.readouterr()
+    rest = {"partition-map": [], "summarize": ["--data", "ds"]}.get(
+        argv[0], ["--data", "ds", "--epochs", "1"])
+    assert run(*argv, *rest) == 1
+    printed, err = capsys.readouterr()
+    assert err == f"error: {message.format(root=os.path.realpath(tmp_path))}\n"
+    assert printed == "" and calls == []
+    assert (sorted(tmp_path.rglob("*")), file_bytes(tmp_path)) == saved

@@ -545,6 +545,14 @@ def test_synth_size_validation():
         dat.synth_generate(dat.SynthSpec(frames=10, shots_per_video=8))
 
 
+@pytest.mark.parametrize("noise", [np.inf, -np.inf, np.nan, -0.5])
+def test_synth_spec_refuses_a_noise_that_is_not_finite_and_nonnegative(noise):
+    # refused when the spec is made, before synth_generate draws anything
+    with pytest.raises(dat.DataFormatError,
+                       match=r"^synthetic noise must be finite and >= 0, got "):
+        dat.SynthSpec(noise=noise)
+
+
 @pytest.mark.parametrize("shots", [16, 20])
 def test_synth_packs_tight_shots_quickly(shots):
     start = time.perf_counter()

@@ -22,7 +22,7 @@ from divsum.autograd import ContractError, Matrix, NumericError, ShapeError, Tap
 from divsum.config import ConfigError, TrainConfig, config_from_text, config_to_text, \
     load_config, parse_config_text
 from divsum.data import VideoRecord, synth_generate, SynthSpec
-from divsum.model import ModelParams, forward_scores
+from divsum.model import ModelParams, forward_loss, forward_scores
 from divsum.segmentation import summarize_video
 
 from . import oracles
@@ -222,6 +222,50 @@ def test_adam_requires_populated_gradients():
     state = tr.AdamState.for_params(params)
     with pytest.raises(ContractError, match="gradient"):
         tr.adam_step(params, state, tiny_cfg())
+
+
+def unsupervised_step_grads(seed):
+    """A fresh unsupervised model, its Adam state after one step on random
+    gradients, and the gradients of a second step's forward_loss + backward."""
+    rng = np.random.default_rng(seed)
+    cfg = tiny_cfg(supervised=False, learning_rate=1e-2, weight_decay=1e-4)
+    params = tr.init_params(4, 1, seed, cfg)
+    state = tr.AdamState.for_params(params)
+    grads_of_ones_scaled(params, lambda p: rng.normal(size=p.shape))
+    tr.adam_step(params, state, cfg)
+    params.zero_grads()
+    tape = Tape()
+    ag.backward(forward_loss(Matrix(rng.normal(size=(6, 4))), params, None, tape).total, tape)
+    return params, state, cfg
+
+
+def model_bytes(params, state):
+    return ([p.data.tobytes() for _, p in params.named_parameters()]
+            + [a.tobytes() for a in state.m + state.v])
+
+
+def test_adam_steps_an_unreached_parameter_as_a_zero_gradient():
+    # an unsupervised step never reaches the score head; a zero-filled
+    # gradient there gives the same parameter and moment bytes
+    unreached = {"heads.score1.W", "heads.score1.b", "heads.score2.W", "heads.score2.b"}
+    cleared, cleared_state, cfg = unsupervised_step_grads(7)
+    assert {n for n, p in cleared.named_parameters() if p.grad is None} == unreached
+    filled, filled_state, _ = unsupervised_step_grads(7)
+    for name, p in filled.named_parameters():
+        if name in unreached:
+            p.grad = np.zeros_like(p.data)
+    for params, state in ((cleared, cleared_state), (filled, filled_state)):
+        tr.adam_step(params, state, cfg)
+    assert model_bytes(cleared, cleared_state) == model_bytes(filled, filled_state)
+
+
+def test_adam_refuses_a_step_with_no_gradient_and_changes_nothing():
+    params, state, cfg = unsupervised_step_grads(8)
+    params.zero_grads()
+    before = model_bytes(params, state)
+    with pytest.raises(ContractError, match="no gradient on any parameter"):
+        tr.adam_step(params, state, cfg)
+    assert model_bytes(params, state) == before and state.step == 1
 
 
 def test_adam_state_shape_mismatch():
