@@ -63,10 +63,10 @@ class AttentionOutput:
     """
 
     features: Matrix
-    weights: Matrix
+    weights: np.ndarray
 
 
-def sinusoidal_positions(frame_count: int, dim: int) -> Matrix:
+def sinusoidal_positions(frame_count: int, dim: int) -> np.ndarray:
     """Fixed sin/cos position table: pair 2j carries sin and cos of
     i / 10000^(2j/dim). Requires an even dim so pairs close."""
     if dim % 2 != 0:
@@ -77,7 +77,7 @@ def sinusoidal_positions(frame_count: int, dim: int) -> Matrix:
     table = np.zeros((frame_count, dim))
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles)
-    return Matrix(table)
+    return table
 
 
 def _similarity(q: np.ndarray, k: np.ndarray, kind: str, scale_q: float):
@@ -140,9 +140,9 @@ def _similarity(q: np.ndarray, k: np.ndarray, kind: str, scale_q: float):
     return s, grads
 
 
-def pairwise_similarity(Q: Matrix, K: Matrix, kind: str, scale_q: float) -> Matrix:
-    """T x T matrix of s(q_i, k_j) / sqrt(scale_q), for every kind."""
-    return Matrix._wrap(_similarity(Q.data, K.data, kind, scale_q)[0])
+def pairwise_similarity(Q: np.ndarray, K: np.ndarray, kind: str, scale_q: float) -> np.ndarray:
+    """T x T array of s(q_i, k_j) / sqrt(scale_q), for every kind."""
+    return _similarity(Q, K, kind, scale_q)[0]
 
 
 def _softmax_columns(s: np.ndarray) -> np.ndarray:
@@ -180,6 +180,13 @@ def _transpose_in_place(s: np.ndarray) -> np.ndarray:
     return s
 
 
+def _check_features(path: str, X: np.ndarray, d: int):
+    """Refuse, naming its shape, an X that is not a 2-D T x d array with T >= 1."""
+    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != d:
+        got = "x".join(map(str, X.shape)) if X.ndim == 2 else f"shape {X.shape}"
+        raise ShapeError(f"{path} attention needs T x {d} features with T >= 1, got {got}")
+
+
 def _check_shapes(layer: str, p, want):
     """Refuse, naming the first, a matrix of `p` whose shape is not the one
     `want` pairs with its name."""
@@ -190,8 +197,8 @@ def _check_shapes(layer: str, p, want):
                              f"got {got[0]}x{got[1]}")
 
 
-def gda_forward(X: Matrix, p: GdaParams, cfg: TrainConfig, positions: Matrix | None,
-                tape: Tape | None = None) -> AttentionOutput:
+def gda_forward(X: np.ndarray, p: GdaParams, cfg: TrainConfig,
+                positions: np.ndarray | None, tape: Tape | None = None) -> AttentionOutput:
     """Global attention over all frame pairs, scored with cfg.sim_kind
     scaled by cfg.scale_q (0 means the feature dim).
 
@@ -209,19 +216,15 @@ def gda_forward(X: Matrix, p: GdaParams, cfg: TrainConfig, positions: Matrix | N
     weights' gradient, then Wk's and Wq's shares. Refuses, naming the
     first, a projection that is not d x d.
     """
-    if X.rows == 0 or X.cols != p.Wq.rows:
-        raise ShapeError(f"global attention needs T x {p.Wq.rows} features with T >= 1, "
-                         f"got {X.rows}x{X.cols}")
-    d = X.cols
+    _check_features("global", X, p.Wq.rows)
+    d = X.shape[1]
     _check_shapes("gda", p, (("Wq", (d, d)), ("Wk", (d, d)), ("Wv", (d, d))))
-    x = xp = X.data
+    x = xp = X
     if positions is not None:
         if positions.shape != X.shape:
-            raise ShapeError(
-                f"positions {positions.rows}x{positions.cols} do not match "
-                f"features {X.rows}x{X.cols}"
-            )
-        xp = x + positions.data
+            raise ShapeError(f"positions {positions.shape[0]}x{positions.shape[1]} do not "
+                             f"match features {X.shape[0]}x{X.shape[1]}")
+        xp = x + positions
     v = x @ p.Wv.data
     scale_q = cfg.scale_q or float(p.Wq.rows)
     w, sim_grads = _similarity(xp @ p.Wq.data, xp @ p.Wk.data, cfg.sim_kind, scale_q)
@@ -238,7 +241,7 @@ def gda_forward(X: Matrix, p: GdaParams, cfg: TrainConfig, positions: Matrix | N
         yield xp.T @ gq
 
     features = ag._record(tape, mixed, (p.Wv, p.Wk, p.Wq), shares)
-    return AttentionOutput(features=features, weights=Matrix._wrap(w))
+    return AttentionOutput(features=features, weights=w)
 
 
 def _row_window(a: np.ndarray, start: int, count: int):
@@ -265,7 +268,7 @@ def _row_window(a: np.ndarray, start: int, count: int):
     return out, scatter
 
 
-def lca_forward(X: Matrix, p: LcaParams, cfg: TrainConfig,
+def lca_forward(X: np.ndarray, p: LcaParams, cfg: TrainConfig,
                 tape: Tape | None = None) -> AttentionOutput:
     """Windowed attention around every anchor frame, all anchors at once,
     with R = cfg.neighbor_R, cfg.lca_variant and cfg.window_boundary.
@@ -289,14 +292,12 @@ def lca_forward(X: Matrix, p: LcaParams, cfg: TrainConfig,
     slot, then Wk2's and Wq2's. Refuses, naming the first, a matrix that
     is not d x d (the projections) or (2R+1) x d (rel_pos).
     """
-    if X.rows == 0 or X.cols != p.Wq2.rows:
-        raise ShapeError(f"local attention needs T x {p.Wq2.rows} features with T >= 1, "
-                         f"got {X.rows}x{X.cols}")
+    _check_features("local", X, p.Wq2.rows)
     T, d = X.shape
     R, span = cfg.neighbor_R, 2 * cfg.neighbor_R + 1
     _check_shapes("lca", p, (("Wq2", (d, d)), ("Wk2", (d, d)), ("Wv2", (d, d)),
                              ("rel_pos", (span, d))))
-    x, wq, wk, wv, rel = X.data, p.Wq2.data, p.Wk2.data, p.Wv2.data, p.rel_pos.data
+    x, wq, wk, wv, rel = X, p.Wq2.data, p.Wk2.data, p.Wv2.data, p.rel_pos.data
     q, k, v = x @ wq, x @ wk, x @ wv
 
     def shifted(m: np.ndarray, o: int):
@@ -346,17 +347,19 @@ def lca_forward(X: Matrix, p: LcaParams, cfg: TrainConfig,
         yield from (x.T @ gk, x.T @ gq)
 
     features = ag._record(tape, mixed, (p.Wv2, *(p.rel_pos,) * span, p.Wk2, p.Wq2), shares)
-    return AttentionOutput(features=features, weights=Matrix._wrap(w))
+    return AttentionOutput(features=features, weights=w)
 
 
-def dca_fuse(X: Matrix, Xg: Matrix, Xl: Matrix, tape: Tape | None = None) -> Matrix:
-    """Diversified contextual features: raw + global + local, elementwise,
-    as one record. X is a constant: only Xg and Xl get a share."""
-    if not (X.shape == Xg.shape == Xl.shape):
-        raise ShapeError(
-            f"fusion operands differ: {X.shape} vs {Xg.shape} vs {Xl.shape}"
-        )
-    return ag._record(tape, X.data + Xg.data + Xl.data, (Xl, Xg), lambda g: (g, g))
+def dca_fuse(X: np.ndarray, Xg: Matrix | None, Xl: Matrix | None,
+             tape: Tape | None = None) -> Matrix:
+    """Diversified contextual features: raw + global + local, elementwise, as
+    one record. A path that did not run is None and adds 0.0, the bytes of
+    adding zeros. X is a constant: only the paths that ran get a share."""
+    ran = [m for m in (Xg, Xl) if m is not None]
+    if any(m.shape != X.shape for m in ran):
+        raise ShapeError(f"fusion operands differ: {[X.shape] + [m.shape for m in ran]}")
+    fused = X + (Xg.data if Xg is not None else 0.0) + (Xl.data if Xl is not None else 0.0)
+    return ag._record(tape, fused, tuple(reversed(ran)), lambda g: (g,) * len(ran))
 
 
 # ---------------------------------------------------------------------------

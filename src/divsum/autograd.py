@@ -9,15 +9,15 @@ that can reach the loss.
 autograd defines no ops of its own: each layer (the attention paths,
 the fusion, the heads and the losses) computes its arrays with numpy and
 records itself through ``_record``, 10 records per training step (9
-unsupervised). Only parameters get gradients: the features, positions
-and attention weights are constants.
+unsupervised). Only what the tape differentiates is a Matrix; the features,
+positions, labels and attention weights are constants, plain numpy arrays.
 
 Conventions:
   * all values are float64, all shapes strictly 2-D
   * a gradient is None until a record reaches its matrix, then the sum
     of the shares backward gave it; nothing zero-fills it
-  * while a tape is alive, layer operands and outputs must not be
-    mutated in place (the recorded closures keep references, not copies)
+  * while a tape is alive, layer operands, constants and outputs must not
+    be mutated in place (the recorded closures keep references, not copies)
 
 Recording contract: every layer computes all its arrays, then returns
 its result through ``_record``, the one place that looks at the tape.
@@ -73,10 +73,6 @@ class Matrix:
         m.data = arr
         m.grad = None
         return m
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._wrap(np.zeros((rows, cols)))
 
     @property
     def rows(self) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 from . import autograd as ag
 from . import evaluation as ev
 from .attention import GridSpec, lca_forward, pairwise_similarity, partition_map
-from .autograd import Matrix, Tape
+from .autograd import Tape
 from .config import TrainConfig
 from .data import SynthSpec, load_dataset, save_dataset, synth_generate
 from .model import forward_loss
@@ -31,7 +31,7 @@ def _fd_full_model(seed: int) -> float:
     rng = np.random.default_rng(seed)
     T, d = 4, 4
     params = init_params(d, 1, seed, TrainConfig(neighbor_R=1))
-    X = Matrix(rng.uniform(0.1, 0.9, size=(T, d)))
+    X = rng.uniform(0.1, 0.9, size=(T, d))
     gt = rng.integers(0, 2, size=T).astype(float)
     gt[0] = 1 - gt[1]  # keep both classes present
 
@@ -74,7 +74,7 @@ def check_l2_decomposition() -> tuple[bool, str]:
         K = rng.normal(size=(T, d))
         want = np.array([[-np.sum((Q[i] - K[j]) ** 2) for j in range(T)]
                          for i in range(T)])
-        got = pairwise_similarity(Matrix(Q), Matrix(K), "l2", 1.0).data
+        got = pairwise_similarity(Q, K, "l2", 1.0)
         worst = max(worst, np.abs(got - want).max())
     return worst < 1e-9, f"max deviation from loop {worst:.2e} (limit 1e-9)"
 
@@ -82,9 +82,9 @@ def check_l2_decomposition() -> tuple[bool, str]:
 def check_window_normalization() -> tuple[bool, str]:
     rng = np.random.default_rng(1)
     params = init_params(5, 2, 7, TrainConfig(neighbor_R=2))
-    X = Matrix(rng.normal(size=(9, 5)))
+    X = rng.normal(size=(9, 5))
     out = lca_forward(X, params.lca, params.cfg)
-    sums = out.weights.data.sum(axis=1)
+    sums = out.weights.sum(axis=1)
     err = np.abs(sums - 1.0).max()
     return err < 1e-10, f"window rows sum to 1 within {err:.2e} (limit 1e-10)"
 

@@ -149,9 +149,12 @@ def cmd_train(args) -> int:
 
 def cmd_summarize(args) -> int:
     _check_budget_ratio(args.budget_ratio)
-    data, _, inputs = _manifest(args)
+    data, manifest, inputs = _manifest(args)
     _refuse_clashes({"--out": args.out}, [("--checkpoint", args.checkpoint), *inputs])
     params, _, _, _ = load_checkpoint(args.checkpoint)
+    if manifest.dim != params.gda.Wq.rows:
+        raise ContractError(f"{args.checkpoint} holds a model of feature dim "
+                            f"{params.gda.Wq.rows}, {data} a dataset of dim {manifest.dim}")
     videos = load_dataset(data)
     if args.video is not None:
         videos = [v for v in videos if v.id == args.video]

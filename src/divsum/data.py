@@ -49,8 +49,8 @@ class DataFormatError(ContractError):
 class VideoRecord:
     """One video's features plus whatever annotations it carries.
 
-    Features are held as a raw T x d array; the model boundary wraps them
-    into an autograd matrix, keeping I/O and metric paths numpy-only.
+    Features are held as a raw T x d array, which the model reads as a
+    constant: `train` and `score_video` convert it once, where it enters.
     """
 
     id: str

@@ -124,7 +124,7 @@ def bce_loss(y: Matrix, gt, tape: Tape | None = None) -> Matrix:
 
     The targets, a sequence of T values read as an array, are constants:
     only y gets a share."""
-    t = np.array(gt, dtype=np.float64).reshape(-1, 1)
+    t = np.asarray(gt, dtype=np.float64).reshape(-1, 1)
     if y.cols != 1:
         raise ShapeError("bce_loss expects column vectors")
     if y.rows != len(t):
@@ -173,14 +173,14 @@ def repelling_loss(E: Matrix, tape: Tape | None = None) -> Matrix:
     return ag._record(tape, total, (E, E), shares)
 
 
-def reconstruction_loss(X: Matrix, Xrec: Matrix, tape: Tape | None = None) -> Matrix:
-    """Mean Euclidean distance (not squared) between the rows of X, a
-    constant, and of Xrec; a zero distance gets subgradient 0."""
+def reconstruction_loss(X: np.ndarray, Xrec: Matrix, tape: Tape | None = None) -> Matrix:
+    """Mean Euclidean distance (not squared) between the rows of the feature
+    array X, a constant, and of Xrec; a zero distance gets subgradient 0."""
     if X.shape != Xrec.shape:
         raise ShapeError(f"shape mismatch: {X.shape} vs {Xrec.shape}")
-    diff = X.data - Xrec.data
+    diff = X - Xrec.data
     dist = np.sqrt(np.sum(diff * diff, axis=1, keepdims=True))
-    c = 1.0 / X.rows
+    c = 1.0 / Xrec.rows
     total = np.full((1, 1), float(dist.sum())) * c
 
     def shares(g):

@@ -94,21 +94,18 @@ class ForwardOutput:
     local_attention: att.AttentionOutput | None
 
 
-def forward_scores(X: Matrix, params: ModelParams, tape: Tape | None = None) -> ForwardOutput:
-    """Attention paths, fusion, score head. A path params.cfg switches off
-    (use_gda / use_lca) contributes zero features."""
-    T, d = X.shape
+def forward_scores(X: np.ndarray, params: ModelParams,
+                   tape: Tape | None = None) -> ForwardOutput:
+    """Attention paths, fusion, score head over the feature array X. A path
+    params.cfg switches off (use_gda / use_lca) does not run: fusion adds 0.0."""
+    if X.ndim != 2:
+        raise ShapeError(f"features must be T x d, got shape {X.shape}")
     cfg = params.cfg
-    positions = att.sinusoidal_positions(T, d) if cfg.use_positions else None
+    positions = att.sinusoidal_positions(*X.shape) if cfg.use_positions else None
     gout = att.gda_forward(X, params.gda, cfg, positions, tape) if cfg.use_gda else None
     lout = att.lca_forward(X, params.lca, cfg, tape) if cfg.use_lca else None
-    zero = Matrix.zeros(T, d)
-    fused = att.dca_fuse(
-        X,
-        gout.features if gout is not None else zero,
-        lout.features if lout is not None else zero,
-        tape,
-    )
+    fused = att.dca_fuse(X, gout.features if gout else None,
+                         lout.features if lout else None, tape)
     scores = hd.score_frames(fused, params.heads, tape)
     return ForwardOutput(fused=fused, scores=scores,
                          global_attention=gout, local_attention=lout)
@@ -120,7 +117,7 @@ class LossBreakdown:
     parts: hd.LossParts
 
 
-def forward_loss(X: Matrix, params: ModelParams, gt_binary=None,
+def forward_loss(X: np.ndarray, params: ModelParams, gt_binary=None,
                  tape: Tape | None = None) -> LossBreakdown:
     """Full training-step forward: features, heads, and the objective
     cls + cfg.alpha * repel + cfg.beta * recon of cfg = params.cfg, with
@@ -136,8 +133,7 @@ def forward_loss(X: Matrix, params: ModelParams, gt_binary=None,
     out = forward_scores(X, params, tape)
     embeddings = hd.embed_frames(out.fused, params.heads, tape)
     recon = hd.reconstruct_frames(out.fused, params.heads, cfg, tape)
-    cls = hd.bce_loss(out.scores, np.asarray(gt_binary, dtype=np.float64), tape) \
-        if cfg.supervised else None
+    cls = hd.bce_loss(out.scores, gt_binary, tape) if cfg.supervised else None
     parts = hd.LossParts(
         cls=cls,
         repel=hd.repelling_loss(embeddings, tape),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import ContractError, Matrix, ShapeError
+from .autograd import ContractError, ShapeError
 from .model import ModelParams, forward_scores
 
 # Relative floor for the segment-count penalty scale. Keeps the criterion
@@ -228,7 +228,8 @@ def select_frames(frame_scores, part: ShotPartition, budget_ratio: float) -> Sum
 
 def score_video(video, params: ModelParams) -> np.ndarray:
     """Frame importance curve for one video under the given parameters."""
-    return forward_scores(Matrix(video.features), params).scores.data[:, 0].copy()
+    X = np.ascontiguousarray(video.features, dtype=np.float64)
+    return forward_scores(X, params).scores.data[:, 0].copy()
 
 
 @dataclass

@@ -40,9 +40,9 @@ CHECKPOINT_MAGIC = b"DSCK"
 CHECKPOINT_VERSION = 1
 
 
-def _xavier(rng, rows: int, cols: int) -> Matrix:
+def _xavier(rng, rows: int, cols: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (rows + cols))
-    return Matrix(rng.uniform(-bound, bound, size=(rows, cols)))
+    return rng.uniform(-bound, bound, size=(rows, cols))
 
 
 def init_params(d: int, R: int, seed: int, cfg: TrainConfig | None = None) -> ModelParams:
@@ -64,7 +64,8 @@ def init_params(d: int, R: int, seed: int, cfg: TrainConfig | None = None) -> Mo
     mats = {}
     for name, rows, cols in PARAMETERS:
         shape = size[rows], size[cols]
-        mats[name] = Matrix.zeros(*shape) if name.endswith(".b") else _xavier(rng, *shape)
+        bias = name.endswith(".b")
+        mats[name] = Matrix._wrap(np.zeros(shape) if bias else _xavier(rng, *shape))
     return ModelParams.from_named(mats, cfg)
 
 
@@ -189,11 +190,15 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
     """
     if not videos:
         raise ContractError("cannot train on an empty video set")
-    dims = {v.features.shape[1] for v in videos}
+    feats = [np.ascontiguousarray(v.features, dtype=np.float64) for v in videos]
+    for v, x in zip(videos, feats):
+        if x.ndim != 2:
+            raise ContractError(f"video {v.id}: features must be T x d, got shape {x.shape}")
+    dims = {x.shape[1] for x in feats}
     if len(dims) != 1:
         raise ContractError(f"videos disagree on feature dim: {sorted(dims)}")
     d = dims.pop()
-    short = [v.id for v in videos if v.features.shape[0] < 2]
+    short = [v.id for v, x in zip(videos, feats) if x.shape[0] < 2]
     if short:
         raise ContractError(f"training needs at least 2 frames per video; too short: {short}")
     if cfg.supervised:
@@ -205,7 +210,6 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
     params = init_params(d, cfg.neighbor_R, cfg.seed, cfg)
     state = AdamState.for_params(params)
     order = np.random.default_rng(cfg.seed).permutation(len(videos))
-    feats = [Matrix(np.asarray(v.features, dtype=np.float64)) for v in videos]
     labels = [np.asarray(v.gt_binary, dtype=np.float64) if cfg.supervised else None
               for v in videos]
 

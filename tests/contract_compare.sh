@@ -1,0 +1,119 @@
+#!/usr/bin/env bash
+# Checks that two divsum source trees keep the numeric contract. A fixed
+# synth -> train -> summarize -> evaluate -> ablate pipeline runs through the
+# CLI of BASE_SRC and of HEAD_SRC, and every output file and each command's
+# stdout (<step>.stdout) must be byte-identical; then each tree summarizes
+# the other's checkpoints, and must write the bytes the other tree wrote.
+# Beside each summary CSV, whose scores are rounded to 8 decimals, goes
+# <model>.scores: every video's frame scores as raw float64 bytes, so a
+# one-ulp change in scoring shows as well. Commands run from their output
+# directory with relative paths. WORK must not exist yet.
+#
+#   tests/contract_compare.sh BASE_SRC HEAD_SRC WORK
+#
+# Exits 1 and names every differing file when the trees disagree.
+set -euo pipefail
+
+if [ $# -ne 3 ]; then
+  echo "usage: $0 BASE_SRC HEAD_SRC WORK" >&2
+  exit 2
+fi
+base=$(cd "$1" && pwd) head=$(cd "$2" && pwd)
+mkdir "$3"
+work=$(cd "$3" && pwd)
+
+step() {  # step NAME ARGS...: one CLI command of the tree $src, its stdout kept as NAME.stdout
+  local name=$1
+  shift
+  PYTHONPATH="$src" python3 -c \
+    'import sys; from divsum.cli import main; sys.exit(main(sys.argv[1:]))' "$@" \
+    > "$name.stdout"
+}
+
+scores() {  # scores CKPT DATA OUT: the tree $src's frame scores of every video in DATA
+  PYTHONPATH="$src" python3 - "$@" <<'EOF'
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from divsum.data import load_dataset
+from divsum.segmentation import summarize_video
+from divsum.training import load_checkpoint
+
+ckpt, data, out = sys.argv[1:]
+params = load_checkpoint(ckpt)[0]
+parts = [np.asarray(summarize_video(v, params, 0.2).frame_scores, dtype=np.float64)
+         for v in load_dataset(data)]
+Path(out).write_bytes(b"".join(p.tobytes() for p in parts))
+EOF
+}
+
+# checkpoint name and the corpus it was trained on
+models="sup:d16 unsup:d16 off:d16 no_gda:d16 no_lca:d16 wide:d64"
+
+summarize_all() (  # summarize_all SRC RUN OUT: the tree SRC scores every checkpoint in RUN
+  src=$1
+  mkdir -p "$3"
+  cd "$3"
+  for model in $models; do
+    name=${model%%:*} data=$2/${model#*:}
+    step "summarize_$name" summarize --checkpoint "$2/$name.ckpt" --data "$data" \
+      --budget-ratio 0.2 --out "$name.summary.csv"
+    scores "$2/$name.ckpt" "$data" "$name.scores"
+  done
+)
+
+pipeline() (  # pipeline SRC OUT: the whole CLI pipeline of the tree SRC, written into OUT
+  src=$1
+  mkdir "$2"
+  cd "$2"
+  step synth_d16 synth --out d16 --videos 6 --frames 40 --dim 16 --shots 6 --noise 0.1 \
+    --seed 0 --budget-ratio 0.2
+  step synth_d64 synth --out d64 --videos 2 --frames 300 --dim 64 --shots 12 --seed 1
+
+  # every key off its default, except use_gda and use_lca, which have runs of their own
+  printf '%s\n' learning_rate=0.003 weight_decay=0.0001 epochs=6 alpha=0.2 beta=0.5 \
+    sim_kind=cosine scale_q=3 neighbor_R=1 lca_variant=literal window_boundary=zero \
+    use_positions=false supervised=false recon_final_sigmoid=true early_stop=true \
+    patience=2 min_delta=0.5 seed=3 > off.cfg
+  printf '%s\n' use_gda=false sim_kind=cosine > no_gda.cfg
+  printf '%s\n' use_lca=false window_boundary=zero > no_lca.cfg
+
+  train=(--data d16 --epochs 4 --lr 3e-3 --radius 2 --seed 0)
+  step train_sup train "${train[@]}" --out sup.ckpt
+  step train_unsup train "${train[@]}" --out unsup.ckpt --unsupervised
+  step train_off train --data d16 --config off.cfg --out off.ckpt
+  step train_no_gda train "${train[@]}" --config no_gda.cfg --out no_gda.ckpt
+  step train_no_lca train "${train[@]}" --config no_lca.cfg --out no_lca.ckpt
+  step train_wide train --data d64 --epochs 2 --lr 3e-3 --radius 3 --seed 0 --sim dot \
+    --out wide.ckpt
+  summarize_all "$src" . .
+
+  fold=(--data d16 --folds 2 --epochs 2 --lr 3e-3 --radius 1 --budget-ratio 0.2 --seed 0)
+  step evaluate evaluate "${fold[@]}" --splits splits.json --csv evaluate.csv \
+    --report evaluate.txt --baseline random
+  step evaluate_human evaluate "${fold[@]}" --baseline human
+  step ablate ablate --data d16 --axis variant --repeats 1 --folds 1 --epochs 1 --lr 3e-3 \
+    --radius 1 --budget-ratio 0.2 --seed 0 --out ablate.csv
+)
+
+pipeline "$base" "$work/base"
+pipeline "$head" "$work/head"
+summarize_all "$head" "$work/base" "$work/head_on_base"
+summarize_all "$base" "$work/head" "$work/base_on_head"
+
+status=0
+diff -rq "$work/base" "$work/head" || status=1
+for pair in head_on_base:base base_on_head:head; do
+  cross=$work/${pair%%:*} own=$work/${pair#*:}
+  for f in "$cross"/*; do
+    cmp "$f" "$own/${f##*/}" || status=1
+  done
+done
+if [ "$status" -ne 0 ]; then
+  echo "the trees disagree: see the files named above" >&2
+  exit 1
+fi
+echo "contract holds: $(find "$work/base" -type f | wc -l) files and stdouts identical," \
+  "$(find "$work/head_on_base" -type f | wc -l) cross-summary files each way"

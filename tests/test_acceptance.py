@@ -35,7 +35,7 @@ def _rel_err(got: float, want: float) -> float:
 def _loss_builders(rng, T, d):
     """(name, matrices, build) triples for each loss term."""
     E = Matrix(rng.normal(size=(T, d)))
-    X = Matrix(rng.uniform(0.2, 0.8, size=(T, d)))
+    X = rng.uniform(0.2, 0.8, size=(T, d))
     Xr = Matrix(rng.uniform(0.2, 0.8, size=(T, d)))
     raw = Matrix(rng.normal(size=(T, 1)))
     gt = rng.integers(0, 2, size=T).astype(float)
@@ -72,7 +72,7 @@ def test_criterion_01_gradient_correctness():
         T, d = int(rng.integers(3, 9)), 2 * int(rng.integers(2, 9))
         cfg = TrainConfig(neighbor_R=1, alpha=0.1, beta=1.0, supervised=True)
         params = init_params(d, 1, seed, cfg)
-        X = Matrix(rng.uniform(0.1, 0.9, size=(T, d)))
+        X = rng.uniform(0.1, 0.9, size=(T, d))
         gt = rng.integers(0, 2, size=T).astype(float)
         gt[0], gt[1] = 0.0, 1.0
 
@@ -108,7 +108,7 @@ def test_criterion_02_l2_decomposition_oracle():
             T, d = int(rng.integers(2, 33)), int(rng.integers(2, 65))
         Q = rng.normal(size=(T, d))
         K = rng.normal(size=(T, d))
-        got = pairwise_similarity(Matrix(Q), Matrix(K), "l2", 1.0).data
+        got = pairwise_similarity(Q, K, "l2", 1.0)
         want = oracles.naive_similarity(Q, K, "l2", 1.0)
         worst = max(worst, np.abs(got - want).max())
     elapsed = time.monotonic() - t0
@@ -128,11 +128,11 @@ def test_criterion_03_softmax_normalization():
         boundary = ("clamp", "zero")[seed % 2]
         params = init_params(d, R, seed, TrainConfig(
             sim_kind=kind, neighbor_R=R, window_boundary=boundary))
-        X = Matrix(rng.uniform(0.1, 1.0, size=(T, d)))
+        X = rng.uniform(0.1, 1.0, size=(T, d))
         gout = gda_forward(X, params.gda, params.cfg, None)
-        worst = max(worst, np.abs(gout.weights.data.sum(axis=0) - 1.0).max())
+        worst = max(worst, np.abs(gout.weights.sum(axis=0) - 1.0).max())
         lout = lca_forward(X, params.lca, params.cfg)
-        worst = max(worst, np.abs(lout.weights.data.sum(axis=1) - 1.0).max())
+        worst = max(worst, np.abs(lout.weights.sum(axis=1) - 1.0).max())
     assert worst < 1e-10, f"normalization off by {worst:.3e}"
     print(f"[PASS] criterion 3 softmax normalization: worst {worst:.2e}")
 
@@ -148,9 +148,9 @@ def test_criterion_04_literal_variant_collapse():
         boundary = ("clamp", "zero")[seed % 2]
         params = init_params(d, R, seed, TrainConfig(
             neighbor_R=R, lca_variant="literal", window_boundary=boundary))
-        X = Matrix(rng.normal(size=(T, d)))
+        X = rng.normal(size=(T, d))
         out = lca_forward(X, params.lca, params.cfg)
-        plain = X.data @ params.lca.Wv2.data
+        plain = X @ params.lca.Wv2.data
         worst = max(worst, np.abs(out.features.data - plain).max())
     assert worst < 1e-10, f"literal collapse off by {worst:.3e}"
     print(f"[PASS] criterion 4 literal collapse: worst {worst:.2e}")

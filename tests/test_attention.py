@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -40,19 +41,19 @@ def make_lca(rng, d, R, variant="contextual", boundary="clamp"):
 
 
 def test_positions_row_zero():
-    P = att.sinusoidal_positions(4, 6).data
+    P = att.sinusoidal_positions(4, 6)
     np.testing.assert_array_equal(P[0, 0::2], np.zeros(3))
     np.testing.assert_array_equal(P[0, 1::2], np.ones(3))
 
 
 def test_positions_first_angle():
-    P = att.sinusoidal_positions(3, 8).data
+    P = att.sinusoidal_positions(3, 8)
     assert P[1, 0] == pytest.approx(np.sin(1.0), abs=1e-12)
     assert P[1, 1] == pytest.approx(np.cos(1.0), abs=1e-12)
 
 
 def test_positions_bounded():
-    P = att.sinusoidal_positions(50, 16).data
+    P = att.sinusoidal_positions(50, 16)
     assert np.all(P >= -1.0) and np.all(P <= 1.0)
 
 
@@ -63,7 +64,7 @@ def test_positions_odd_dim_rejected():
 
 def test_positions_match_loop_table():
     np.testing.assert_allclose(
-        att.sinusoidal_positions(9, 10).data, oracles.sinusoid_table(9, 10), atol=1e-12
+        att.sinusoidal_positions(9, 10), oracles.sinusoid_table(9, 10), atol=1e-12
     )
 
 
@@ -73,46 +74,46 @@ def test_positions_match_loop_table():
 
 def test_l2_self_similarity_diagonal_is_zero():
     rng = np.random.default_rng(0)
-    Q = Matrix(rng.uniform(-1, 1, size=(5, 7)))
-    A = att.pairwise_similarity(Q, Matrix(Q.data.copy()), "l2", 1.0)
-    np.testing.assert_allclose(np.diag(A.data), np.zeros(5), atol=1e-12)
+    Q = rng.uniform(-1, 1, size=(5, 7))
+    A = att.pairwise_similarity(Q, Q.copy(), "l2", 1.0)
+    np.testing.assert_allclose(np.diag(A), np.zeros(5), atol=1e-12)
 
 
 def test_l2_unit_vectors():
-    Q = Matrix([[1.0, 0.0]])
-    K = Matrix([[0.0, 1.0]])
+    Q = np.array([[1.0, 0.0]])
+    K = np.array([[0.0, 1.0]])
     assert att.pairwise_similarity(Q, K, "l2", 1.0).item() == pytest.approx(-2.0, abs=1e-15)
 
 
 def test_l2_decomposed_matches_loops():
     rng = np.random.default_rng(5)
-    Q = Matrix(rng.uniform(-1, 1, size=(8, 16)))
-    K = Matrix(rng.uniform(-1, 1, size=(8, 16)))
-    got = att.pairwise_similarity(Q, K, "l2", 16.0).data
-    want = oracles.naive_similarity(Q.data, K.data, "l2", 16.0)
+    Q = rng.uniform(-1, 1, size=(8, 16))
+    K = rng.uniform(-1, 1, size=(8, 16))
+    got = att.pairwise_similarity(Q, K, "l2", 16.0)
+    want = oracles.naive_similarity(Q, K, "l2", 16.0)
     np.testing.assert_allclose(got, want, atol=1e-9)
 
 
 def test_cosine_scale_invariance():
     rng = np.random.default_rng(6)
     u = rng.uniform(0.1, 1, size=(1, 4))
-    A = att.pairwise_similarity(Matrix(u), Matrix(3.0 * u), "cosine", 4.0)
+    A = att.pairwise_similarity(u, 3.0 * u, "cosine", 4.0)
     assert A.item() == pytest.approx(1.0 / np.sqrt(4.0), abs=1e-12)
 
 
 def test_dot_matches_loops():
     rng = np.random.default_rng(7)
-    Q = Matrix(rng.uniform(-1, 1, size=(6, 5)))
-    K = Matrix(rng.uniform(-1, 1, size=(6, 5)))
-    got = att.pairwise_similarity(Q, K, "dot", 5.0).data
-    np.testing.assert_allclose(got, oracles.naive_similarity(Q.data, K.data, "dot", 5.0), atol=1e-12)
+    Q = rng.uniform(-1, 1, size=(6, 5))
+    K = rng.uniform(-1, 1, size=(6, 5))
+    got = att.pairwise_similarity(Q, K, "dot", 5.0)
+    np.testing.assert_allclose(got, oracles.naive_similarity(Q, K, "dot", 5.0), atol=1e-12)
 
 
 def test_similarity_rejects_unknown_kind_and_zero_rows():
-    Q = Matrix([[1.0, 0.0]])
+    Q = np.array([[1.0, 0.0]])
     with pytest.raises(ContractError):
         att.pairwise_similarity(Q, Q, "mahalanobis", 1.0)
-    Z = Matrix([[0.0, 0.0]])
+    Z = np.array([[0.0, 0.0]])
     with pytest.raises(NumericError):
         att.pairwise_similarity(Z, Q, "cosine", 1.0)
 
@@ -125,10 +126,10 @@ def test_gda_single_frame_attends_to_itself():
     rng = np.random.default_rng(8)
     d = 6
     p, cfg = make_gda(rng, d, kind="dot")
-    X = Matrix(rng.uniform(-1, 1, size=(1, d)))
+    X = rng.uniform(-1, 1, size=(1, d))
     out = att.gda_forward(X, p, cfg, att.sinusoidal_positions(1, d))
-    np.testing.assert_allclose(out.features.data, X.data @ p.Wv.data, atol=1e-12)
-    np.testing.assert_allclose(out.weights.data, [[1.0]], atol=1e-15)
+    np.testing.assert_allclose(out.features.data, X @ p.Wv.data, atol=1e-12)
+    np.testing.assert_allclose(out.weights, [[1.0]], atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", att.SIMILARITY_KINDS)
@@ -136,9 +137,9 @@ def test_gda_identical_rows_spread_uniformly(kind):
     rng = np.random.default_rng(9)
     d, T = 4, 5
     p, cfg = make_gda(rng, d, kind=kind)
-    X = Matrix(np.tile(rng.uniform(0.1, 1, size=(1, d)), (T, 1)))
+    X = np.tile(rng.uniform(0.1, 1, size=(1, d)), (T, 1))
     out = att.gda_forward(X, p, cfg, None)
-    np.testing.assert_allclose(out.weights.data, np.full((T, T), 1.0 / T), atol=1e-12)
+    np.testing.assert_allclose(out.weights, np.full((T, T), 1.0 / T), atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", att.SIMILARITY_KINDS)
@@ -146,13 +147,13 @@ def test_gda_matches_naive_reference(kind):
     rng = np.random.default_rng(10)
     T, d = 6, 8
     p, cfg = make_gda(rng, d, kind=kind)
-    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    X = rng.uniform(-1, 1, size=(T, d))
     P = att.sinusoidal_positions(T, d)
     out = att.gda_forward(X, p, cfg, P)
     want_feat, want_wts = oracles.naive_global_attention(
-        X.data, p.Wq.data, p.Wk.data, p.Wv.data, kind, d, positions=P.data
+        X, p.Wq.data, p.Wk.data, p.Wv.data, kind, d, positions=P
     )
-    np.testing.assert_allclose(out.weights.data, want_wts, atol=1e-12)
+    np.testing.assert_allclose(out.weights, want_wts, atol=1e-12)
     np.testing.assert_allclose(out.features.data, want_feat, atol=1e-12)
 
 
@@ -163,9 +164,9 @@ def test_gda_weight_columns_sum_to_one(seed, kind):
     T = int(rng.integers(1, 9))
     d = int(rng.integers(2, 7)) * 2
     p, cfg = make_gda(rng, d, kind=kind)
-    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    X = rng.uniform(-1, 1, size=(T, d))
     out = att.gda_forward(X, p, cfg, att.sinusoidal_positions(T, d))
-    np.testing.assert_allclose(out.weights.data.sum(axis=0), np.ones(T), atol=1e-10)
+    np.testing.assert_allclose(out.weights.sum(axis=0), np.ones(T), atol=1e-10)
 
 
 @pytest.mark.parametrize("kind", att.SIMILARITY_KINDS)
@@ -173,7 +174,7 @@ def test_gda_grads_match_fd(kind):
     rng = np.random.default_rng(11)
     T, d = 6, 8
     p, cfg = make_gda(rng, d, kind=kind)
-    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    X = rng.uniform(-1, 1, size=(T, d))
     P = att.sinusoidal_positions(T, d)
     W = Matrix(rng.uniform(-1, 1, size=(T, d)))  # mixing weights, so grads are generic
     params = [p.Wq, p.Wk, p.Wv]
@@ -199,8 +200,8 @@ def test_gda_permutation_equivariant_without_positions():
     p, cfg = make_gda(rng, d, kind="l2")
     X = rng.uniform(-1, 1, size=(T, d))
     perm = rng.permutation(T)
-    base = att.gda_forward(Matrix(X), p, cfg, None).features.data
-    shuffled = att.gda_forward(Matrix(X[perm]), p, cfg, None).features.data
+    base = att.gda_forward(X, p, cfg, None).features.data
+    shuffled = att.gda_forward(X[perm], p, cfg, None).features.data
     unshuffled = np.empty_like(shuffled)
     unshuffled[perm] = shuffled
     np.testing.assert_allclose(unshuffled, base, atol=1e-12)
@@ -215,15 +216,15 @@ def test_forward_only_gda_equals_taped_gda_byte_for_byte(kind, T, positions):
     rng = np.random.default_rng(T)
     d = 4
     p, cfg = make_gda(rng, d, kind=kind)
-    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    X = rng.uniform(-1, 1, size=(T, d))
     P = att.sinusoidal_positions(T, d) if positions else None
-    x_bytes = X.data.tobytes()
+    x_bytes = X.tobytes()
     bare = att.gda_forward(X, p, cfg, P)
     taped = att.gda_forward(X, p, cfg, P, Tape())
-    assert X.data.tobytes() == x_bytes
+    assert X.tobytes() == x_bytes
     assert bare.features.data.tobytes() == taped.features.data.tobytes()
-    assert bare.weights.data.tobytes() == taped.weights.data.tobytes()
-    assert bare.weights.data.flags.c_contiguous
+    assert bare.weights.tobytes() == taped.weights.tobytes()
+    assert bare.weights.flags.c_contiguous
 
 
 @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
@@ -231,7 +232,7 @@ def test_forward_only_gda_holds_one_t_by_t_buffer(taped):
     T, d = 1000, 64
     rng = np.random.default_rng(0)
     p, cfg = make_gda(rng, d)
-    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    X = rng.uniform(-1, 1, size=(T, d))
     tracemalloc.start()
     try:
         att.gda_forward(X, p, cfg, None, Tape() if taped else None)
@@ -255,17 +256,22 @@ def loss_grads(run, mats, loss, rng, held=None):
     if loss in ("features", "both"):
         terms.append(oracles.sum_all(oracles.multiply(features, mix_f, tape), tape))
     if loss in ("weights", "both"):
-        terms.append(oracles.sum_all(oracles.multiply(weights, mix_w, tape), tape))
+        terms.append(oracles.sum_all(oracles.multiply(Matrix(weights), mix_w, tape), tape))
     ag.backward(terms[0] if len(terms) == 1 else oracles.add(*terms, tape), tape)
-    return [a.tobytes() for a in [features.data, weights.data] + [m.grad for m in mats]]
+    return [a.tobytes() for a in [features.data, weights] + [m.grad for m in mats]]
 
 
 def constant_weights(chain):
-    """The op chain's (features, weights) with the weights as a constant,
-    as the fused attention paths give them: a loss on them reaches no
-    parameter."""
+    """The op chain's (features, weights) with the weights as a constant
+    array, as the fused attention paths give them: a loss on them reaches
+    no parameter."""
     features, weights = chain
-    return features, Matrix(weights.data)
+    return features, weights.data
+
+
+def gda_chain(X, p, cfg, P, tape):
+    """oracles.gda_chain on Matrix copies of the feature and position arrays."""
+    return oracles.gda_chain(Matrix(X), p, cfg, None if P is None else Matrix(P), tape)
 
 
 @pytest.mark.parametrize("loss", ["features", "weights", "both"])
@@ -277,7 +283,7 @@ def test_gda_bytes_and_grads_equal_the_generic_op_chain(kind, T, positions, loss
     rng = np.random.default_rng(T)
     d = 4
     p, cfg = make_gda(rng, d, kind=kind)
-    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    X = rng.uniform(-1, 1, size=(T, d))
     P = att.sinusoidal_positions(T, d) if positions else None
 
     def fused(tape):
@@ -285,7 +291,7 @@ def test_gda_bytes_and_grads_equal_the_generic_op_chain(kind, T, positions, loss
         return out.features, out.weights
 
     mats = [p.Wq, p.Wk, p.Wv]
-    want = loss_grads(lambda tape: constant_weights(oracles.gda_chain(X, p, cfg, P, tape)), mats,
+    want = loss_grads(lambda tape: constant_weights(gda_chain(X, p, cfg, P, tape)), mats,
                       loss, np.random.default_rng(1))
     assert loss_grads(fused, mats, loss, np.random.default_rng(1)) == want
 
@@ -296,7 +302,7 @@ def test_gda_grads_add_onto_held_grads_as_the_op_chain_does(kind, positions):
     rng = np.random.default_rng(3)
     T, d = 7, 4
     p, cfg = make_gda(rng, d, kind=kind)
-    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    X = rng.uniform(-1, 1, size=(T, d))
     P = att.sinusoidal_positions(T, d) if positions else None
     mats = [p.Wq, p.Wk, p.Wv]
     held = [rng.normal(size=m.shape) for m in mats]
@@ -305,7 +311,7 @@ def test_gda_grads_add_onto_held_grads_as_the_op_chain_does(kind, positions):
         out = att.gda_forward(X, p, cfg, P, tape)
         return out.features, out.weights
 
-    want = loss_grads(lambda tape: constant_weights(oracles.gda_chain(X, p, cfg, P, tape)), mats,
+    want = loss_grads(lambda tape: constant_weights(gda_chain(X, p, cfg, P, tape)), mats,
                       "both", np.random.default_rng(1), held)
     assert loss_grads(fused, mats, "both", np.random.default_rng(1), held) == want
 
@@ -315,11 +321,11 @@ def test_gda_grads_add_onto_held_grads_as_the_op_chain_does(kind, positions):
 def test_similarity_bytes_equal_the_generic_op_chain(kind, T):
     # the gradient bytes are pinned through gda_forward's weights record
     rng = np.random.default_rng(T)
-    Q, K = Matrix(rng.normal(size=(T, 4))), Matrix(rng.normal(size=(T, 4)))
-    q_bytes, k_bytes = Q.data.tobytes(), K.data.tobytes()
-    want = oracles.similarity_chain(Q, K, kind, 3.0).data.tobytes()
-    assert att.pairwise_similarity(Q, K, kind, 3.0).data.tobytes() == want
-    assert Q.data.tobytes() == q_bytes and K.data.tobytes() == k_bytes
+    Q, K = rng.normal(size=(T, 4)), rng.normal(size=(T, 4))
+    q_bytes, k_bytes = Q.tobytes(), K.tobytes()
+    want = oracles.similarity_chain(Matrix(Q), Matrix(K), kind, 3.0).data.tobytes()
+    assert att.pairwise_similarity(Q, K, kind, 3.0).tobytes() == want
+    assert Q.tobytes() == q_bytes and K.tobytes() == k_bytes
 
 
 @pytest.mark.parametrize("positions", [False, True], ids=["bare", "positions"])
@@ -328,7 +334,7 @@ def test_gda_forward_makes_one_record(kind, positions):
     rng = np.random.default_rng(0)
     T, d = 5, 4
     p, cfg = make_gda(rng, d, kind=kind)
-    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    X = rng.uniform(-1, 1, size=(T, d))
     P = att.sinusoidal_positions(T, d) if positions else None
     tape = Tape()
     att.gda_forward(X, p, cfg, P, tape)
@@ -341,12 +347,15 @@ def test_gda_features_positions_and_weights_get_no_gradient():
     rng = np.random.default_rng(2)
     T, d = 6, 4
     p, cfg = make_gda(rng, d)
-    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    X = rng.uniform(-1, 1, size=(T, d))
     P = att.sinusoidal_positions(T, d)
+    before = [X.tobytes(), P.tobytes()]
     tape = Tape()
     out = att.gda_forward(X, p, cfg, P, tape)
+    weights = out.weights.tobytes()
     ag.backward(oracles.sum_all(out.features, tape), tape)
-    assert X.grad is None and P.grad is None and out.weights.grad is None
+    assert all(type(a) is np.ndarray for a in (X, P, out.weights))
+    assert [X.tobytes(), P.tobytes(), out.weights.tobytes()] == before + [weights]
     assert all(m.grad is not None for m in (p.Wq, p.Wk, p.Wv))
 
 
@@ -364,18 +373,18 @@ def test_literal_variant_collapses_to_value_projection():
     rng = np.random.default_rng(13)
     T, d, R = 9, 5, 2
     p, cfg = make_lca(rng, d, R, variant="literal")
-    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    X = rng.uniform(-1, 1, size=(T, d))
     out = att.lca_forward(X, p, cfg)
-    np.testing.assert_allclose(out.features.data, X.data @ p.Wv2.data, atol=1e-10)
+    np.testing.assert_allclose(out.features.data, X @ p.Wv2.data, atol=1e-10)
 
 
 def test_contextual_identical_window_gives_value_projection():
     rng = np.random.default_rng(14)
     d, R = 4, 2
     p, cfg = make_lca(rng, d, R)
-    X = Matrix(np.tile(rng.uniform(-1, 1, size=(1, d)), (7, 1)))
+    X = np.tile(rng.uniform(-1, 1, size=(1, d)), (7, 1))
     out = att.lca_forward(X, p, cfg)
-    np.testing.assert_allclose(out.features.data, X.data @ p.Wv2.data, atol=1e-10)
+    np.testing.assert_allclose(out.features.data, X @ p.Wv2.data, atol=1e-10)
 
 
 @pytest.mark.parametrize("T", [1, 3, 7])
@@ -387,13 +396,13 @@ def test_lca_matches_naive_loops(variant, boundary, T):
     rng = np.random.default_rng(15)
     d, R = 6, 2
     p, cfg = make_lca(rng, d, R, variant=variant, boundary=boundary)
-    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    X = rng.uniform(-1, 1, size=(T, d))
     out = att.lca_forward(X, p, cfg)
     want_feat, want_wts = oracles.naive_local_attention(
-        X.data, p.Wq2.data, p.Wk2.data, p.Wv2.data, p.rel_pos.data, R, variant, boundary
+        X, p.Wq2.data, p.Wk2.data, p.Wv2.data, p.rel_pos.data, R, variant, boundary
     )
     np.testing.assert_allclose(out.features.data, want_feat, atol=1e-10)
-    np.testing.assert_allclose(out.weights.data, want_wts, atol=1e-10)
+    np.testing.assert_allclose(out.weights, want_wts, atol=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
@@ -404,10 +413,10 @@ def test_lca_window_distributions_sum_to_one(seed, variant):
     d = int(rng.integers(2, 7))
     R = int(rng.integers(1, 4))
     p, cfg = make_lca(rng, d, R, variant=variant)
-    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    X = rng.uniform(-1, 1, size=(T, d))
     out = att.lca_forward(X, p, cfg)
     assert out.weights.shape == (T, 2 * R + 1)
-    np.testing.assert_allclose(out.weights.data.sum(axis=1), np.ones(T), atol=1e-10)
+    np.testing.assert_allclose(out.weights.sum(axis=1), np.ones(T), atol=1e-10)
 
 
 @pytest.mark.parametrize("boundary", att.BOUNDARY_POLICIES)
@@ -416,7 +425,7 @@ def test_lca_grads_match_fd(variant, boundary):
     rng = np.random.default_rng(16)
     T, d, R = 5, 4, 1
     p, cfg = make_lca(rng, d, R, variant=variant, boundary=boundary)
-    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    X = rng.uniform(-1, 1, size=(T, d))
     W = Matrix(rng.uniform(-1, 1, size=(T, d)))
     params = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos]
 
@@ -448,16 +457,16 @@ def fused_lca(X, p, cfg, tape):
 def test_lca_bytes_and_grads_equal_the_generic_op_chain(variant, boundary, T, R, d, loss):
     rng = np.random.default_rng(T)
     p, cfg = make_lca(rng, d, R, variant=variant, boundary=boundary)
-    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
-    x_bytes = X.data.tobytes()
+    X = rng.uniform(-1, 1, size=(T, d))
+    x_bytes = X.tobytes()
     bare = att.lca_forward(X, p, cfg)
-    assert X.data.tobytes() == x_bytes
+    assert X.tobytes() == x_bytes
     mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos]
-    want = loss_grads(lambda tape: constant_weights(oracles.lca_chain(X, p, cfg, tape)), mats,
-                      loss, np.random.default_rng(1))
+    want = loss_grads(lambda tape: constant_weights(oracles.lca_chain(Matrix(X), p, cfg, tape)),
+                      mats, loss, np.random.default_rng(1))
     assert loss_grads(lambda tape: fused_lca(X, p, cfg, tape), mats,
                       loss, np.random.default_rng(1)) == want
-    assert [bare.features.data.tobytes(), bare.weights.data.tobytes()] == want[:2]
+    assert [bare.features.data.tobytes(), bare.weights.tobytes()] == want[:2]
 
 
 @pytest.mark.parametrize("boundary", att.BOUNDARY_POLICIES)
@@ -466,11 +475,11 @@ def test_lca_grads_add_onto_held_grads_as_the_op_chain_does(variant, boundary):
     rng = np.random.default_rng(3)
     T, d, R = 7, 4, 2
     p, cfg = make_lca(rng, d, R, variant=variant, boundary=boundary)
-    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    X = rng.uniform(-1, 1, size=(T, d))
     mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos]
     held = [rng.normal(size=m.shape) for m in mats]
-    want = loss_grads(lambda tape: constant_weights(oracles.lca_chain(X, p, cfg, tape)), mats,
-                      "both", np.random.default_rng(1), held)
+    want = loss_grads(lambda tape: constant_weights(oracles.lca_chain(Matrix(X), p, cfg, tape)),
+                      mats, "both", np.random.default_rng(1), held)
     assert loss_grads(lambda tape: fused_lca(X, p, cfg, tape), mats,
                       "both", np.random.default_rng(1), held) == want
 
@@ -479,7 +488,7 @@ def test_lca_grads_add_onto_held_grads_as_the_op_chain_does(variant, boundary):
 @pytest.mark.parametrize("variant", att.LCA_VARIANTS)
 def test_lca_forward_makes_one_record(variant, boundary):
     rng = np.random.default_rng(0)
-    X = Matrix(rng.uniform(-1, 1, size=(5, 4)))
+    X = rng.uniform(-1, 1, size=(5, 4))
     tape = Tape()
     for calls, R in enumerate((1, 2, 4), start=1):
         att.lca_forward(X, *make_lca(rng, 4, R, variant=variant, boundary=boundary), tape)
@@ -491,31 +500,32 @@ def test_lca_forward_makes_one_record(variant, boundary):
 def test_lca_output_that_misses_the_loss_leaves_operand_grads_unset(variant, boundary):
     rng = np.random.default_rng(4)
     p, cfg = make_lca(rng, 4, 2, variant=variant, boundary=boundary)
-    X = Matrix(rng.uniform(-1, 1, size=(6, 4)))
-    mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos, X]
+    X = rng.uniform(-1, 1, size=(6, 4))
+    x_bytes = X.tobytes()
+    mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos]
     tape = Tape()
     att.lca_forward(X, p, cfg, tape)
     x = Matrix([[1.0, -2.0]])
     ag.backward(oracles.sum_all(oracles.scale(x, 2.0, tape), tape), tape)
-    assert all(m.grad is None for m in mats)
+    assert all(m.grad is None for m in mats) and X.tobytes() == x_bytes
 
 
 def test_zero_boundary_policy_differs_from_clamp_at_edges():
     rng = np.random.default_rng(17)
     T, d, R = 5, 4, 2
     p, clamp = make_lca(rng, d, R, boundary="clamp")
-    X = Matrix(rng.uniform(-1, 1, size=(T, d)))
+    X = rng.uniform(-1, 1, size=(T, d))
     out_c = att.lca_forward(X, p, clamp)
     out_z = att.lca_forward(X, p, replace(clamp, window_boundary="zero"))
     # interior anchor (h=2) has no padding, so the two policies agree there
     np.testing.assert_allclose(out_c.features.data[2], out_z.features.data[2], atol=1e-12)
     assert not np.allclose(out_c.features.data[0], out_z.features.data[0])
-    np.testing.assert_allclose(out_z.weights.data.sum(axis=1), np.ones(T), atol=1e-10)
+    np.testing.assert_allclose(out_z.weights.sum(axis=1), np.ones(T), atol=1e-10)
 
 
 def test_lca_param_validation():
     eye = lambda: Matrix(np.eye(3))
-    X = Matrix(np.random.default_rng(5).uniform(-1, 1, size=(4, 3)))
+    X = np.random.default_rng(5).uniform(-1, 1, size=(4, 3))
     for rows, cols, R in ((4, 3, 1), (1, 3, 1), (5, 2, 2)):  # even, R = 0, wrong width
         p = att.LcaParams(Wq2=eye(), Wk2=eye(), Wv2=eye(), rel_pos=Matrix(np.zeros((rows, cols))))
         want = f"lca.rel_pos must be {2 * R + 1}x3, got {rows}x{cols}"
@@ -529,7 +539,7 @@ def test_lca_param_validation():
 
 def test_gda_refuses_projections_that_are_not_d_by_d():
     rng = np.random.default_rng(24)
-    X = Matrix(rng.uniform(-1, 1, size=(5, 4)))
+    X = rng.uniform(-1, 1, size=(5, 4))
     for name, bad in (("Wq", (4, 3)), ("Wk", (4, 3)), ("Wv", (4, 2))):
         p, cfg = make_gda(rng, 4)
         setattr(p, name, Matrix(rng.uniform(-1, 1, size=bad)))
@@ -553,7 +563,7 @@ def test_column_softmax_refuses_non_finite_scores_before_touching_them(monkeypat
 
     monkeypatch.setattr(att, "_softmax_columns", planted)
     rng = np.random.default_rng(25)
-    X = Matrix(rng.uniform(-1, 1, size=(6, 4)))
+    X = rng.uniform(-1, 1, size=(6, 4))
     with pytest.raises(NumericError, match="column_softmax: input contains NaN or Inf"):
         if layer == "gda":
             att.gda_forward(X, *make_gda(rng, 4), None)
@@ -567,17 +577,29 @@ def test_column_softmax_refuses_non_finite_scores_before_touching_them(monkeypat
 def test_lca_refuses_rel_pos_rows_its_config_radius_disagrees_with(rows, R):
     rng = np.random.default_rng(rows)
     p, _ = make_lca(rng, 4, (rows - 1) // 2)
-    X = Matrix(rng.uniform(-1, 1, size=(6, 4)))
+    X = rng.uniform(-1, 1, size=(6, 4))
     with pytest.raises(ShapeError, match=f"lca.rel_pos must be {2 * R + 1}x4, got {rows}x4"):
         att.lca_forward(X, p, TrainConfig(neighbor_R=R))
     assert att.lca_forward(X, p, TrainConfig(neighbor_R=(rows - 1) // 2)).weights.shape == (6, rows)
 
 
 @pytest.mark.parametrize("path", ["global", "local"])
+@pytest.mark.parametrize("shape", [(4,), (3, 4, 1)], ids=["1-D", "3-D"])
+def test_attention_refuses_features_that_are_not_2d(path, shape):
+    rng = np.random.default_rng(21)
+    X = np.zeros(shape)
+    with pytest.raises(ShapeError, match=rf"{path} attention .* got shape {re.escape(str(shape))}"):
+        if path == "global":
+            att.gda_forward(X, *make_gda(rng, 4), None)
+        else:
+            att.lca_forward(X, *make_lca(rng, 4, 1))
+
+
+@pytest.mark.parametrize("path", ["global", "local"])
 @pytest.mark.parametrize("shape", [(0, 4), (3, 5)], ids=["no-frames", "wrong-dim"])
 def test_attention_refuses_features_without_frames_or_of_the_wrong_dim(path, shape):
     rng = np.random.default_rng(21)
-    X = Matrix(np.zeros(shape))
+    X = np.zeros(shape)
     with pytest.raises(ShapeError, match=f"{path} attention .* got {shape[0]}x{shape[1]}"):
         if path == "global":
             att.gda_forward(X, *make_gda(rng, 4), None)
@@ -591,20 +613,20 @@ def test_attention_refuses_features_without_frames_or_of_the_wrong_dim(path, sha
 
 def test_fuse_zero_contributions_is_identity():
     rng = np.random.default_rng(19)
-    X = Matrix(rng.uniform(-1, 1, size=(4, 3)))
-    Z = Matrix.zeros(4, 3)
-    np.testing.assert_array_equal(att.dca_fuse(X, Z, Z).data, X.data)
+    X = rng.uniform(-1, 1, size=(4, 3))
+    Z = Matrix(np.zeros((4, 3)))
+    np.testing.assert_array_equal(att.dca_fuse(X, Z, Z).data, X)
 
 
 def test_fuse_triples_equal_inputs():
     M = Matrix(np.full((2, 2), 1.5))
-    np.testing.assert_allclose(att.dca_fuse(M, M, M).data, 3.0 * M.data, atol=1e-15)
+    np.testing.assert_allclose(att.dca_fuse(M.data, M, M).data, 3.0 * M.data, atol=1e-15)
 
 
 def test_fuse_matches_elementwise_loops():
     rng = np.random.default_rng(20)
     a, b, c = (rng.uniform(-1, 1, size=(3, 4)) for _ in range(3))
-    got = att.dca_fuse(Matrix(a), Matrix(b), Matrix(c)).data
+    got = att.dca_fuse(a, Matrix(b), Matrix(c)).data
     want = [[a[i][j] + b[i][j] + c[i][j] for j in range(4)] for i in range(3)]
     np.testing.assert_allclose(got, want, atol=1e-15)
 
@@ -621,13 +643,13 @@ def test_fuse_is_one_record_with_the_bytes_of_the_generic_op_chain(aliased):
         for m in mats:
             m.grad = np.full(m.shape, 0.1)
         tape = Tape()
-        out = fuse(*mats, tape)
+        out = fuse(mats[0].data, *mats[1:], tape)
         records = len(tape.records)
         ag.backward(oracles.sum_all(oracles.multiply(out, mix, tape), tape), tape)
         return records, [out.data.tobytes()] + [m.grad.tobytes() for m in mats]
 
     # the raw features X are a constant, so the chain adds a copy of them
-    chain = lambda X, Xg, Xl, tape: oracles.add(oracles.add(Matrix(X.data), Xg, tape), Xl, tape)
+    chain = lambda X, Xg, Xl, tape: oracles.add(oracles.add(Matrix(X), Xg, tape), Xl, tape)
     records, got = run(att.dca_fuse)
     assert records == 1
     assert got == run(chain)[1]
@@ -635,7 +657,30 @@ def test_fuse_is_one_record_with_the_bytes_of_the_generic_op_chain(aliased):
 
 def test_fuse_rejects_mismatched_shapes():
     with pytest.raises(ShapeError):
-        att.dca_fuse(Matrix(np.zeros((2, 2))), Matrix(np.zeros((2, 2))), Matrix(np.zeros((3, 2))))
+        att.dca_fuse(np.zeros((2, 2)), Matrix(np.zeros((2, 2))), Matrix(np.zeros((3, 2))))
+    with pytest.raises(ShapeError):
+        att.dca_fuse(np.zeros((2, 2)), None, Matrix(np.zeros((3, 2))))
+
+
+@pytest.mark.parametrize("absent", ["global", "local", "both"])
+def test_fuse_adds_zeros_for_absent_paths_and_gives_them_no_share(absent):
+    # -0.0 in X comes out +0.0, as it does when a zero array is added
+    rng = np.random.default_rng(26)
+    X = rng.normal(size=(5, 3))
+    X[0, 0] = -0.0
+    Xg, Xl = Matrix(rng.normal(size=(5, 3))), Matrix(rng.normal(size=(5, 3)))
+    if absent in ("global", "both"):
+        Xg = None
+    if absent in ("local", "both"):
+        Xl = None
+    zeros = np.zeros_like(X)
+    want = X + (zeros if Xg is None else Xg.data) + (zeros if Xl is None else Xl.data)
+    tape = Tape()
+    out = att.dca_fuse(X, Xg, Xl, tape)
+    assert out.data.tobytes() == want.tobytes()
+    assert len(tape.records) == 1
+    ag.backward(oracles.sum_all(out, tape), tape)
+    assert all(m.grad is not None for m in (Xg, Xl) if m is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -531,7 +531,7 @@ def test_op_result_owns_a_fresh_c_contiguous_float64_buffer(shapes, call, lo):
         assert not any(np.shares_memory(out, m.data) for m in ms)
 
 
-@pytest.mark.parametrize("m", [Matrix.zeros(2, 3), Matrix([[1], [2], [3]])],
+@pytest.mark.parametrize("m", [Matrix(np.zeros((2, 3))), Matrix([[1], [2], [3]])],
                          ids=["zeros", "column"])
 def test_constructors_build_c_contiguous_float64_matrices(m):
     assert m.data.ndim == 2 and m.data.dtype == np.float64

@@ -424,6 +424,23 @@ def test_summarize_names_a_missing_checkpoint_parameter(tmp_path, dataset, capsy
     assert err.startswith("error:") and "missing parameter gda.Wq" in err
 
 
+@pytest.mark.parametrize("paths", ["on", "off"])
+def test_summarize_refuses_a_dataset_of_another_feature_dim(tmp_path, dataset, capsys, paths):
+    ckpt, out, cfg = tmp_path / "wide.ckpt", tmp_path / "s.csv", tmp_path / "off.cfg"
+    cfg.write_text("use_gda=false\nuse_lca=false\n" if paths == "off" else "")
+    wide = tmp_path / "wide"
+    assert run("synth", "--out", str(wide), "--videos", "2", "--frames", "24", "--dim", "8",
+               "--seed", "0") == 0
+    assert run("train", "--data", str(wide), "--out", str(ckpt), "--epochs", "1",
+               "--radius", "1", "--config", str(cfg)) == 0
+    capsys.readouterr()
+    assert run("summarize", "--checkpoint", str(ckpt), "--data", str(dataset),
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == (f"error: {ckpt} holds a model of feature dim 8, "
+                                       f"{dataset / 'manifest.json'} a dataset of dim 6\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("part", ["config", "parameter name"])
 def test_summarize_names_a_non_utf8_checkpoint_string(tmp_path, dataset, capsys, part):
     cfg_raw = config_to_text(TrainConfig()).encode("utf-8")

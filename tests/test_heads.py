@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -63,7 +64,7 @@ def switched(params, **settings):
 
 def test_zero_head_scores_half():
     d = 4
-    zeros = lambda r, c: hd.Affine(W=Matrix.zeros(r, c), b=Matrix.zeros(1, c))
+    zeros = lambda r, c: hd.Affine(W=Matrix(np.zeros((r, c))), b=Matrix(np.zeros((1, c))))
     h = hd.HeadParams(
         score1=zeros(d, d), score2=zeros(d, 1), embed=zeros(d, d),
         recon1=zeros(d, d), recon2=zeros(d, d),
@@ -111,7 +112,7 @@ def test_score_head_grads_match_fd():
 def test_head_params_validate_dimension_chain():
     cfg = TrainConfig(neighbor_R=1)
     mats = dict(init_params(4, 1, 0, cfg).named_parameters())
-    mats["heads.score2.W"] = Matrix.zeros(4, 2)
+    mats["heads.score2.W"] = Matrix(np.zeros((4, 2)))
     # the score head must end in a single score column
     with pytest.raises(ShapeError, match="^heads.score2.W must be 4x1, got 4x2$"):
         mdl.ModelParams.from_named(mats, cfg)
@@ -125,7 +126,7 @@ def test_a_head_layer_refuses_an_input_of_the_wrong_width():
     broken = replace(h, score1=affine(rng, 4, 3))  # one column short of score2's rows
     with pytest.raises(ShapeError, match="affine input 3x3, weight 4x1"):
         hd.score_frames(Matrix(np.zeros((3, 4))), broken)
-    wide_bias = replace(h, score2=hd.Affine(W=h.score2.W, b=Matrix.zeros(1, 2)))
+    wide_bias = replace(h, score2=hd.Affine(W=h.score2.W, b=Matrix(np.zeros((1, 2)))))
     with pytest.raises(ShapeError, match="^bias must be 1x1, got 1x2$"):
         hd.score_frames(Matrix(np.zeros((3, 4))), wide_bias)
 
@@ -239,12 +240,12 @@ def test_repelling_grads_match_fd():
 
 
 def test_reconstruction_zero_at_identity():
-    X = Matrix(np.random.default_rng(9).uniform(-1, 1, (4, 3)))
-    assert hd.reconstruction_loss(X, Matrix(X.data.copy())).item() == 0.0
+    X = np.random.default_rng(9).uniform(-1, 1, (4, 3))
+    assert hd.reconstruction_loss(X, Matrix(X.copy())).item() == 0.0
 
 
 def test_reconstruction_three_four_five():
-    assert hd.reconstruction_loss(Matrix([[3.0, 4.0]]), Matrix([[0.0, 0.0]])).item() == \
+    assert hd.reconstruction_loss(np.array([[3.0, 4.0]]), Matrix([[0.0, 0.0]])).item() == \
         pytest.approx(5.0, abs=1e-12)
 
 
@@ -252,18 +253,18 @@ def test_reconstruction_matches_loop_oracle():
     rng = np.random.default_rng(10)
     X = rng.uniform(-1, 1, (6, 5))
     Xr = rng.uniform(-1, 1, (6, 5))
-    got = hd.reconstruction_loss(Matrix(X), Matrix(Xr)).item()
+    got = hd.reconstruction_loss(X, Matrix(Xr)).item()
     assert got == pytest.approx(oracles.loop_reconstruction(X, Xr), abs=1e-12)
 
 
 def test_reconstruction_shape_mismatch():
     with pytest.raises(ShapeError):
-        hd.reconstruction_loss(Matrix(np.zeros((2, 3))), Matrix(np.zeros((3, 2))))
+        hd.reconstruction_loss(np.zeros((2, 3)), Matrix(np.zeros((3, 2))))
 
 
 def test_reconstruction_grads_match_fd():
     rng = np.random.default_rng(11)
-    X = Matrix(rng.uniform(-1, 1, (5, 4)))
+    X = rng.uniform(-1, 1, (5, 4))
     Xr = Matrix(rng.uniform(-1, 1, (5, 4)))
 
     def run():
@@ -306,7 +307,7 @@ def test_full_forward_loss_grads_match_fd():
     rng = np.random.default_rng(12)
     T, d, R = 4, 4, 1
     params = make_model(rng, d, R, alpha=0.1, beta=1.0, supervised=True)
-    X = Matrix(rng.uniform(-1, 1, (T, d)))
+    X = rng.uniform(-1, 1, (T, d))
     gt = rng.integers(0, 2, size=T).astype(float)
     mats = [p for _, p in params.named_parameters()]
 
@@ -327,7 +328,7 @@ def test_full_forward_loss_grads_match_fd():
 def test_gradient_reaches_every_head():
     rng = np.random.default_rng(13)
     params = make_model(rng, 4, 1, supervised=True)
-    X = Matrix(rng.uniform(-1, 1, (5, 4)))
+    X = rng.uniform(-1, 1, (5, 4))
     gt = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
     params.zero_grads()
     tape = Tape()
@@ -340,19 +341,19 @@ def test_gradient_reaches_every_head():
 def test_forward_scores_ablation_toggles():
     rng = np.random.default_rng(14)
     params = make_model(rng, 4, 1)
-    X = Matrix(rng.uniform(-1, 1, (5, 4)))
+    X = rng.uniform(-1, 1, (5, 4))
     both = mdl.forward_scores(X, params)
     no_gda = mdl.forward_scores(X, switched(params, use_gda=False))
     no_lca = mdl.forward_scores(X, switched(params, use_lca=False))
     neither = mdl.forward_scores(X, switched(params, use_gda=False, use_lca=False))
     assert no_gda.global_attention is None and no_gda.local_attention is not None
     np.testing.assert_allclose(
-        no_gda.fused.data, X.data + no_gda.local_attention.features.data, atol=1e-12
+        no_gda.fused.data, X + no_gda.local_attention.features.data, atol=1e-12
     )
     np.testing.assert_allclose(
-        no_lca.fused.data, X.data + no_lca.global_attention.features.data, atol=1e-12
+        no_lca.fused.data, X + no_lca.global_attention.features.data, atol=1e-12
     )
-    np.testing.assert_array_equal(neither.fused.data, X.data)
+    np.testing.assert_array_equal(neither.fused.data, X)
     assert not np.allclose(both.fused.data, neither.fused.data)
 
 
@@ -360,13 +361,21 @@ def test_forward_scores_refuses_features_without_frames():
     params = make_model(np.random.default_rng(22), 4, 1)
     for model in (params, switched(params, use_gda=False)):
         with pytest.raises(ShapeError, match="attention .* got 0x4"):
-            mdl.forward_scores(Matrix(np.zeros((0, 4))), model)
+            mdl.forward_scores(np.zeros((0, 4)), model)
+
+
+@pytest.mark.parametrize("shape", [(4,), (5, 4, 1)], ids=["1-D", "3-D"])
+def test_forward_scores_refuses_features_that_are_not_2d(shape):
+    params = make_model(np.random.default_rng(22), 4, 1)
+    for model in (params, switched(params, use_gda=False, use_lca=False)):
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+            mdl.forward_scores(np.zeros(shape), model)
 
 
 def test_supervised_forward_requires_labels():
     rng = np.random.default_rng(15)
     params = make_model(rng, 4, 1, supervised=True)
-    X = Matrix(rng.uniform(-1, 1, (4, 4)))
+    X = rng.uniform(-1, 1, (4, 4))
     with pytest.raises(ContractError):
         mdl.forward_loss(X, params, None)
 
@@ -374,7 +383,7 @@ def test_supervised_forward_requires_labels():
 def test_unsupervised_forward_needs_no_labels():
     rng = np.random.default_rng(16)
     params = make_model(rng, 4, 1, supervised=False)
-    X = Matrix(rng.uniform(-1, 1, (4, 4)))
+    X = rng.uniform(-1, 1, (4, 4))
     out = mdl.forward_loss(X, params, None)
     assert out.parts.cls is None
     assert np.isfinite(out.total.item())
@@ -387,7 +396,7 @@ def test_unsupervised_forward_needs_no_labels():
 ])
 def test_each_setting_reaches_the_model_from_its_config(key, value):
     cfg = TrainConfig(neighbor_R=1)
-    X = Matrix(np.random.default_rng(23).uniform(-1, 1, (6, 4)))
+    X = np.random.default_rng(23).uniform(-1, 1, (6, 4))
     gt = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
     base, other = (init_params(4, 1, 0, c) for c in (cfg, replace(cfg, **{key: value})))
     assert other.cfg != base.cfg
@@ -408,10 +417,15 @@ def test_named_parameters_are_stable_and_complete():
 # fused heads and losses against the generic-op chains
 
 
+def reconstruction_chain(X, Xrec, tape=None):
+    """oracles.reconstruction_chain on a Matrix copy of the feature array X."""
+    return oracles.reconstruction_chain(Matrix(X), Xrec, tape)
+
+
 CHAINS = {"score_frames": oracles.score_chain, "embed_frames": oracles.embed_chain,
           "reconstruct_frames": oracles.reconstruct_chain, "bce_loss": oracles.bce_chain,
           "repelling_loss": oracles.repelling_chain,
-          "reconstruction_loss": oracles.reconstruction_chain,
+          "reconstruction_loss": reconstruction_chain,
           "total_loss": oracles.total_loss_chain}
 
 
@@ -426,7 +440,7 @@ def training_step(monkeypatch, chains, T, d, supervised, final_sigmoid=False, se
                 patch.setattr(hd, name, chain)
         rng = np.random.default_rng(seed)
         params = make_model(rng, d, 2, supervised=supervised, recon_final_sigmoid=final_sigmoid)
-        X = Matrix(rng.normal(size=(T, d)))
+        X = rng.normal(size=(T, d))
         gt = rng.integers(0, 2, size=T).astype(float) if supervised else None
         mats = [m for _, m in params.named_parameters()]
         if held:
@@ -482,14 +496,21 @@ def test_a_step_gives_the_features_and_attention_weights_no_gradient(monkeypatch
         monkeypatch.setattr(att, name, kept(getattr(att, name)))
     rng = np.random.default_rng(5)
     params = make_model(rng, 4, 2, supervised=supervised)
-    X = Matrix(rng.normal(size=(7, 4)))
+    X = rng.normal(size=(7, 4))
     gt = rng.integers(0, 2, size=7).astype(float) if supervised else None
+    constants = [X] + [gt] * supervised
+    before = [a.tobytes() for a in constants]
     params.zero_grads()
     tape = Tape()
-    ag.backward(mdl.forward_loss(X, params, gt, tape).total, tape)
+    out = mdl.forward_loss(X, params, gt, tape)
+    weights = [o.weights.tobytes() for o in outputs]
+    ag.backward(out.total, tape)
     assert len(outputs) == 2
-    assert X.grad is None and all(out.weights.grad is None for out in outputs)
-    assert np.any(params.gda.Wq.grad != 0.0) and np.any(params.lca.Wq2.grad != 0.0)
+    assert all(type(a) is np.ndarray for a in constants + [o.weights for o in outputs])
+    assert [a.tobytes() for a in constants] == before
+    assert [o.weights.tobytes() for o in outputs] == weights
+    assert all(m.grad is not None and np.any(m.grad != 0.0)
+               for name, m in params.named_parameters() if name.startswith(("gda.", "lca.")))
 
 
 @pytest.mark.parametrize("final_sigmoid", [False, True], ids=["recon-linear", "recon-sigmoid"])
@@ -510,7 +531,7 @@ def test_each_head_makes_one_record(head, final_sigmoid):
 @pytest.mark.parametrize("fused, chain", [
     (hd.bce_loss, oracles.bce_chain),
     (hd.repelling_loss, oracles.repelling_chain),
-    (hd.reconstruction_loss, oracles.reconstruction_chain),
+    (hd.reconstruction_loss, reconstruction_chain),
     (hd.total_loss, oracles.total_loss_chain),
 ], ids=["bce", "repelling", "reconstruction", "total"])
 def test_losses_add_onto_held_grads_as_the_chains_do(fused, chain):
@@ -523,7 +544,7 @@ def test_losses_add_onto_held_grads_as_the_chains_do(fused, chain):
         args, operands = {
             hd.bce_loss: ((a, (a.data[:, 0] > 0.5).astype(float)), [a]),
             hd.repelling_loss: ((a,), [a]),
-            hd.reconstruction_loss: ((a, b), [b]),  # a is the constant target
+            hd.reconstruction_loss: ((a.data, b), [b]),  # a is the constant target
             hd.total_loss: ((parts, 0.3, 0.7),
                             [parts.cls, parts.repel, parts.recon]),
         }[fused]

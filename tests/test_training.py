@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from divsum.config import ConfigError, TrainConfig, config_from_text, config_to_
     load_config, parse_config_text
 from divsum.data import VideoRecord, synth_generate, SynthSpec
 from divsum.model import ModelParams, forward_loss, forward_scores
-from divsum.segmentation import summarize_video
+from divsum.segmentation import score_video, summarize_video
 
 from . import oracles
 
@@ -235,7 +236,7 @@ def unsupervised_step_grads(seed):
     tr.adam_step(params, state, cfg)
     params.zero_grads()
     tape = Tape()
-    ag.backward(forward_loss(Matrix(rng.normal(size=(6, 4))), params, None, tape).total, tape)
+    ag.backward(forward_loss(rng.normal(size=(6, 4)), params, None, tape).total, tape)
     return params, state, cfg
 
 
@@ -486,6 +487,54 @@ def test_train_refuses_a_video_of_one_frame_before_the_first_step(monkeypatch, s
     assert steps == []
 
 
+@pytest.mark.parametrize("shape", [(8,), (8, 4, 1)], ids=["1-D", "3-D"])
+def test_train_refuses_features_that_are_not_2d_before_anything_starts(monkeypatch, shape):
+    videos = tiny_videos()
+    videos.insert(1, VideoRecord(id="flat", features=np.ones(shape), gt_binary=np.ones(8)))
+    inits = []
+    monkeypatch.setattr(tr, "init_params", lambda *args: inits.append(args))
+    with pytest.raises(ContractError,
+                       match=re.escape(f"video flat: features must be T x d, got shape {shape}")):
+        tr.train(videos, tiny_cfg())
+    assert inits == []
+
+
+def entry_layouts(videos):
+    """The videos with their features as given (C-ordered float64), as a
+    Fortran-ordered copy, and as a strided view into a wider array."""
+    def strided(f):
+        wide = np.zeros((f.shape[0], 2 * f.shape[1]))
+        wide[:, ::2] = f
+        return wide[:, ::2]
+
+    return {name: [replace(v, features=layout(v.features)) for v in videos]
+            for name, layout in (("c", lambda f: f), ("fortran", np.asfortranarray),
+                                 ("strided", strided))}
+
+
+def test_the_features_reach_the_layers_uncopied_and_any_layout_gives_the_same_bytes(monkeypatch):
+    layouts = entry_layouts(tiny_videos(n=2, T=10, d=4))
+    assert not layouts["fortran"][0].features.flags.c_contiguous
+    assert not layouts["strided"][0].features.flags.c_contiguous
+    seen = []
+    gda = att.gda_forward
+    monkeypatch.setattr(att, "gda_forward", lambda X, *args: seen.append(X) or gda(X, *args))
+    cfg = tiny_cfg()
+    trained = {name: tr.train(videos, cfg) for name, videos in layouts.items()}
+    own = [v.features for v in layouts["c"]]
+    steps = cfg.epochs * len(own)
+    assert len(seen) == 3 * steps and all(any(x is f for f in own) for x in seen[:steps])
+    want = result_bytes(trained["c"])
+    assert all(result_bytes(result) == want for result in trained.values())
+
+    params = trained["c"].params
+    seen.clear()
+    scores = {name: [score_video(v, params).tobytes() for v in videos]
+              for name, videos in layouts.items()}
+    assert [x is f for x, f in zip(seen, own)] == [True, True]
+    assert scores["fortran"] == scores["strided"] == scores["c"]
+
+
 def test_train_supervised_requires_labels():
     videos = tiny_videos(n=2)
     videos[1].gt_binary = None
@@ -531,7 +580,7 @@ def test_zero_weights_match_pure_classification_run():
     params = tr.init_params(4, cfg.neighbor_R, cfg.seed, cfg)
     state = tr.AdamState.for_params(params)
     order = np.random.default_rng(cfg.seed).permutation(len(videos))
-    feats = [Matrix(np.asarray(v.features, dtype=np.float64)) for v in videos]
+    feats = [np.ascontiguousarray(v.features, dtype=np.float64) for v in videos]
     labels = [np.asarray(v.gt_binary, dtype=np.float64) for v in videos]
     for _ in range(cfg.epochs):
         for i in order:
@@ -857,11 +906,11 @@ def test_a_misshapen_checkpoint_matrix_refusal_names_the_file(tmp_path):
 def test_a_model_without_positions_runs_gda_on_the_raw_features():
     cfg = tiny_cfg(use_positions=False)
     params = tr.init_params(4, cfg.neighbor_R, 0, cfg)
-    X = Matrix(np.random.default_rng(0).uniform(size=(7, 4)))
+    X = np.random.default_rng(0).uniform(size=(7, 4))
     out = forward_scores(X, params)
     gda = att.gda_forward(X, params.gda, cfg, None)
     np.testing.assert_array_equal(out.global_attention.features.data, gda.features.data)
-    np.testing.assert_array_equal(out.global_attention.weights.data, gda.weights.data)
+    np.testing.assert_array_equal(out.global_attention.weights, gda.weights)
     fused = att.dca_fuse(X, gda.features, att.lca_forward(X, params.lca, cfg).features)
     np.testing.assert_array_equal(out.scores.data, hd.score_frames(fused, params.heads).data)
     with_positions = forward_scores(X, replace(params, cfg=replace(cfg, use_positions=True)))
@@ -891,7 +940,7 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     params = tr.init_params(4, cfg.neighbor_R, cfg.seed, cfg)
     state = tr.AdamState.for_params(params)
     order = np.random.default_rng(cfg.seed).permutation(len(videos))
-    feats = [Matrix(np.asarray(v.features, dtype=np.float64)) for v in videos]
+    feats = [np.ascontiguousarray(v.features, dtype=np.float64) for v in videos]
     labels = [np.asarray(v.gt_binary, dtype=np.float64) for v in videos]
 
     def one_epoch(params, state):
