@@ -58,8 +58,10 @@ class LcaParams:
 class AttentionOutput:
     """Attended features plus the normalized weights that produced them.
 
-    For the global path weights is T x T (columns sum to 1). For the local
-    path it is T x (2R+1): row h is anchor h's window distribution.
+    For the global path weights is T x T (columns sum to 1), a transposed,
+    so Fortran-ordered, view of the buffer the layer mixed the values
+    with. For the local path it is T x (2R+1): row h is anchor h's window
+    distribution.
     """
 
     features: Matrix
@@ -80,6 +82,14 @@ def sinusoidal_positions(frame_count: int, dim: int) -> np.ndarray:
     return table
 
 
+_ROW_BLOCK = 32  # rows per pass over a T x T buffer: 0.5 MB of float64 at T=2000
+
+
+def _row_blocks(n: int):
+    """Slices of _ROW_BLOCK consecutive rows covering range(n)."""
+    return [slice(i, i + _ROW_BLOCK) for i in range(0, n, _ROW_BLOCK)]
+
+
 def _similarity(q: np.ndarray, k: np.ndarray, kind: str, scale_q: float):
     """T x T array of s(q_i, k_j) / sqrt(scale_q), and the map from its
     gradient to the gradients of q and of k.
@@ -87,9 +97,10 @@ def _similarity(q: np.ndarray, k: np.ndarray, kind: str, scale_q: float):
     The l2 kind (-|u-v|^2) is computed in the decomposed form
     2 u.v - |u|^2 - |v|^2, which is two rank-T products instead of a
     T^2 x d expansion and shares its heavy lifting with the dot kind.
-    The kind's tail runs in place in the buffer of Q K^T, and the
-    gradient map replays the generic-op chain's steps with its numpy and
-    BLAS calls, so both have its bytes.
+    The kind's tail runs in place in the buffer of Q K^T, one block of
+    rows at a time, and the gradient map, which scales its argument in
+    place, replays the generic-op chain's steps with its numpy and BLAS
+    calls, so both have its bytes.
     """
     if q.shape != k.shape:
         raise ShapeError(f"similarity operands differ: {q.shape[0]}x{q.shape[1]} "
@@ -106,16 +117,19 @@ def _similarity(q: np.ndarray, k: np.ndarray, kind: str, scale_q: float):
     s = q @ kt
     if kind == "cosine":
         inv_q, inv_k = 1.0 / np.sqrt(sq_q), 1.0 / np.sqrt(sq_k)
-        s *= inv_q
-        s *= inv_k.T
-    elif kind == "l2":
-        s *= 2.0
-        s -= sq_q
-        s -= sq_k.T
-    s *= c
+    for rows in _row_blocks(len(s)):
+        block = s[rows]
+        if kind == "cosine":
+            block *= inv_q[rows]
+            block *= inv_k.T
+        elif kind == "l2":
+            block *= 2.0
+            block -= sq_q[rows]
+            block -= sq_k.T
+        block *= c
 
     def grads(g):
-        g = g * c
+        g *= c
         if kind == "cosine":
             dots = q @ kt  # the forward's call again, rather than a stored T x T copy
             d_inv_k = (g * (dots * inv_q)).sum(axis=0, keepdims=True).T
@@ -148,21 +162,32 @@ def pairwise_similarity(Q: np.ndarray, K: np.ndarray, kind: str, scale_q: float)
 def _softmax_columns(s: np.ndarray) -> np.ndarray:
     """Softmax over each column of `s`, in place. The shift, exp and
     divide run in the order of the three-temporary formula, so the bytes
-    equal it; the gradient map is s * (g - (g * s).sum(axis=0)).
+    equal it; the gradient map is s * (g - (g * s).sum(axis=0)). The
+    column max and min, the shift and exp, and the divide each run in
+    row blocks, which stay in cache; the column sum is the whole array's.
 
     NaN and +Inf show in the column maxima and -Inf in the minima, so
-    those two passes refuse a non-finite input before `s` is touched.
+    the first pass, which only reads, refuses a non-finite input before
+    `s` is touched.
     """
-    mx = s.max(axis=0, keepdims=True)
-    if not (np.all(np.isfinite(mx)) and np.all(np.isfinite(s.min(axis=0)))):
+    blocks = _row_blocks(len(s))
+    mx, mn = s[blocks[0]].max(axis=0), s[blocks[0]].min(axis=0)
+    for rows in blocks[1:]:
+        np.maximum(mx, s[rows].max(axis=0), out=mx)
+        np.minimum(mn, s[rows].min(axis=0), out=mn)
+    if not (np.all(np.isfinite(mx)) and np.all(np.isfinite(mn))):
         raise NumericError("column_softmax: input contains NaN or Inf")
-    s -= mx
-    np.exp(s, out=s)
-    s /= s.sum(axis=0, keepdims=True)
+    for rows in blocks:
+        block = s[rows]
+        block -= mx
+        np.exp(block, out=block)
+    total = s.sum(axis=0)
+    for rows in blocks:
+        s[rows] /= total
     return s
 
 
-_TRANSPOSE_BLOCK = 256  # a 512 KiB tile of float64
+_TRANSPOSE_BLOCK = 128  # a 128 KiB tile of float64
 
 
 def _transpose_in_place(s: np.ndarray) -> np.ndarray:
@@ -208,13 +233,16 @@ def gda_forward(X: np.ndarray, p: GdaParams, cfg: TrainConfig,
 
     One record, adding gradient only to Wq, Wk and Wv; the features,
     positions and weights are constants. The T x T similarity buffer is
-    the only one with or without a tape: softmaxed in place, then
-    transposed in place so its product with V is the chain's BLAS call
-    on the copied transpose (a transposed view's product can differ in
-    the last bit), then transposed back to hold the weights. The
-    backward repeats the chain's numpy and BLAS calls: Wv's share, the
-    weights' gradient, then Wk's and Wq's shares. Refuses, naming the
-    first, a projection that is not d x d.
+    the only one the forward holds, with or without a tape: scored and
+    softmaxed in place in row blocks, then transposed in place so its
+    product with V is the chain's BLAS call on the copied transpose (a
+    transposed view's product can differ in the last bit). It stays
+    transposed: the weights are its transposed view. The backward
+    repeats the chain's numpy and BLAS calls: Wv's share, the weights'
+    gradient, then Wk's and Wq's shares. It holds one more T x T buffer,
+    the weights' gradient, and runs the softmax and similarity steps in
+    place in it. Refuses, naming the first, a projection that is not
+    d x d.
     """
     _check_features("global", X, p.Wq.rows)
     d = X.shape[1]
@@ -227,21 +255,22 @@ def gda_forward(X: np.ndarray, p: GdaParams, cfg: TrainConfig,
         xp = x + positions
     v = x @ p.Wv.data
     scale_q = cfg.scale_q or float(p.Wq.rows)
-    w, sim_grads = _similarity(xp @ p.Wq.data, xp @ p.Wk.data, cfg.sim_kind, scale_q)
-    mixed = _transpose_in_place(_softmax_columns(w)) @ v
-    _transpose_in_place(w)
+    s, sim_grads = _similarity(xp @ p.Wq.data, xp @ p.Wk.data, cfg.sim_kind, scale_q)
+    wt = _transpose_in_place(_softmax_columns(s))
+    mixed = wt @ v
 
     def shares(g):
-        gv = w.T.copy().T @ g
-        yield x.T @ gv
-        g_w = np.zeros_like(w)  # the chain's accumulator for the weights
-        g_w += (g @ v.T).T
-        gq, gk = sim_grads(w * (g_w - (g_w * w).sum(axis=0, keepdims=True)))
+        yield x.T @ (wt.T @ g)
+        # the chain's accumulator for the weights: the bytes of zeros plus the share
+        g_w = np.add((g @ v.T).T, 0.0, out=np.empty(wt.shape))
+        g_w -= np.multiply(g_w, wt.T, order="C").sum(axis=0, keepdims=True)
+        g_w *= wt.T
+        gq, gk = sim_grads(g_w)
         yield xp.T @ gk
         yield xp.T @ gq
 
     features = ag._record(tape, mixed, (p.Wv, p.Wk, p.Wq), shares)
-    return AttentionOutput(features=features, weights=w)
+    return AttentionOutput(features=features, weights=wt.T)
 
 
 def _row_window(a: np.ndarray, start: int, count: int):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import ContractError, ShapeError
+from .autograd import ContractError, NumericError, ShapeError
 from .model import ModelParams, forward_scores
 
 # Relative floor for the segment-count penalty scale. Keeps the criterion
@@ -70,10 +70,17 @@ class SummaryMask:
         self.frame_mask = np.asarray(self.frame_mask, dtype=int)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # refused at the end, by name
 def _scatter_table(K: np.ndarray) -> np.ndarray:
     """table[t, s] = within-segment scatter of frames [s, t), from the
     Gram matrix via prefix sums: sum of diag minus block mean; inf where
-    s >= t. End-major, so each DP row reads one contiguous row here."""
+    s >= t. End-major, so each DP row reads one contiguous row here.
+
+    Refuses a table with a segment whose scatter is not finite: a Gram
+    matrix, a diagonal sum, a prefix sum or a block sum overflowed float64
+    (a prefix sum can overflow while P[T, T] cancels back to a finite
+    value), and the DP would fall to one shot.
+    """
     T = K.shape[0]
     diag_cum = np.concatenate([[0.0], np.cumsum(np.diag(K))])
     P = np.zeros((T + 1, T + 1))
@@ -89,11 +96,14 @@ def _scatter_table(K: np.ndarray) -> np.ndarray:
     # holds no more T x T arrays at once than the start-major loop did.
     del P
     block += diag[None, :T]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        block /= ends - starts
+    block /= ends - starts
     table = diag_cum[:, None] - diag_cum[None, :T]
     table -= block
-    table[ends <= starts] = np.inf
+    empty = ends <= starts
+    table[empty] = np.inf
+    if not np.array_equal(np.isfinite(table), ~empty):
+        raise NumericError("KTS: the features' scatter table is not finite in float64 "
+                           "(their Gram matrix or its sums overflow); scale the features down")
     return table
 
 
@@ -108,7 +118,8 @@ def kts_segment(X, max_shots: int) -> ShotPartition:
     wins all argmin ties, so exactly piecewise-constant input recovers
     the fewest segments that fit it.
 
-    Degenerate sizes: T < max_shots returns T singleton shots.
+    Degenerate sizes: T < max_shots returns T singleton shots. Features
+    whose Gram matrix or its sums overflow float64 raise NumericError.
     """
     feats = np.asarray(X, dtype=np.float64)
     T = feats.shape[0]
@@ -120,7 +131,8 @@ def kts_segment(X, max_shots: int) -> ShotPartition:
         return ShotPartition(np.arange(T), T)
 
     M = int(max_shots)
-    K = feats @ feats.T
+    with np.errstate(over="ignore", invalid="ignore"):  # _scatter_table refuses the overflow
+        K = feats @ feats.T
     table = _scatter_table(K)
 
     # L[m, t]: least total scatter splitting the first t frames into m

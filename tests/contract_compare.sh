@@ -6,8 +6,11 @@
 # the other's checkpoints, and must write the bytes the other tree wrote.
 # Beside each summary CSV, whose scores are rounded to 8 decimals, goes
 # <model>.scores: every video's frame scores as raw float64 bytes, so a
-# one-ulp change in scoring shows as well. Commands run from their output
-# directory with relative paths. WORK must not exist yet.
+# one-ulp change in scoring shows as well. Each model also summarizes a
+# long video (T=1100) of its feature dim into <model>.long.*, so global
+# attention's row blocks and transpose tiles are compared at length.
+# Commands run from their output directory with relative paths. WORK must
+# not exist yet.
 #
 #   tests/contract_compare.sh BASE_SRC HEAD_SRC WORK
 #
@@ -49,18 +52,22 @@ Path(out).write_bytes(b"".join(p.tobytes() for p in parts))
 EOF
 }
 
-# checkpoint name and the corpus it was trained on
-models="sup:d16 unsup:d16 off:d16 no_gda:d16 no_lca:d16 wide:d64"
+# checkpoint name and the feature dim of the corpora it summarizes: d<dim>,
+# which it was trained on, and long<dim>
+models="sup:16 unsup:16 off:16 no_gda:16 no_lca:16 wide:64"
 
 summarize_all() (  # summarize_all SRC RUN OUT: the tree SRC scores every checkpoint in RUN
   src=$1
   mkdir -p "$3"
   cd "$3"
   for model in $models; do
-    name=${model%%:*} data=$2/${model#*:}
-    step "summarize_$name" summarize --checkpoint "$2/$name.ckpt" --data "$data" \
-      --budget-ratio 0.2 --out "$name.summary.csv"
-    scores "$2/$name.ckpt" "$data" "$name.scores"
+    name=${model%%:*} dim=${model#*:}
+    for run in "$name:d$dim" "$name.long:long$dim"; do
+      out=${run%%:*} data=$2/${run#*:}
+      step "summarize_$out" summarize --checkpoint "$2/$name.ckpt" --data "$data" \
+        --budget-ratio 0.2 --out "$out.summary.csv"
+      scores "$2/$name.ckpt" "$data" "$out.scores"
+    done
   done
 )
 
@@ -71,6 +78,8 @@ pipeline() (  # pipeline SRC OUT: the whole CLI pipeline of the tree SRC, writte
   step synth_d16 synth --out d16 --videos 6 --frames 40 --dim 16 --shots 6 --noise 0.1 \
     --seed 0 --budget-ratio 0.2
   step synth_d64 synth --out d64 --videos 2 --frames 300 --dim 64 --shots 12 --seed 1
+  step synth_long16 synth --out long16 --videos 1 --frames 1100 --dim 16 --shots 20 --seed 2
+  step synth_long64 synth --out long64 --videos 1 --frames 1100 --dim 64 --shots 20 --seed 3
 
   # every key off its default, except use_gda and use_lca, which have runs of their own
   printf '%s\n' learning_rate=0.003 weight_decay=0.0001 epochs=6 alpha=0.2 beta=0.5 \

@@ -224,7 +224,7 @@ def test_forward_only_gda_equals_taped_gda_byte_for_byte(kind, T, positions):
     assert X.tobytes() == x_bytes
     assert bare.features.data.tobytes() == taped.features.data.tobytes()
     assert bare.weights.tobytes() == taped.weights.tobytes()
-    assert bare.weights.flags.c_contiguous
+    assert bare.weights.T.flags.c_contiguous  # a view of the buffer that mixed the values
 
 
 @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
@@ -240,6 +240,29 @@ def test_forward_only_gda_holds_one_t_by_t_buffer(taped):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * T * T * 8
+
+
+@pytest.mark.parametrize("kind, bound", [("l2", 4.0), ("dot", 4.0), ("cosine", 5.0)])
+def test_gda_forward_and_backward_hold_few_t_by_t_buffers(kind, bound):
+    # the forward's buffer, then the backward's one gradient buffer and its
+    # passing temporaries; cosine recomputes Q K^T in its backward
+    T, d = 1000, 64
+    rng = np.random.default_rng(0)
+    p, cfg = make_gda(rng, d, kind=kind)
+    X = rng.uniform(-1, 1, size=(T, d))
+    G = rng.uniform(-1, 1, size=(T, d))
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        out = att.gda_forward(X, p, cfg, None, tape)
+        out.features.grad = G
+        [bwd] = tape.records
+        bwd()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(m.grad is not None for m in (p.Wq, p.Wk, p.Wv))
+    assert peak < bound * T * T * 8
 
 
 def loss_grads(run, mats, loss, rng, held=None):
@@ -276,10 +299,11 @@ def gda_chain(X, p, cfg, P, tape):
 
 @pytest.mark.parametrize("loss", ["features", "weights", "both"])
 @pytest.mark.parametrize("positions", [False, True], ids=["bare", "positions"])
-@pytest.mark.parametrize("T", [1, 2, 7, 300])
+@pytest.mark.parametrize("T", [1, 2, 7, 31, 32, 33, 257, 300])
 @pytest.mark.parametrize("kind", att.SIMILARITY_KINDS)
 def test_gda_bytes_and_grads_equal_the_generic_op_chain(kind, T, positions, loss):
-    # d=4 keeps the products in the BLAS's small-matrix range
+    # d=4 keeps the products in the BLAS's small-matrix range; T=31..33 sit
+    # either side of a row block, and T=257 is past two transpose tiles
     rng = np.random.default_rng(T)
     d = 4
     p, cfg = make_gda(rng, d, kind=kind)
@@ -316,7 +340,7 @@ def test_gda_grads_add_onto_held_grads_as_the_op_chain_does(kind, positions):
     assert loss_grads(fused, mats, "both", np.random.default_rng(1), held) == want
 
 
-@pytest.mark.parametrize("T", [1, 2, 7, 300])
+@pytest.mark.parametrize("T", [1, 2, 7, 31, 32, 33, 257, 300])
 @pytest.mark.parametrize("kind", att.SIMILARITY_KINDS)
 def test_similarity_bytes_equal_the_generic_op_chain(kind, T):
     # the gradient bytes are pinned through gda_forward's weights record
@@ -359,7 +383,7 @@ def test_gda_features_positions_and_weights_get_no_gradient():
     assert all(m.grad is not None for m in (p.Wq, p.Wk, p.Wv))
 
 
-@pytest.mark.parametrize("n", [1, 7, 256, 300, 513])
+@pytest.mark.parametrize("n", [1, 7, 127, 128, 129, 256, 300, 513])
 def test_transpose_in_place_equals_the_copied_transpose(n):
     a = np.random.default_rng(n).normal(size=(n, n))
     assert att._transpose_in_place(a.copy()).tobytes() == a.T.copy().tobytes()
@@ -547,23 +571,26 @@ def test_gda_refuses_projections_that_are_not_d_by_d():
             att.gda_forward(X, p, cfg, None)
 
 
+@pytest.mark.parametrize("T, row", [(6, 0), (40, -1)], ids=["first-row", "last-row"])
 @pytest.mark.parametrize("layer", ["gda", "lca"])
 @pytest.mark.parametrize("bad", ["nan", "+inf", "-inf", "-inf column"])
-def test_column_softmax_refuses_non_finite_scores_before_touching_them(monkeypatch, layer, bad):
-    # each layer's scores, with one bad entry (or column) planted on the way in
+def test_column_softmax_refuses_non_finite_scores_before_touching_them(monkeypatch, layer, bad,
+                                                                        T, row):
+    # each layer's scores, with one bad entry (or column) planted on the way
+    # in; in GDA's 40 x 40 buffer the last row lies in a later row block
     real, seen = att._softmax_columns, []
 
     def planted(s):
         if bad == "-inf column":
             s[:, 1] = -np.inf
         else:
-            s[0, 1] = float(bad)
+            s[row, 1] = float(bad)
         seen.append((s, s.copy()))
         return real(s)
 
     monkeypatch.setattr(att, "_softmax_columns", planted)
     rng = np.random.default_rng(25)
-    X = rng.uniform(-1, 1, size=(6, 4))
+    X = rng.uniform(-1, 1, size=(T, 4))
     with pytest.raises(NumericError, match="column_softmax: input contains NaN or Inf"):
         if layer == "gda":
             att.gda_forward(X, *make_gda(rng, 4), None)

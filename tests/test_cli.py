@@ -3,6 +3,7 @@ import json
 import os
 import stat
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +439,24 @@ def test_summarize_refuses_a_dataset_of_another_feature_dim(tmp_path, dataset, c
                "--out", str(out)) == 1
     assert capsys.readouterr().err == (f"error: {ckpt} holds a model of feature dim 8, "
                                        f"{dataset / 'manifest.json'} a dataset of dim 6\n")
+    assert not out.exists()
+
+
+def test_summarize_refuses_features_whose_kts_gram_matrix_overflows(tmp_path, capsys):
+    spec = dat.SynthSpec(videos=1, frames=60, dim=8, shots_per_video=4)
+    video = replace(dat.synth_generate(spec)[0], change_points=None)  # so KTS runs
+    plain, huge = tmp_path / "plain", tmp_path / "huge"
+    dat.save_dataset(plain, [video], "plain")
+    dat.save_dataset(huge, [replace(video, features=video.features * 1e160)], "huge")
+    ckpt, out, cfg = tmp_path / "off.ckpt", tmp_path / "s.csv", tmp_path / "off.cfg"
+    cfg.write_text("use_gda=false\nuse_lca=false\n")
+    assert run("train", "--data", str(plain), "--out", str(ckpt), "--epochs", "1",
+               "--config", str(cfg)) == 0
+    capsys.readouterr()
+    assert run("summarize", "--checkpoint", str(ckpt), "--data", str(huge),
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: KTS: the features' scatter table") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from divsum import segmentation as seg
-from divsum.autograd import ContractError, ShapeError
+from divsum.autograd import ContractError, NumericError, ShapeError
 from divsum.config import TrainConfig
-from divsum.data import VideoRecord
+from divsum.data import SynthSpec, VideoRecord, synth_generate
 from divsum.training import init_params
 
 from . import oracles
@@ -160,6 +162,34 @@ def test_scatter_table_is_the_oracle_transposed_byte_for_byte(kind, T):
     got = seg._scatter_table(K)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def overflowing_features(kind):
+    """60 or 90 x 8 features that KTS splits into several shots, and the
+    factor that makes their scatter table overflow float64: through a
+    synthetic video's Gram matrix itself; through +v then -v halves,
+    whose total sum P[T, T] cancels to 0 while the prefix sums between
+    overflow; or through a block sum, with every prefix sum finite."""
+    if kind == "scaled":
+        spec = SynthSpec(videos=1, frames=60, dim=8, shots_per_video=4)
+        return synth_generate(spec)[0].features, 1e160
+    if kind == "cancelling":
+        return np.repeat(np.eye(8)[:1] * [[1.0], [-1.0]], 30, axis=0), 1e153
+    return np.repeat(np.eye(8)[:1] * [[1.0], [-1.0]], [30, 60], axis=0), np.sqrt(1e305)
+
+
+@pytest.mark.parametrize("kind", ["scaled", "cancelling", "block"])
+def test_kts_refuses_features_whose_gram_sums_overflow(kind):
+    feats, scale = overflowing_features(kind)
+    assert seg.kts_segment(feats, 15).num_shots > 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the refusal, not a RuntimeWarning
+        with pytest.raises(NumericError, match="KTS: the features' scatter table"):
+            seg.kts_segment(feats * scale, 15)
+    off = init_params(8, 2, 0, TrainConfig(use_gda=False, use_lca=False))
+    video = VideoRecord(id="v", features=feats * scale)
+    with pytest.raises(NumericError, match="KTS: the features' scatter table"):
+        seg.summarize_video(video, off, budget_ratio=0.2)
 
 
 # ---------------------------------------------------------------------------
