@@ -5,9 +5,9 @@ The global path scores every frame pair with a selectable similarity
 each column with softmax, and mixes value projections with the column
 weights. The local path restricts attention to a +/-R frame window around
 each anchor and adds learned relative-position embeddings to the keys.
-The parameter classes hold only matrices: both paths read their settings
-(similarity kind and scale, window radius, variant and boundary) from
-the model's TrainConfig.
+Each path takes the model, whose shapes were checked when it was built,
+and reads its settings (similarity kind and scale, positions, window
+radius, variant and boundary) from cfg = params.cfg.
 
 Also houses the 2-D partition-map demonstration: color each point of a
 plane by which seed point wins the similarity argmax. With the l2
@@ -25,28 +25,28 @@ import numpy as np
 from . import autograd as ag
 from .autograd import ContractError, Matrix, NumericError, ShapeError, Tape
 
-if TYPE_CHECKING:  # config imports this module's setting names
-    from .config import TrainConfig
+if TYPE_CHECKING:  # model imports this module
+    from .model import ModelParams
 
 SIMILARITY_KINDS = ("dot", "cosine", "l2")
 LCA_VARIANTS = ("literal", "contextual")
 BOUNDARY_POLICIES = ("clamp", "zero")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GdaParams:
-    """Projections of the global attention path. ModelParams checks the
-    model's shapes; the similarity settings are the model's TrainConfig."""
+    """Projections of the global attention path. ModelParams checks their
+    shapes; the similarity settings are the model's TrainConfig."""
 
     Wq: Matrix
     Wk: Matrix
     Wv: Matrix
 
 
-@dataclass
+@dataclass(frozen=True)
 class LcaParams:
     """Projections and relative embeddings (one row per window slot) of the
-    local path. ModelParams and lca_forward check their shapes for cfg.neighbor_R."""
+    local path. ModelParams checks their shapes for cfg.neighbor_R."""
 
     Wq2: Matrix
     Wk2: Matrix
@@ -212,24 +212,13 @@ def _check_features(path: str, X: np.ndarray, d: int):
         raise ShapeError(f"{path} attention needs T x {d} features with T >= 1, got {got}")
 
 
-def _check_shapes(layer: str, p, want):
-    """Refuse, naming the first, a matrix of `p` whose shape is not the one
-    `want` pairs with its name."""
-    for name, shape in want:
-        got = getattr(p, name).shape
-        if got != shape:
-            raise ShapeError(f"{layer}.{name} must be {shape[0]}x{shape[1]}, "
-                             f"got {got[0]}x{got[1]}")
-
-
-def gda_forward(X: np.ndarray, p: GdaParams, cfg: TrainConfig,
-                positions: np.ndarray | None, tape: Tape | None = None) -> AttentionOutput:
+def gda_forward(X: np.ndarray, params: ModelParams, tape: Tape | None = None) -> AttentionOutput:
     """Global attention over all frame pairs, scored with cfg.sim_kind
     scaled by cfg.scale_q (0 means the feature dim).
 
-    Positions, when given, are added on the query/key path only; values
-    always project the raw features. Output row j mixes the value rows
-    with the j-th column of the normalized weights.
+    With cfg.use_positions, the position table is added on the query/key
+    path only; values always project the raw features. Output row j mixes
+    the value rows with the j-th column of the normalized weights.
 
     One record, adding gradient only to Wq, Wk and Wv; the features,
     positions and weights are constants. The T x T similarity buffer is
@@ -241,18 +230,13 @@ def gda_forward(X: np.ndarray, p: GdaParams, cfg: TrainConfig,
     repeats the chain's numpy and BLAS calls: Wv's share, the weights'
     gradient, then Wk's and Wq's shares. It holds one more T x T buffer,
     the weights' gradient, and runs the softmax and similarity steps in
-    place in it. Refuses, naming the first, a projection that is not
-    d x d.
+    place in it. Of the shapes, only X's is checked here.
     """
+    p, cfg = params.gda, params.cfg
     _check_features("global", X, p.Wq.rows)
-    d = X.shape[1]
-    _check_shapes("gda", p, (("Wq", (d, d)), ("Wk", (d, d)), ("Wv", (d, d))))
     x = xp = X
-    if positions is not None:
-        if positions.shape != X.shape:
-            raise ShapeError(f"positions {positions.shape[0]}x{positions.shape[1]} do not "
-                             f"match features {X.shape[0]}x{X.shape[1]}")
-        xp = x + positions
+    if cfg.use_positions:
+        xp = x + sinusoidal_positions(*X.shape)
     v = x @ p.Wv.data
     scale_q = cfg.scale_q or float(p.Wq.rows)
     s, sim_grads = _similarity(xp @ p.Wq.data, xp @ p.Wk.data, cfg.sim_kind, scale_q)
@@ -297,8 +281,7 @@ def _row_window(a: np.ndarray, start: int, count: int):
     return out, scatter
 
 
-def lca_forward(X: np.ndarray, p: LcaParams, cfg: TrainConfig,
-                tape: Tape | None = None) -> AttentionOutput:
+def lca_forward(X: np.ndarray, params: ModelParams, tape: Tape | None = None) -> AttentionOutput:
     """Windowed attention around every anchor frame, all anchors at once,
     with R = cfg.neighbor_R, cfg.lca_variant and cfg.window_boundary.
 
@@ -318,14 +301,12 @@ def lca_forward(X: np.ndarray, p: LcaParams, cfg: TrainConfig,
     One record for any variant, policy and R, adding gradient only to
     the projections and rel_pos. It repeats the op chain's numpy and BLAS
     calls: Wv2's share, the weights' gradient, rel_pos's shares slot by
-    slot, then Wk2's and Wq2's. Refuses, naming the first, a matrix that
-    is not d x d (the projections) or (2R+1) x d (rel_pos).
+    slot, then Wk2's and Wq2's. Of the shapes, only X's is checked here.
     """
+    p, cfg = params.lca, params.cfg
     _check_features("local", X, p.Wq2.rows)
     T, d = X.shape
     R, span = cfg.neighbor_R, 2 * cfg.neighbor_R + 1
-    _check_shapes("lca", p, (("Wq2", (d, d)), ("Wk2", (d, d)), ("Wv2", (d, d)),
-                             ("rel_pos", (span, d))))
     x, wq, wk, wv, rel = X, p.Wq2.data, p.Wk2.data, p.Wv2.data, p.rel_pos.data
     q, k, v = x @ wq, x @ wk, x @ wv
 

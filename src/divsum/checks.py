@@ -83,7 +83,7 @@ def check_window_normalization() -> tuple[bool, str]:
     rng = np.random.default_rng(1)
     params = init_params(5, 2, 7, TrainConfig(neighbor_R=2))
     X = rng.normal(size=(9, 5))
-    out = lca_forward(X, params.lca, params.cfg)
+    out = lca_forward(X, params)
     sums = out.weights.sum(axis=1)
     err = np.abs(sums - 1.0).max()
     return err < 1e-10, f"window rows sum to 1 within {err:.2e} (limit 1e-10)"

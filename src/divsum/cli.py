@@ -184,6 +184,9 @@ def cmd_evaluate(args) -> int:
                             seed=args.split_seed if args.split_seed is not None else cfg.seed,
                             target_corpus=args.target_corpus, budget_ratio=args.budget_ratio)
     videos = load_dataset(data)
+    # the baseline needs no model, so a refusal comes before any fold trains
+    base = None if args.baseline == "none" else (
+        random_baseline if args.baseline == "random" else human_baseline)(videos, protocol)
     splits = None
     if args.splits:
         split_path = Path(args.splits)
@@ -196,9 +199,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate(videos, cfg, protocol, splits=splits)
     text = report_text(report)
     print(text, end="")
-    if args.baseline != "none":
-        base = (random_baseline if args.baseline == "random" else human_baseline)(
-            videos, protocol)
+    if base is not None:
         print(f"{args.baseline} baseline: F={base.mean_f:.2f} "
               f"tau={base.kendall:.3f} rho={base.spearman:.3f}")
     if args.report:

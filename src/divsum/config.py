@@ -18,7 +18,7 @@ class ConfigError(ValueError):
     """Bad key, unparsable value, or unreadable config file."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
     weight_decay: float = 1e-5

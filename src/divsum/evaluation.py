@@ -334,8 +334,8 @@ def evaluate(videos, cfg: TrainConfig, protocol: EvalProtocol,
              splits: list[FoldSplit] | None = None) -> EvalReport:
     """Train per fold on the split's training half, summarize the held-out
     videos under the protocol's budget, and average F / tau / rho over
-    every test video. Every split's video ids, and that no split list or
-    half is empty, are checked before the first fold trains."""
+    every test video. The split's video ids, that no list or half is
+    empty, and each test video's reference are checked before any fold."""
     if not videos:
         raise ContractError("cannot evaluate an empty video set")
     repeated = _repeated(v.id for v in videos)
@@ -353,6 +353,10 @@ def evaluate(videos, cfg: TrainConfig, protocol: EvalProtocol,
     unknown = sorted({i for s in splits for i in s.train_ids + s.test_ids} - set(by_id))
     if unknown:
         raise ContractError(f"split references unknown video ids: {unknown}")
+    unscorable = sorted({i for s in splits for i in s.test_ids
+                         if not by_id[i].user_summaries and by_id[i].gt_binary is None})
+    if unscorable:
+        raise ContractError(f"test videos carry no reference summaries: {unscorable}")
 
     def held_out():
         for split in splits:

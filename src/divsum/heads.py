@@ -2,7 +2,8 @@
 
 Three heads read the fused frame features: a score head mapping each
 frame to an importance probability, a linear embedding head feeding the
-repelling loss, and a two-layer reconstruction head. The combined
+repelling loss, and a two-layer reconstruction head; each takes the
+model, which checked their shapes when it was built. The combined
 objective is classification + alpha * repelling + beta * reconstruction,
 with the classification term dropped in unsupervised mode.
 
@@ -19,17 +20,21 @@ it only for datasets whose features are scaled to [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import ContractError, Matrix, NumericError, ShapeError, Tape
-from .config import TrainConfig
+
+if TYPE_CHECKING:  # model imports this module
+    from .config import TrainConfig
+    from .model import ModelParams
 
 BCE_EPS = 1e-7
 
 
-@dataclass
+@dataclass(frozen=True)
 class Affine:
     """One fully-connected layer: x @ W + b with b broadcast over rows."""
 
@@ -37,7 +42,7 @@ class Affine:
     b: Matrix
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeadParams:
     """The three heads' layers. ModelParams checks the model's shapes."""
 
@@ -71,15 +76,14 @@ def _layers(x: Matrix, layers, tape: Tape | None) -> Matrix:
     """The affine layers, each followed by its activation ("relu",
     "sigmoid" or None), as one record. Each layer computes x @ W, then
     adds b in place; the backward runs the layers' reverse steps with the
-    generic-op chain's numpy and BLAS calls."""
+    generic-op chain's numpy and BLAS calls. Only x's width is checked,
+    against the first layer: the model checked the layers' shapes."""
+    first = layers[0][0].W
+    if x.cols != first.rows:
+        raise ShapeError(f"affine input {x.rows}x{x.cols}, weight {first.rows}x{first.cols}")
     inputs, outputs = [], []
     out = x.data
     for layer, act in layers:
-        if out.shape[1] != layer.W.rows:
-            raise ShapeError(f"affine input {out.shape[0]}x{out.shape[1]}, "
-                             f"weight {layer.W.rows}x{layer.W.cols}")
-        if layer.b.shape != (1, layer.W.cols):
-            raise ShapeError(f"bias must be 1x{layer.W.cols}, got {layer.b.rows}x{layer.b.cols}")
         inputs.append(out)
         out = out @ layer.W.data
         out += layer.b.data
@@ -101,20 +105,19 @@ def _layers(x: Matrix, layers, tape: Tape | None) -> Matrix:
     return ag._record(tape, out, (*params, x), shares)
 
 
-def score_frames(Xt: Matrix, h: HeadParams, tape: Tape | None = None) -> Matrix:
+def score_frames(Xt: Matrix, params: ModelParams, tape: Tape | None = None) -> Matrix:
     """Per-frame importance in (0,1): sigmoid(affine2(relu(affine1(x))))."""
-    return _layers(Xt, ((h.score1, "relu"), (h.score2, "sigmoid")), tape)
+    return _layers(Xt, ((params.heads.score1, "relu"), (params.heads.score2, "sigmoid")), tape)
 
 
-def embed_frames(Xt: Matrix, h: HeadParams, tape: Tape | None = None) -> Matrix:
+def embed_frames(Xt: Matrix, params: ModelParams, tape: Tape | None = None) -> Matrix:
     """Linear embedding feeding the repelling loss; deliberately no activation."""
-    return _layers(Xt, ((h.embed, None),), tape)
+    return _layers(Xt, ((params.heads.embed, None),), tape)
 
 
-def reconstruct_frames(Xt: Matrix, h: HeadParams, cfg: TrainConfig,
-                       tape: Tape | None = None) -> Matrix:
+def reconstruct_frames(Xt: Matrix, params: ModelParams, tape: Tape | None = None) -> Matrix:
     """affine2(sigmoid(affine1(x))), through a sigmoid when cfg.recon_final_sigmoid."""
-    final = "sigmoid" if cfg.recon_final_sigmoid else None
+    h, final = params.heads, "sigmoid" if params.cfg.recon_final_sigmoid else None
     return _layers(Xt, ((h.recon1, "sigmoid"), (h.recon2, final)), tape)
 
 
@@ -192,13 +195,10 @@ def reconstruction_loss(X: np.ndarray, Xrec: Matrix, tape: Tape | None = None) -
     return ag._record(tape, total, (Xrec,), shares)
 
 
-def total_loss(parts: LossParts, alpha: float, beta: float,
-               tape: Tape | None = None) -> Matrix:
-    """cls + alpha*repel + beta*recon, where the cls term is there exactly
-    when parts.cls is (supervised runs). Refuses negative weights."""
-    if alpha < 0.0 or beta < 0.0:
-        raise ContractError(f"loss weights must be nonnegative, got alpha={alpha} beta={beta}")
-    alpha, beta = float(alpha), float(beta)
+def total_loss(parts: LossParts, cfg: TrainConfig, tape: Tape | None = None) -> Matrix:
+    """cls + cfg.alpha*repel + cfg.beta*recon, where the cls term is there
+    exactly when parts.cls is (supervised runs)."""
+    alpha, beta = float(cfg.alpha), float(cfg.beta)
     total = parts.repel.data * alpha + parts.recon.data * beta
     operands, shares = (parts.recon, parts.repel), lambda g: (g * beta, g * alpha)
     if parts.cls is not None:

@@ -1,7 +1,9 @@
 """Full model assembly: attention paths, fusion, heads, combined loss.
 
 A ModelParams owns every trainable matrix and, as cfg, the one copy of
-the model's settings. The forward functions are free of hidden state;
+the model's settings. It is frozen, as are its holders, so the shapes
+it checks when built hold for its life. The forward functions, and
+every layer they call, take the model and are free of hidden state;
 everything differentiable flows through an explicit tape so the
 optimizer can replay it.
 """
@@ -45,7 +47,7 @@ PARAMETERS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
     gda: att.GdaParams
     lca: att.LcaParams
@@ -100,13 +102,11 @@ def forward_scores(X: np.ndarray, params: ModelParams,
     params.cfg switches off (use_gda / use_lca) does not run: fusion adds 0.0."""
     if X.ndim != 2:
         raise ShapeError(f"features must be T x d, got shape {X.shape}")
-    cfg = params.cfg
-    positions = att.sinusoidal_positions(*X.shape) if cfg.use_positions else None
-    gout = att.gda_forward(X, params.gda, cfg, positions, tape) if cfg.use_gda else None
-    lout = att.lca_forward(X, params.lca, cfg, tape) if cfg.use_lca else None
+    gout = att.gda_forward(X, params, tape) if params.cfg.use_gda else None
+    lout = att.lca_forward(X, params, tape) if params.cfg.use_lca else None
     fused = att.dca_fuse(X, gout.features if gout else None,
                          lout.features if lout else None, tape)
-    scores = hd.score_frames(fused, params.heads, tape)
+    scores = hd.score_frames(fused, params, tape)
     return ForwardOutput(fused=fused, scores=scores,
                          global_attention=gout, local_attention=lout)
 
@@ -131,12 +131,12 @@ def forward_loss(X: np.ndarray, params: ModelParams, gt_binary=None,
     if cfg.supervised and gt_binary is None:
         raise ContractError("supervised loss requires per-frame binary labels")
     out = forward_scores(X, params, tape)
-    embeddings = hd.embed_frames(out.fused, params.heads, tape)
-    recon = hd.reconstruct_frames(out.fused, params.heads, cfg, tape)
+    embeddings = hd.embed_frames(out.fused, params, tape)
+    recon = hd.reconstruct_frames(out.fused, params, tape)
     cls = hd.bce_loss(out.scores, gt_binary, tape) if cfg.supervised else None
     parts = hd.LossParts(
         cls=cls,
         repel=hd.repelling_loss(embeddings, tape),
         recon=hd.reconstruction_loss(X, recon, tape),
     )
-    return LossBreakdown(total=hd.total_loss(parts, cfg.alpha, cfg.beta, tape), parts=parts)
+    return LossBreakdown(total=hd.total_loss(parts, cfg, tape), parts=parts)

@@ -10,6 +10,7 @@ into per-frame 0/1 training labels.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,10 +239,20 @@ def select_frames(frame_scores, part: ShotPartition, budget_ratio: float) -> Sum
     return mask_from_selection(part, selected)
 
 
+@contextmanager
+def _naming(video):
+    """Re-raise a contract, numeric or shape error as `video <id>: <message>`."""
+    try:
+        yield
+    except (ContractError, NumericError, ShapeError) as e:
+        raise type(e)(f"video {video.id}: {e}") from e
+
+
 def score_video(video, params: ModelParams) -> np.ndarray:
     """Frame importance curve for one video under the given parameters."""
-    X = np.ascontiguousarray(video.features, dtype=np.float64)
-    return forward_scores(X, params).scores.data[:, 0].copy()
+    with _naming(video):
+        X = np.ascontiguousarray(video.features, dtype=np.float64)
+        return forward_scores(X, params).scores.data[:, 0].copy()
 
 
 @dataclass
@@ -260,12 +271,13 @@ def default_max_shots(T: int) -> int:
 def summarize_scores(video, frame_scores, budget_ratio: float) -> SummaryDetail:
     """Frame scores -> shots -> budgeted selection. The shots are the
     video's own change points when it has them, else KTS segments."""
-    _check_budget_ratio(budget_ratio)
-    part = video.change_points
-    if part is None:
-        part = kts_segment(video.features, default_max_shots(video.frame_count))
-    return SummaryDetail(mask=select_frames(frame_scores, part, budget_ratio),
-                         partition=part, frame_scores=frame_scores)
+    with _naming(video):
+        _check_budget_ratio(budget_ratio)
+        part = video.change_points
+        if part is None:
+            part = kts_segment(video.features, default_max_shots(video.frame_count))
+        return SummaryDetail(mask=select_frames(frame_scores, part, budget_ratio),
+                             partition=part, frame_scores=frame_scores)
 
 
 def summarize_video(video, params: ModelParams, budget_ratio: float) -> SummaryDetail:

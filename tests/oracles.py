@@ -6,7 +6,9 @@ vectorization. When a package op and its oracle agree, the agreement is
 evidence, not circularity. The exceptions are the generic autograd ops
 below and the chains built from them for global and local attention,
 the heads and the losses: the chains pin the fused ops' bytes, and
-their ops are checked against finite differences on their own.
+their ops are checked against finite differences on their own. Like
+the layers they pin, the chains take the model (`model_with` builds one
+from the matrices a test draws) and read its matrices and settings.
 """
 
 import math
@@ -16,6 +18,17 @@ import numpy as np
 
 from divsum import autograd as ag
 from divsum.autograd import Matrix, Tape
+from divsum.model import PARAMETERS, ModelParams
+
+
+def model_with(d, cfg, mats):
+    """The model of feature dim d with the settings of cfg, made of the
+    matrices `mats` (keyed by PARAMETERS names) and zeros for the rest.
+    Built as any model is, so a misshapen matrix is refused here."""
+    size = {"d": d, "span": 2 * cfg.neighbor_R + 1, 1: 1}
+    return ModelParams.from_named(
+        {name: mats[name] if name in mats else Matrix(np.zeros((size[rows], size[cols])))
+         for name, rows, cols in PARAMETERS}, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +323,10 @@ def similarity_chain(Q, K, kind, scale_q, tape=None):
     return scale(sim, c, tape)
 
 
-def gda_chain(X, p, cfg, positions, tape=None):
-    """gda_forward as a chain of generic autograd ops: (features, weights)."""
+def gda_chain(X, params, positions, tape=None):
+    """gda_forward as a chain of generic autograd ops: (features, weights).
+    positions is the table params.cfg adds, or None."""
+    p, cfg = params.gda, params.cfg
     Xp = add(X, positions, tape) if positions is not None else X
     Q = matmul(Xp, p.Wq, tape)
     K = matmul(Xp, p.Wk, tape)
@@ -385,7 +400,7 @@ def stack_rows(mats, tape=None):
                      for m, lo, hi in zip(mats, offsets[:-1], offsets[1:])))
 
 
-def lca_chain(X, p, cfg, tape=None):
+def lca_chain(X, params, tape=None):
     """lca_forward as a chain of generic autograd ops: (features, weights).
 
     Per window slot o it gathers the slot's query rows (zeroed past the
@@ -395,6 +410,7 @@ def lca_chain(X, p, cfg, tape=None):
     and transposed. The contextual variant adds the slots' value rows,
     each times its weight column (picked by a one-hot product); the
     literal one scales the value rows by the summed weights."""
+    p, cfg = params.lca, params.cfg
     T, d = X.shape
     R = cfg.neighbor_R
     span = 2 * R + 1
@@ -437,22 +453,24 @@ def affine_chain(layer, x, tape=None):
     return add(matmul(x, layer.W, tape), layer.b, tape)
 
 
-def score_chain(Xt, h, tape=None):
+def score_chain(Xt, params, tape=None):
     """score_frames as a chain of generic autograd ops, 6 records."""
+    h = params.heads
     hidden = relu(affine_chain(h.score1, Xt, tape), tape)
     return sigmoid(affine_chain(h.score2, hidden, tape), tape)
 
 
-def embed_chain(Xt, h, tape=None):
+def embed_chain(Xt, params, tape=None):
     """embed_frames as a chain of generic autograd ops, 2 records."""
-    return affine_chain(h.embed, Xt, tape)
+    return affine_chain(params.heads.embed, Xt, tape)
 
 
-def reconstruct_chain(Xt, h, cfg, tape=None):
+def reconstruct_chain(Xt, params, tape=None):
     """reconstruct_frames as a chain of generic autograd ops: 5 records,
     6 with the final sigmoid."""
+    h = params.heads
     out = affine_chain(h.recon2, sigmoid(affine_chain(h.recon1, Xt, tape), tape), tape)
-    return sigmoid(out, tape) if cfg.recon_final_sigmoid else out
+    return sigmoid(out, tape) if params.cfg.recon_final_sigmoid else out
 
 
 def bce_chain(y, gt, tape=None, eps=1e-7):
@@ -482,10 +500,10 @@ def reconstruction_chain(X, Xrec, tape=None):
     return scale(sum_all(dist, tape), 1.0 / X.rows, tape)
 
 
-def total_loss_chain(parts, alpha, beta, tape=None):
+def total_loss_chain(parts, cfg, tape=None):
     """total_loss as a chain of generic autograd ops: 4 records, 3 when
     unsupervised (parts.cls is None)."""
-    weighted = add(scale(parts.repel, alpha, tape), scale(parts.recon, beta, tape), tape)
+    weighted = add(scale(parts.repel, cfg.alpha, tape), scale(parts.recon, cfg.beta, tape), tape)
     return add(parts.cls, weighted, tape) if parts.cls is not None else weighted
 
 

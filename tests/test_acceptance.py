@@ -126,12 +126,12 @@ def test_criterion_03_softmax_normalization():
         R = int(rng.integers(1, 4))
         kind = ("dot", "cosine", "l2")[seed % 3]
         boundary = ("clamp", "zero")[seed % 2]
-        params = init_params(d, R, seed, TrainConfig(
-            sim_kind=kind, neighbor_R=R, window_boundary=boundary))
+        params = init_params(d, R, seed, TrainConfig(  # d may be odd: no position table
+            sim_kind=kind, neighbor_R=R, window_boundary=boundary, use_positions=False))
         X = rng.uniform(0.1, 1.0, size=(T, d))
-        gout = gda_forward(X, params.gda, params.cfg, None)
+        gout = gda_forward(X, params)
         worst = max(worst, np.abs(gout.weights.sum(axis=0) - 1.0).max())
-        lout = lca_forward(X, params.lca, params.cfg)
+        lout = lca_forward(X, params)
         worst = max(worst, np.abs(lout.weights.sum(axis=1) - 1.0).max())
     assert worst < 1e-10, f"normalization off by {worst:.3e}"
     print(f"[PASS] criterion 3 softmax normalization: worst {worst:.2e}")
@@ -149,7 +149,7 @@ def test_criterion_04_literal_variant_collapse():
         params = init_params(d, R, seed, TrainConfig(
             neighbor_R=R, lca_variant="literal", window_boundary=boundary))
         X = rng.normal(size=(T, d))
-        out = lca_forward(X, params.lca, params.cfg)
+        out = lca_forward(X, params)
         plain = X @ params.lca.Wv2.data
         worst = max(worst, np.abs(out.features.data - plain).max())
     assert worst < 1e-10, f"literal collapse off by {worst:.3e}"

@@ -15,25 +15,22 @@ from . import oracles
 from .oracles import finite_difference_grads
 
 
-def make_gda(rng, d, kind="l2", scale_q=0.0):
-    """Global-path params and the config holding their settings."""
-    p = att.GdaParams(
-        Wq=Matrix(rng.uniform(-1, 1, size=(d, d))),
-        Wk=Matrix(rng.uniform(-1, 1, size=(d, d))),
-        Wv=Matrix(rng.uniform(-1, 1, size=(d, d))),
-    )
-    return p, TrainConfig(sim_kind=kind, scale_q=scale_q)
+def make_gda(rng, d, kind="l2", scale_q=0.0, positions=True):
+    """A model with random global-path projections whose config holds the
+    global settings."""
+    mats = {f"gda.{name}": Matrix(rng.uniform(-1, 1, size=(d, d))) for name in ("Wq", "Wk", "Wv")}
+    cfg = TrainConfig(sim_kind=kind, scale_q=scale_q, use_positions=positions)
+    return oracles.model_with(d, cfg, mats)
 
 
 def make_lca(rng, d, R, variant="contextual", boundary="clamp"):
-    """Local-path params and the config holding their settings."""
-    p = att.LcaParams(
-        Wq2=Matrix(rng.uniform(-1, 1, size=(d, d))),
-        Wk2=Matrix(rng.uniform(-1, 1, size=(d, d))),
-        Wv2=Matrix(rng.uniform(-1, 1, size=(d, d))),
-        rel_pos=Matrix(rng.uniform(-1, 1, size=(2 * R + 1, d))),
-    )
-    return p, TrainConfig(neighbor_R=R, lca_variant=variant, window_boundary=boundary)
+    """A model with random local-path matrices whose config holds the
+    local settings."""
+    mats = {f"lca.{name}": Matrix(rng.uniform(-1, 1, size=(d, d)))
+            for name in ("Wq2", "Wk2", "Wv2")}
+    mats["lca.rel_pos"] = Matrix(rng.uniform(-1, 1, size=(2 * R + 1, d)))
+    cfg = TrainConfig(neighbor_R=R, lca_variant=variant, window_boundary=boundary)
+    return oracles.model_with(d, cfg, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +122,10 @@ def test_similarity_rejects_unknown_kind_and_zero_rows():
 def test_gda_single_frame_attends_to_itself():
     rng = np.random.default_rng(8)
     d = 6
-    p, cfg = make_gda(rng, d, kind="dot")
+    model = make_gda(rng, d, kind="dot")
     X = rng.uniform(-1, 1, size=(1, d))
-    out = att.gda_forward(X, p, cfg, att.sinusoidal_positions(1, d))
-    np.testing.assert_allclose(out.features.data, X @ p.Wv.data, atol=1e-12)
+    out = att.gda_forward(X, model)
+    np.testing.assert_allclose(out.features.data, X @ model.gda.Wv.data, atol=1e-12)
     np.testing.assert_allclose(out.weights, [[1.0]], atol=1e-15)
 
 
@@ -136,9 +133,9 @@ def test_gda_single_frame_attends_to_itself():
 def test_gda_identical_rows_spread_uniformly(kind):
     rng = np.random.default_rng(9)
     d, T = 4, 5
-    p, cfg = make_gda(rng, d, kind=kind)
+    model = make_gda(rng, d, kind=kind, positions=False)
     X = np.tile(rng.uniform(0.1, 1, size=(1, d)), (T, 1))
-    out = att.gda_forward(X, p, cfg, None)
+    out = att.gda_forward(X, model)
     np.testing.assert_allclose(out.weights, np.full((T, T), 1.0 / T), atol=1e-12)
 
 
@@ -146,12 +143,12 @@ def test_gda_identical_rows_spread_uniformly(kind):
 def test_gda_matches_naive_reference(kind):
     rng = np.random.default_rng(10)
     T, d = 6, 8
-    p, cfg = make_gda(rng, d, kind=kind)
+    model = make_gda(rng, d, kind=kind)
+    p = model.gda
     X = rng.uniform(-1, 1, size=(T, d))
-    P = att.sinusoidal_positions(T, d)
-    out = att.gda_forward(X, p, cfg, P)
+    out = att.gda_forward(X, model)
     want_feat, want_wts = oracles.naive_global_attention(
-        X, p.Wq.data, p.Wk.data, p.Wv.data, kind, d, positions=P
+        X, p.Wq.data, p.Wk.data, p.Wv.data, kind, d, positions=oracles.sinusoid_table(T, d)
     )
     np.testing.assert_allclose(out.weights, want_wts, atol=1e-12)
     np.testing.assert_allclose(out.features.data, want_feat, atol=1e-12)
@@ -163,9 +160,9 @@ def test_gda_weight_columns_sum_to_one(seed, kind):
     rng = np.random.default_rng(seed)
     T = int(rng.integers(1, 9))
     d = int(rng.integers(2, 7)) * 2
-    p, cfg = make_gda(rng, d, kind=kind)
+    model = make_gda(rng, d, kind=kind)
     X = rng.uniform(-1, 1, size=(T, d))
-    out = att.gda_forward(X, p, cfg, att.sinusoidal_positions(T, d))
+    out = att.gda_forward(X, model)
     np.testing.assert_allclose(out.weights.sum(axis=0), np.ones(T), atol=1e-10)
 
 
@@ -173,15 +170,14 @@ def test_gda_weight_columns_sum_to_one(seed, kind):
 def test_gda_grads_match_fd(kind):
     rng = np.random.default_rng(11)
     T, d = 6, 8
-    p, cfg = make_gda(rng, d, kind=kind)
+    model = make_gda(rng, d, kind=kind)
     X = rng.uniform(-1, 1, size=(T, d))
-    P = att.sinusoidal_positions(T, d)
     W = Matrix(rng.uniform(-1, 1, size=(T, d)))  # mixing weights, so grads are generic
-    params = [p.Wq, p.Wk, p.Wv]
+    params = [model.gda.Wq, model.gda.Wk, model.gda.Wv]
 
     def run():
         tape = Tape()
-        out = att.gda_forward(X, p, cfg, P, tape)
+        out = att.gda_forward(X, model, tape)
         loss = oracles.sum_all(oracles.multiply(out.features, W, tape), tape)
         return loss, tape
 
@@ -197,11 +193,11 @@ def test_gda_grads_match_fd(kind):
 def test_gda_permutation_equivariant_without_positions():
     rng = np.random.default_rng(12)
     T, d = 7, 6
-    p, cfg = make_gda(rng, d, kind="l2")
+    model = make_gda(rng, d, kind="l2", positions=False)
     X = rng.uniform(-1, 1, size=(T, d))
     perm = rng.permutation(T)
-    base = att.gda_forward(X, p, cfg, None).features.data
-    shuffled = att.gda_forward(X[perm], p, cfg, None).features.data
+    base = att.gda_forward(X, model).features.data
+    shuffled = att.gda_forward(X[perm], model).features.data
     unshuffled = np.empty_like(shuffled)
     unshuffled[perm] = shuffled
     np.testing.assert_allclose(unshuffled, base, atol=1e-12)
@@ -215,12 +211,11 @@ def test_forward_only_gda_equals_taped_gda_byte_for_byte(kind, T, positions):
     # product taken from a transposed view differs in the last bit
     rng = np.random.default_rng(T)
     d = 4
-    p, cfg = make_gda(rng, d, kind=kind)
+    model = make_gda(rng, d, kind=kind, positions=positions)
     X = rng.uniform(-1, 1, size=(T, d))
-    P = att.sinusoidal_positions(T, d) if positions else None
     x_bytes = X.tobytes()
-    bare = att.gda_forward(X, p, cfg, P)
-    taped = att.gda_forward(X, p, cfg, P, Tape())
+    bare = att.gda_forward(X, model)
+    taped = att.gda_forward(X, model, Tape())
     assert X.tobytes() == x_bytes
     assert bare.features.data.tobytes() == taped.features.data.tobytes()
     assert bare.weights.tobytes() == taped.weights.tobytes()
@@ -231,11 +226,11 @@ def test_forward_only_gda_equals_taped_gda_byte_for_byte(kind, T, positions):
 def test_forward_only_gda_holds_one_t_by_t_buffer(taped):
     T, d = 1000, 64
     rng = np.random.default_rng(0)
-    p, cfg = make_gda(rng, d)
+    model = make_gda(rng, d, positions=False)
     X = rng.uniform(-1, 1, size=(T, d))
     tracemalloc.start()
     try:
-        att.gda_forward(X, p, cfg, None, Tape() if taped else None)
+        att.gda_forward(X, model, Tape() if taped else None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -248,13 +243,14 @@ def test_gda_forward_and_backward_hold_few_t_by_t_buffers(kind, bound):
     # passing temporaries; cosine recomputes Q K^T in its backward
     T, d = 1000, 64
     rng = np.random.default_rng(0)
-    p, cfg = make_gda(rng, d, kind=kind)
+    model = make_gda(rng, d, kind=kind, positions=False)
+    p = model.gda
     X = rng.uniform(-1, 1, size=(T, d))
     G = rng.uniform(-1, 1, size=(T, d))
     tracemalloc.start()
     try:
         tape = Tape()
-        out = att.gda_forward(X, p, cfg, None, tape)
+        out = att.gda_forward(X, model, tape)
         out.features.grad = G
         [bwd] = tape.records
         bwd()
@@ -292,9 +288,11 @@ def constant_weights(chain):
     return features, weights.data
 
 
-def gda_chain(X, p, cfg, P, tape):
-    """oracles.gda_chain on Matrix copies of the feature and position arrays."""
-    return oracles.gda_chain(Matrix(X), p, cfg, None if P is None else Matrix(P), tape)
+def gda_chain(X, model, tape):
+    """oracles.gda_chain on Matrix copies of the features and of the
+    position table the model's config adds."""
+    P = Matrix(att.sinusoidal_positions(*X.shape)) if model.cfg.use_positions else None
+    return oracles.gda_chain(Matrix(X), model, P, tape)
 
 
 @pytest.mark.parametrize("loss", ["features", "weights", "both"])
@@ -306,16 +304,15 @@ def test_gda_bytes_and_grads_equal_the_generic_op_chain(kind, T, positions, loss
     # either side of a row block, and T=257 is past two transpose tiles
     rng = np.random.default_rng(T)
     d = 4
-    p, cfg = make_gda(rng, d, kind=kind)
+    model = make_gda(rng, d, kind=kind, positions=positions)
     X = rng.uniform(-1, 1, size=(T, d))
-    P = att.sinusoidal_positions(T, d) if positions else None
 
     def fused(tape):
-        out = att.gda_forward(X, p, cfg, P, tape)
+        out = att.gda_forward(X, model, tape)
         return out.features, out.weights
 
-    mats = [p.Wq, p.Wk, p.Wv]
-    want = loss_grads(lambda tape: constant_weights(gda_chain(X, p, cfg, P, tape)), mats,
+    mats = [model.gda.Wq, model.gda.Wk, model.gda.Wv]
+    want = loss_grads(lambda tape: constant_weights(gda_chain(X, model, tape)), mats,
                       loss, np.random.default_rng(1))
     assert loss_grads(fused, mats, loss, np.random.default_rng(1)) == want
 
@@ -325,17 +322,16 @@ def test_gda_bytes_and_grads_equal_the_generic_op_chain(kind, T, positions, loss
 def test_gda_grads_add_onto_held_grads_as_the_op_chain_does(kind, positions):
     rng = np.random.default_rng(3)
     T, d = 7, 4
-    p, cfg = make_gda(rng, d, kind=kind)
+    model = make_gda(rng, d, kind=kind, positions=positions)
     X = rng.uniform(-1, 1, size=(T, d))
-    P = att.sinusoidal_positions(T, d) if positions else None
-    mats = [p.Wq, p.Wk, p.Wv]
+    mats = [model.gda.Wq, model.gda.Wk, model.gda.Wv]
     held = [rng.normal(size=m.shape) for m in mats]
 
     def fused(tape):
-        out = att.gda_forward(X, p, cfg, P, tape)
+        out = att.gda_forward(X, model, tape)
         return out.features, out.weights
 
-    want = loss_grads(lambda tape: constant_weights(gda_chain(X, p, cfg, P, tape)), mats,
+    want = loss_grads(lambda tape: constant_weights(gda_chain(X, model, tape)), mats,
                       "both", np.random.default_rng(1), held)
     assert loss_grads(fused, mats, "both", np.random.default_rng(1), held) == want
 
@@ -357,30 +353,28 @@ def test_similarity_bytes_equal_the_generic_op_chain(kind, T):
 def test_gda_forward_makes_one_record(kind, positions):
     rng = np.random.default_rng(0)
     T, d = 5, 4
-    p, cfg = make_gda(rng, d, kind=kind)
+    model = make_gda(rng, d, kind=kind, positions=positions)
     X = rng.uniform(-1, 1, size=(T, d))
-    P = att.sinusoidal_positions(T, d) if positions else None
     tape = Tape()
-    att.gda_forward(X, p, cfg, P, tape)
+    att.gda_forward(X, model, tape)
     assert len(tape.records) == 1
-    att.gda_forward(X, p, cfg, P, tape)
+    att.gda_forward(X, model, tape)
     assert len(tape.records) == 2
 
 
-def test_gda_features_positions_and_weights_get_no_gradient():
+def test_gda_features_and_weights_get_no_gradient():
     rng = np.random.default_rng(2)
     T, d = 6, 4
-    p, cfg = make_gda(rng, d)
+    model = make_gda(rng, d)
     X = rng.uniform(-1, 1, size=(T, d))
-    P = att.sinusoidal_positions(T, d)
-    before = [X.tobytes(), P.tobytes()]
+    before = X.tobytes()
     tape = Tape()
-    out = att.gda_forward(X, p, cfg, P, tape)
+    out = att.gda_forward(X, model, tape)
     weights = out.weights.tobytes()
     ag.backward(oracles.sum_all(out.features, tape), tape)
-    assert all(type(a) is np.ndarray for a in (X, P, out.weights))
-    assert [X.tobytes(), P.tobytes(), out.weights.tobytes()] == before + [weights]
-    assert all(m.grad is not None for m in (p.Wq, p.Wk, p.Wv))
+    assert all(type(a) is np.ndarray for a in (X, out.weights))
+    assert [X.tobytes(), out.weights.tobytes()] == [before, weights]
+    assert all(m.grad is not None for m in (model.gda.Wq, model.gda.Wk, model.gda.Wv))
 
 
 @pytest.mark.parametrize("n", [1, 7, 127, 128, 129, 256, 300, 513])
@@ -396,19 +390,19 @@ def test_transpose_in_place_equals_the_copied_transpose(n):
 def test_literal_variant_collapses_to_value_projection():
     rng = np.random.default_rng(13)
     T, d, R = 9, 5, 2
-    p, cfg = make_lca(rng, d, R, variant="literal")
+    model = make_lca(rng, d, R, variant="literal")
     X = rng.uniform(-1, 1, size=(T, d))
-    out = att.lca_forward(X, p, cfg)
-    np.testing.assert_allclose(out.features.data, X @ p.Wv2.data, atol=1e-10)
+    out = att.lca_forward(X, model)
+    np.testing.assert_allclose(out.features.data, X @ model.lca.Wv2.data, atol=1e-10)
 
 
 def test_contextual_identical_window_gives_value_projection():
     rng = np.random.default_rng(14)
     d, R = 4, 2
-    p, cfg = make_lca(rng, d, R)
+    model = make_lca(rng, d, R)
     X = np.tile(rng.uniform(-1, 1, size=(1, d)), (7, 1))
-    out = att.lca_forward(X, p, cfg)
-    np.testing.assert_allclose(out.features.data, X @ p.Wv2.data, atol=1e-10)
+    out = att.lca_forward(X, model)
+    np.testing.assert_allclose(out.features.data, X @ model.lca.Wv2.data, atol=1e-10)
 
 
 @pytest.mark.parametrize("T", [1, 3, 7])
@@ -419,9 +413,10 @@ def test_lca_matches_naive_loops(variant, boundary, T):
     # reaches past at least one end
     rng = np.random.default_rng(15)
     d, R = 6, 2
-    p, cfg = make_lca(rng, d, R, variant=variant, boundary=boundary)
+    model = make_lca(rng, d, R, variant=variant, boundary=boundary)
+    p = model.lca
     X = rng.uniform(-1, 1, size=(T, d))
-    out = att.lca_forward(X, p, cfg)
+    out = att.lca_forward(X, model)
     want_feat, want_wts = oracles.naive_local_attention(
         X, p.Wq2.data, p.Wk2.data, p.Wv2.data, p.rel_pos.data, R, variant, boundary
     )
@@ -436,9 +431,9 @@ def test_lca_window_distributions_sum_to_one(seed, variant):
     T = int(rng.integers(1, 10))
     d = int(rng.integers(2, 7))
     R = int(rng.integers(1, 4))
-    p, cfg = make_lca(rng, d, R, variant=variant)
+    model = make_lca(rng, d, R, variant=variant)
     X = rng.uniform(-1, 1, size=(T, d))
-    out = att.lca_forward(X, p, cfg)
+    out = att.lca_forward(X, model)
     assert out.weights.shape == (T, 2 * R + 1)
     np.testing.assert_allclose(out.weights.sum(axis=1), np.ones(T), atol=1e-10)
 
@@ -448,14 +443,15 @@ def test_lca_window_distributions_sum_to_one(seed, variant):
 def test_lca_grads_match_fd(variant, boundary):
     rng = np.random.default_rng(16)
     T, d, R = 5, 4, 1
-    p, cfg = make_lca(rng, d, R, variant=variant, boundary=boundary)
+    model = make_lca(rng, d, R, variant=variant, boundary=boundary)
+    p = model.lca
     X = rng.uniform(-1, 1, size=(T, d))
     W = Matrix(rng.uniform(-1, 1, size=(T, d)))
     params = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos]
 
     def run():
         tape = Tape()
-        out = att.lca_forward(X, p, cfg, tape)
+        out = att.lca_forward(X, model, tape)
         return oracles.sum_all(oracles.multiply(out.features, W, tape), tape), tape
 
     for m in params:
@@ -467,8 +463,8 @@ def test_lca_grads_match_fd(variant, boundary):
         np.testing.assert_allclose(m.grad, num, rtol=1e-4, atol=1e-6)
 
 
-def fused_lca(X, p, cfg, tape):
-    out = att.lca_forward(X, p, cfg, tape)
+def fused_lca(X, model, tape):
+    out = att.lca_forward(X, model, tape)
     return out.features, out.weights
 
 
@@ -480,15 +476,16 @@ def fused_lca(X, p, cfg, tape):
 @pytest.mark.parametrize("variant", att.LCA_VARIANTS)
 def test_lca_bytes_and_grads_equal_the_generic_op_chain(variant, boundary, T, R, d, loss):
     rng = np.random.default_rng(T)
-    p, cfg = make_lca(rng, d, R, variant=variant, boundary=boundary)
+    model = make_lca(rng, d, R, variant=variant, boundary=boundary)
+    p = model.lca
     X = rng.uniform(-1, 1, size=(T, d))
     x_bytes = X.tobytes()
-    bare = att.lca_forward(X, p, cfg)
+    bare = att.lca_forward(X, model)
     assert X.tobytes() == x_bytes
     mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos]
-    want = loss_grads(lambda tape: constant_weights(oracles.lca_chain(Matrix(X), p, cfg, tape)),
+    want = loss_grads(lambda tape: constant_weights(oracles.lca_chain(Matrix(X), model, tape)),
                       mats, loss, np.random.default_rng(1))
-    assert loss_grads(lambda tape: fused_lca(X, p, cfg, tape), mats,
+    assert loss_grads(lambda tape: fused_lca(X, model, tape), mats,
                       loss, np.random.default_rng(1)) == want
     assert [bare.features.data.tobytes(), bare.weights.tobytes()] == want[:2]
 
@@ -498,13 +495,14 @@ def test_lca_bytes_and_grads_equal_the_generic_op_chain(variant, boundary, T, R,
 def test_lca_grads_add_onto_held_grads_as_the_op_chain_does(variant, boundary):
     rng = np.random.default_rng(3)
     T, d, R = 7, 4, 2
-    p, cfg = make_lca(rng, d, R, variant=variant, boundary=boundary)
+    model = make_lca(rng, d, R, variant=variant, boundary=boundary)
+    p = model.lca
     X = rng.uniform(-1, 1, size=(T, d))
     mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos]
     held = [rng.normal(size=m.shape) for m in mats]
-    want = loss_grads(lambda tape: constant_weights(oracles.lca_chain(Matrix(X), p, cfg, tape)),
+    want = loss_grads(lambda tape: constant_weights(oracles.lca_chain(Matrix(X), model, tape)),
                       mats, "both", np.random.default_rng(1), held)
-    assert loss_grads(lambda tape: fused_lca(X, p, cfg, tape), mats,
+    assert loss_grads(lambda tape: fused_lca(X, model, tape), mats,
                       "both", np.random.default_rng(1), held) == want
 
 
@@ -515,7 +513,7 @@ def test_lca_forward_makes_one_record(variant, boundary):
     X = rng.uniform(-1, 1, size=(5, 4))
     tape = Tape()
     for calls, R in enumerate((1, 2, 4), start=1):
-        att.lca_forward(X, *make_lca(rng, 4, R, variant=variant, boundary=boundary), tape)
+        att.lca_forward(X, make_lca(rng, 4, R, variant=variant, boundary=boundary), tape)
         assert len(tape.records) == calls
 
 
@@ -523,12 +521,13 @@ def test_lca_forward_makes_one_record(variant, boundary):
 @pytest.mark.parametrize("variant", att.LCA_VARIANTS)
 def test_lca_output_that_misses_the_loss_leaves_operand_grads_unset(variant, boundary):
     rng = np.random.default_rng(4)
-    p, cfg = make_lca(rng, 4, 2, variant=variant, boundary=boundary)
+    model = make_lca(rng, 4, 2, variant=variant, boundary=boundary)
+    p = model.lca
     X = rng.uniform(-1, 1, size=(6, 4))
     x_bytes = X.tobytes()
     mats = [p.Wq2, p.Wk2, p.Wv2, p.rel_pos]
     tape = Tape()
-    att.lca_forward(X, p, cfg, tape)
+    att.lca_forward(X, model, tape)
     x = Matrix([[1.0, -2.0]])
     ag.backward(oracles.sum_all(oracles.scale(x, 2.0, tape), tape), tape)
     assert all(m.grad is None for m in mats) and X.tobytes() == x_bytes
@@ -537,10 +536,10 @@ def test_lca_output_that_misses_the_loss_leaves_operand_grads_unset(variant, bou
 def test_zero_boundary_policy_differs_from_clamp_at_edges():
     rng = np.random.default_rng(17)
     T, d, R = 5, 4, 2
-    p, clamp = make_lca(rng, d, R, boundary="clamp")
+    clamp = make_lca(rng, d, R, boundary="clamp")
     X = rng.uniform(-1, 1, size=(T, d))
-    out_c = att.lca_forward(X, p, clamp)
-    out_z = att.lca_forward(X, p, replace(clamp, window_boundary="zero"))
+    out_c = att.lca_forward(X, clamp)
+    out_z = att.lca_forward(X, replace(clamp, cfg=replace(clamp.cfg, window_boundary="zero")))
     # interior anchor (h=2) has no padding, so the two policies agree there
     np.testing.assert_allclose(out_c.features.data[2], out_z.features.data[2], atol=1e-12)
     assert not np.allclose(out_c.features.data[0], out_z.features.data[0])
@@ -548,27 +547,23 @@ def test_zero_boundary_policy_differs_from_clamp_at_edges():
 
 
 def test_lca_param_validation():
-    eye = lambda: Matrix(np.eye(3))
-    X = np.random.default_rng(5).uniform(-1, 1, size=(4, 3))
+    # the model refuses, when it is built, local matrices its dim and radius disagree with
     for rows, cols, R in ((4, 3, 1), (1, 3, 1), (5, 2, 2)):  # even, R = 0, wrong width
-        p = att.LcaParams(Wq2=eye(), Wk2=eye(), Wv2=eye(), rel_pos=Matrix(np.zeros((rows, cols))))
         want = f"lca.rel_pos must be {2 * R + 1}x3, got {rows}x{cols}"
         with pytest.raises(ShapeError, match=want):
-            att.lca_forward(X, p, TrainConfig(neighbor_R=R))
-    p = att.LcaParams(Wq2=Matrix(np.eye(3)[:, :2]), Wk2=eye(), Wv2=eye(),  # queries too narrow
-                      rel_pos=Matrix(np.zeros((3, 3))))
-    with pytest.raises(ShapeError, match="lca.Wq2 must be 3x3, got 3x2"):
-        att.lca_forward(X, p, TrainConfig(neighbor_R=1))
+            oracles.model_with(3, TrainConfig(neighbor_R=R),
+                               {"lca.rel_pos": Matrix(np.zeros((rows, cols)))})
+    with pytest.raises(ShapeError, match="lca.Wq2 must be 3x3, got 3x2"):  # queries too narrow
+        oracles.model_with(3, TrainConfig(neighbor_R=1), {"lca.Wq2": Matrix(np.eye(3)[:, :2])})
 
 
 def test_gda_refuses_projections_that_are_not_d_by_d():
+    # the model refuses them when it is built, so gda_forward never sees one
     rng = np.random.default_rng(24)
-    X = rng.uniform(-1, 1, size=(5, 4))
     for name, bad in (("Wq", (4, 3)), ("Wk", (4, 3)), ("Wv", (4, 2))):
-        p, cfg = make_gda(rng, 4)
-        setattr(p, name, Matrix(rng.uniform(-1, 1, size=bad)))
+        mats = {f"gda.{name}": Matrix(rng.uniform(-1, 1, size=bad))}
         with pytest.raises(ShapeError, match=f"gda.{name} must be 4x4, got {bad[0]}x{bad[1]}"):
-            att.gda_forward(X, p, cfg, None)
+            oracles.model_with(4, TrainConfig(), mats)
 
 
 @pytest.mark.parametrize("T, row", [(6, 0), (40, -1)], ids=["first-row", "last-row"])
@@ -593,21 +588,22 @@ def test_column_softmax_refuses_non_finite_scores_before_touching_them(monkeypat
     X = rng.uniform(-1, 1, size=(T, 4))
     with pytest.raises(NumericError, match="column_softmax: input contains NaN or Inf"):
         if layer == "gda":
-            att.gda_forward(X, *make_gda(rng, 4), None)
+            att.gda_forward(X, make_gda(rng, 4, positions=False))
         else:
-            att.lca_forward(X, *make_lca(rng, 4, 1))
+            att.lca_forward(X, make_lca(rng, 4, 1))
     [(s, before)] = seen
     assert s.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("rows, R", [(3, 3), (5, 1)])
 def test_lca_refuses_rel_pos_rows_its_config_radius_disagrees_with(rows, R):
+    # a model whose radius is changed is built again, and refused
     rng = np.random.default_rng(rows)
-    p, _ = make_lca(rng, 4, (rows - 1) // 2)
+    model = make_lca(rng, 4, (rows - 1) // 2)
     X = rng.uniform(-1, 1, size=(6, 4))
     with pytest.raises(ShapeError, match=f"lca.rel_pos must be {2 * R + 1}x4, got {rows}x4"):
-        att.lca_forward(X, p, TrainConfig(neighbor_R=R))
-    assert att.lca_forward(X, p, TrainConfig(neighbor_R=(rows - 1) // 2)).weights.shape == (6, rows)
+        replace(model, cfg=replace(model.cfg, neighbor_R=R))
+    assert att.lca_forward(X, model).weights.shape == (6, rows)
 
 
 @pytest.mark.parametrize("path", ["global", "local"])
@@ -617,9 +613,9 @@ def test_attention_refuses_features_that_are_not_2d(path, shape):
     X = np.zeros(shape)
     with pytest.raises(ShapeError, match=rf"{path} attention .* got shape {re.escape(str(shape))}"):
         if path == "global":
-            att.gda_forward(X, *make_gda(rng, 4), None)
+            att.gda_forward(X, make_gda(rng, 4))
         else:
-            att.lca_forward(X, *make_lca(rng, 4, 1))
+            att.lca_forward(X, make_lca(rng, 4, 1))
 
 
 @pytest.mark.parametrize("path", ["global", "local"])
@@ -629,9 +625,9 @@ def test_attention_refuses_features_without_frames_or_of_the_wrong_dim(path, sha
     X = np.zeros(shape)
     with pytest.raises(ShapeError, match=f"{path} attention .* got {shape[0]}x{shape[1]}"):
         if path == "global":
-            att.gda_forward(X, *make_gda(rng, 4), None)
+            att.gda_forward(X, make_gda(rng, 4))
         else:
-            att.lca_forward(X, *make_lca(rng, 4, 1))
+            att.lca_forward(X, make_lca(rng, 4, 1))
 
 
 # ---------------------------------------------------------------------------

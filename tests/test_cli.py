@@ -456,8 +456,45 @@ def test_summarize_refuses_features_whose_kts_gram_matrix_overflows(tmp_path, ca
     assert run("summarize", "--checkpoint", str(ckpt), "--data", str(huge),
                "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: KTS: the features' scatter table") and err.count("\n") == 1
+    assert err.startswith("error: video synth_000: KTS: the features' scatter table")
+    assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_summarize_names_the_video_whose_scoring_fails(tmp_path, capsys):
+    spec = dat.SynthSpec(videos=3, frames=60, dim=8, shots_per_video=4)
+    videos = [replace(v, change_points=None) for v in dat.synth_generate(spec)]  # so KTS runs
+    plain, huge = tmp_path / "plain", tmp_path / "huge"
+    dat.save_dataset(plain, videos, "plain")
+    videos[1] = replace(videos[1], features=videos[1].features * 1e160)
+    dat.save_dataset(huge, videos, "huge")
+    ckpt, out = tmp_path / "run.ckpt", tmp_path / "s.csv"
+    assert run("train", "--data", str(plain), "--out", str(ckpt), "--epochs", "1",
+               "--radius", "1") == 0
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is what is refused
+        assert run("summarize", "--checkpoint", str(ckpt), "--data", str(huge),
+                   "--out", str(out)) == 1
+    printed, err = capsys.readouterr()
+    # the attention scores overflow first; the model-free KTS refusal is named above
+    assert err == f"error: video {videos[1].id}: column_softmax: input contains NaN or Inf\n"
+    assert printed.startswith(f"{videos[0].id}: kept ")
+    assert not out.exists()
+
+
+def test_a_human_baseline_without_two_user_summaries_fails_before_any_fold_trains(
+        tmp_path, capsys, monkeypatch):
+    ds, report = tmp_path / "ds", tmp_path / "r.txt"
+    assert run("synth", "--out", str(ds), "--videos", "4", "--frames", "24", "--dim", "6",
+               "--users", "1", "--seed", "0") == 0
+    calls = []
+    monkeypatch.setattr(evaluation, "train", lambda *args: calls.append(args))
+    capsys.readouterr()
+    assert run("evaluate", "--data", str(ds), "--folds", "2", "--epochs", "1",
+               "--baseline", "human", "--report", str(report)) == 1
+    assert capsys.readouterr() == ("", "error: human baseline needs videos with >= 2 user "
+                                       "summaries\n")
+    assert calls == [] and not report.exists()
 
 
 @pytest.mark.parametrize("part", ["config", "parameter name"])

@@ -489,6 +489,20 @@ def test_evaluate_checks_every_split_before_the_first_fold_trains(monkeypatch):
     assert calls == []
 
 
+def test_evaluate_refuses_test_videos_without_a_reference_before_the_first_fold_trains(
+        monkeypatch):
+    videos = corpus("a", 4, seed=0)
+    bare = {videos[1].id, videos[3].id}
+    videos = [replace(v, user_summaries=None, gt_binary=None) if v.id in bare else v
+              for v in videos]
+    calls = []
+    monkeypatch.setattr(ev, "train", lambda *args: calls.append(args))
+    want = f"test videos carry no reference summaries: {sorted(bare)}"
+    with pytest.raises(ContractError, match=f"^{re.escape(want)}$"):
+        ev.evaluate(videos, quick_cfg(supervised=False), ev.EvalProtocol(folds=2))
+    assert calls == []
+
+
 @pytest.mark.parametrize("budget", [0.0, 1.5, float("nan")], ids=["zero", "over-one", "nan"])
 def test_evaluate_refuses_a_bad_budget_before_the_first_fold_trains(monkeypatch, budget):
     videos = corpus("a", 4, seed=0)

@@ -1,5 +1,6 @@
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -33,6 +34,14 @@ def make_heads(rng, d):
         recon1=affine(rng, d, d),
         recon2=affine(rng, d, d),
     )
+
+
+def with_heads(h, **settings):
+    """A model holding the heads h, zeros for the attention matrices, and
+    the config TrainConfig(**settings)."""
+    mats = {f"heads.{name}.{leaf}": getattr(getattr(h, name), leaf)
+            for name in ("score1", "score2", "embed", "recon1", "recon2") for leaf in ("W", "b")}
+    return oracles.model_with(h.score1.W.rows, TrainConfig(**settings), mats)
 
 
 def col(values):
@@ -69,23 +78,23 @@ def test_zero_head_scores_half():
         score1=zeros(d, d), score2=zeros(d, 1), embed=zeros(d, d),
         recon1=zeros(d, d), recon2=zeros(d, d),
     )
-    y = hd.score_frames(Matrix(np.random.default_rng(0).uniform(-1, 1, (5, d))), h)
+    y = hd.score_frames(Matrix(np.random.default_rng(0).uniform(-1, 1, (5, d))), with_heads(h))
     np.testing.assert_array_equal(y.data, np.full((5, 1), 0.5))
 
 
 def test_scores_strictly_inside_unit_interval():
     rng = np.random.default_rng(1)
-    h = make_heads(rng, 6)
-    y = hd.score_frames(Matrix(rng.uniform(-3, 3, (20, 6))), h).data
+    model = with_heads(make_heads(rng, 6))
+    y = hd.score_frames(Matrix(rng.uniform(-3, 3, (20, 6))), model).data
     assert np.all(y > 0.0) and np.all(y < 1.0)
 
 
 def test_single_row_matches_batched_row():
     rng = np.random.default_rng(2)
-    h = make_heads(rng, 5)
+    model = with_heads(make_heads(rng, 5))
     X = rng.uniform(-1, 1, (4, 5))
-    batched = hd.score_frames(Matrix(X), h).data
-    single = hd.score_frames(Matrix(X[2:3]), h).data
+    batched = hd.score_frames(Matrix(X), model).data
+    single = hd.score_frames(Matrix(X[2:3]), model).data
     np.testing.assert_allclose(single, batched[2:3], atol=1e-12)
 
 
@@ -93,12 +102,13 @@ def test_score_head_grads_match_fd():
     rng = np.random.default_rng(3)
     d = 5
     h = make_heads(rng, d)
+    model = with_heads(h)
     X = Matrix(rng.uniform(-1, 1, (6, d)))
     params = [h.score1.W, h.score1.b, h.score2.W, h.score2.b]
 
     def run():
         tape = Tape()
-        return oracles.sum_all(hd.score_frames(X, h, tape), tape), tape
+        return oracles.sum_all(hd.score_frames(X, model, tape), tape), tape
 
     for m in params:
         m.grad = np.zeros_like(m.data)
@@ -119,16 +129,21 @@ def test_head_params_validate_dimension_chain():
 
 
 def test_a_head_layer_refuses_an_input_of_the_wrong_width():
+    model = with_heads(make_heads(np.random.default_rng(4), 4))
+    with pytest.raises(ShapeError, match="affine input 3x5, weight 4x4"):
+        hd.score_frames(Matrix(np.zeros((3, 5))), model)
+
+
+def test_the_model_refuses_a_head_layer_its_neighbours_disagree_with():
+    # checked once, when the model is built, rather than by each head call
     rng = np.random.default_rng(4)
     h = make_heads(rng, 4)
-    with pytest.raises(ShapeError, match="affine input 3x5, weight 4x4"):
-        hd.score_frames(Matrix(np.zeros((3, 5))), h)
     broken = replace(h, score1=affine(rng, 4, 3))  # one column short of score2's rows
-    with pytest.raises(ShapeError, match="affine input 3x3, weight 4x1"):
-        hd.score_frames(Matrix(np.zeros((3, 4))), broken)
+    with pytest.raises(ShapeError, match="^heads.score1.W must be 4x4, got 4x3$"):
+        with_heads(broken)
     wide_bias = replace(h, score2=hd.Affine(W=h.score2.W, b=Matrix(np.zeros((1, 2)))))
-    with pytest.raises(ShapeError, match="^bias must be 1x1, got 1x2$"):
-        hd.score_frames(Matrix(np.zeros((3, 4))), wide_bias)
+    with pytest.raises(ShapeError, match="^heads.score2.b must be 1x1, got 1x2$"):
+        with_heads(wide_bias)
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +300,11 @@ def test_reconstruction_grads_match_fd():
 def test_total_loss_weights():
     parts = hd.LossParts(cls=Matrix([[7.0]]), repel=Matrix([[2.0]]),
                          recon=Matrix([[3.0]]))
-    only_cls = hd.total_loss(parts, 0.0, 0.0)
+    only_cls = hd.total_loss(parts, TrainConfig(alpha=0.0, beta=0.0))
     assert only_cls.item() == pytest.approx(7.0)
     unsup = hd.total_loss(hd.LossParts(cls=None, repel=parts.repel, recon=parts.recon),
-                          0.1, 1.0)
+                          TrainConfig(alpha=0.1, beta=1.0))
     assert unsup.item() == pytest.approx(3.2, abs=1e-12)
-
-
-def test_loss_weights_must_be_nonnegative():
-    parts = hd.LossParts(cls=None, repel=Matrix([[1.0]]), recon=Matrix([[1.0]]))
-    for alpha, beta in ((-0.1, 1.0), (0.1, -1.0)):
-        with pytest.raises(ContractError):
-            hd.total_loss(parts, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +410,18 @@ def test_each_setting_reaches_the_model_from_its_config(key, value):
     assert other.cfg != base.cfg
     totals = [mdl.forward_loss(X, model, gt).total.item() for model in (base, other)]
     assert totals[0] != totals[1]
+
+
+@pytest.mark.parametrize("holder, name", [
+    ("", "cfg"), ("gda", "Wq"), ("lca", "rel_pos"), ("heads", "score1"), ("heads.score1", "b"),
+    ("cfg", "alpha"),
+], ids=["ModelParams", "GdaParams", "LcaParams", "HeadParams", "Affine", "TrainConfig"])
+def test_the_model_and_its_holders_refuse_field_rebinding(holder, name):
+    # so the shapes ModelParams checked when it was built hold for its whole life
+    params = init_params(4, 1, 0, TrainConfig(neighbor_R=1))
+    obj = attrgetter(holder)(params) if holder else params
+    with pytest.raises(FrozenInstanceError):
+        setattr(obj, name, getattr(obj, name))
 
 
 def test_named_parameters_are_stable_and_complete():
@@ -518,13 +538,10 @@ def test_a_step_gives_the_features_and_attention_weights_no_gradient(monkeypatch
                          ids=["score", "embed", "reconstruct"])
 def test_each_head_makes_one_record(head, final_sigmoid):
     rng = np.random.default_rng(3)
-    h = make_heads(rng, 4)
+    model = with_heads(make_heads(rng, 4), recon_final_sigmoid=final_sigmoid)
     X = Matrix(rng.normal(size=(5, 4)))
     tape = Tape()
-    if head is hd.reconstruct_frames:
-        head(X, h, TrainConfig(recon_final_sigmoid=final_sigmoid), tape)
-    else:
-        head(X, h, tape)
+    head(X, model, tape)
     assert len(tape.records) == 1
 
 
@@ -545,7 +562,7 @@ def test_losses_add_onto_held_grads_as_the_chains_do(fused, chain):
             hd.bce_loss: ((a, (a.data[:, 0] > 0.5).astype(float)), [a]),
             hd.repelling_loss: ((a,), [a]),
             hd.reconstruction_loss: ((a.data, b), [b]),  # a is the constant target
-            hd.total_loss: ((parts, 0.3, 0.7),
+            hd.total_loss: ((parts, TrainConfig(alpha=0.3, beta=0.7)),
                             [parts.cls, parts.repel, parts.recon]),
         }[fused]
         for m in operands:

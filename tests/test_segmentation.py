@@ -287,6 +287,18 @@ def make_video(rng, T, d, with_cps=True):
     return VideoRecord(id="v", features=feats, change_points=cps, corpus_tag="t")
 
 
+def test_scoring_and_summarizing_errors_name_the_video():
+    rng = np.random.default_rng(9)
+    video = make_video(rng, 12, 6, with_cps=False)
+    with pytest.raises(ShapeError, match=r"^video v: global attention needs T x 4 features"):
+        seg.score_video(video, make_trained_like_params(4, 1))
+    with pytest.raises(ContractError, match=r"^video v: budget_ratio must be in \(0, 1\]"):
+        seg.summarize_scores(video, np.zeros(12), 0.0)
+    huge = VideoRecord(id="w", features=video.features * 1e160, corpus_tag="t")
+    with pytest.raises(NumericError, match="^video w: KTS: the features' scatter table"):
+        seg.summarize_scores(huge, np.zeros(12), 0.3)
+
+
 def test_summarize_video_full_budget_selects_all():
     rng = np.random.default_rng(7)
     video = make_video(rng, 18, 6)

@@ -908,13 +908,31 @@ def test_a_model_without_positions_runs_gda_on_the_raw_features():
     params = tr.init_params(4, cfg.neighbor_R, 0, cfg)
     X = np.random.default_rng(0).uniform(size=(7, 4))
     out = forward_scores(X, params)
-    gda = att.gda_forward(X, params.gda, cfg, None)
+    gda = att.gda_forward(X, params)
+    g = params.gda
+    want, _ = oracles.naive_global_attention(X, g.Wq.data, g.Wk.data, g.Wv.data, cfg.sim_kind, 4)
+    np.testing.assert_allclose(gda.features.data, want, atol=1e-12)  # no positions added
     np.testing.assert_array_equal(out.global_attention.features.data, gda.features.data)
     np.testing.assert_array_equal(out.global_attention.weights, gda.weights)
-    fused = att.dca_fuse(X, gda.features, att.lca_forward(X, params.lca, cfg).features)
-    np.testing.assert_array_equal(out.scores.data, hd.score_frames(fused, params.heads).data)
+    fused = att.dca_fuse(X, gda.features, att.lca_forward(X, params).features)
+    np.testing.assert_array_equal(out.scores.data, hd.score_frames(fused, params).data)
     with_positions = forward_scores(X, replace(params, cfg=replace(cfg, use_positions=True)))
     assert not np.array_equal(with_positions.scores.data, out.scores.data)
+
+
+@pytest.mark.parametrize("paths", [{"use_gda": False}, {"use_gda": False, "use_lca": False}],
+                         ids=["lca-only", "no-attention"])
+def test_an_odd_dim_model_without_gda_trains_and_summarizes(paths):
+    # only GDA reads the position table, which needs an even dim
+    videos = tiny_videos(d=7)
+    cfg = tiny_cfg(**paths)
+    assert cfg.use_positions
+    params = tr.train(videos, cfg).params
+    for v in videos:
+        scores = summarize_video(v, params, 0.3).frame_scores
+        assert scores.shape == (v.frame_count,) and np.all(np.isfinite(scores))
+    with pytest.raises(ContractError, match="^position table needs an even dim, got 7$"):
+        tr.train(videos, replace(cfg, use_gda=True))
 
 
 def test_a_checkpoint_keeps_a_model_without_positions(tmp_path):
