@@ -239,7 +239,8 @@ def gda_forward(X: np.ndarray, params: ModelParams, tape: Tape | None = None) ->
         xp = x + sinusoidal_positions(*X.shape)
     v = x @ p.Wv.data
     scale_q = cfg.scale_q or float(p.Wq.rows)
-    s, sim_grads = _similarity(xp @ p.Wq.data, xp @ p.Wk.data, cfg.sim_kind, scale_q)
+    with np.errstate(over="ignore", invalid="ignore"):  # the softmax refuses the overflow
+        s, sim_grads = _similarity(xp @ p.Wq.data, xp @ p.Wk.data, cfg.sim_kind, scale_q)
     wt = _transpose_in_place(_softmax_columns(s))
     mixed = wt @ v
 
@@ -321,8 +322,9 @@ def lca_forward(X: np.ndarray, params: ModelParams, tape: Tape | None = None) ->
 
     ones_d, c = np.ones((d, 1)), 1.0 / np.sqrt(d)
     s = np.empty((span, T))
-    for o in range(span):
-        s[o] = ((shifted(q, o)[0] * (k + rel[abs(o - R)])) @ ones_d)[:, 0] * c
+    with np.errstate(over="ignore", invalid="ignore"):  # the softmax refuses the overflow
+        for o in range(span):
+            s[o] = ((shifted(q, o)[0] * (k + rel[abs(o - R)])) @ ones_d)[:, 0] * c
     w = _softmax_columns(s).T.copy()  # T x (2R+1)
 
     if cfg.lca_variant == "literal":  # summed weights times the anchor's own value row

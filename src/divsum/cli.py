@@ -151,7 +151,7 @@ def cmd_summarize(args) -> int:
     _check_budget_ratio(args.budget_ratio)
     data, manifest, inputs = _manifest(args)
     _refuse_clashes({"--out": args.out}, [("--checkpoint", args.checkpoint), *inputs])
-    params, _, _, _ = load_checkpoint(args.checkpoint)
+    params, _, _, _ = load_checkpoint(args.checkpoint, params_only=True)
     if manifest.dim != params.gda.Wq.rows:
         raise ContractError(f"{args.checkpoint} holds a model of feature dim "
                             f"{params.gda.Wq.rows}, {data} a dataset of dim {manifest.dim}")

@@ -240,12 +240,14 @@ def select_frames(frame_scores, part: ShotPartition, budget_ratio: float) -> Sum
 
 
 @contextmanager
-def _naming(video):
-    """Re-raise a contract, numeric or shape error as `video <id>: <message>`."""
+def _naming(video, epoch: int | None = None):
+    """Re-raise a contract, numeric or shape error as `video <id>: <message>`,
+    or, given a training epoch, `video <id> in epoch <e>: <message>`."""
     try:
         yield
     except (ContractError, NumericError, ShapeError) as e:
-        raise type(e)(f"video {video.id}: {e}") from e
+        where = f"video {video.id}" if epoch is None else f"video {video.id} in epoch {epoch}"
+        raise type(e)(f"{where}: {e}") from e
 
 
 def score_video(video, params: ModelParams) -> np.ndarray:

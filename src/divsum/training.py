@@ -20,8 +20,9 @@ import numpy as np
 from . import autograd as ag
 from .autograd import ContractError, Matrix, NumericError, ShapeError, Tape
 from .config import ConfigError, TrainConfig, config_from_text, config_to_text
-from .data import Reader, Writer
+from .data import DataFormatError, Reader, Writer
 from .model import PARAMETERS, ModelParams, forward_loss
+from .segmentation import _naming
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -165,7 +166,7 @@ def _keep_freed_heap() -> None:
 
 @dataclass
 class TrainResult:
-    params: ModelParams
+    params: ModelParams  # the trained parameters; none holds a gradient
     state: AdamState  # final optimizer state, checkpoint-ready
     history: list[float]  # per-epoch mean total loss
     part_history: dict[str, list[float]]  # "cls" (supervised), "repel", "recon"
@@ -181,8 +182,13 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
     Visits videos in one seeded shuffle reused every epoch (fixed order),
     one optimizer step per video. In unsupervised mode a video's labels
     are never read. Optional early stop ends training once the mean loss
-    stops improving by min_delta for patience epochs. A non-finite loss
-    raises NumericError (epochs count from 0, as in the history CSV).
+    stops improving by min_delta for patience epochs. A step whose forward
+    pass refuses its input re-raises the error as `video <id> in epoch
+    <e>: ...`, and a non-finite loss raises NumericError naming both
+    (epochs count from 0, as in the history CSV).
+
+    The returned parameters hold no gradients: the last step's are
+    dropped, early stop or not, so they are not kept alive with the model.
 
     On glibc, it sets the process's allocator to keep freed heap memory
     mapped from then on (`_keep_freed_heap`), so RSS does not shrink after
@@ -223,7 +229,8 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
         for i in order:
             params.zero_grads()
             tape = Tape()
-            out = forward_loss(feats[i], params, labels[i], tape)
+            with _naming(videos[i], epoch):
+                out = forward_loss(feats[i], params, labels[i], tape)
             loss = out.total.item()
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss {loss} on video {videos[i].id} "
@@ -242,6 +249,10 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
                 stale += 1
                 if stale >= cfg.patience:
                     break
+    # nothing reads the last step's gradients; cleared here rather than by
+    # zero_grads, whose every call begins a step
+    for _, p in params.named_parameters():
+        p.grad = None
     history = curves.pop("total")
     return TrainResult(params=params, state=state, history=history, part_history=curves)
 
@@ -276,11 +287,17 @@ def save_checkpoint(path, params: ModelParams, state: AdamState, cfg: TrainConfi
     w.write(path)
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, *, params_only: bool = False):
     """Returns (params, adam_state, config, epoch), where params.cfg is
     config. Byte layout must match what save_checkpoint wrote; any
     shortfall, bad config or misshapen matrix names the file and the
-    failing piece."""
+    failing piece.
+
+    With params_only, the optimizer state is not read and adam_state is
+    None: every check up to the last parameter is made, and then the
+    length of the rest of the file (found by seeking, not by reading) must
+    be that of a step counter and two moments per parameter entry.
+    """
     with open(path, "rb") as fh:
         r = Reader(fh, path)
         if r.take(4, "magic") != CHECKPOINT_MAGIC:
@@ -308,6 +325,12 @@ def load_checkpoint(path):
             params = ModelParams.from_named(mats, cfg)
         except ShapeError as e:
             raise ShapeError(f"{path}: {e}") from None
+        if params_only:
+            want = 4 + 16 * sum(a.size for a in tensors.values())
+            if r.left != want:
+                raise DataFormatError(f"{path}: {r.left} bytes of optimizer state after the "
+                                      f"parameters, this model's take {want}")
+            return params, None, cfg, epoch
         step = r.u32("optimizer step")
         m = [r.array("<f8", a.shape, "first moments") for a in tensors.values()]
         v = [r.array("<f8", a.shape, "second moments") for a in tensors.values()]

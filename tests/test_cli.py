@@ -3,6 +3,8 @@ import json
 import os
 import stat
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -472,13 +474,49 @@ def test_summarize_names_the_video_whose_scoring_fails(tmp_path, capsys):
     assert run("train", "--data", str(plain), "--out", str(ckpt), "--epochs", "1",
                "--radius", "1") == 0
     capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is what is refused
-        assert run("summarize", "--checkpoint", str(ckpt), "--data", str(huge),
-                   "--out", str(out)) == 1
+    assert run("summarize", "--checkpoint", str(ckpt), "--data", str(huge),
+               "--out", str(out)) == 1
     printed, err = capsys.readouterr()
     # the attention scores overflow first; the model-free KTS refusal is named above
     assert err == f"error: video {videos[1].id}: column_softmax: input contains NaN or Inf\n"
     assert printed.startswith(f"{videos[0].id}: kept ")
+    assert not out.exists()
+
+
+def divsum_process(*argv) -> subprocess.CompletedProcess:
+    """divsum run as its own process, so its stderr is what a user sees:
+    numpy's warnings reach it, not the test runner's warning capture."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "divsum.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("command, paths", [
+    ("summarize", "use_gda=true"), ("summarize", "use_gda=false"),
+    ("train", "use_gda=true"), ("train", "use_gda=false"),
+])
+def test_attention_that_overflows_fails_with_one_line(tmp_path, command, paths):
+    spec = dat.SynthSpec(videos=2, frames=40, dim=8, shots_per_video=4)
+    videos = dat.synth_generate(spec)
+    plain, huge = tmp_path / "plain", tmp_path / "huge"
+    dat.save_dataset(plain, videos, "plain")
+    videos[1] = replace(videos[1], features=videos[1].features * 1e160)
+    dat.save_dataset(huge, videos, "huge")
+    ckpt, out, cfg = tmp_path / "run.ckpt", tmp_path / "out", tmp_path / "run.cfg"
+    cfg.write_text(paths + "\n")
+    train = ("--epochs", "1", "--radius", "1", "--config", str(cfg))
+    if command == "summarize":
+        assert run("train", "--data", str(plain), "--out", str(ckpt), *train) == 0
+        done = divsum_process("summarize", "--checkpoint", str(ckpt), "--data", str(huge),
+                              "--out", str(out))
+        want = f"error: video {videos[1].id}: column_softmax: input contains NaN or Inf\n"
+    else:
+        done = divsum_process("train", "--data", str(huge), "--out", str(out), *train)
+        want = (f"error: video {videos[1].id} in epoch 0: "
+                f"column_softmax: input contains NaN or Inf\n")
+    assert done.returncode == 1
+    assert done.stderr == want  # one line: numpy's overflow warnings are silenced
     assert not out.exists()
 
 

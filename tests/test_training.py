@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -614,6 +615,25 @@ def test_early_stop_halts_on_flat_loss():
     assert result.epochs_run == 4  # first epoch sets the best, then 3 stale
 
 
+@pytest.mark.parametrize("supervised", [True, False], ids=["supervised", "unsupervised"])
+@pytest.mark.parametrize("stop", [None, "fires", "waits"])
+def test_train_returns_parameters_without_gradients(supervised, stop):
+    early = {} if stop is None else dict(early_stop=True, patience=3, min_delta=1e-5,
+                                         learning_rate=1e-12 if stop == "fires" else 1e-3)
+    cfg = tiny_cfg(supervised=supervised, epochs=6, **early)
+    result = tr.train(tiny_videos(n=2), cfg)
+    assert result.epochs_run == (4 if stop == "fires" else 6)
+    assert [n for n, p in result.params.named_parameters() if p.grad is not None] == []
+
+
+def test_train_names_the_video_and_epoch_whose_step_refuses_its_input():
+    videos = tiny_videos()
+    videos[2] = replace(videos[2], features=videos[2].features * 1e160)
+    with pytest.raises(NumericError, match=r"^video synth_002 in epoch 0: column_softmax: "
+                                           r"input contains NaN or Inf$"):
+        tr.train(videos, tiny_cfg())
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -715,6 +735,35 @@ def test_checkpoint_load_holds_each_array_once(tmp_path):
     arrays = sum(p.data.nbytes for _, p in params.named_parameters()) \
         + sum(a.nbytes for a in state.m + state.v)
     assert traced_peak(lambda: tr.load_checkpoint(path)) <= 1.1 * arrays
+
+
+def test_parameters_only_load_gives_the_full_loads_model(tmp_path):
+    path, params, _, cfg = trained_state(tmp_path)
+    got_params, got_state, got_cfg, got_epoch = tr.load_checkpoint(path, params_only=True)
+    assert got_state is None and got_cfg == cfg and got_epoch == 13
+    for (na, pa), (nb, pb) in zip(params.named_parameters(), got_params.named_parameters()):
+        assert na == nb and pa.data.tobytes() == pb.data.tobytes()
+
+
+def test_parameters_only_load_holds_only_the_parameters(tmp_path):
+    params, state, cfg = wide_state()
+    path = tmp_path / "w.ckpt"
+    tr.save_checkpoint(path, params, state, cfg, 1)
+    arrays = sum(p.data.nbytes for _, p in params.named_parameters())
+    assert traced_peak(lambda: tr.load_checkpoint(path, params_only=True)) <= 1.1 * arrays
+
+
+@pytest.mark.parametrize("params_only", [False, True], ids=["full", "params-only"])
+@pytest.mark.parametrize("length", [-1, 1], ids=["one-byte-short", "one-byte-long"])
+def test_a_checkpoint_of_the_wrong_length_is_refused_in_both_modes(tmp_path, params_only,
+                                                                   length):
+    path, *_ = trained_state(tmp_path)
+    blob = path.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:length] if length < 0 else blob + bytes(length))
+    load = partial(tr.load_checkpoint, params_only=True) if params_only else tr.load_checkpoint
+    with pytest.raises(ContractError, match=f"^{re.escape(str(bad))}: "):
+        load(bad)
 
 
 def test_checkpoint_rejects_wrong_magic_and_version(tmp_path):
@@ -931,7 +980,8 @@ def test_an_odd_dim_model_without_gda_trains_and_summarizes(paths):
     for v in videos:
         scores = summarize_video(v, params, 0.3).frame_scores
         assert scores.shape == (v.frame_count,) and np.all(np.isfinite(scores))
-    with pytest.raises(ContractError, match="^position table needs an even dim, got 7$"):
+    with pytest.raises(ContractError, match=r"^video synth_\d+ in epoch 0: "
+                                            r"position table needs an even dim, got 7$"):
         tr.train(videos, replace(cfg, use_gda=True))
 
 
