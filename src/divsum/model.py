@@ -130,6 +130,8 @@ def forward_loss(X: np.ndarray, params: ModelParams, gt_binary=None,
     cfg = params.cfg
     if cfg.supervised and gt_binary is None:
         raise ContractError("supervised loss requires per-frame binary labels")
+    if not cfg.supervised and gt_binary is not None:
+        raise ContractError("unsupervised loss was passed labels; it must never read them")
     out = forward_scores(X, params, tape)
     embeddings = hd.embed_frames(out.fused, params, tape)
     recon = hd.reconstruct_frames(out.fused, params, tape)

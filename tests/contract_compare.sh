@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Checks that two divsum source trees keep the numeric contract. A fixed
-# synth -> train -> summarize -> evaluate -> ablate pipeline runs through the
-# CLI of BASE_SRC and of HEAD_SRC, and every output file and each command's
-# stdout (<step>.stdout) must be byte-identical; then each tree summarizes
-# the other's checkpoints, and must write the bytes the other tree wrote.
+# synth -> train -> summarize -> evaluate -> ablate -> partition-map pipeline
+# runs through the CLI of BASE_SRC and of HEAD_SRC, and every output file and
+# each command's stdout (<step>.stdout) must be byte-identical; then each
+# tree summarizes the other's checkpoints, and must write the bytes the
+# other tree wrote. The ablation runs every axis (similarity, radius, losses,
+# variant) on the README's ablation corpus, and partition-map writes the
+# README's four maps (dot, cosine, l2, and dot with point 0 doubled) on a
+# 20 x 20 grid.
 # Beside each summary CSV, whose scores are rounded to 8 decimals, goes
 # <model>.scores: every video's frame scores as raw float64 bytes, so a
 # one-ulp change in scoring shows as well. Each model also summarizes a
@@ -103,8 +107,24 @@ pipeline() (  # pipeline SRC OUT: the whole CLI pipeline of the tree SRC, writte
   step evaluate evaluate "${fold[@]}" --splits splits.json --csv evaluate.csv \
     --report evaluate.txt --baseline random
   step evaluate_human evaluate "${fold[@]}" --baseline human
-  step ablate ablate --data d16 --axis variant --repeats 1 --folds 1 --epochs 1 --lr 3e-3 \
-    --radius 1 --budget-ratio 0.2 --seed 0 --out ablate.csv
+
+  # the ablation corpus, all four axes and the partition maps of the README's
+  # experiments, at reduced sizes
+  step synth_abl synth --out abl --videos 10 --frames 32 --dim 8 --shots 6 --noise 0.25 \
+    --seed 0 --budget-ratio 0.2
+  for axis in similarity radius losses variant; do
+    step "ablate_$axis" ablate --data abl --axis "$axis" --repeats 1 --folds 1 --epochs 1 \
+      --lr 3e-3 --weight-decay 0 --radius 1 --budget-ratio 0.2 --seed 0 \
+      --out "ablate_$axis.csv"
+  done
+  for sim in dot cosine l2; do
+    step "partition_$sim" partition-map --seed 0 --num-points 3 --sim "$sim" --grid-size 20 \
+      --out "partition_$sim.csv"
+  done
+  # the dot map with point 0 doubled: the seed-0 points, written by repr
+  step partition_dot_doubled partition-map --sim dot --grid-size 20 \
+    --out partition_dot_doubled.csv --points \
+    "1.219138699714327,0.6316587420221925;0.13277881914895576,0.11322210842282328;0.750616191360218,0.8302044618221774"
 )
 
 pipeline "$base" "$work/base"

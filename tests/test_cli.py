@@ -257,24 +257,21 @@ def test_evaluate_refuses_outputs_that_name_one_file(tmp_path, dataset, capsys, 
     assert (sorted(os.listdir(tmp_path)), splits.read_bytes()) == saved
 
 
-def test_ablate_similarity_emits_one_row_per_kind(tmp_path, dataset, capsys):
+@pytest.mark.parametrize("axis, values", [
+    ("similarity", ["dot", "cosine", "l2"]),
+    ("radius", ["R=1", "R=2", "R=3", "R=4"]),
+    ("losses", ["cls", "cls+repel", "cls+recon", "cls+repel+recon"]),
+    ("variant", ["literal", "contextual"]),
+])
+def test_ablate_emits_one_row_per_value_of_its_axis(tmp_path, dataset, axis, values):
     out = tmp_path / "abl.csv"
-    assert run("ablate", "--data", str(dataset), "--axis", "similarity",
+    assert run("ablate", "--data", str(dataset), "--axis", axis,
                "--epochs", "1", "--lr", "1e-3", "--radius", "1",
                "--budget-ratio", "0.3", "--out", str(out)) == 0
     header, rows = read_csv(out)
     assert header == ["axis", "value", "seed", "mean_f", "kendall_tau", "spearman_rho"]
-    assert [r[1] for r in rows] == ["dot", "cosine", "l2"]
-    assert all(r[0] == "similarity" for r in rows)
-
-
-def test_ablate_losses_axis(tmp_path, dataset):
-    out = tmp_path / "abl.csv"
-    assert run("ablate", "--data", str(dataset), "--axis", "losses",
-               "--epochs", "1", "--lr", "1e-3", "--radius", "1",
-               "--budget-ratio", "0.3", "--out", str(out)) == 0
-    _, rows = read_csv(out)
-    assert [r[1] for r in rows] == ["cls", "cls+repel", "cls+recon", "cls+repel+recon"]
+    assert [r[1] for r in rows] == values
+    assert all(r[0] == axis for r in rows)
 
 
 def test_partition_map_csv_shape(tmp_path):
@@ -597,6 +594,19 @@ def test_evaluate_refuses_an_empty_split_file_with_one_line(tmp_path, dataset, c
     printed, err = capsys.readouterr()
     assert printed == "" and err == f"error: {message}\n"
     assert not (tmp_path / "rep.csv").exists()
+
+
+def test_evaluate_refuses_a_split_file_that_tests_a_video_twice(tmp_path, dataset, capsys):
+    splits, report = tmp_path / "splits.json", tmp_path / "rep.txt"
+    splits.write_text(json.dumps({"splits": [
+        {"train": ["synth_002", "synth_003"], "test": ["synth_000", "synth_001"]},
+        {"train": ["synth_000", "synth_001"], "test": ["synth_000", "synth_000"]}]}))
+    assert run("evaluate", "--data", str(dataset), "--folds", "2", "--epochs", "1",
+               "--radius", "1", "--splits", str(splits), "--report", str(report)) == 1
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err == "error: splits test a video more than once: 'synth_000'\n"
+    assert not report.exists()
 
 
 MANIFEST = {"name": "synth", "dim": 6, "videos": [], "aggregation": "mean_over_users"}

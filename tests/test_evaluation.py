@@ -532,6 +532,20 @@ def test_evaluate_refuses_empty_splits_before_the_first_fold_trains(monkeypatch,
     assert calls == []
 
 
+def test_evaluate_refuses_splits_that_test_a_video_twice_before_the_first_fold_trains(
+        monkeypatch):
+    # the second fold's score for a repeated id would overwrite the first's
+    videos = corpus("a", 4, seed=0)
+    ids = [v.id for v in videos]
+    splits = [ev.FoldSplit(train_ids=ids[2:], test_ids=ids[:2]),
+              ev.FoldSplit(train_ids=ids[:2], test_ids=[ids[0], ids[0]])]
+    calls = []
+    monkeypatch.setattr(ev, "train", lambda *args: calls.append(args))
+    with pytest.raises(ContractError, match=f"^splits test a video more than once: {ids[0]!r}$"):
+        ev.evaluate(videos, quick_cfg(), ev.EvalProtocol(folds=2), splits=splits)
+    assert calls == []
+
+
 def test_evaluate_names_the_repeated_video_ids():
     v0, v1 = corpus("a", 2, seed=0)
     with pytest.raises(ContractError, match=f"not unique: {v0.id!r}$"):

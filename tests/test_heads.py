@@ -397,6 +397,15 @@ def test_unsupervised_forward_needs_no_labels():
     assert np.isfinite(out.total.item())
 
 
+def test_unsupervised_forward_refuses_labels():
+    # so "never reads labels" is checked where the labels would enter
+    rng = np.random.default_rng(16)
+    params = make_model(rng, 4, 1, supervised=False)
+    X = rng.uniform(-1, 1, (4, 4))
+    with pytest.raises(ContractError, match="unsupervised loss was passed labels"):
+        mdl.forward_loss(X, params, np.array([1.0, 0.0, 1.0, 0.0]))
+
+
 @pytest.mark.parametrize("key, value", [
     ("sim_kind", "cosine"), ("scale_q", 2.0), ("lca_variant", "literal"),
     ("window_boundary", "zero"), ("recon_final_sigmoid", True), ("use_positions", False),
