@@ -25,6 +25,6 @@ from .segmentation import (ShotPartition, SummaryMask, binarize_ground_truth,
                            knapsack_select, kts_segment, shot_scores,
                            summarize_video)
 from .training import (AdamState, TrainResult, adam_step, init_params,
-                       load_checkpoint, save_checkpoint, train)
+                       load_checkpoint, loss_and_grads, save_checkpoint, train)
 
 __version__ = "0.1.0"

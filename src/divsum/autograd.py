@@ -11,6 +11,10 @@ the fusion, the heads and the losses) computes its arrays with numpy and
 records itself through ``_record``, 10 records per training step (9
 unsupervised). Only what the tape differentiates is a Matrix; the features,
 positions, labels and attention weights are constants, plain numpy arrays.
+In the library, ``training.loss_and_grads`` is the one caller that makes a
+tape and runs ``backward``: it returns the step's gradients as a list and
+takes each off its parameter, so a parameter holds ``.grad`` only within
+that call.
 
 Conventions:
   * all values are float64, all shapes strictly 2-D

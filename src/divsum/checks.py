@@ -14,20 +14,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autograd as ag
 from . import evaluation as ev
 from .attention import GridSpec, lca_forward, pairwise_similarity, partition_map
-from .autograd import Tape
 from .config import TrainConfig
 from .data import SynthSpec, load_dataset, save_dataset, synth_generate
 from .model import forward_loss
 from .segmentation import knapsack_select, kts_segment
-from .training import init_params
+from .training import init_params, loss_and_grads
 
 
 def _fd_full_model(seed: int) -> float:
-    """Worst relative error between tape and central-difference gradients
-    across every parameter of a tiny full forward pass."""
+    """Worst relative error between `loss_and_grads` and central-difference
+    gradients across every parameter of a tiny full forward pass."""
     rng = np.random.default_rng(seed)
     T, d = 4, 4
     params = init_params(d, 1, seed, TrainConfig(neighbor_R=1))
@@ -38,13 +36,10 @@ def _fd_full_model(seed: int) -> float:
     def loss_value() -> float:
         return forward_loss(X, params, gt).total.item()
 
-    params.zero_grads()
-    tape = Tape()
-    out = forward_loss(X, params, gt, tape)
-    ag.backward(out.total, tape)
+    _, grads = loss_and_grads(X, params, gt)
     worst = 0.0
     step = 1e-5
-    for _, p in params.named_parameters():
+    for (_, p), grad in zip(params.named_parameters(), grads):
         flat = p.data.ravel()
         idx = rng.choice(flat.size, size=min(3, flat.size), replace=False)
         for k in idx:
@@ -55,7 +50,7 @@ def _fd_full_model(seed: int) -> float:
             down = loss_value()
             flat[k] = keep
             fd = (up - down) / (2 * step)
-            got = p.grad.ravel()[k]
+            got = grad.ravel()[k]
             worst = max(worst, abs(got - fd) / max(1e-8, abs(fd)))
     return worst
 

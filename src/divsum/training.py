@@ -2,9 +2,10 @@
 
 One optimizer step per video, videos visited in a fixed seeded order,
 loss = classification + alpha * repelling + beta * reconstruction (the
-classification term only in supervised mode). Checkpoints are a versioned
-little-endian binary: config text, every parameter matrix shape-tagged by
-name, the optimizer moments, and the epoch counter.
+classification term only in supervised mode), its gradients from
+`loss_and_grads`, the one place that runs the tape. Checkpoints are a
+versioned little-endian binary: config text, every parameter matrix
+shape-tagged by name, the optimizer moments, and the epoch counter.
 
 On glibc, `train` keeps freed heap memory mapped for the rest of the
 process (`_keep_freed_heap`), so each step reuses the last step's pages.
@@ -21,7 +22,7 @@ from . import autograd as ag
 from .autograd import ContractError, Matrix, NumericError, ShapeError, Tape
 from .config import ConfigError, TrainConfig, config_from_text, config_to_text
 from .data import DataFormatError, Reader, Writer
-from .model import PARAMETERS, ModelParams, forward_loss
+from .model import PARAMETERS, LossBreakdown, ModelParams, forward_loss
 from .segmentation import _naming
 
 ADAM_BETA1 = 0.9
@@ -84,11 +85,38 @@ class AdamState:
         return cls(m=[np.zeros(s) for s in shapes], v=[np.zeros(s) for s in shapes])
 
 
-def adam_step(params: ModelParams, state: AdamState, cfg: TrainConfig):
-    """One Adam update with bias correction, then decoupled weight decay
-    (theta <- theta - lr * wd * theta, applied after the gradient step).
-    Gradients are read off the parameters; one no record reached (None)
-    steps as zeros. Refuses, changing nothing, a call with no gradient.
+def loss_and_grads(X: np.ndarray, params: ModelParams,
+                   labels=None) -> tuple[LossBreakdown, list[np.ndarray | None]]:
+    """One step's objective (`forward_loss`) and its gradients: one per
+    PARAMETERS entry, None where no record reached the parameter. The only
+    code that runs the tape.
+
+    Clears every gradient first (`params.zero_grads`), so a failed earlier
+    call leaves nothing behind, and refuses a non-finite loss with
+    NumericError before the backward runs. Each gradient is taken off its
+    parameter as it is collected, so after the call no parameter holds one.
+    """
+    params.zero_grads()
+    tape = Tape()
+    out = forward_loss(X, params, labels, tape)
+    loss = out.total.item()
+    if not np.isfinite(loss):
+        raise NumericError(f"non-finite loss {loss}; refused before the backward pass")
+    ag.backward(out.total, tape)
+    grads = []
+    for _, p in params.named_parameters():
+        grads.append(p.grad)
+        p.grad = None
+    return out, grads
+
+
+def adam_step(params: ModelParams, grads: list, state: AdamState):
+    """One Adam update of `params` with one gradient per PARAMETERS entry,
+    as `loss_and_grads` returns them, at params.cfg's learning rate, with
+    bias correction, then decoupled weight decay (theta <- theta - lr * wd
+    * theta, applied after the gradient step). A None gradient (no record
+    reached the parameter) steps as zeros. Refuses, changing nothing, a
+    list of the wrong length and one with no gradient at all.
 
     Updates the moments and parameters in place, _ADAM_BLOCK entries at a
     time, so each block's dozen elementwise passes run in cache. The
@@ -96,12 +124,14 @@ def adam_step(params: ModelParams, state: AdamState, cfg: TrainConfig):
     expressions, so the bytes do not depend on the blocking.
     """
     named = params.named_parameters()
+    if len(grads) != len(named):
+        raise ContractError(f"adam_step: {len(grads)} gradients for {len(named)} parameters")
     if len(named) != len(state.m) or len(named) != len(state.v):
         raise ContractError("optimizer state does not match the parameter set")
-    if all(p.grad is None for _, p in named):
+    if all(g is None for g in grads):
         raise ContractError("adam_step called with no gradient on any parameter")
-    for (name, p), m, v in zip(named, state.m, state.v):
-        for what, a in (("gradient", p.grad), ("first moment", m), ("second moment", v)):
+    for (name, p), grad, m, v in zip(named, grads, state.m, state.v):
+        for what, a in (("gradient", grad), ("first moment", m), ("second moment", v)):
             if a is not None and a.shape != p.shape:
                 raise ContractError(f"adam_step: {what} of {name} has shape {a.shape}, "
                                     f"the parameter {p.shape}")
@@ -113,11 +143,13 @@ def adam_step(params: ModelParams, state: AdamState, cfg: TrainConfig):
     t = state.step
     corr1 = 1.0 - ADAM_BETA1 ** t
     corr2 = 1.0 - ADAM_BETA2 ** t
+    cfg = params.cfg
     lr = cfg.learning_rate
     decay = cfg.learning_rate * cfg.weight_decay
     buf1, buf2 = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
-    for (_, p), m, v in zip(named, state.m, state.v):
-        grad = np.broadcast_to(0.0, p.shape) if p.grad is None else p.grad  # a view, no fill
+    for (_, p), grad, m, v in zip(named, grads, state.m, state.v):
+        if grad is None:
+            grad = np.broadcast_to(0.0, p.shape)  # a view, no fill
         flat = [x.reshape(-1) for x in (p.data, grad, m, v)]
         for lo in range(0, flat[0].size, _ADAM_BLOCK):
             w, g, mb, vb = (x[lo:lo + _ADAM_BLOCK] for x in flat)
@@ -182,13 +214,13 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
     Visits videos in one seeded shuffle reused every epoch (fixed order),
     one optimizer step per video. In unsupervised mode a video's labels
     are never read. Optional early stop ends training once the mean loss
-    stops improving by min_delta for patience epochs. A step whose forward
-    pass refuses its input re-raises the error as `video <id> in epoch
-    <e>: ...`, and a non-finite loss raises NumericError naming both
-    (epochs count from 0, as in the history CSV).
+    stops improving by min_delta for patience epochs. A step that refuses
+    its input, or whose loss is not finite, re-raises the error as
+    `video <id> in epoch <e>: ...` before that step's update (epochs count
+    from 0, as in the history CSV).
 
-    The returned parameters hold no gradients: the last step's are
-    dropped, early stop or not, so they are not kept alive with the model.
+    Each step's gradient list is dropped once Adam has read it, so no
+    gradient outlives its step and the returned parameters hold none.
 
     On glibc, it sets the process's allocator to keep freed heap memory
     mapped from then on (`_keep_freed_heap`), so RSS does not shrink after
@@ -227,18 +259,12 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
     for epoch in range(cfg.epochs):
         losses = {name: [] for name in curves}  # this epoch's, one per video
         for i in order:
-            params.zero_grads()
-            tape = Tape()
             with _naming(videos[i], epoch):
-                out = forward_loss(feats[i], params, labels[i], tape)
-            loss = out.total.item()
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss {loss} on video {videos[i].id} "
-                                   f"in epoch {epoch}; training stopped before the update")
-            ag.backward(out.total, tape)
-            adam_step(params, state, cfg)
+                out, grads = loss_and_grads(feats[i], params, labels[i])
+            adam_step(params, grads, state)
+            del grads  # else the next step's forward runs beside this gradient set
             for name, values in losses.items():
-                values.append(loss if name == "total" else getattr(out.parts, name).item())
+                values.append((out.total if name == "total" else getattr(out.parts, name)).item())
         for name, values in losses.items():
             curves[name].append(float(np.mean(values)))
         if cfg.early_stop:
@@ -249,10 +275,6 @@ def train(videos: list, cfg: TrainConfig) -> TrainResult:
                 stale += 1
                 if stale >= cfg.patience:
                     break
-    # nothing reads the last step's gradients; cleared here rather than by
-    # zero_grads, whose every call begins a step
-    for _, p in params.named_parameters():
-        p.grad = None
     history = curves.pop("total")
     return TrainResult(params=params, state=state, history=history, part_history=curves)
 

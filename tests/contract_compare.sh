@@ -13,6 +13,11 @@
 # one-ulp change in scoring shows as well. Each model also summarizes a
 # long video (T=1100) of its feature dim into <model>.long.*, so global
 # attention's row blocks and transpose tiles are compared at length.
+# Every corpus a model summarizes is summarized once more with its change
+# points stripped, so KTS picks the shots with the summarize path's
+# max_shots = T//4 (T = 40, 300 and 1100): <model>.kts holds, per video,
+# the shot count, the shot starts and the frame mask as little-endian
+# int64. The starts are compared too because most of these masks are empty.
 # Commands run from their output directory with relative paths. WORK must
 # not exist yet.
 #
@@ -37,9 +42,10 @@ step() {  # step NAME ARGS...: one CLI command of the tree $src, its stdout kept
     > "$name.stdout"
 }
 
-scores() {  # scores CKPT DATA OUT: the tree $src's frame scores of every video in DATA
+scores() {  # scores CKPT DATA OUT: the tree $src's OUT.scores and OUT.kts of every video in DATA
   PYTHONPATH="$src" python3 - "$@" <<'EOF'
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +56,14 @@ from divsum.training import load_checkpoint
 
 ckpt, data, out = sys.argv[1:]
 params = load_checkpoint(ckpt)[0]
-parts = [np.asarray(summarize_video(v, params, 0.2).frame_scores, dtype=np.float64)
-         for v in load_dataset(data)]
-Path(out).write_bytes(b"".join(p.tobytes() for p in parts))
+scores, shots = [], []
+for video in load_dataset(data):
+    detail = summarize_video(replace(video, change_points=None), params, 0.2)  # so KTS runs
+    starts = detail.partition.change_points
+    scores.append(np.asarray(detail.frame_scores, dtype=np.float64))
+    shots += [np.array([starts.size]), starts, detail.mask.frame_mask]
+Path(f"{out}.scores").write_bytes(b"".join(a.tobytes() for a in scores))
+Path(f"{out}.kts").write_bytes(b"".join(a.astype("<i8").tobytes() for a in shots))
 EOF
 }
 
@@ -70,7 +81,7 @@ summarize_all() (  # summarize_all SRC RUN OUT: the tree SRC scores every checkp
       out=${run%%:*} data=$2/${run#*:}
       step "summarize_$out" summarize --checkpoint "$2/$name.ckpt" --data "$data" \
         --budget-ratio 0.2 --out "$out.summary.csv"
-      scores "$2/$name.ckpt" "$data" "$out.scores"
+      scores "$2/$name.ckpt" "$data" "$out"
     done
   done
 )

@@ -23,7 +23,7 @@ from divsum.config import TrainConfig
 from divsum.data import SynthSpec, save_dataset, synth_generate
 from divsum.model import forward_loss
 from divsum.segmentation import knapsack_select, kts_segment
-from divsum.training import init_params, train
+from divsum.training import init_params, loss_and_grads, train
 
 from . import oracles
 
@@ -48,8 +48,9 @@ def _loss_builders(rng, T, d):
 
 
 def test_criterion_01_gradient_correctness():
-    """Tape gradients vs central differences, 1e-4 relative, 20 seeds per
-    target (each loss term and the full forward path); under a minute."""
+    """Tape gradients of each loss term, and `loss_and_grads` over the full
+    forward path, vs central differences, 1e-4 relative, 20 seeds per
+    target; under a minute."""
     t0 = time.monotonic()
     worst = 0.0
     for seed in range(20):
@@ -79,15 +80,12 @@ def test_criterion_01_gradient_correctness():
         def total() -> float:
             return forward_loss(X, params, gt).total.item()
 
-        params.zero_grads()
-        tape = Tape()
-        out = forward_loss(X, params, gt, tape)
-        ag.backward(out.total, tape)
+        _, grads = loss_and_grads(X, params, gt)
         mats = [p for _, p in params.named_parameters()]
         idx, fd = oracles.finite_difference_sampled(total, mats, rng, per_mat=3)
-        for m, ii, vv in zip(mats, idx, fd):
+        for g, ii, vv in zip(grads, idx, fd):
             for i, want in zip(ii, vv):
-                worst = max(worst, _rel_err(m.grad.reshape(-1)[i], want))
+                worst = max(worst, _rel_err(g.reshape(-1)[i], want))
 
     elapsed = time.monotonic() - t0
     assert worst < 1e-4, f"worst relative gradient error {worst:.3e}"

@@ -13,7 +13,7 @@ from divsum import model as mdl
 from divsum.attention import GdaParams, LcaParams
 from divsum.autograd import ContractError, Matrix, NumericError, ShapeError, Tape
 from divsum.config import TrainConfig
-from divsum.training import init_params
+from divsum.training import init_params, loss_and_grads
 
 from . import oracles
 from .oracles import finite_difference_grads
@@ -318,18 +318,11 @@ def test_full_forward_loss_grads_match_fd():
     X = rng.uniform(-1, 1, (T, d))
     gt = rng.integers(0, 2, size=T).astype(float)
     mats = [p for _, p in params.named_parameters()]
-
-    def run():
-        tape = Tape()
-        out = mdl.forward_loss(X, params, gt, tape)
-        return out.total, tape
-
-    params.zero_grads()
-    loss, tape = run()
-    ag.backward(loss, tape)
-    numeric = finite_difference_grads(lambda: run()[0].item(), mats)
-    for (name, m), num in zip(params.named_parameters(), numeric):
-        np.testing.assert_allclose(m.grad, num, rtol=1e-4, atol=1e-6,
+    _, grads = loss_and_grads(X, params, gt)
+    numeric = finite_difference_grads(lambda: mdl.forward_loss(X, params, gt).total.item(),
+                                      mats)
+    for (name, _), g, num in zip(params.named_parameters(), grads, numeric):
+        np.testing.assert_allclose(g, num, rtol=1e-4, atol=1e-6,
                                    err_msg=f"gradient mismatch for {name}")
 
 
@@ -338,12 +331,9 @@ def test_gradient_reaches_every_head():
     params = make_model(rng, 4, 1, supervised=True)
     X = rng.uniform(-1, 1, (5, 4))
     gt = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
-    params.zero_grads()
-    tape = Tape()
-    out = mdl.forward_loss(X, params, gt, tape)
-    ag.backward(out.total, tape)
-    for name, m in params.named_parameters():
-        assert np.any(m.grad != 0.0), f"no gradient reached {name}"
+    _, grads = loss_and_grads(X, params, gt)
+    for (name, _), g in zip(params.named_parameters(), grads):
+        assert np.any(g != 0.0), f"no gradient reached {name}"
 
 
 def test_forward_scores_ablation_toggles():

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,6 +191,32 @@ def test_kts_refuses_features_whose_gram_sums_overflow(kind):
     video = VideoRecord(id="v", features=feats * scale)
     with pytest.raises(NumericError, match="KTS: the features' scatter table"):
         seg.summarize_video(video, off, budget_ratio=0.2)
+
+
+# Today's KTS on the summarize path (max_shots = T//4), pinned as it stands:
+# it finds far fewer shots than the 12 planted. At noise 0.25 it finds one,
+# longer than the 15% budget, so the summary selects nothing. Per (dim,
+# noise), for T = 300, 450, 650 and 800: the shot counts, then the frames
+# selected with the video's annotated scores.
+KTS_ON_12_PLANTED = {
+    (64, 0.05): ([4, 4, 4, 4], [43, 63, 92, 112]),
+    (64, 0.25): ([1, 1, 1, 1], [0, 0, 0, 0]),
+    (1024, 0.05): ([4, 4, 4, 4], [43, 63, 92, 112]),
+    (1024, 0.25): ([1, 1, 1, 1], [0, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("dim, noise", list(KTS_ON_12_PLANTED))
+def test_kts_on_the_summarize_path_finds_far_fewer_shots_than_planted(dim, noise):
+    shots, selected = [], []
+    for T in (300, 450, 650, 800):
+        spec = SynthSpec(videos=1, frames=T, dim=dim, shots_per_video=12, noise=noise, seed=1)
+        video = synth_generate(spec)[0]
+        stripped = replace(video, change_points=None)  # so summarize runs KTS
+        detail = seg.summarize_scores(stripped, video.gt_scores, 0.15)
+        shots.append(detail.partition.num_shots)
+        selected.append(int(detail.mask.frame_mask.sum()))
+    assert (shots, selected) == KTS_ON_12_PLANTED[(dim, noise)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -24,7 +25,7 @@ from divsum.autograd import ContractError, Matrix, NumericError, ShapeError, Tap
 from divsum.config import ConfigError, TrainConfig, config_from_text, config_to_text, \
     load_config, parse_config_text
 from divsum.data import VideoRecord, synth_generate, SynthSpec
-from divsum.model import ModelParams, forward_loss, forward_scores
+from divsum.model import ModelParams, forward_scores
 from divsum.segmentation import score_video, summarize_video
 
 from . import oracles
@@ -175,43 +176,39 @@ def test_init_refuses_a_radius_its_config_disagrees_with(tmp_path):
 # optimizer
 
 
-def grads_of_ones_scaled(params, fn):
-    for _, p in params.named_parameters():
-        p.grad = fn(p)
+def grads_of(params, fn):
+    """One gradient per parameter, fn(parameter), in PARAMETERS order."""
+    return [fn(p) for _, p in params.named_parameters()]
 
 
 def test_adam_zero_gradients_leave_params_alone():
-    params = tr.init_params(4, 1, seed=0)
+    params = tr.init_params(4, 1, 0, tiny_cfg())
     state = tr.AdamState.for_params(params)
     before = [p.data.copy() for _, p in params.named_parameters()]
-    grads_of_ones_scaled(params, lambda p: np.zeros_like(p.data))
-    tr.adam_step(params, state, tiny_cfg())
+    tr.adam_step(params, grads_of(params, lambda p: np.zeros_like(p.data)), state)
     for want, (_, p) in zip(before, params.named_parameters()):
         np.testing.assert_array_equal(p.data, want)
     assert state.step == 1
 
 
 def test_adam_first_step_is_signed_learning_rate():
-    params = tr.init_params(4, 1, seed=0)
+    params = tr.init_params(4, 1, 0, tiny_cfg(learning_rate=0.05))
     state = tr.AdamState.for_params(params)
     rng = np.random.default_rng(0)
-    grads_of_ones_scaled(params, lambda p: rng.uniform(0.5, 2.0, size=p.data.shape)
-                         * rng.choice([-1.0, 1.0], size=p.data.shape))
+    grads = grads_of(params, lambda p: rng.uniform(0.5, 2.0, size=p.data.shape)
+                     * rng.choice([-1.0, 1.0], size=p.data.shape))
     before = [p.data.copy() for _, p in params.named_parameters()]
-    cfg = tiny_cfg(learning_rate=0.05)
-    tr.adam_step(params, state, cfg)
-    for prev, (_, p) in zip(before, params.named_parameters()):
+    tr.adam_step(params, grads, state)
+    for prev, (_, p), g in zip(before, params.named_parameters(), grads):
         step = prev - p.data
-        np.testing.assert_allclose(step, 0.05 * np.sign(p.grad), rtol=1e-6)
+        np.testing.assert_allclose(step, 0.05 * np.sign(g), rtol=1e-6)
 
 
 def test_adam_decay_applies_after_gradient_step():
-    params = tr.init_params(2, 1, seed=0)
+    params = tr.init_params(2, 1, 0, tiny_cfg(learning_rate=0.1, weight_decay=0.5))
     state = tr.AdamState.for_params(params)
-    grads_of_ones_scaled(params, lambda p: np.ones_like(p.data))
-    cfg = tiny_cfg(learning_rate=0.1, weight_decay=0.5)
     before = [p.data.copy() for _, p in params.named_parameters()]
-    tr.adam_step(params, state, cfg)
+    tr.adam_step(params, grads_of(params, lambda p: np.ones_like(p.data)), state)
     for prev, (_, p) in zip(before, params.named_parameters()):
         g = np.ones_like(prev)
         stepped = prev - 0.1 * g / (np.abs(g) + tr.ADAM_EPS)
@@ -220,25 +217,22 @@ def test_adam_decay_applies_after_gradient_step():
 
 
 def test_adam_requires_populated_gradients():
-    params = tr.init_params(3, 1, seed=0)
+    params = tr.init_params(3, 1, 0, tiny_cfg())
     state = tr.AdamState.for_params(params)
     with pytest.raises(ContractError, match="gradient"):
-        tr.adam_step(params, state, tiny_cfg())
+        tr.adam_step(params, grads_of(params, lambda p: None), state)
 
 
 def unsupervised_step_grads(seed):
     """A fresh unsupervised model, its Adam state after one step on random
-    gradients, and the gradients of a second step's forward_loss + backward."""
+    gradients, and the gradients loss_and_grads gives a second step."""
     rng = np.random.default_rng(seed)
     cfg = tiny_cfg(supervised=False, learning_rate=1e-2, weight_decay=1e-4)
     params = tr.init_params(4, 1, seed, cfg)
     state = tr.AdamState.for_params(params)
-    grads_of_ones_scaled(params, lambda p: rng.normal(size=p.shape))
-    tr.adam_step(params, state, cfg)
-    params.zero_grads()
-    tape = Tape()
-    ag.backward(forward_loss(rng.normal(size=(6, 4)), params, None, tape).total, tape)
-    return params, state, cfg
+    tr.adam_step(params, grads_of(params, lambda p: rng.normal(size=p.shape)), state)
+    _, grads = tr.loss_and_grads(rng.normal(size=(6, 4)), params)
+    return params, state, grads
 
 
 def model_bytes(params, state):
@@ -250,33 +244,42 @@ def test_adam_steps_an_unreached_parameter_as_a_zero_gradient():
     # an unsupervised step never reaches the score head; a zero-filled
     # gradient there gives the same parameter and moment bytes
     unreached = {"heads.score1.W", "heads.score1.b", "heads.score2.W", "heads.score2.b"}
-    cleared, cleared_state, cfg = unsupervised_step_grads(7)
-    assert {n for n, p in cleared.named_parameters() if p.grad is None} == unreached
+    cleared, cleared_state, grads = unsupervised_step_grads(7)
+    named = cleared.named_parameters()
+    assert {n for (n, _), g in zip(named, grads) if g is None} == unreached
     filled, filled_state, _ = unsupervised_step_grads(7)
-    for name, p in filled.named_parameters():
-        if name in unreached:
-            p.grad = np.zeros_like(p.data)
-    for params, state in ((cleared, cleared_state), (filled, filled_state)):
-        tr.adam_step(params, state, cfg)
+    zeros = [np.zeros(p.shape) if g is None else g.copy() for (_, p), g in zip(named, grads)]
+    tr.adam_step(cleared, grads, cleared_state)
+    tr.adam_step(filled, zeros, filled_state)
     assert model_bytes(cleared, cleared_state) == model_bytes(filled, filled_state)
 
 
 def test_adam_refuses_a_step_with_no_gradient_and_changes_nothing():
-    params, state, cfg = unsupervised_step_grads(8)
-    params.zero_grads()
+    params, state, grads = unsupervised_step_grads(8)
     before = model_bytes(params, state)
     with pytest.raises(ContractError, match="no gradient on any parameter"):
-        tr.adam_step(params, state, cfg)
+        tr.adam_step(params, [None] * len(grads), state)
+    assert model_bytes(params, state) == before and state.step == 1
+
+
+@pytest.mark.parametrize("resize", [lambda g: g[:-1], lambda g: g + [g[0]], lambda g: []],
+                         ids=["one-short", "one-over", "empty"])
+def test_adam_refuses_a_list_of_the_wrong_length_and_changes_nothing(resize):
+    params, state, grads = unsupervised_step_grads(9)
+    before = model_bytes(params, state)
+    wrong = resize(grads)
+    with pytest.raises(ContractError,
+                       match=rf"^adam_step: {len(wrong)} gradients for 17 parameters$"):
+        tr.adam_step(params, wrong, state)
     assert model_bytes(params, state) == before and state.step == 1
 
 
 def test_adam_state_shape_mismatch():
-    params = tr.init_params(3, 1, seed=0)
+    params = tr.init_params(3, 1, 0, tiny_cfg())
     state = tr.AdamState.for_params(params)
     state.m.pop()
-    grads_of_ones_scaled(params, lambda p: np.ones_like(p.data))
     with pytest.raises(ContractError, match="state"):
-        tr.adam_step(params, state, tiny_cfg())
+        tr.adam_step(params, grads_of(params, lambda p: np.ones_like(p.data)), state)
 
 
 @pytest.mark.parametrize("which, index, bad, match", [
@@ -288,17 +291,17 @@ def test_adam_state_shape_mismatch():
     ("grad", 2, lambda a: np.ones((1, a.shape[1])), r"gradient of gda.Wv has shape \(1, 3\)"),
 ], ids=["m-row", "v-column", "m-transposed", "v-strided", "m-float32", "grad-row"])
 def test_adam_refuses_state_of_the_wrong_shape_or_layout(which, index, bad, match):
-    params = tr.init_params(3, 1, seed=0)
+    params = tr.init_params(3, 1, 0, tiny_cfg())
     state = tr.AdamState.for_params(params)
-    grads_of_ones_scaled(params, lambda p: np.ones_like(p.data))
+    grads = grads_of(params, lambda p: np.ones_like(p.data))
     named = params.named_parameters()
     if which == "grad":
-        named[index][1].grad = bad(named[index][1].data)
+        grads[index] = bad(named[index][1].data)
     else:
         getattr(state, which)[index] = bad(getattr(state, which)[index])
     before = [p.data.copy() for _, p in named]
     with pytest.raises(ContractError, match=match):
-        tr.adam_step(params, state, tiny_cfg())
+        tr.adam_step(params, grads, state)
     assert state.step == 0
     for want, (_, p) in zip(before, named):
         np.testing.assert_array_equal(p.data, want)
@@ -315,9 +318,9 @@ def test_adam_in_place_matches_the_allocating_oracle_bytes(monkeypatch, d, block
     if block is not None:
         monkeypatch.setattr(tr, "_ADAM_BLOCK", block)
     assert d * d > tr._ADAM_BLOCK
-    params = tr.init_params(d, 1, seed=3)
-    state = tr.AdamState.for_params(params)
     cfg = tiny_cfg(learning_rate=1e-2, weight_decay=weight_decay)
+    params = tr.init_params(d, 1, 3, cfg)
+    state = tr.AdamState.for_params(params)
     named = params.named_parameters()
     ref_p = [p.data.copy() for _, p in named]
     ref_m = [np.zeros_like(a) for a in ref_p]
@@ -325,9 +328,7 @@ def test_adam_in_place_matches_the_allocating_oracle_bytes(monkeypatch, d, block
     rng = np.random.default_rng(4)
     for step in range(1, 7):
         grads = [rng.normal(size=a.shape) for a in ref_p]
-        for (_, p), g in zip(named, grads):
-            p.grad = g.copy()
-        tr.adam_step(params, state, cfg)
+        tr.adam_step(params, [g.copy() for g in grads], state)
         oracles.allocating_adam_step(ref_p, grads, ref_m, ref_v, step, cfg.learning_rate,
                                      weight_decay)
     for (name, p), m, v, want_p, want_m, want_v in zip(named, state.m, state.v,
@@ -339,12 +340,10 @@ def test_adam_in_place_matches_the_allocating_oracle_bytes(monkeypatch, d, block
 
 def test_adam_drives_quadratic_to_zero():
     # every entry independently minimizes x^2; gradients fed by hand
-    params = tr.init_params(4, 1, seed=5)
+    params = tr.init_params(4, 1, 5, tiny_cfg(learning_rate=1e-2))
     state = tr.AdamState.for_params(params)
-    cfg = tiny_cfg(learning_rate=1e-2)
     for _ in range(500):
-        grads_of_ones_scaled(params, lambda p: 2.0 * p.data)
-        tr.adam_step(params, state, cfg)
+        tr.adam_step(params, grads_of(params, lambda p: 2.0 * p.data), state)
     for name, p in params.named_parameters():
         assert np.abs(p.data).max() < 0.1, name
 
@@ -590,10 +589,9 @@ def test_zero_weights_match_pure_classification_run():
             out = forward_scores(feats[i], params, tape)
             loss = hd.bce_loss(out.scores, labels[i], tape)
             ag.backward(loss, tape)
-            for _, p in params.named_parameters():
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
-            tr.adam_step(params, state, cfg)
+            grads = [np.zeros_like(p.data) if p.grad is None else p.grad
+                     for _, p in params.named_parameters()]
+            tr.adam_step(params, grads, state)
 
     for (_, pa), (_, pb) in zip(full.params.named_parameters(), params.named_parameters()):
         np.testing.assert_array_equal(pa.data, pb.data)
@@ -603,7 +601,7 @@ def test_train_stops_on_a_non_finite_loss():
     videos = tiny_videos()
     cfg = tiny_cfg(epochs=3, learning_rate=1e200, use_gda=False, use_lca=False)
     with np.errstate(all="ignore"), \
-            pytest.raises(NumericError, match=r"non-finite loss .* video synth_\d+ in epoch 0"):
+            pytest.raises(NumericError, match=r"^video synth_\d+ in epoch 0: non-finite loss"):
         tr.train(videos, cfg)
 
 
@@ -624,6 +622,53 @@ def test_train_returns_parameters_without_gradients(supervised, stop):
     result = tr.train(tiny_videos(n=2), cfg)
     assert result.epochs_run == (4 if stop == "fires" else 6)
     assert [n for n, p in result.params.named_parameters() if p.grad is not None] == []
+
+
+@pytest.mark.parametrize("supervised", [True, False], ids=["supervised", "unsupervised"])
+def test_no_gradient_of_a_step_is_alive_when_the_next_forward_starts(monkeypatch, supervised):
+    # one d=1024 gradient set kept into the next forward is about 80 MiB of peak RSS
+    last: list = []  # weak references to the latest step's gradients
+    alive_at_forward = []
+    step, forward = tr.loss_and_grads, tr.forward_loss
+
+    def watched_forward(*args):
+        alive_at_forward.append(sum(ref() is not None for ref in last))
+        return forward(*args)
+
+    def watched_step(*args):
+        out, grads = step(*args)
+        last[:] = [weakref.ref(g) for g in grads if g is not None]
+        assert last
+        return out, grads
+
+    monkeypatch.setattr(tr, "forward_loss", watched_forward)
+    monkeypatch.setattr(tr, "loss_and_grads", watched_step)
+    cfg = tiny_cfg(supervised=supervised, epochs=2)
+    tr.train(tiny_videos(n=3), cfg)
+    assert alive_at_forward == [0] * 6
+    assert all(ref() is None for ref in last)
+
+
+def test_loss_and_grads_clears_held_gradients_and_leaves_none():
+    params = tr.init_params(4, 1, 0, tiny_cfg())
+    video = tiny_videos(n=1)[0]
+    _, clean = tr.loss_and_grads(video.features, params, video.gt_binary)
+    for _, p in params.named_parameters():  # as a backward that failed midway leaves them
+        p.grad = np.ones(p.shape)
+    _, again = tr.loss_and_grads(video.features, params, video.gt_binary)
+    assert [g.tobytes() for g in again] == [g.tobytes() for g in clean]
+    assert all(p.grad is None for _, p in params.named_parameters())
+
+
+def test_loss_and_grads_refuses_a_non_finite_loss_before_the_backward(monkeypatch):
+    backward = []
+    monkeypatch.setattr(ag, "backward", lambda *args: backward.append(args))
+    params = tr.init_params(4, 1, 0, tiny_cfg(use_gda=False, use_lca=False))
+    video = tiny_videos(n=1)[0]
+    with np.errstate(all="ignore"), \
+            pytest.raises(NumericError, match=r"^non-finite loss (nan|inf)"):
+        tr.loss_and_grads(video.features * 1e200, params, video.gt_binary)
+    assert backward == []
 
 
 def test_train_names_the_video_and_epoch_whose_step_refuses_its_input():
@@ -1012,13 +1057,9 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     labels = [np.asarray(v.gt_binary, dtype=np.float64) for v in videos]
 
     def one_epoch(params, state):
-        from divsum.model import forward_loss
         for i in order:
-            params.zero_grads()
-            tape = Tape()
-            out = forward_loss(feats[i], params, labels[i], tape)
-            ag.backward(out.total, tape)
-            tr.adam_step(params, state, cfg)
+            _, grads = tr.loss_and_grads(feats[i], params, labels[i])
+            tr.adam_step(params, grads, state)
 
     for _ in range(2):
         one_epoch(params, state)
