@@ -258,28 +258,33 @@ def gda_forward(X: np.ndarray, params: ModelParams, tape: Tape | None = None) ->
     return AttentionOutput(features=features, weights=wt.T)
 
 
-def _row_window(a: np.ndarray, start: int, count: int):
-    """Rows clip(start + t, 0, len(a) - 1) of `a` for t < count, and the map of
-    their gradient back onto `a`: it adds the gradient rows into each source
-    row in output-row order, so its bytes equal a scatter-add."""
-    n = len(a)
-    lead = min(max(-start, 0), count)  # output rows clamped to row 0
-    end = min(max(n - start, 0), count)  # rows [lead, end) are in range, the rest clamp high
-    out = np.empty((count, a.shape[1]))
-    out[:lead] = a[0]
-    out[lead:end] = a[start + lead:start + end]
-    out[end:] = a[n - 1]
+def _padded(m: np.ndarray, R: int, boundary: str) -> np.ndarray:
+    """m with R rows before and R after it, so window slot o of every
+    anchor is the view [o:o + len(m)]. The padding repeats the edge rows
+    under clamp and is the edge rows times 0.0 under zero, whose signed
+    zeros are the bytes of masking a clamped row."""
+    keep = 1.0 if boundary == "clamp" else 0.0
+    return np.concatenate([np.repeat(m[:1] * keep, R, axis=0), m,
+                           np.repeat(m[-1:] * keep, R, axis=0)])
 
-    def scatter(g):
-        rows = np.zeros_like(a)
+
+def _unpadded(g: np.ndarray, shift: int, boundary: str) -> np.ndarray:
+    """The gradient of a window slot whose row t reads frame t + shift,
+    mapped back onto the frames: each row is added into fresh zeros in row
+    order, so the bytes equal a scatter-add. Rows past an end fold onto
+    the edge frame under clamp and are dropped under zero."""
+    n = len(g)
+    lead = min(max(-shift, 0), n)  # rows before frame 0
+    end = min(max(n - shift, 0), n)  # rows [lead, end) read frames, the rest lie past the end
+    rows = np.zeros_like(g)
+    if boundary == "clamp":
         for t in range(lead):
             rows[0] += g[t]
-        rows[start + lead:start + end] += g[lead:end]
-        for t in range(end, count):
+    rows[shift + lead:shift + end] += g[lead:end]
+    if boundary == "clamp":
+        for t in range(end, n):
             rows[n - 1] += g[t]
-        return rows
-
-    return out, scatter
+    return rows
 
 
 def lca_forward(X: np.ndarray, params: ModelParams, tape: Tape | None = None) -> AttentionOutput:
@@ -299,61 +304,55 @@ def lca_forward(X: np.ndarray, params: ModelParams, tape: Tape | None = None) ->
     which normalization pins to 1 (kept for fidelity, see the collapse
     test).
 
-    One record for any variant, policy and R, adding gradient only to
-    the projections and rel_pos. It repeats the op chain's numpy and BLAS
-    calls: Wv2's share, the weights' gradient, rel_pos's shares slot by
-    slot, then Wk2's and Wq2's. Of the shapes, only X's is checked here.
+    Q, and V for the contextual variant, are padded once with R rows at
+    each end, so slot o of every anchor is the view [o:o + T] of the
+    table. One record for any variant, policy and R, adding gradient only
+    to the projections and rel_pos. It repeats the op chain's numpy and
+    BLAS calls: Wv2's share, the weights' gradient, rel_pos's shares slot
+    by slot, then Wk2's and Wq2's. Of the shapes, only X's is checked here.
     """
     p, cfg = params.lca, params.cfg
     _check_features("local", X, p.Wq2.rows)
     T, d = X.shape
-    R, span = cfg.neighbor_R, 2 * cfg.neighbor_R + 1
-    x, wq, wk, wv, rel = X, p.Wq2.data, p.Wk2.data, p.Wv2.data, p.rel_pos.data
-    q, k, v = x @ wq, x @ wk, x @ wv
-
-    def shifted(m: np.ndarray, o: int):
-        """Slot o of every anchor's window, from m, and its gradient map."""
-        rows, scatter = _row_window(m, o - R, T)
-        if cfg.window_boundary == "clamp":
-            return rows, scatter
-        src = np.arange(T) + o - R
-        mask = ((src >= 0) & (src < T)).astype(np.float64)[:, None]
-        return rows * mask, lambda g: scatter(g * mask)
+    R, span, edge = cfg.neighbor_R, 2 * cfg.neighbor_R + 1, cfg.window_boundary
+    x, rel = X, p.rel_pos.data
+    qp, k, v = _padded(x @ p.Wq2.data, R, edge), x @ p.Wk2.data, x @ p.Wv2.data
+    if cfg.lca_variant == "contextual":
+        vp = _padded(v, R, edge)
+        v = vp[R:R + T]  # the same rows, so the closure holds one value table
 
     ones_d, c = np.ones((d, 1)), 1.0 / np.sqrt(d)
     s = np.empty((span, T))
     with np.errstate(over="ignore", invalid="ignore"):  # the softmax refuses the overflow
         for o in range(span):
-            s[o] = ((shifted(q, o)[0] * (k + rel[abs(o - R)])) @ ones_d)[:, 0] * c
+            s[o] = ((qp[o:o + T] * (k + rel[abs(o - R)])) @ ones_d)[:, 0] * c
     w = _softmax_columns(s).T.copy()  # T x (2R+1)
 
     if cfg.lca_variant == "literal":  # summed weights times the anchor's own value row
         total = w @ np.ones((span, 1))
         mixed = v * total
     else:
-        mixed = shifted(v, 0)[0] * w[:, :1]
+        mixed = vp[:T] * w[:, :1]
         for o in range(1, span):
-            mixed += shifted(v, o)[0] * w[:, o:o + 1]
+            mixed += vp[o:o + T] * w[:, o:o + 1]
 
     def shares(g):
         if cfg.lca_variant == "literal":
             g_w, gv = (g * v).sum(axis=1, keepdims=True) @ np.ones((1, span)), g * total
         else:
-            g_w, gv = np.empty((T, span)), np.zeros_like(v)
+            g_w, gv = np.empty((T, span)), np.zeros((T, d))
             for o in reversed(range(span)):
-                rows, scatter = shifted(v, o)
-                g_w[:, o] = (g * rows).sum(axis=1)
-                gv += scatter(g * w[:, o:o + 1])
+                g_w[:, o] = (g * vp[o:o + T]).sum(axis=1)
+                gv += _unpadded(g * w[:, o:o + 1], o - R, edge)
         yield x.T @ gv
         g_wt = (np.zeros_like(w) + g_w).T  # the chain's accumulator for the weights
         g = s * (g_wt - (g_wt * s).sum(axis=0, keepdims=True)) * c
-        gq, gk = np.zeros_like(q), np.zeros_like(k)
+        gq, gk = np.zeros((T, d)), np.zeros((T, d))
         for o in reversed(range(span)):
-            rows, scatter = shifted(q, o)
-            g_key = g[o][:, None] * rows
+            g_key = g[o][:, None] * qp[o:o + T]
             share = np.zeros_like(rel)
             share[abs(o - R)] = g_key.sum(axis=0)
-            gq += scatter(g[o][:, None] * (k + rel[abs(o - R)]))
+            gq += _unpadded(g[o][:, None] * (k + rel[abs(o - R)]), o - R, edge)
             gk += g_key
             yield share
         yield from (x.T @ gk, x.T @ gq)

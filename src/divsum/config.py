@@ -89,8 +89,8 @@ def _coerce(key: str, text: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """key=value lines to a typed override dict."""
-    out = {}
+    """key=value lines to a typed override dict. A key may appear once."""
+    out, seen = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -98,7 +98,10 @@ def parse_config_text(text: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
-        out[key.strip()] = _coerce(key.strip(), value)
+        key = key.strip()
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {seen[key]}")
+        out[key], seen[key] = _coerce(key, value), lineno
     return out
 
 

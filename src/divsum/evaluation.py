@@ -335,8 +335,8 @@ def evaluate(videos, cfg: TrainConfig, protocol: EvalProtocol,
     """Train per fold on the split's training half, summarize the held-out
     videos under the protocol's budget, and average F / tau / rho over
     every test video. The split's video ids, that no list or half is
-    empty, that no video is tested twice, and each test video's reference
-    are checked before any fold."""
+    empty, that no split trains on a video twice, that no video is tested
+    twice, and each test video's reference are checked before any fold."""
     if not videos:
         raise ContractError("cannot evaluate an empty video set")
     repeated = _repeated(v.id for v in videos)
@@ -351,6 +351,9 @@ def evaluate(videos, cfg: TrainConfig, protocol: EvalProtocol,
         for half, ids in (("train", s.train_ids), ("test", s.test_ids)):
             if not ids:
                 raise ContractError(f"split {i} has an empty {half} list")
+        repeated = _repeated(s.train_ids)
+        if repeated:
+            raise ContractError(f"split {i} trains on a video more than once: {repeated}")
     repeated = _repeated(i for s in splits for i in s.test_ids)
     if repeated:
         raise ContractError(f"splits test a video more than once: {repeated}")

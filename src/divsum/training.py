@@ -323,11 +323,11 @@ def load_checkpoint(path, *, params_only: bool = False):
     with open(path, "rb") as fh:
         r = Reader(fh, path)
         if r.take(4, "magic") != CHECKPOINT_MAGIC:
-            raise ContractError(f"{path}: not a checkpoint file (bad magic)")
+            raise DataFormatError(f"{path}: not a checkpoint file (bad magic)")
         version = r.u32("version")
         if version != CHECKPOINT_VERSION:
-            raise ContractError(f"{path}: checkpoint version {version}, "
-                                f"this build reads {CHECKPOINT_VERSION}")
+            raise DataFormatError(f"{path}: checkpoint version {version}, "
+                                  f"this build reads {CHECKPOINT_VERSION}")
         try:
             cfg = config_from_text(r.string("config"))
         except ConfigError as e:
@@ -336,10 +336,10 @@ def load_checkpoint(path, *, params_only: bool = False):
         tensors: dict[str, np.ndarray] = {}
         for i, (name, _, _) in enumerate(PARAMETERS):  # each entry checked before its data
             if i == count:
-                raise ContractError(f"{path}: checkpoint is missing parameter {name}")
+                raise DataFormatError(f"{path}: checkpoint is missing parameter {name}")
             if count > len(PARAMETERS) or r.string("parameter name") != name:
-                raise ContractError(f"{path}: checkpoint parameter order does not match "
-                                    f"this build")
+                raise DataFormatError(f"{path}: checkpoint parameter order does not match "
+                                      f"this build")
             rows, cols = r.u32(f"{name} rows"), r.u32(f"{name} cols")
             tensors[name] = r.array("<f8", (rows, cols), f"{name} data")
         mats = {n: Matrix._wrap(a) for n, a in tensors.items()}

@@ -8,6 +8,9 @@
 # variant) on the README's ablation corpus, and partition-map writes the
 # README's four maps (dot, cosine, l2, and dot with point 0 doubled) on a
 # 20 x 20 grid.
+# Local attention's zero window boundary runs with LCA on in two models:
+# off (literal variant, R=1) and no_gda (contextual, R=2, LCA alone); the
+# rest use clamp.
 # Beside each summary CSV, whose scores are rounded to 8 decimals, goes
 # <model>.scores: every video's frame scores as raw float64 bytes, so a
 # one-ulp change in scoring shows as well. Each model also summarizes a
@@ -101,7 +104,7 @@ pipeline() (  # pipeline SRC OUT: the whole CLI pipeline of the tree SRC, writte
     sim_kind=cosine scale_q=3 neighbor_R=1 lca_variant=literal window_boundary=zero \
     use_positions=false supervised=false recon_final_sigmoid=true early_stop=true \
     patience=2 min_delta=0.5 seed=3 > off.cfg
-  printf '%s\n' use_gda=false sim_kind=cosine > no_gda.cfg
+  printf '%s\n' use_gda=false sim_kind=cosine window_boundary=zero > no_gda.cfg
   printf '%s\n' use_lca=false window_boundary=zero > no_lca.cfg
 
   train=(--data d16 --epochs 4 --lr 3e-3 --radius 2 --seed 0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divsum import autograd as ag
-from divsum.attention import _row_window
+from divsum.attention import _padded, _unpadded
 from divsum.autograd import Matrix, Tape
 
 from . import oracles
@@ -171,31 +171,40 @@ def test_log_sqrt_rsqrt_domains():
         oracles.rsqrt(Matrix([[0.0]]))
 
 
-def test_row_window_values():
-    # the clamped row shift behind local attention's window slots
-    a = np.arange(12.0).reshape(3, 4)
-    np.testing.assert_array_equal(_row_window(a, -2, 6)[0], a[[0, 0, 0, 1, 2, 2]])
-    np.testing.assert_array_equal(_row_window(a, 2, 1)[0], a[[2]])
-    np.testing.assert_array_equal(_row_window(a, 5, 2)[0], a[[2, 2]])
-    np.testing.assert_array_equal(_row_window(a, -9, 2)[0], a[[0, 0]])
-    assert _row_window(a, 1, 0)[0].shape == (0, 4)
+def test_padded_window_values():
+    # window slot o of every anchor is rows [o, o + T) of the padded table
+    a = np.arange(12.0).reshape(3, 4) - 6.0  # row 0 negative, so zero pads it with -0.0
+    np.testing.assert_array_equal(_padded(a, 2, "clamp"), a[[0, 0, 0, 1, 2, 2, 2]])
+    zero = _padded(a, 2, "zero")
+    in_range = np.array([0, 0, 1, 1, 1, 0, 0])[:, None]
+    np.testing.assert_array_equal(zero, a[[0, 0, 0, 1, 2, 2, 2]] * in_range)
+    assert np.all(np.signbit(zero[:2])) and not np.any(np.signbit(zero[5:]))
+    np.testing.assert_array_equal(_padded(a[:1], 4, "clamp"), a[[0] * 9])
+    assert _unpadded(np.ones((3, 4)), 5, "clamp").tolist() == [[0.0] * 4] * 2 + [[3.0] * 4]
+    assert not _unpadded(np.ones((3, 4)), 5, "zero").any()
 
 
-@pytest.mark.parametrize("rows, count", [(5, 5), (5, 2), (3, 8), (1, 4), (1, 1)])
-def test_row_window_bytes_equal_the_gather_scatter_oracle(rows, count):
-    # every start of a radius-3 window, plus starts wholly past either end
-    rng = np.random.default_rng(rows * 10 + count)
+@pytest.mark.parametrize("boundary", ["clamp", "zero"])
+@pytest.mark.parametrize("rows, R", [(5, 2), (5, 3), (3, 5), (1, 3), (1, 1), (2, 4)])
+def test_padded_windows_bytes_equal_the_gather_scatter_oracle(rows, R, boundary):
+    # every slot of a radius-R window: with R >= rows, slots wholly past either end
+    rng = np.random.default_rng(rows * 10 + R)
     a = rng.normal(size=(rows, 6))
-    g = rng.normal(size=(count, 6))
+    a[[0, -1], :3] = -np.abs(a[[0, -1], :3])  # negative edge rows: their zero padding is -0.0
+    g = rng.normal(size=(rows, 6))
     g[::2, 1] = -0.0  # a scatter into fresh zeros turns -0.0 into +0.0
-    for start in [*range(-3, 4), -count - 2, rows + 1]:
+    table = _padded(a, R, boundary)
+    for shift in range(-R, R + 1):
+        src = np.arange(rows) + shift
         m, tape = Matrix(a), Tape()
-        want = gather_rows(m, np.clip(np.arange(count) + start, 0, rows - 1), tape)
+        want = gather_rows(m, np.clip(src, 0, rows - 1), tape)
+        if boundary == "zero":  # the generic-op chain's mask, as in oracles.lca_chain
+            want = oracles.multiply(want, Matrix(((src >= 0) & (src < rows))[:, None]), tape)
         want.grad = g
-        tape.records[-1]()
-        out, scatter = _row_window(a, start, count)
-        assert out.tobytes() == want.data.tobytes(), start
-        assert scatter(g).tobytes() == m.grad.tobytes(), start
+        for record in reversed(tape.records):
+            record()
+        assert table[shift + R:shift + R + rows].tobytes() == want.data.tobytes(), shift
+        assert _unpadded(g, shift, boundary).tobytes() == m.grad.tobytes(), shift
 
 
 def test_deterministic_forward():

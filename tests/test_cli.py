@@ -609,6 +609,18 @@ def test_evaluate_refuses_a_split_file_that_tests_a_video_twice(tmp_path, datase
     assert not report.exists()
 
 
+def test_evaluate_refuses_a_split_file_that_trains_on_a_video_twice(tmp_path, dataset, capsys):
+    splits, report = tmp_path / "splits.json", tmp_path / "rep.txt"
+    splits.write_text(json.dumps({"splits": [
+        {"train": ["synth_002", "synth_002"], "test": ["synth_000", "synth_001"]}]}))
+    assert run("evaluate", "--data", str(dataset), "--epochs", "1", "--radius", "1",
+               "--splits", str(splits), "--report", str(report)) == 1
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err == "error: split 0 trains on a video more than once: 'synth_002'\n"
+    assert not report.exists()
+
+
 MANIFEST = {"name": "synth", "dim": 6, "videos": [], "aggregation": "mean_over_users"}
 
 

@@ -546,6 +546,21 @@ def test_evaluate_refuses_splits_that_test_a_video_twice_before_the_first_fold_t
     assert calls == []
 
 
+def test_evaluate_refuses_a_split_that_trains_on_a_video_twice_before_the_first_fold_trains(
+        monkeypatch):
+    # the repeated video would be trained on twice per epoch
+    videos = corpus("a", 4, seed=0)
+    ids = [v.id for v in videos]
+    splits = [ev.FoldSplit(train_ids=ids[2:], test_ids=ids[:2]),
+              ev.FoldSplit(train_ids=[ids[1], ids[0], ids[1], ids[0]], test_ids=ids[2:])]
+    calls = []
+    monkeypatch.setattr(ev, "train", lambda *args: calls.append(args))
+    with pytest.raises(ContractError, match=f"^split 1 trains on a video more than once: "
+                                            f"{ids[0]!r}, {ids[1]!r}$"):
+        ev.evaluate(videos, quick_cfg(), ev.EvalProtocol(folds=2), splits=splits)
+    assert calls == []
+
+
 def test_evaluate_names_the_repeated_video_ids():
     v0, v1 = corpus("a", 2, seed=0)
     with pytest.raises(ContractError, match=f"not unique: {v0.id!r}$"):

@@ -24,7 +24,7 @@ from divsum import training as tr
 from divsum.autograd import ContractError, Matrix, NumericError, ShapeError, Tape
 from divsum.config import ConfigError, TrainConfig, config_from_text, config_to_text, \
     load_config, parse_config_text
-from divsum.data import VideoRecord, synth_generate, SynthSpec
+from divsum.data import DataFormatError, VideoRecord, synth_generate, SynthSpec
 from divsum.model import ModelParams, forward_scores
 from divsum.segmentation import score_video, summarize_video
 
@@ -71,6 +71,15 @@ def test_config_parse_errors_carry_line_numbers():
         parse_config_text("use_gda=maybe")
     with pytest.raises(ConfigError, match="int"):
         parse_config_text("epochs=2.5")
+
+
+def test_config_refuses_a_repeated_key_naming_both_lines(tmp_path):
+    with pytest.raises(ConfigError, match="^line 4: epochs is already set on line 2$"):
+        parse_config_text("# run\nepochs=2\nalpha=0.5\n epochs = 3\n")
+    p = tmp_path / "run.cfg"
+    p.write_text("epochs=2\nepochs=2\n")
+    with pytest.raises(ConfigError, match="^line 2: epochs is already set on line 1$"):
+        load_config(p)
 
 
 def test_config_precedence_file_then_overrides(tmp_path):
@@ -885,6 +894,31 @@ def test_a_misplaced_parameter_is_refused_before_its_data(tmp_path, table):
             tr.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("magic", "not a checkpoint file (bad magic)"),
+    ("version", f"checkpoint version 42, this build reads {tr.CHECKPOINT_VERSION}"),
+    ("missing", "checkpoint is missing parameter lca.Wq2"),
+    ("order", "checkpoint parameter order does not match this build"),
+])
+@pytest.mark.parametrize("params_only", [False, True])
+def test_a_malformed_checkpoint_raises_data_format_error(tmp_path, fault, message, params_only):
+    # as a malformed video container does; DataFormatError is a ContractError
+    entries = model_entries()
+    if fault == "order":
+        entries[3], entries[4] = entries[4], entries[3]
+    path = handmade_checkpoint(tmp_path / "bad.ckpt", tiny_cfg(),
+                               entries[:3] if fault == "missing" else entries)
+    blob = bytearray(path.read_bytes())
+    if fault == "magic":
+        blob[:4] = b"WHAT"
+    elif fault == "version":
+        blob[4] = 42
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError) as refused:
+        tr.load_checkpoint(path, params_only=params_only)
+    assert str(refused.value) == f"{path}: {message}"
+
+
 def mixed_width_entries():
     """A d=4 model whose local path is 6 wide."""
     wide = dict(model_entries(6))
@@ -977,7 +1011,8 @@ def test_checkpoint_refuses_a_radius_its_relative_embeddings_disagree_with(tmp_p
     (b"use_gda=True\n", b"use_gdx=True\n", ConfigError, "unknown config key: 'use_gdx'"),
     (b"use_gda=True\n", b"use_gda=mayb\n", ConfigError,
      "use_gda: expected a boolean, got 'mayb'"),
-], ids=["epochs-0", "unknown-key", "not-a-boolean"])
+    (b"epochs=1\n", b"seed=111\n", ConfigError, "line 12: seed is already set on line 4"),
+], ids=["epochs-0", "unknown-key", "not-a-boolean", "repeated-key"])
 def test_a_checkpoint_config_refusal_names_the_file(tmp_path, old, new, error, message):
     path, *_ = trained_state(tmp_path)
     blob = path.read_bytes()
