@@ -23,7 +23,7 @@ from .checks import run_self_checks
 from .config import ConfigError, TrainConfig, load_config
 from .data import (AGGREGATION_MODES, DatasetManifest, SynthSpec, Writer, _manifest_file,
                    load_dataset, load_manifest, save_dataset, synth_generate)
-from .evaluation import (EvalProtocol, PROTOCOL_MODES, build_folds, evaluate,
+from .evaluation import (EvalProtocol, PROTOCOL_MODES, _checked_splits, evaluate,
                          human_baseline, load_splits, random_baseline, report_csv,
                          report_text, save_splits)
 from .segmentation import _check_budget_ratio, summarize_video
@@ -184,18 +184,19 @@ def cmd_evaluate(args) -> int:
                             seed=args.split_seed if args.split_seed is not None else cfg.seed,
                             target_corpus=args.target_corpus, budget_ratio=args.budget_ratio)
     videos = load_dataset(data)
-    # the baseline needs no model, so a refusal comes before any fold trains
+    split_path = Path(args.splits) if args.splits else None
+    reuse = split_path is not None and split_path.exists()
+    splits = _checked_splits(videos, protocol,
+                             load_splits(split_path, protocol) if reuse else None)
+    # the baseline scores the held-out videos in dataset order; it needs no
+    # model, so a refusal comes before any fold trains
+    tested = {i for s in splits for i in s.test_ids}
     base = None if args.baseline == "none" else (
-        random_baseline if args.baseline == "random" else human_baseline)(videos, protocol)
-    splits = None
-    if args.splits:
-        split_path = Path(args.splits)
-        if split_path.exists():
-            splits = load_splits(split_path, protocol)
-        else:
-            splits = build_folds(videos, protocol)
-            save_splits(split_path, splits, protocol)
-            print(f"splits: {split_path}")
+        random_baseline if args.baseline == "random" else human_baseline)(
+            [v for v in videos if v.id in tested], protocol)
+    if split_path is not None and not reuse:
+        save_splits(split_path, splits, protocol)
+        print(f"splits: {split_path}")
     report = evaluate(videos, cfg, protocol, splits=splits)
     text = report_text(report)
     print(text, end="")

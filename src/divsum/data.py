@@ -9,9 +9,9 @@ and carries the F-score aggregation mode.
 
 Writer and Reader are the one codec of both binary formats, this video
 container and the training checkpoint: a Writer assembles a file and
-writes it atomically, and a Reader decodes it in the same order from a
-stream. Every file the package writes, text ones included, goes through
-Writer.write.
+writes it atomically, and a Reader decodes it in the same order from the
+open file, each section in place. Every file the package writes, text
+ones included, goes through Writer.write.
 
 Converters from common benchmark dumps are deliberately out of scope;
 the format is documented in the README so users can write their own.
@@ -19,7 +19,6 @@ the format is documented in the README so users can write their own.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -202,18 +201,16 @@ def _replaceable(target: Path) -> bool:
 
 
 class Reader:
-    """Reads a binary stream in order; every read names what it was after,
-    and every error names `where` (the file, or the file and a section).
-    Each read is checked against the bytes left before anything is
-    allocated, so a corrupt length cannot ask for more memory than the
-    file holds."""
+    """Reads the next `size` bytes of a binary stream in order; every read
+    names what it was after, and every error names `where` (the file, or
+    the file and a section). Each read is checked against the bytes left
+    before anything is allocated, so a corrupt length cannot ask for more
+    memory than the file holds."""
 
-    def __init__(self, stream, where):
+    def __init__(self, stream, where, size: int):
         self.stream = stream
         self.where = where
-        start = stream.tell()
-        self.left = stream.seek(0, io.SEEK_END) - start
-        stream.seek(start)
+        self.left = size
 
     def _need(self, have: int, n: int, what: str):
         if have < n:
@@ -254,10 +251,12 @@ class Reader:
 
     @contextmanager
     def section(self, name: str):
-        """A Reader over the next u32-length-prefixed section; the with-block
-        must read the section to its last byte."""
-        raw = self.take(self.u32(f"{name} section length"), f"{name} section")
-        sub = Reader(io.BytesIO(raw), f"{self.where}: {name} section")
+        """A Reader over the next u32-length-prefixed section, read in place;
+        the with-block must read the section to its last byte."""
+        n = self.u32(f"{name} section length")
+        self._need(self.left, n, f"{name} section")
+        self.left -= n
+        sub = Reader(self.stream, f"{self.where}: {name} section", n)
         yield sub
         sub.expect_end()
 
@@ -302,26 +301,27 @@ def save_video(path, rec: VideoRecord):
 
 
 def load_video(path) -> VideoRecord:
-    r = Reader(io.BytesIO(Path(path).read_bytes()), path)
-    if r.take(4, "magic") != MAGIC:
-        raise DataFormatError(f"{path}: not a video container (bad magic)")
-    version = r.u32("version")
-    if version != FORMAT_VERSION:
-        raise DataFormatError(
-            f"{path}: format version {version}, this build reads {FORMAT_VERSION}"
-        )
-    T, d, flags = r.u32("frame count"), r.u32("feature dim"), r.u32("flags")
-    unknown = [bit for bit in range(len(_SECTIONS), 32) if flags >> bit & 1]
-    if unknown:
-        raise DataFormatError(f"{path}: unknown section flag bits {unknown}")
-    # keyword arguments are evaluated left to right, in file order
-    rec = VideoRecord(id=r.string("video id"), corpus_tag=r.string("corpus tag"),
-                      features=r.array("<f8", (T, d), "features"))
-    for bit, (name, (_, read)) in enumerate(_SECTIONS.items()):
-        if flags >> bit & 1:
-            with r.section(name) as s:
-                setattr(rec, name, read(s, T))
-    r.expect_end()
+    with open(path, "rb") as fh:
+        r = Reader(fh, path, os.fstat(fh.fileno()).st_size)
+        if r.take(4, "magic") != MAGIC:
+            raise DataFormatError(f"{path}: not a video container (bad magic)")
+        version = r.u32("version")
+        if version != FORMAT_VERSION:
+            raise DataFormatError(
+                f"{path}: format version {version}, this build reads {FORMAT_VERSION}"
+            )
+        T, d, flags = r.u32("frame count"), r.u32("feature dim"), r.u32("flags")
+        unknown = [bit for bit in range(len(_SECTIONS), 32) if flags >> bit & 1]
+        if unknown:
+            raise DataFormatError(f"{path}: unknown section flag bits {unknown}")
+        # keyword arguments are evaluated left to right, in file order
+        rec = VideoRecord(id=r.string("video id"), corpus_tag=r.string("corpus tag"),
+                          features=r.array("<f8", (T, d), "features"))
+        for bit, (name, (_, read)) in enumerate(_SECTIONS.items()):
+            if flags >> bit & 1:
+                with r.section(name) as s:
+                    setattr(rec, name, read(s, T))
+        r.expect_end()
     rec.validate()
     return rec
 

@@ -23,7 +23,8 @@ import numpy as np
 from .autograd import ContractError, NumericError, ShapeError
 from .config import TrainConfig
 from .data import AGGREGATION_MODES, Writer, _repeated, json_field, read_json_object
-from .segmentation import SummaryMask, _check_budget_ratio, summarize_scores, summarize_video
+from .segmentation import (SummaryMask, _check_budget_ratio, _naming, summarize_scores,
+                           summarize_video)
 from .training import train
 
 PROTOCOL_MODES = ("canonical", "augmented", "transfer")
@@ -215,7 +216,7 @@ def video_fscore(mask, video, agg: str) -> float:
         return float(max(scores) if agg == "max_over_users" else np.mean(scores))
     if video.gt_binary is not None:
         return fscore(mask, video.gt_binary)
-    raise ContractError(f"video {video.id} carries no reference summaries")
+    raise ContractError("no reference summaries to score against")
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +324,21 @@ def _per_video_metrics(scored, agg: str):
     per_tau: dict[str, float] = {}
     per_rho: dict[str, float] = {}
     for v, detail in scored:
-        per_f[v.id] = video_fscore(detail.mask, v, agg)
-        if v.gt_scores is not None:
-            per_tau[v.id] = kendall_tau(detail.frame_scores, v.gt_scores)
-            per_rho[v.id] = spearman_rho(detail.frame_scores, v.gt_scores)
+        with _naming(v):
+            per_f[v.id] = video_fscore(detail.mask, v, agg)
+            if v.gt_scores is not None:
+                per_tau[v.id] = kendall_tau(detail.frame_scores, v.gt_scores)
+                per_rho[v.id] = spearman_rho(detail.frame_scores, v.gt_scores)
     return per_f, per_tau, per_rho
 
 
-def evaluate(videos, cfg: TrainConfig, protocol: EvalProtocol,
-             splits: list[FoldSplit] | None = None) -> EvalReport:
-    """Train per fold on the split's training half, summarize the held-out
-    videos under the protocol's budget, and average F / tau / rho over
-    every test video. The split's video ids, that no list or half is
-    empty, that no split trains on a video twice, that no video is tested
-    twice, and each test video's reference are checked before any fold."""
+def _checked_splits(videos, protocol: EvalProtocol,
+                    splits: list[FoldSplit] | None = None) -> list[FoldSplit]:
+    """`splits`, or the protocol's folds when None, once every check that
+    evaluate makes before a fold trains has passed: the split's video ids,
+    that no list or half is empty, that no split trains on a video twice,
+    that no video is tested twice, each test video's reference, and that
+    no split tests a video it trains on."""
     if not videos:
         raise ContractError("cannot evaluate an empty video set")
     repeated = _repeated(v.id for v in videos)
@@ -364,6 +366,22 @@ def evaluate(videos, cfg: TrainConfig, protocol: EvalProtocol,
                          if not by_id[i].user_summaries and by_id[i].gt_binary is None})
     if unscorable:
         raise ContractError(f"test videos carry no reference summaries: {unscorable}")
+    if protocol.folds != 1:  # folds=1 is build_folds' train==test smoke
+        for i, s in enumerate(splits):
+            both = _repeated(s.train_ids + s.test_ids)  # neither half repeats an id
+            if both:
+                raise ContractError(f"split {i} tests videos it also trains on: {both}")
+    return splits
+
+
+def evaluate(videos, cfg: TrainConfig, protocol: EvalProtocol,
+             splits: list[FoldSplit] | None = None) -> EvalReport:
+    """Train per fold on the split's training half, summarize the held-out
+    videos under the protocol's budget, and average F / tau / rho over
+    every test video. The splits (the protocol's folds when None) pass
+    _checked_splits before any fold trains."""
+    splits = _checked_splits(videos, protocol, splits)
+    by_id = {v.id: v for v in videos}
 
     def held_out():
         for split in splits:
@@ -396,20 +414,21 @@ def human_baseline(videos, protocol: EvalProtocol) -> EvalReport:
     per_rho: dict[str, float] = {}
     for v in videos:
         users = v.user_summaries or []
-        if len(users) >= 2:
-            outs = []
-            for i, u in enumerate(users):
-                rest = [fscore(u, w) for j, w in enumerate(users) if j != i]
-                outs.append(max(rest) if protocol.agg == "max_over_users"
-                            else float(np.mean(rest)))
-            per_f[v.id] = float(np.mean(outs))
-        if users and v.gt_scores is not None:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                taus = [kendall_tau(u.astype(float), v.gt_scores) for u in users]
-                rhos = [spearman_rho(u.astype(float), v.gt_scores) for u in users]
-            per_tau[v.id] = float(np.mean(taus))
-            per_rho[v.id] = float(np.mean(rhos))
+        with _naming(v):
+            if len(users) >= 2:
+                outs = []
+                for i, u in enumerate(users):
+                    rest = [fscore(u, w) for j, w in enumerate(users) if j != i]
+                    outs.append(max(rest) if protocol.agg == "max_over_users"
+                                else float(np.mean(rest)))
+                per_f[v.id] = float(np.mean(outs))
+            if users and v.gt_scores is not None:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    taus = [kendall_tau(u.astype(float), v.gt_scores) for u in users]
+                    rhos = [spearman_rho(u.astype(float), v.gt_scores) for u in users]
+                per_tau[v.id] = float(np.mean(taus))
+                per_rho[v.id] = float(np.mean(rhos))
     if not per_f:
         raise ContractError("human baseline needs videos with >= 2 user summaries")
     return _finish_report(protocol, per_f, per_tau, per_rho, "human")

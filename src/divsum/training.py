@@ -14,6 +14,7 @@ process (`_keep_freed_heap`), so each step reuses the last step's pages.
 from __future__ import annotations
 
 import ctypes
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -317,11 +318,11 @@ def load_checkpoint(path, *, params_only: bool = False):
 
     With params_only, the optimizer state is not read and adam_state is
     None: every check up to the last parameter is made, and then the
-    length of the rest of the file (found by seeking, not by reading) must
+    length of the rest of the file (found from its size, not by reading) must
     be that of a step counter and two moments per parameter entry.
     """
     with open(path, "rb") as fh:
-        r = Reader(fh, path)
+        r = Reader(fh, path, os.fstat(fh.fileno()).st_size)
         if r.take(4, "magic") != CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: not a checkpoint file (bad magic)")
         version = r.u32("version")

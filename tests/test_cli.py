@@ -109,6 +109,36 @@ def test_evaluate_prints_the_baseline_it_is_asked_for(tmp_path, dataset, capsys,
                     f"rho={base.spearman:.3f}")
 
 
+@pytest.mark.parametrize("case", ["unlabelled-aux", "labelled-aux", "split-file"])
+def test_the_baseline_scores_only_the_held_out_videos(tmp_path, dataset, capsys, case):
+    # an auxiliary corpus is only trained on, and a split file may hold
+    # videos out of every test list: neither enters the baseline
+    protocol = EvalProtocol(seed=3, budget_ratio=0.3)
+    if case == "split-file":
+        data, held = dataset, ["synth_000", "synth_001"]
+        splits = tmp_path / "splits.json"
+        splits.write_text(json.dumps({"splits": [
+            {"train": ["synth_002", "synth_003"], "test": held}]}))
+        flags = ["--splits", str(splits)]
+    else:
+        spec = dict(videos=3, frames=24, dim=6, shots_per_video=4, budget_ratio=0.3)
+        a = dat.synth_generate(dat.SynthSpec(**spec, seed=0, name="a"))
+        b = dat.synth_generate(dat.SynthSpec(**spec, seed=1, name="b"))
+        flags = ["--mode", "transfer", "--target-corpus", "a"]
+        if case == "unlabelled-aux":  # so it can only be trained on without labels
+            b = [replace(v, user_summaries=None, gt_binary=None) for v in b]
+            flags.append("--unsupervised")
+        data, held = tmp_path / "ab", [v.id for v in a]
+        dat.save_dataset(data, a + b, "ab")
+        protocol = replace(protocol, mode="transfer", target_corpus="a")
+    assert run("evaluate", "--data", str(data), "--epochs", "1", "--radius", "1",
+               "--seed", "3", "--budget-ratio", "0.3", "--baseline", "random", *flags) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    base = random_baseline([v for v in dat.load_dataset(data) if v.id in held], protocol)
+    assert line == (f"random baseline: F={base.mean_f:.2f} tau={base.kendall:.3f} "
+                    f"rho={base.spearman:.3f}")
+
+
 def test_identical_seeds_produce_identical_files(tmp_path, dataset):
     outs = []
     for tag in ("x", "y"):
@@ -619,6 +649,21 @@ def test_evaluate_refuses_a_split_file_that_trains_on_a_video_twice(tmp_path, da
     assert printed == ""
     assert err == "error: split 0 trains on a video more than once: 'synth_002'\n"
     assert not report.exists()
+
+
+def test_evaluate_refuses_a_split_file_that_tests_a_video_it_trains_on(
+        tmp_path, dataset, capsys, monkeypatch):
+    splits, report = tmp_path / "splits.json", tmp_path / "rep.txt"
+    splits.write_text(json.dumps({"splits": [
+        {"train": ["synth_000", "synth_001"], "test": ["synth_000", "synth_002"]}]}))
+    calls = []
+    monkeypatch.setattr(evaluation, "train", lambda *args: calls.append(args))
+    assert run("evaluate", "--data", str(dataset), "--epochs", "1", "--radius", "1",
+               "--splits", str(splits), "--report", str(report)) == 1
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err == "error: split 0 tests videos it also trains on: 'synth_000'\n"
+    assert calls == [] and not report.exists()
 
 
 MANIFEST = {"name": "synth", "dim": 6, "videos": [], "aggregation": "mean_over_users"}

@@ -4,6 +4,7 @@ import json
 import re
 import struct
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,25 @@ def test_round_trip_features_only(tmp_path):
     got = dat.load_video(p)
     assert_records_equal(rec, got)
     assert got.gt_scores is None and got.change_points is None
+
+
+def test_load_video_reads_the_features_once_from_the_open_file(tmp_path):
+    # the features are read straight into their own array; only validate's
+    # T x d finiteness mask comes on top, not a copy of the file
+    T, d = 800, 1024
+    rec = dat.VideoRecord(id="wide", features=np.random.default_rng(3).uniform(size=(T, d)),
+                          gt_scores=np.linspace(0.0, 1.0, T))
+    p = tmp_path / "wide.dsv"
+    dat.save_video(p, rec)
+    del rec
+    tracemalloc.start()
+    try:
+        got = dat.load_video(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.features.shape == (T, d)
+    assert peak < 1.5 * T * d * 8
 
 
 def test_save_load_save_is_byte_stable(tmp_path):

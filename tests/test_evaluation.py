@@ -12,7 +12,7 @@ from divsum import evaluation as ev
 from divsum.autograd import ContractError, NumericError, ShapeError
 from divsum.config import TrainConfig
 from divsum.data import SynthSpec, VideoRecord, synth_generate
-from divsum.segmentation import SummaryMask, summarize_video
+from divsum.segmentation import ShotPartition, SummaryMask, summarize_video
 from divsum.training import train
 
 from . import oracles
@@ -559,6 +559,50 @@ def test_evaluate_refuses_a_split_that_trains_on_a_video_twice_before_the_first_
                                             f"{ids[0]!r}, {ids[1]!r}$"):
         ev.evaluate(videos, quick_cfg(), ev.EvalProtocol(folds=2), splits=splits)
     assert calls == []
+
+
+def test_evaluate_refuses_a_split_that_tests_a_video_it_trains_on_unless_folds_is_one(
+        monkeypatch):
+    # such a video would be scored by a model fitted to it; folds=1 is the
+    # documented train==test smoke, so there the overlap is let through
+    videos = corpus("a", 4, seed=0)
+    ids = [v.id for v in videos]
+    splits = [ev.FoldSplit(train_ids=ids[:2], test_ids=[ids[0], ids[2]]),
+              ev.FoldSplit(train_ids=ids[2:], test_ids=[ids[3], ids[1]])]
+    calls = []
+    monkeypatch.setattr(ev, "train", lambda *args: calls.append(args))
+    with pytest.raises(ContractError, match=f"^split 0 tests videos it also trains on: "
+                                            f"{ids[0]!r}$"):
+        ev.evaluate(videos, quick_cfg(), ev.EvalProtocol(folds=2), splits=splits)
+    assert calls == []
+
+    class Trained(Exception):
+        pass
+
+    def train(*args):
+        raise Trained
+
+    monkeypatch.setattr(ev, "train", train)
+    with pytest.raises(Trained):
+        ev.evaluate(videos, quick_cfg(), ev.EvalProtocol(folds=1), splits=splits)
+
+
+def test_a_metric_error_names_its_video():
+    # one frame leaves tau and rho undefined; the error says which video
+    a = corpus("a", 3, seed=0)
+    one = VideoRecord(id="one", features=np.ones((1, 6)), gt_scores=np.array([0.5]),
+                      user_summaries=[np.array([1]), np.array([0])],
+                      change_points=ShotPartition([0], 1), corpus_tag="a")
+    want = "^video one: rank correlation needs at least 2 entries$"
+    proto = ev.EvalProtocol(folds=2, budget_ratio=0.3)
+    for baseline in (ev.random_baseline, ev.human_baseline):
+        with pytest.raises(ContractError, match=want):
+            baseline([a[0], one], proto)
+    with pytest.raises(ContractError, match=want):
+        ev.evaluate(a + [one], quick_cfg(epochs=1), proto,
+                    splits=[ev.FoldSplit([v.id for v in a], ["one"])])
+    with pytest.raises(ContractError, match="^video n: no reference summaries to score against$"):
+        ev.random_baseline([VideoRecord(id="n", features=np.zeros((4, 2)))], proto)
 
 
 def test_evaluate_names_the_repeated_video_ids():
