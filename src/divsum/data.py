@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import ContractError
-from .segmentation import ShotPartition, _check_budget_ratio, binarize_ground_truth
+from .segmentation import ShotPartition, _check_budget_ratio, select_frames
 
 MAGIC = b"DSUM"
 FORMAT_VERSION = 1
@@ -573,11 +573,11 @@ def synth_generate(spec: SynthSpec) -> list[VideoRecord]:
             rng.uniform(0.75, 0.95, size=spec.frames),
             rng.uniform(0.05, 0.25, size=spec.frames),
         )
-        gt_binary = binarize_ground_truth(gt_scores, part, spec.budget_ratio)
+        gt_binary = select_frames(gt_scores, part, spec.budget_ratio).frame_mask
         users = []
         for _ in range(spec.users):
             noisy = np.clip(gt_scores + rng.normal(0.0, 0.1, size=spec.frames), 0.0, 1.0)
-            users.append(binarize_ground_truth(noisy, part, spec.budget_ratio))
+            users.append(select_frames(noisy, part, spec.budget_ratio).frame_mask)
         records.append(VideoRecord(
             id=f"{spec.name}_{v:03d}",
             features=feats,

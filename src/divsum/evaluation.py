@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -405,10 +405,12 @@ def random_baseline(videos, protocol: EvalProtocol) -> EvalReport:
 
 
 def human_baseline(videos, protocol: EvalProtocol) -> EvalReport:
-    """Annotator agreement reference: each user summary scored against the
-    other users (leave one out), and against the frame-level scores for the
-    rank metrics. Videos without user summaries are skipped. The summaries
-    are scored as annotated, so the protocol's budget does not enter."""
+    """Annotator agreement reference: each user summary scored by
+    video_fscore against the other users (leave one out, aggregated as the
+    protocol says), the video's F the mean over its users; and each user
+    against the frame-level scores for the rank metrics. Videos without
+    user summaries are skipped. The summaries are scored as annotated, so
+    the protocol's budget does not enter."""
     per_f: dict[str, float] = {}
     per_tau: dict[str, float] = {}
     per_rho: dict[str, float] = {}
@@ -416,12 +418,10 @@ def human_baseline(videos, protocol: EvalProtocol) -> EvalReport:
         users = v.user_summaries or []
         with _naming(v):
             if len(users) >= 2:
-                outs = []
-                for i, u in enumerate(users):
-                    rest = [fscore(u, w) for j, w in enumerate(users) if j != i]
-                    outs.append(max(rest) if protocol.agg == "max_over_users"
-                                else float(np.mean(rest)))
-                per_f[v.id] = float(np.mean(outs))
+                per_f[v.id] = float(np.mean([
+                    video_fscore(u, replace(v, user_summaries=users[:i] + users[i + 1:]),
+                                 protocol.agg)
+                    for i, u in enumerate(users)]))
             if users and v.gt_scores is not None:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)

@@ -4,8 +4,8 @@ Segmentation is change-point detection: minimize within-segment scatter
 of the linear-kernel Gram matrix by dynamic programming, then pick the
 segment count with a penalized model-selection criterion. Selection is an
 exact 0/1 knapsack over shots: maximize summed shot scores subject to the
-summary length budget. The same mechanics binarize annotated frame scores
-into per-frame 0/1 training labels.
+summary length budget. select_frames is the one path from frame scores
+to a 0/1 frame mask, for summaries and synthetic labels alike.
 """
 
 from __future__ import annotations
@@ -216,27 +216,25 @@ def knapsack_select(lengths, scores, budget: int) -> list[int]:
     return selected
 
 
-def mask_from_selection(part: ShotPartition, selected: list[int]) -> SummaryMask:
-    mask = np.zeros(part.total_frames, dtype=int)
-    for i in selected:
-        a, b = part.change_points[i], part.change_points[i] + part.shot_lengths[i]
-        mask[a:b] = 1
-    return SummaryMask(frame_mask=mask, selected_shots=list(selected))
-
-
 def _check_budget_ratio(budget_ratio: float):
     if not 0.0 < budget_ratio <= 1.0:
         raise ContractError(f"budget_ratio must be in (0, 1], got {budget_ratio}")
 
 
 def select_frames(frame_scores, part: ShotPartition, budget_ratio: float) -> SummaryMask:
-    """Shot means -> knapsack under floor(budget_ratio * T) -> frame mask."""
+    """Shot means -> knapsack under floor(budget_ratio * T) -> frame mask.
+    Every summary, and every label the synthetic generator binarizes from
+    annotated scores, is selected here."""
     _check_budget_ratio(budget_ratio)
     T = part.total_frames
     budget = int(np.floor(budget_ratio * T))
     means = shot_scores(frame_scores, part)
     selected = knapsack_select(part.shot_lengths, means, budget)
-    return mask_from_selection(part, selected)
+    mask = np.zeros(T, dtype=int)
+    for i in selected:
+        a = part.change_points[i]
+        mask[a:a + part.shot_lengths[i]] = 1
+    return SummaryMask(frame_mask=mask, selected_shots=selected)
 
 
 @contextmanager
@@ -285,10 +283,3 @@ def summarize_scores(video, frame_scores, budget_ratio: float) -> SummaryDetail:
 def summarize_video(video, params: ModelParams, budget_ratio: float) -> SummaryDetail:
     """Score one video with the model, then summarize those scores."""
     return summarize_scores(video, score_video(video, params), budget_ratio)
-
-
-def binarize_ground_truth(frame_scores, part: ShotPartition,
-                          budget_ratio: float) -> np.ndarray:
-    """Annotated importance scores -> per-frame 0/1 labels, through the
-    same shot-mean + knapsack path the summarizer uses."""
-    return select_frames(frame_scores, part, budget_ratio).frame_mask

@@ -591,6 +591,36 @@ def loop_shot_means(y, starts, lengths):
 
 
 # ---------------------------------------------------------------------------
+# F-score references
+
+
+def loop_fscore(pred, user):
+    """Frame F-score as a percentage, counting the frames one at a time."""
+    hits = picked = wanted = 0
+    for p, u in zip(pred, user):
+        picked += int(p != 0)
+        wanted += int(u != 0)
+        hits += int(p != 0 and u != 0)
+    if hits == 0:
+        return 0.0
+    prec, rec = hits / picked, hits / wanted
+    return 200.0 * prec * rec / (prec + rec)
+
+
+def leave_one_out_human_f(users, agg):
+    """Annotator agreement by a double loop: user i against every user
+    j != i, the max or the mean over those, then the mean over i."""
+    outs = []
+    for i in range(len(users)):
+        rest = []
+        for j in range(len(users)):
+            if j != i:
+                rest.append(loop_fscore(users[i], users[j]))
+        outs.append(max(rest) if agg == "max_over_users" else float(np.mean(rest)))
+    return float(np.mean(outs))
+
+
+# ---------------------------------------------------------------------------
 # rank references
 
 

@@ -115,6 +115,15 @@ def test_similarity_rejects_unknown_kind_and_zero_rows():
         att.pairwise_similarity(Z, Q, "cosine", 1.0)
 
 
+def test_similarity_refuses_operands_of_different_shapes_and_a_scale_that_is_not_positive():
+    Q = np.ones((2, 3))
+    with pytest.raises(ShapeError, match="^similarity operands differ: 2x3 vs 3x3$"):
+        att.pairwise_similarity(Q, np.ones((3, 3)), "dot", 1.0)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ContractError, match=f"^scale_q must be positive, got {bad}$"):
+            att.pairwise_similarity(Q, Q, "dot", bad)
+
+
 # ---------------------------------------------------------------------------
 # global path
 

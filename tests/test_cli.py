@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import re
 import stat
 import struct
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from divsum import data as dat
-from divsum import cli, evaluation, segmentation
+from divsum import checks, cli, evaluation, segmentation
 from divsum.cli import main
 from divsum.config import TrainConfig, config_to_text
 from divsum.evaluation import EvalProtocol, human_baseline, random_baseline
@@ -41,6 +42,78 @@ def read_csv(path):
 
 def test_check_subcommand_passes():
     assert run("check") == 0
+
+
+def _first_record_altered(field, change):
+    """A load_dataset whose first record comes back with `field` changed."""
+    def patch(real):
+        def load(path):
+            records = real(path)
+            setattr(records[0], field, change(getattr(records[0], field)))
+            return records
+        return load
+    return patch
+
+
+def _raising(real):
+    def fault(*args, **kwargs):
+        raise RuntimeError("planted fault")
+    return fault
+
+
+# (check, module the check reads the name from, name, real -> replacement, detail)
+BROKEN_PIECES = {
+    "knapsack-takes-every-shot": (
+        "knapsack vs exhaustive search", checks, "knapsack_select",
+        lambda real: lambda lengths, scores, budget: list(range(len(lengths))),
+        "budget violated"),
+    "knapsack-takes-none": (
+        "knapsack vs exhaustive search", checks, "knapsack_select",
+        lambda real: lambda lengths, scores, budget: [], r"suboptimal by \S+"),
+    "partition-map-all-zero": (
+        "partition map vs nearest neighbor", checks, "partition_map",
+        lambda real: lambda *a: (np.zeros_like(real(*a)[0]),) + real(*a)[1:],
+        r"cell \(\d+,\d+\) disagrees with nearest neighbor"),
+    "tau-never-1": (
+        "rank metric calibration", evaluation, "kendall_tau", lambda real: lambda x, y: 0.5,
+        "identical rankings did not give exactly 1"),
+    "rho-never-negative": (
+        "rank metric calibration", evaluation, "spearman_rho",
+        lambda real: lambda x, y: abs(real(x, y)), "reversed rankings did not give exactly -1"),
+    "features-altered": (
+        "dataset round trip", checks, "load_dataset",
+        _first_record_altered("features", lambda f: f + 1.0),
+        "record synth_000 did not survive the round trip"),
+    "labels-altered": (
+        "dataset round trip", checks, "load_dataset",
+        _first_record_altered("gt_binary", lambda b: 1 - b),
+        "labels of synth_000 did not survive the round trip"),
+    "segmentation-raises": (
+        "segmentation on planted shots", checks, "kts_segment", _raising,
+        "raised RuntimeError: planted fault"),
+}
+
+
+@pytest.mark.parametrize("label, owner, name, patch, detail", BROKEN_PIECES.values(),
+                         ids=BROKEN_PIECES.keys())
+def test_check_fails_when_the_piece_it_checks_is_broken(monkeypatch, capsys, label, owner,
+                                                        name, patch, detail):
+    monkeypatch.setattr(owner, name, patch(getattr(owner, name)))
+    fn = dict(checks.ALL_CHECKS)[label]
+    if detail.startswith("raised "):  # run_self_checks turns the raise into the failure
+        with pytest.raises(RuntimeError, match="^planted fault$"):
+            fn()
+    else:
+        assert not fn()[0]
+    lines = []
+    assert not checks.run_self_checks(printer=lines.append)
+    prefix = f"[FAIL] {label}: "
+    failed = [line for line in lines[:-1] if not line.startswith("[ok] ")]
+    assert len(failed) == 1 and failed[0].startswith(prefix), lines
+    assert re.fullmatch(detail, failed[0][len(prefix):]), failed[0]
+    assert lines[-1] == "SELF-CHECK FAILURES PRESENT"
+    assert run("check") == 1
+    assert prefix in capsys.readouterr().out
 
 
 def test_synth_writes_dataset_and_is_deterministic(tmp_path):

@@ -263,6 +263,28 @@ def test_features_without_frames_or_dims_are_refused(tmp_path, shape):
         dat.load_video(tmp_path / "w.dsv")
 
 
+def test_validate_refuses_features_that_are_not_2d():
+    with pytest.raises(dat.DataFormatError, match="^video flat: features must be 2-D$"):
+        dat.VideoRecord(id="flat", features=np.ones(4)).validate()
+
+
+def test_validate_refuses_a_user_summary_entry_that_is_not_0_or_1():
+    users = [np.array([1, 0, 0, 1]), np.array([0, 2, 0, 1])]
+    rec = dat.VideoRecord(id="v", features=np.ones((4, 2)), user_summaries=users)
+    message = "^video v: user summary 1 entries must be 0 or 1$"
+    with pytest.raises(dat.DataFormatError, match=message):
+        rec.validate()
+
+
+def test_a_write_into_a_missing_directory_names_the_callers_path(tmp_path):
+    path = tmp_path / "absent" / "v.dsv"
+    with pytest.raises(FileNotFoundError,
+                       match=re.escape(f"No such file or directory: '{path}'")) as err:
+        dat.save_video(path, full_record(np.random.default_rng(0)))
+    assert err.value.filename == str(path)
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 # The optional sections of a .dsv file, in flag-bit order (README).
 SECTIONS = ("gt_scores", "gt_binary", "user_summaries", "change_points", "picks")
 

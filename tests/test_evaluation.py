@@ -81,6 +81,22 @@ def test_video_fscore_aggregation_modes():
         ev.video_fscore(pred, VideoRecord(id="n", features=np.zeros((4, 2))), "mean_over_users")
 
 
+def test_fscore_refuses_a_mask_that_is_not_1d():
+    with pytest.raises(ShapeError, match=re.escape("summary mask must be 1-D, got shape (2, 2)")):
+        ev.fscore(np.ones((2, 2), dtype=int), mask([1, 0, 1, 0]))
+
+
+def test_video_fscore_refuses_an_unknown_aggregation():
+    v = VideoRecord(id="v", features=np.zeros((4, 2)), user_summaries=[mask([1, 1, 0, 0])])
+    with pytest.raises(ContractError, match="^unknown aggregation mode: 'median'$"):
+        ev.video_fscore(mask([1, 1, 0, 0]), v, "median")
+
+
+def test_random_baseline_refuses_an_empty_video_set():
+    with pytest.raises(ContractError, match="^cannot evaluate an empty video set$"):
+        ev.random_baseline([], ev.EvalProtocol())
+
+
 # ---------------------------------------------------------------------------
 # rank correlations
 
@@ -630,6 +646,26 @@ def test_human_baseline_beats_random_on_synth():
     bare = [VideoRecord(id="x", features=np.zeros((4, 2)))]
     with pytest.raises(ContractError):
         ev.human_baseline(bare, proto)
+
+
+@pytest.mark.parametrize("agg", ["mean_over_users", "max_over_users"])
+def test_human_baseline_matches_the_leave_one_out_loop(agg):
+    # nine synthetic users put eight in each leave-one-out mean; the drawn
+    # users disagree enough that max and mean part ways
+    rng = np.random.default_rng(8)
+    videos = synth_generate(SynthSpec(videos=3, frames=30, dim=4, shots_per_video=5,
+                                      users=9, seed=3, budget_ratio=0.3))
+    videos += [VideoRecord(id=f"drawn{k}", features=np.zeros((12, 2)),
+                           user_summaries=list(rng.integers(0, 2, size=(n, 12))))
+               for k, n in enumerate((2, 3, 5))]
+    lone = VideoRecord(id="lone", features=np.zeros((12, 2)),
+                       user_summaries=[np.ones(12, dtype=int)])
+    report = ev.human_baseline(videos + [lone], ev.EvalProtocol(agg=agg))
+    want = {v.id: oracles.leave_one_out_human_f(v.user_summaries, agg) for v in videos}
+    assert report.per_video_f == want
+    other = "max_over_users" if agg == "mean_over_users" else "mean_over_users"
+    assert want != {v.id: oracles.leave_one_out_human_f(v.user_summaries, other)
+                    for v in videos}
 
 
 def test_report_rendering_round_out():

@@ -169,6 +169,11 @@ def test_bce_matches_loop_oracle():
     assert got == pytest.approx(oracles.loop_bce(y, gt), abs=1e-12)
 
 
+def test_bce_refuses_a_prediction_that_is_not_a_column():
+    with pytest.raises(ShapeError, match="^bce_loss expects column vectors$"):
+        hd.bce_loss(Matrix(np.full((3, 2), 0.5)), [1.0, 0.0, 1.0])
+
+
 def test_bce_length_mismatch():
     with pytest.raises(ShapeError):
         hd.bce_loss(col([0.5, 0.5]), [1.0])

@@ -394,24 +394,15 @@ def test_constructed_high_scoring_shot_is_selected():
     part = seg.ShotPartition([0, 5, 10], 20)
     scores = np.full(20, 0.1)
     scores[5:10] = 0.9
-    labels = seg.binarize_ground_truth(scores, part, budget_ratio=0.25)  # budget = 5
+    labels = seg.select_frames(scores, part, budget_ratio=0.25).frame_mask  # budget = 5
     want = np.zeros(20, dtype=int)
     want[5:10] = 1
     np.testing.assert_array_equal(labels, want)
 
 
-def test_binarize_shares_selection_mechanics():
-    rng = np.random.default_rng(11)
-    part = seg.ShotPartition([0, 4, 9], 15)
-    scores = rng.uniform(size=15)
-    labels = seg.binarize_ground_truth(scores, part, budget_ratio=0.4)
-    mask = seg.select_frames(scores, part, budget_ratio=0.4)
-    np.testing.assert_array_equal(labels, mask.frame_mask)
-
-
 def test_binarize_uniform_scores_prefers_early_shots():
     part = seg.ShotPartition([0, 3, 6, 9],  12)
-    labels = seg.binarize_ground_truth(np.full(12, 0.5), part, budget_ratio=0.5)
+    labels = seg.select_frames(np.full(12, 0.5), part, budget_ratio=0.5).frame_mask
     want = np.zeros(12, dtype=int)
     want[0:6] = 1  # two shots fit; lower indices win the tie
     np.testing.assert_array_equal(labels, want)

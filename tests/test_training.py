@@ -82,6 +82,11 @@ def test_config_refuses_a_repeated_key_naming_both_lines(tmp_path):
         load_config(p)
 
 
+def test_load_config_refuses_an_unknown_override_key():
+    with pytest.raises(ConfigError, match="^unknown config key: 'bogus'$"):
+        load_config(overrides={"bogus": 1})
+
+
 def test_config_precedence_file_then_overrides(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("epochs=5\nlearning_rate=0.01\n")
